@@ -22,11 +22,12 @@ race:
 check: vet race
 
 # fuzz runs the untrusted-input fuzz targets for a short budget each:
-# trace deserialization and assembler parsing. CI runs this non-gating;
+# the trace decoder (LoadBytes, which reads disk and remote payloads) and
+# assembler parsing. CI runs this non-gating;
 # raise FUZZTIME for local soaking.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz '^FuzzTraceLoad$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -fuzz '^FuzzTraceLoadBytes$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz '^FuzzAsmParse$$' -fuzztime $(FUZZTIME) ./internal/asm
 
 # chaos runs the fault-injection soak on its own under the race detector.
@@ -46,18 +47,18 @@ smoke:
 	./scripts/daemon_smoke.sh
 
 # SUBSTRATE_BENCHES are the per-substrate throughput benchmarks tracked in
-# the committed BENCH_*.json reports: emulator, fused oracle (plus its
-# legacy two-pass comparison and the ineffectuality-dense variant), the
-# analyze shard-count sweep, pipeline timing model (single-cluster and
-# two-cluster steered), trace serialization round trips, the persistent
-# artifact tier's cold/warm comparison, the service tier's
-# request-coalescing burst comparison, and the full experiment engine.
-SUBSTRATE_BENCHES = ^(BenchmarkEmulator|BenchmarkCollectAnalyzed|BenchmarkDeadnessOracle|BenchmarkDeadnessOracleLegacy|BenchmarkIneffAnalysis|BenchmarkAnalyzeShards|BenchmarkPipeline|BenchmarkClusteredPipeline|BenchmarkTraceSaveLoad|BenchmarkProfileDiskCache|BenchmarkCoalescedLoad|BenchmarkEngineAllExperiments)$$
+# the committed BENCH_*.json reports: emulator, the streamed
+# emulate→analyze path, fused oracle (plus the ineffectuality-dense
+# variant), pipeline timing model (single-cluster and two-cluster
+# steered), the linked trace format's round trip, the persistent artifact
+# tier's cold/warm comparison, the service tier's request-coalescing burst
+# comparison, and the full experiment engine.
+SUBSTRATE_BENCHES = ^(BenchmarkEmulator|BenchmarkCollectAnalyzed|BenchmarkDeadnessOracle|BenchmarkIneffAnalysis|BenchmarkPipeline|BenchmarkClusteredPipeline|BenchmarkTraceSaveLoad|BenchmarkProfileDiskCache|BenchmarkCoalescedLoad|BenchmarkEngineAllExperiments)$$
 
 # BENCH_BASELINE is the committed report that bench-compare diffs against;
 # BENCH_TOL is the relative regression tolerance (benchmarks vary with
 # host hardware, so keep it loose).
-BENCH_BASELINE ?= BENCH_10.json
+BENCH_BASELINE ?= BENCH_12.json
 BENCH_TOL ?= 0.25
 
 # bench regenerates $(BENCH_BASELINE) from the substrate benchmarks (with

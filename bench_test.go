@@ -190,14 +190,14 @@ func BenchmarkEmulator(b *testing.B) {
 
 // BenchmarkDeadnessOracle measures the fused single-pass substrate: one
 // walk derives both the def-use links and the oracle's forward facts.
-// Re-running on the same trace re-derives the links, so each iteration
+// Each iteration re-links the collected trace with LinkAndAnalyze, so it
 // does the full raw-trace-to-analysis work.
 func BenchmarkDeadnessOracle(b *testing.B) {
 	prog, err := asm.Assemble("bench", benchProgramSrc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, _, err := emu.Collect(prog, 1_000_000)
+	tr, _, _, err := emu.CollectAnalyzed(prog, 1_000_000)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -212,9 +212,8 @@ func BenchmarkDeadnessOracle(b *testing.B) {
 }
 
 // BenchmarkCollectAnalyzed measures the streaming emulate→analyze path
-// end to end: completed chunks feed the fused oracle — in-line on one
-// CPU, through the shard scheduler otherwise — as the emulator produces
-// them. Each iteration releases the trace, the real caller lifecycle, so
+// end to end: completed chunks feed the fused oracle in-line as the
+// emulator produces them. Each iteration releases the trace, the real caller lifecycle, so
 // chunk arenas recycle through the pool instead of piling onto the GC.
 func BenchmarkCollectAnalyzed(b *testing.B) {
 	prog, err := asm.Assemble("bench", benchProgramSrc)
@@ -232,57 +231,6 @@ func BenchmarkCollectAnalyzed(b *testing.B) {
 		tr.Release()
 	}
 	b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
-}
-
-// BenchmarkAnalyzeShards sweeps the sharded analyzer over a pre-collected
-// trace, isolating the analyze stage's scaling curve (forward shards +
-// boundary reconciliation + three-phase reverse). shards=1 still runs the
-// full sharded machinery, so the delta against BenchmarkDeadnessOracle is
-// the sharding overhead and the curve across counts is the parallel win.
-func BenchmarkAnalyzeShards(b *testing.B) {
-	prog, err := asm.Assemble("bench", benchProgramSrc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, _, err := emu.Collect(prog, 1_000_000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run("shards="+itoa(shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := deadness.LinkAndAnalyzeSharded(tr, shards); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
-		})
-	}
-}
-
-// BenchmarkDeadnessOracleLegacy measures the two-pass path (Link, then
-// Analyze) the fused pass replaced, for the speedup comparison.
-func BenchmarkDeadnessOracleLegacy(b *testing.B) {
-	prog, err := asm.Assemble("bench", benchProgramSrc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, _, err := emu.Collect(prog, 1_000_000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Link(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := deadness.Analyze(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
 func BenchmarkDIPLookup(b *testing.B) {
@@ -316,11 +264,7 @@ func BenchmarkPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, _, err := emu.Collect(prog, 1_000_000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	an, err := deadness.Analyze(tr)
+	tr, an, _, err := emu.CollectAnalyzed(prog, 1_000_000)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -377,11 +321,7 @@ func BenchmarkClusteredPipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tr, _, err := emu.Collect(prog, 1_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		an, err := deadness.Analyze(tr)
+		tr, an, _, err := emu.CollectAnalyzed(prog, 1_000_000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -421,7 +361,7 @@ func BenchmarkIneffAnalysis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, _, err := emu.Collect(prog, 1_000_000)
+	tr, _, _, err := emu.CollectAnalyzed(prog, 1_000_000)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -439,51 +379,38 @@ func BenchmarkIneffAnalysis(b *testing.B) {
 	b.ReportMetric(100*s.IneffFraction(), "ineff_%")
 }
 
-// BenchmarkTraceSaveLoad measures trace serialization round trips in both
-// on-disk formats: v1 (records only, links re-derived on load) and the v2
-// linked format the persistent artifact tier writes (links stored, Load
-// skips the re-link pass). The delta between the two load paths is the
-// warm-start win per trace byte.
+// BenchmarkTraceSaveLoad measures a round trip through the linked trace
+// format the persistent artifact tier writes: SaveLinked, then LoadBytes,
+// which restores the links instead of re-deriving them.
 func BenchmarkTraceSaveLoad(b *testing.B) {
 	prog, err := asm.Assemble("bench", benchProgramSrc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, _, err := emu.Collect(prog, 1_000_000)
+	tr, _, _, err := emu.CollectAnalyzed(prog, 1_000_000)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := tr.Link(); err != nil {
-		b.Fatal(err)
-	}
-	for _, v := range []struct {
-		name string
-		save func(*trace.Trace, *bytes.Buffer) error
-	}{
-		{"v1", func(tr *trace.Trace, buf *bytes.Buffer) error { return tr.Save(buf) }},
-		{"linked", func(tr *trace.Trace, buf *bytes.Buffer) error { return tr.SaveLinked(buf) }},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			if err := v.save(tr, &buf); err != nil {
+	b.Run("linked", func(b *testing.B) {
+		var buf bytes.Buffer
+		if err := tr.SaveLinked(&buf); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(buf.Len()))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := tr.SaveLinked(&buf); err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(buf.Len()))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				if err := v.save(tr, &buf); err != nil {
-					b.Fatal(err)
-				}
-				back, err := trace.Load(bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					b.Fatal(err)
-				}
-				back.Release()
+			back, err := trace.LoadBytes(buf.Bytes(), 0)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			back.Release()
+		}
+	})
 }
 
 // BenchmarkProfileDiskCache measures the persistent artifact tier's

@@ -34,8 +34,8 @@ func TestParseLine(t *testing.T) {
 		}
 	}
 	// Sub-benchmark names keep their slash path, only the -P suffix drops.
-	e, ok = parseLine("BenchmarkAnalyzeShards/shards=4-2 10 5 ns/op")
-	if !ok || e.Name != "AnalyzeShards/shards=4" {
+	e, ok = parseLine("BenchmarkClusteredPipeline/live/single-2 10 5 ns/op")
+	if !ok || e.Name != "ClusteredPipeline/live/single" {
 		t.Fatalf("sub-benchmark name: %+v ok=%v", e, ok)
 	}
 }

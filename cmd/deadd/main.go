@@ -7,8 +7,8 @@
 //
 //	deadd [-addr host:port] [-queue n] [-request-timeout d] [-max-timeout d]
 //	      [-retries n] [-drain-timeout d] [-n budget] [-j workers]
-//	      [-analyze-shards n] [-cache-budget bytes] [-cache-dir dir]
-//	      [-disk-budget bytes] [-remote-cache url] [-v]
+//	      [-cache-budget bytes] [-cache-dir dir] [-disk-budget bytes]
+//	      [-remote-cache url] [-v]
 //
 // Endpoints: GET /healthz, /readyz, /metricz; POST /v1/experiment,
 // /v1/experiments, /v1/predeval, /v1/profile — all POST endpoints accept

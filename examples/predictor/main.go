@@ -14,7 +14,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/deadness"
 	"repro/internal/dip"
 	"repro/internal/emu"
 	"repro/internal/workload"
@@ -33,11 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr, _, err := emu.Collect(prog, 1_000_000)
-	if err != nil {
-		log.Fatal(err)
-	}
-	an, err := deadness.Analyze(tr)
+	tr, an, _, err := emu.CollectAnalyzed(prog, 1_000_000)
 	if err != nil {
 		log.Fatal(err)
 	}

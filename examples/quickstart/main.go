@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"repro/internal/asm"
-	"repro/internal/deadness"
 	"repro/internal/emu"
 )
 
@@ -38,16 +37,12 @@ func main() {
 	fmt.Println("assembled program:")
 	fmt.Print(prog.Disassemble())
 
-	tr, m, err := emu.Collect(prog, 100000)
+	tr, an, m, err := emu.CollectAnalyzed(prog, 100000)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nexecuted %d dynamic instructions, output = %v\n", tr.Len(), m.Outputs)
 
-	an, err := deadness.Analyze(tr)
-	if err != nil {
-		log.Fatal(err)
-	}
 	sum := an.Summarize(tr, prog)
 	fmt.Printf("dead instructions: %d of %d (%.1f%%), %d first-level / %d transitive\n",
 		sum.Dead, sum.Total, 100*sum.DeadFraction(), sum.FirstLevel, sum.Transitive)

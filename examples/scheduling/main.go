@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"repro/internal/compiler"
-	"repro/internal/deadness"
 	"repro/internal/emu"
 	"repro/internal/program"
 	"repro/internal/workload"
@@ -39,11 +38,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tr, _, err := emu.Collect(prog, 500_000)
-		if err != nil {
-			log.Fatal(err)
-		}
-		an, err := deadness.Analyze(tr)
+		tr, an, _, err := emu.CollectAnalyzed(prog, 500_000)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -62,12 +63,11 @@ func TestFormatRoundTripsCompiledPrograms(t *testing.T) {
 			t.Fatalf("seed %d: data differs", seed)
 		}
 		// Behaviour is identical too.
-		_, m1, err := emu.Collect(p, 500_000)
-		if err != nil {
+		m1, m2 := emu.New(p), emu.New(q)
+		if err := m1.Run(500_000, nil); err != nil && !errors.Is(err, emu.ErrBudget) {
 			t.Fatal(err)
 		}
-		_, m2, err := emu.Collect(q, 500_000)
-		if err != nil {
+		if err := m2.Run(500_000, nil); err != nil && !errors.Is(err, emu.ErrBudget) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(m1.Outputs, m2.Outputs) {

@@ -15,7 +15,7 @@ func collectTrace(t *testing.T, src string) *trace.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := emu.Collect(p, 100000)
+	tr, _, _, err := emu.CollectAnalyzed(p, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package cliflags factors the workspace-construction flags every tool
-// shares — worker and shard counts, the artifact-cache budgets, and the
+// shares — the worker count, the artifact-cache budgets, and the
 // persistent disk tier — so the binaries register one consistent flag
 // surface and build their workspace the same way. It also centralizes
 // arming the FAULTS environment injector so a typo'd rule fails loudly
@@ -24,23 +24,21 @@ import (
 type WorkspaceFlags struct {
 	tool string
 
-	Budget        int
-	Workers       int
-	AnalyzeShards int
-	CacheBudget   string
-	CacheDir      string
-	DiskBudget    string
-	RemoteCache   string
+	Budget      int
+	Workers     int
+	CacheBudget string
+	CacheDir    string
+	DiskBudget  string
+	RemoteCache string
 }
 
 // RegisterWorkspace registers the shared workspace flags on fs:
-// -n, -j, -analyze-shards, -cache-budget, -cache-dir, -disk-budget, and
-// -remote-cache. The tool name prefixes every error Open reports.
+// -n, -j, -cache-budget, -cache-dir, -disk-budget, and -remote-cache.
+// The tool name prefixes every error Open reports.
 func RegisterWorkspace(fs *flag.FlagSet, tool string) *WorkspaceFlags {
 	f := &WorkspaceFlags{tool: tool}
 	fs.IntVar(&f.Budget, "n", core.DefaultBudget, "per-benchmark dynamic instruction budget")
 	fs.IntVar(&f.Workers, "j", 0, "max concurrently executing heavy tasks (0 = GOMAXPROCS)")
-	fs.IntVar(&f.AnalyzeShards, "analyze-shards", 0, "analyze-stage shard count per profile build (0 = GOMAXPROCS, 1 = serial)")
 	fs.StringVar(&f.CacheBudget, "cache-budget", "", "artifact-cache resident-byte budget, e.g. 256MiB (empty or 0 = unlimited)")
 	fs.StringVar(&f.CacheDir, "cache-dir", "", "persistent artifact-cache directory shared across runs (empty = memory only)")
 	fs.StringVar(&f.DiskBudget, "disk-budget", "", "disk byte budget for -cache-dir, e.g. 1GiB (empty or 0 = unlimited)")
@@ -67,7 +65,6 @@ func (f *WorkspaceFlags) Open() (*core.Workspace, error) {
 		return nil, fmt.Errorf("%s: -disk-budget requires -cache-dir", f.tool)
 	}
 	w := core.NewWorkspaceWorkers(f.Budget, f.Workers)
-	w.AnalyzeShards = f.AnalyzeShards
 	w.CacheBudget = cacheBytes
 	if f.CacheDir != "" {
 		if err := w.OpenDiskCache(f.CacheDir, diskBytes); err != nil {

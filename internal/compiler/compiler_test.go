@@ -93,12 +93,9 @@ func runCompiled(t *testing.T, f *Func, opts Options) []uint64 {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	_, m, err := emu.Collect(p, 10_000_000)
-	if err != nil {
+	m := emu.New(p)
+	if err := m.Run(10_000_000, nil); err != nil {
 		t.Fatalf("run: %v", err)
-	}
-	if !m.Halted {
-		t.Fatal("program did not halt")
 	}
 	return m.Outputs
 }

@@ -45,12 +45,9 @@ func TestFuzzCompilerEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d opts %+v: compile: %v", seed, opts, err)
 			}
-			_, m, err := emu.Collect(p, 2_000_000)
-			if err != nil {
+			m := emu.New(p)
+			if err := m.Run(2_000_000, nil); err != nil {
 				t.Fatalf("seed %d opts %+v: run: %v", seed, opts, err)
-			}
-			if !m.Halted {
-				t.Fatalf("seed %d opts %+v: did not halt", seed, opts)
 			}
 			if !reflect.DeepEqual(m.Outputs, want) {
 				t.Fatalf("seed %d opts %+v: outputs differ\n got %v\nwant %v",

@@ -45,10 +45,15 @@ func TestChaosSoak(t *testing.T) {
 	// Rate-1, Max-capped rules guarantee injections regardless of how the
 	// schedule lands on goroutines; the low-rate rules add seeded noise at
 	// every other site class, including per-instruction emulator faults.
+	// The memo rule is capped too: uncapped, how many builds it hits
+	// depends on how builds coalesce, and in about one run in six no
+	// experiment survived its four attempts, which made the survivor
+	// checks below vacuous and the run fail. Capped, every run has both
+	// survivors and injected failures to check.
 	in := faults.NewInjector(42).
 		Arm(faults.SitePoolTask, faults.Rule{Kind: faults.Transient, Rate: 1, Max: 5}).
 		Arm(faults.SitePoolTask, faults.Rule{Kind: faults.Delay, Rate: 0.02, Max: 10, Delay: time.Millisecond}).
-		Arm(faults.SiteWorkspaceMemo, faults.Rule{Kind: faults.Transient, Rate: 0.3}).
+		Arm(faults.SiteWorkspaceMemo, faults.Rule{Kind: faults.Transient, Rate: 0.3, Max: 24}).
 		Arm(faults.SiteEmuStep, faults.Rule{Kind: faults.Transient, Rate: 0.0001, Max: 4}).
 		Arm(faults.SiteSimulate, faults.Rule{Kind: faults.Panic, Rate: 1, Max: 2}).
 		Arm(faults.SiteSimulate, faults.Rule{Kind: faults.Transient, Rate: 0.01})

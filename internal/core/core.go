@@ -62,47 +62,37 @@ func (r *ProfileResult) ReleaseArtifact() {
 }
 
 // Profile builds a benchmark (optionally overriding its compile options),
-// runs it for at most budget instructions, and runs the deadness oracle.
-// The analyze stage shards across GOMAXPROCS by default; use
-// ProfileShards to pin the shard count.
+// runs it for at most budget instructions, and runs the deadness oracle
+// in-line with emulation (emu.CollectAnalyzed).
 func Profile(p workload.Profile, opts *compiler.Options, budget int) (*ProfileResult, error) {
-	return profileWith(p, opts, budget, 0, nil)
-}
-
-// ProfileShards is Profile with an explicit analyze shard count
-// (0 = GOMAXPROCS, 1 = the serial in-line pass). The analysis is
-// bit-identical for every shard count; the knob only trades memory and
-// scheduling overhead against analyze-stage parallelism.
-func ProfileShards(p workload.Profile, opts *compiler.Options, budget, shards int) (*ProfileResult, error) {
-	return profileWith(p, opts, budget, shards, nil)
+	return profileWith(p, opts, budget, nil)
 }
 
 // profileWith is Profile with phase-level observability: compile, emulate,
-// link, and analyze each report wall time, instruction throughput, and
+// and analyze each report wall time, instruction throughput, and
 // allocation deltas through the (nil-safe) collector.
-func profileWith(p workload.Profile, opts *compiler.Options, budget, shards int, mc *metrics.Collector) (*ProfileResult, error) {
+func profileWith(p workload.Profile, opts *compiler.Options, budget int, mc *metrics.Collector) (*ProfileResult, error) {
 	sp := mc.Start(metrics.PhaseCompile, p.Name)
 	prog, passStats, err := p.Compile(opts)
 	sp.End(0)
 	if err != nil {
 		return nil, err
 	}
-	return profileProgramWith(context.Background(), p.Name, prog, passStats, budget, shards, mc)
+	return profileProgramWith(context.Background(), p.Name, prog, passStats, budget, mc)
 }
 
 // ProfileProgram runs the oracle analysis over an already-compiled program.
 func ProfileProgram(name string, prog *program.Program, passStats compiler.PassStats, budget int) (*ProfileResult, error) {
-	return profileProgramWith(context.Background(), name, prog, passStats, budget, 0, nil)
+	return profileProgramWith(context.Background(), name, prog, passStats, budget, nil)
 }
 
-func profileProgramWith(ctx context.Context, name string, prog *program.Program, passStats compiler.PassStats, budget, shards int, mc *metrics.Collector) (*ProfileResult, error) {
-	// The streaming path emulates and runs the sharded link+analyze pass
-	// concurrently, chunks dispatched as they fill; the spans it records
-	// keep emulation and the non-overlapped analysis tail separate. A ctx
-	// cancellation aborts the emulation within a few thousand
-	// instructions and releases every pooled resource the partial run
-	// held (trace chunk arenas, writer-map pages).
-	tr, a, _, err := emu.CollectAnalyzedShardsCtx(ctx, prog, budget, shards, mc, name)
+func profileProgramWith(ctx context.Context, name string, prog *program.Program, passStats compiler.PassStats, budget int, mc *metrics.Collector) (*ProfileResult, error) {
+	// The streaming path runs the fused link+analyze pass one chunk behind
+	// the emulator; the spans it records keep emulation and the analysis
+	// tail separate. A ctx cancellation aborts the emulation within a few
+	// thousand instructions and releases every pooled resource the partial
+	// run held (trace chunk arenas, writer-map pages).
+	tr, a, _, err := emu.CollectAnalyzedCtx(ctx, prog, budget, mc, name)
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling %s: %w", name, err)
 	}

@@ -48,10 +48,7 @@ func refWindowedDeadFraction(t *trace.Trace, window int) (float64, error) {
 	for start := 0; start < n; start += window {
 		end := min(start+window, n)
 		sub := trace.FromRecords(t.Records()[start:end])
-		if err := sub.Link(); err != nil {
-			return 0, err
-		}
-		a, err := deadness.Analyze(sub)
+		a, err := deadness.LinkAndAnalyze(sub)
 		if err != nil {
 			return 0, err
 		}

@@ -69,13 +69,6 @@ type Workspace struct {
 	// collection at zero cost.
 	Metrics *metrics.Collector
 
-	// AnalyzeShards sets the shard count for the parallel analyze stage
-	// of every profile build (0 = GOMAXPROCS, 1 = serial). The analysis
-	// is bit-identical across shard counts, so the knob deliberately does
-	// NOT enter the profile artifact digest: artifacts built under any
-	// setting are interchangeable. Set it before first use.
-	AnalyzeShards int
-
 	// CacheBudget, when positive, bounds the resident bytes of unpinned
 	// artifacts: the least-recently-used artifacts beyond the budget are
 	// evicted (profiles return their pooled trace chunks) and rebuilt
@@ -371,7 +364,7 @@ func (w *Workspace) buildProfile(ctx context.Context, name string, opts *compile
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err = profileProgramWith(ctx, name, cp.Prog, cp.Stats, w.Budget, w.AnalyzeShards, w.Metrics)
+	res, err = profileProgramWith(ctx, name, cp.Prog, cp.Stats, w.Budget, w.Metrics)
 	if err != nil {
 		return nil, 0, err
 	}

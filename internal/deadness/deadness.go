@@ -20,18 +20,12 @@
 package deadness
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/trace"
 )
-
-// ErrUnlinked is returned by Analyze when the trace has not been linked.
-// Callers holding a raw (unlinked) trace should use LinkAndAnalyze, which
-// links and analyzes in a single pass instead of duplicating the walk.
-var ErrUnlinked = errors.New("deadness: trace is not linked (use LinkAndAnalyze)")
 
 // Kind classifies one dynamic instruction instance.
 type Kind uint8
@@ -97,11 +91,10 @@ func (k IneffKind) String() string {
 func (k IneffKind) Ineffectual() bool { return k != IneffNone }
 
 // classifyIneff is the one policy that turns the emulator's raw
-// value-equality hints into an ineffectuality class. All three forward
-// walks (Stream.Chunk, Analyze, the sharded shard walk) call exactly this
-// function per record, so the three paths cannot disagree: the input is
-// purely record-local (op flags, destination, hint bits), never
-// cross-record state.
+// value-equality hints into an ineffectuality class. The forward walk
+// (Stream.Chunk) calls it once per record, and its input is purely
+// record-local (op flags, destination, hint bits), never cross-record
+// state, so chunk and window boundaries cannot change a verdict.
 func classifyIneff(f isa.OpFlags, rd isa.Reg, h uint8) IneffKind {
 	if h == 0 {
 		return IneffNone
@@ -217,42 +210,12 @@ func Restore(n int, kind []Kind, candidate, everRead []bool, resolve []int32, in
 	}, nil
 }
 
-// isRoot reports usefulness roots: instructions whose execution matters
-// regardless of any produced value.
-func isRoot(op isa.Op) bool {
-	return op.IsControl() || op == isa.OUT || op == isa.HALT
-}
-
 // truncated reports whether the trace was cut off by an instruction
-// budget rather than ending at HALT. Both the serial and the sharded
-// reverse passes key the conservative unresolved-candidate root rule on
-// this one predicate, so the two paths cannot disagree on it — including
-// when the cut lands exactly on a chunk boundary.
+// budget rather than ending at HALT; the reverse pass keys the
+// conservative unresolved-candidate root rule on it.
 func truncated(t *trace.Trace) bool {
 	n := t.Len()
 	return n > 0 && t.OpAt(n-1) != isa.HALT
-}
-
-func newAnalysis(n int) *Analysis {
-	// The zero value of every column is the initial state: Live,
-	// non-candidate, unread, unresolved.
-	return &Analysis{
-		Kind:      make([]Kind, n),
-		Candidate: make([]bool, n),
-		EverRead:  make([]bool, n),
-		Resolve:   make([]int32, n),
-		Ineff:     make([]IneffKind, n),
-	}
-}
-
-// markRead records that reader consumed producer's result.
-func (a *Analysis) markRead(producer, reader int32) {
-	if producer != trace.NoProducer {
-		a.EverRead[producer] = true
-		if a.Resolve[producer] == unresolved {
-			a.Resolve[producer] = reader
-		}
-	}
 }
 
 // Stream is the incremental fused link+analyze pass: feed it completed
@@ -288,8 +251,9 @@ func NewStream(hint int) *Stream {
 }
 
 // Chunk links and analyzes the next chunk of the trace. Chunks must
-// arrive in trace order; the chunk's Src1/Src2 columns and load producer
-// tables are (re)written exactly as trace.Link would write them.
+// arrive in trace order. The chunk's Src1/Src2 columns and load producer
+// tables are (re)written from the walk's last-writer state: this is the
+// program's only def-use linker.
 func (s *Stream) Chunk(c *trace.Chunk) error {
 	a := s.a
 	base := s.n
@@ -326,8 +290,8 @@ func (s *Stream) Chunk(c *trace.Chunk) error {
 	c.BeginLink()
 	// Slice every column to the chunk length once so the loop body indexes
 	// bounds-check-free, and hoist the fact arrays out of the Analysis —
-	// with markRead inlined this keeps the per-record path branch + load
-	// only (one Flags table hit replaces the predicate range chains).
+	// with the read marking inlined this keeps the per-record path branch
+	// + load only (one Flags table hit replaces the predicate range chains).
 	op, rd, rs1, rs2 := c.Op[:cn], c.Rd[:cn], c.Rs1[:cn], c.Rs2[:cn]
 	memIdx := c.MemIdx[:cn]
 	src1, src2 := c.Src1[:cn], c.Src2[:cn]
@@ -417,68 +381,11 @@ func (s *Stream) Close() {
 	}
 }
 
-// Analyze runs the oracle over a linked trace (the legacy two-pass path:
-// Link first, then a second full walk for the forward deadness facts). It
-// returns ErrUnlinked rather than silently re-deriving the links; callers
-// with a raw trace should use LinkAndAnalyze.
-func Analyze(t *trace.Trace) (*Analysis, error) {
-	if !t.Linked {
-		return nil, ErrUnlinked
-	}
-	n := t.Len()
-	a := newAnalysis(n)
-
-	// Forward pass: candidates, everRead, and resolve points.
-	var lastRegWriter [isa.NumRegs]int32
-	for i := range lastRegWriter {
-		lastRegWriter[i] = trace.NoProducer
-	}
-	memWriter := trace.NewWriterMap()
-	defer memWriter.Reset()
-	var prevBuf []int32
-	for ci := 0; ci < t.NumChunks(); ci++ {
-		c := t.Chunk(ci)
-		base := ci << trace.ChunkBits
-		for i := 0; i < c.Len(); i++ {
-			seq := int32(base + i)
-			a.markRead(c.Src1[i], seq)
-			a.markRead(c.Src2[i], seq)
-			for _, p := range c.MemProducers(i) {
-				a.markRead(p, seq)
-			}
-			o := c.Op[i]
-			if h := c.Ineff[i]; h != 0 {
-				a.Ineff[seq] = classifyIneff(o.Flags(), c.Rd[i], h)
-			}
-			if o.IsStore() {
-				a.Candidate[seq] = true
-				mi := c.MemIdx[i]
-				prevBuf = memWriter.Overwrite(c.Addr[mi], int(c.Width[mi]), seq, prevBuf[:0])
-				for _, prev := range prevBuf {
-					if a.Resolve[prev] == unresolved {
-						a.Resolve[prev] = seq // overwrite resolves the old store
-					}
-				}
-			}
-			if o.HasDest() && c.Rd[i] != isa.RZero {
-				if !o.IsControl() {
-					a.Candidate[seq] = true
-				}
-				if prev := lastRegWriter[c.Rd[i]]; prev != trace.NoProducer && a.Resolve[prev] == unresolved {
-					a.Resolve[prev] = seq // overwrite resolves the old value
-				}
-				lastRegWriter[c.Rd[i]] = seq
-			}
-		}
-	}
-	return a.finish(t), nil
-}
-
 // LinkAndAnalyze links the trace and runs the oracle's forward pass in one
 // fused walk over the records: the def-use links and the deadness facts
-// (candidates, everRead, resolve points) maintain identical last-writer
-// state, so deriving both at once halves the substrate's passes. The
-// chunk producer columns are (re)written exactly as trace.Link would.
+// (candidates, everRead, resolve points) share one last-writer state, so
+// one walk derives both. Linking is idempotent, so re-running it over a
+// linked trace rewrites the same producer columns.
 func LinkAndAnalyze(t *trace.Trace) (*Analysis, error) {
 	s := NewStream(t.Len())
 	for ci := 0; ci < t.NumChunks(); ci++ {
@@ -490,10 +397,10 @@ func LinkAndAnalyze(t *trace.Trace) (*Analysis, error) {
 	return s.Finish(t), nil
 }
 
-// finish runs the shared tail of both analysis paths over the forward
-// facts: the reverse usefulness pass, the classification, and the
-// candidate count. It also rewrites the internal unresolved sentinel to
-// the documented "trace length" value.
+// finish runs the tail of the analysis over the forward facts: the
+// reverse usefulness pass, the classification, and the candidate count.
+// It also rewrites the internal unresolved sentinel to the documented
+// "trace length" value.
 func (a *Analysis) finish(t *trace.Trace) *Analysis {
 	n := t.Len()
 	// Reverse pass: propagate usefulness from roots to producers. When the

@@ -1,7 +1,6 @@
 package deadness_test
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/asm"
@@ -18,13 +17,9 @@ func analyzeSrc(t *testing.T, src string) (*trace.Trace, *deadness.Analysis, *pr
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	tr, _, err := emu.Collect(p, 100000)
+	tr, a, _, err := emu.CollectAnalyzed(p, 100000)
 	if err != nil {
 		t.Fatalf("run: %v", err)
-	}
-	a, err := deadness.Analyze(tr)
-	if err != nil {
-		t.Fatalf("analyze: %v", err)
 	}
 	return tr, a, p
 }
@@ -322,11 +317,7 @@ main:
 	}
 	p.Prov = make([]program.Provenance, len(p.Insts))
 	p.Prov[0] = program.ProvHoisted
-	tr, _, err := emu.Collect(p, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := deadness.Analyze(tr)
+	tr, a, _, err := emu.CollectAnalyzed(p, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +330,9 @@ main:
 	}
 }
 
-func TestAnalyzeRejectsUnlinkedTrace(t *testing.T) {
+// TestLinkAndAnalyzeLinksRawTrace pins the one analysis entry point for a
+// raw trace: the fused pass links it in place while analyzing.
+func TestLinkAndAnalyzeLinksRawTrace(t *testing.T) {
 	p, err := asm.Assemble("t", "main:\n addi r1, r0, 1\n halt\n")
 	if err != nil {
 		t.Fatal(err)
@@ -352,10 +345,6 @@ func TestAnalyzeRejectsUnlinkedTrace(t *testing.T) {
 	if tr.Linked {
 		t.Fatal("trace unexpectedly linked")
 	}
-	if _, err := deadness.Analyze(tr); !errors.Is(err, deadness.ErrUnlinked) {
-		t.Fatalf("Analyze(unlinked) error = %v, want ErrUnlinked", err)
-	}
-	// The fused pass is the entry point for raw traces: it links in place.
 	a, err := deadness.LinkAndAnalyze(tr)
 	if err != nil {
 		t.Fatal(err)

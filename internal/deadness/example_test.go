@@ -22,11 +22,7 @@ main:
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr, _, err := emu.Collect(prog, 1000)
-	if err != nil {
-		log.Fatal(err)
-	}
-	an, err := deadness.Analyze(tr)
+	tr, an, _, err := emu.CollectAnalyzed(prog, 1000)
 	if err != nil {
 		log.Fatal(err)
 	}

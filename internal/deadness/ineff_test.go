@@ -2,14 +2,12 @@ package deadness_test
 
 import (
 	"errors"
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/deadness"
 	"repro/internal/emu"
-	"repro/internal/isa"
 	"repro/internal/trace"
 )
 
@@ -141,26 +139,11 @@ main:
 	}
 }
 
-// collectRawSrc assembles src and emulates it into an unlinked columnar
-// trace, so each analysis path below can run on its own clone.
-func collectRawSrc(t *testing.T, src string, budget int) *trace.Trace {
-	t.Helper()
-	p, err := asm.Assemble("t", src)
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-	m := emu.New(p)
-	tr := &trace.Trace{}
-	if err := m.Run(budget, tr.Push); err != nil && !errors.Is(err, emu.ErrBudget) {
-		t.Fatalf("run: %v", err)
-	}
-	return tr
-}
-
 // TestIneffChainAcrossChunkBoundary runs a loop long enough that its
 // silent stores and x+0 trivial chains span multiple trace chunks, and
-// requires the serial, sharded, and per-instance facts to agree — the
-// chunk seam must be invisible to the ineffectuality column.
+// requires every per-instance fact to classify, and the pass streamed one
+// chunk behind the emulator to agree with the pass run after collection
+// — the chunk seam must be invisible to the ineffectuality column.
 func TestIneffChainAcrossChunkBoundary(t *testing.T) {
 	// 7 instructions per iteration; 1400 iterations ≈ 9800 records,
 	// crossing the 8192-record chunk boundary mid-loop.
@@ -184,13 +167,19 @@ loop:
     out  r7
     halt
 `
-	raw := collectRawSrc(t, src, 20_000)
-	if raw.NumChunks() < 2 {
-		t.Fatalf("trace has %d chunks; loop too short to cross a boundary", raw.NumChunks())
+	p, err := asm.Assemble("t", src)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
 	}
-
-	serialTr := raw.Clone()
-	serial, err := deadness.LinkAndAnalyze(serialTr)
+	m := emu.New(p)
+	fusedTr := &trace.Trace{}
+	if err := m.Run(20_000, fusedTr.Push); err != nil && !errors.Is(err, emu.ErrBudget) {
+		t.Fatalf("run: %v", err)
+	}
+	if fusedTr.NumChunks() < 2 {
+		t.Fatalf("trace has %d chunks; loop too short to cross a boundary", fusedTr.NumChunks())
+	}
+	fused, err := deadness.LinkAndAnalyze(fusedTr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,16 +187,16 @@ loop:
 	// Every dynamic instance of the loop body classifies, on both sides
 	// of the chunk seam.
 	silent, trivial := 0, 0
-	for seq := 0; seq < serialTr.Len(); seq++ {
-		switch pc := serialTr.PCAt(seq); pc {
+	for seq := 0; seq < fusedTr.Len(); seq++ {
+		switch pc := fusedTr.PCAt(seq); pc {
 		case 4:
-			if serial.Ineff[seq] != deadness.SilentStore {
-				t.Fatalf("seq %d (loop store): %v, want silent-store", seq, serial.Ineff[seq])
+			if fused.Ineff[seq] != deadness.SilentStore {
+				t.Fatalf("seq %d (loop store): %v, want silent-store", seq, fused.Ineff[seq])
 			}
 			silent++
 		case 5, 6, 7:
-			if serial.Ineff[seq] != deadness.TrivialOp {
-				t.Fatalf("seq %d (chain pc %d): %v, want trivial-op", seq, pc, serial.Ineff[seq])
+			if fused.Ineff[seq] != deadness.TrivialOp {
+				t.Fatalf("seq %d (chain pc %d): %v, want trivial-op", seq, pc, fused.Ineff[seq])
 			}
 			trivial++
 		}
@@ -216,133 +205,16 @@ loop:
 		t.Errorf("instances: silent=%d trivial=%d, want %d/%d", silent, trivial, iters, 3*iters)
 	}
 
-	for _, shards := range []int{1, 3, 64} {
-		tr := raw.Clone()
-		a, err := deadness.LinkAndAnalyzeSharded(tr, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.Ineff, serial.Ineff) {
-			t.Errorf("shards=%d: Ineff column diverges from serial", shards)
-		}
-		if !reflect.DeepEqual(a.Kind, serial.Kind) {
-			t.Errorf("shards=%d: Kind column diverges from serial", shards)
-		}
+	streamTr, stream, _, err := emu.CollectAnalyzed(p, 20_000)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// randIneffRecords generates a random well-formed record stream with
-// random emulator-producible hint bits: ALU ops with result-equality
-// hints, stores with silent-store hints, loads, and branches. The hints
-// are adversarial inputs to classification, not required to be mutually
-// consistent with the values — classification must be a pure function of
-// the record either way.
-func randIneffRecords(rng *rand.Rand, n int) []trace.Record {
-	recs := make([]trace.Record, n)
-	for i := range recs {
-		pc := int32(rng.Intn(97))
-		rd := isa.Reg(1 + rng.Intn(7))
-		rs1 := isa.Reg(rng.Intn(8))
-		rs2 := isa.Reg(rng.Intn(8))
-		r := trace.Record{PC: pc, Rd: rd, Rs1: rs1, Rs2: rs2}
-		switch rng.Intn(10) {
-		case 0, 1, 2:
-			r.Op = isa.ADD
-			if rng.Intn(3) == 0 {
-				r.Ineff |= trace.HintResultEqRs1
-			}
-			if rng.Intn(3) == 0 {
-				r.Ineff |= trace.HintResultEqRs2
-			}
-		case 3, 4:
-			r.Op = isa.ADDI
-			if rng.Intn(3) == 0 {
-				r.Ineff = trace.HintResultEqRs1
-			}
-		case 5, 6:
-			r.Op = isa.SD
-			r.Addr = uint64(0x1000 + 8*rng.Intn(101))
-			r.Width = 8
-			if rng.Intn(2) == 0 {
-				r.Ineff = trace.HintSilentStore
-			}
-		case 7:
-			r.Op = isa.SW
-			r.Addr = uint64(0x1000 + 4*rng.Intn(211))
-			r.Width = 4
-			if rng.Intn(2) == 0 {
-				r.Ineff = trace.HintSilentStore
-			}
-		case 8:
-			r.Op = isa.LD
-			r.Addr = uint64(0x1000 + 8*rng.Intn(101))
-			r.Width = 8
-		case 9:
-			r.Op = isa.BNE
-			r.Taken = rng.Intn(2) == 0
-		}
-		r.NextPC = int32((i + 1) % 97)
-		recs[i] = r
+	defer streamTr.Release()
+	if !reflect.DeepEqual(stream.Ineff, fused.Ineff) {
+		t.Error("streamed Ineff column diverges from the after-collection pass")
 	}
-	return recs
-}
-
-// TestIneffShardedMatchesSerialRandom is the randomized property guard:
-// for random traces with random hint bits, at lengths straddling chunk
-// boundaries, the sharded pass must reproduce every serial fact column —
-// including Ineff — at every shard count.
-func TestIneffShardedMatchesSerialRandom(t *testing.T) {
-	seeds := 20
-	if testing.Short() {
-		seeds = 5
-	}
-	totalIneff := 0
-	for seed := 0; seed < seeds; seed++ {
-		rng := rand.New(rand.NewSource(int64(9200 + seed)))
-		n := 1 + rng.Intn(3*trace.ChunkSize)
-		if rng.Intn(4) == 0 {
-			// Force an exact chunk-multiple length: the cut lands on a
-			// shard boundary.
-			n = trace.ChunkSize * (1 + rng.Intn(3))
-		}
-		recs := randIneffRecords(rng, n)
-
-		serialTr := trace.FromRecords(recs)
-		serial, err := deadness.LinkAndAnalyze(serialTr)
-		if err != nil {
-			t.Fatalf("seed %d: serial: %v", seed, err)
-		}
-		for _, k := range serial.Ineff {
-			if k.Ineffectual() {
-				totalIneff++
-			}
-		}
-
-		for _, shards := range []int{1, 2, 5, 64} {
-			tr := trace.FromRecords(recs)
-			a, err := deadness.LinkAndAnalyzeSharded(tr, shards)
-			if err != nil {
-				t.Fatalf("seed %d shards %d: %v", seed, shards, err)
-			}
-			if !reflect.DeepEqual(a.Ineff, serial.Ineff) {
-				t.Fatalf("seed %d shards %d: Ineff diverges", seed, shards)
-			}
-			if !reflect.DeepEqual(a.Kind, serial.Kind) {
-				t.Fatalf("seed %d shards %d: Kind diverges", seed, shards)
-			}
-			if !reflect.DeepEqual(a.Candidate, serial.Candidate) {
-				t.Fatalf("seed %d shards %d: Candidate diverges", seed, shards)
-			}
-			if !reflect.DeepEqual(a.EverRead, serial.EverRead) {
-				t.Fatalf("seed %d shards %d: EverRead diverges", seed, shards)
-			}
-			if !reflect.DeepEqual(a.Resolve, serial.Resolve) {
-				t.Fatalf("seed %d shards %d: Resolve diverges", seed, shards)
-			}
-		}
-	}
-	if totalIneff == 0 {
-		t.Fatal("no ineffectual instances across all seeds; property test is vacuous")
+	if !reflect.DeepEqual(stream.Kind, fused.Kind) {
+		t.Error("streamed Kind column diverges from the after-collection pass")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/bpred"
-	"repro/internal/deadness"
 	"repro/internal/emu"
 )
 
@@ -37,11 +36,7 @@ func evalSrc(t *testing.T, src string, opt Options) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := emu.Collect(p, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := deadness.Analyze(tr)
+	tr, a, _, err := emu.CollectAnalyzed(p, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +143,7 @@ func TestEvaluateWithExplicitDirPredictor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := emu.Collect(p, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := deadness.Analyze(tr)
+	tr, a, _, err := emu.CollectAnalyzed(p, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +184,7 @@ func TestEvaluateLeavesTraceIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := emu.Collect(p, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := deadness.Analyze(tr)
+	tr, a, _, err := emu.CollectAnalyzed(p, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}

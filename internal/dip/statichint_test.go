@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/deadness"
 	"repro/internal/emu"
 )
 
@@ -23,11 +22,7 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := emu.Collect(p, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := deadness.Analyze(tr)
+	tr, a, _, err := emu.CollectAnalyzed(p, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +43,7 @@ func TestStaticHintCappedByDeadnessRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := emu.Collect(p, 1000000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := deadness.Analyze(tr)
+	tr, a, _, err := emu.CollectAnalyzed(p, 1000000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +76,7 @@ func TestStaticHintDegenerateSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := emu.Collect(p, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := deadness.Analyze(tr)
+	tr, a, _, err := emu.CollectAnalyzed(p, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

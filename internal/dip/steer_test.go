@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/deadness"
 	"repro/internal/emu"
 )
 
@@ -33,11 +32,7 @@ func TestSteerLearnsSteadyIneffectuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := emu.Collect(p, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := deadness.Analyze(tr)
+	tr, a, _, err := emu.CollectAnalyzed(p, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -308,12 +308,13 @@ func widthMask(w int) uint64 {
 // Run executes until HALT or until budget instructions have committed,
 // passing each record to sink (which may be nil; the record is only valid
 // for the duration of the call). It returns ErrBudget when the budget
-// expires first. When a fault injector is installed, every committed
-// instruction is a firing opportunity at faults.SiteEmuStep; the injector
-// is sampled once at entry so the clean path stays branch-free.
+// expires first. When a fault injector is installed, the run goes through
+// RunCtx, where every committed instruction is a firing opportunity at
+// faults.SiteEmuStep; the injector is sampled once at entry so the clean
+// path stays branch-free.
 func (m *Machine) Run(budget int, sink func(*trace.Record)) error {
-	if inj := faults.Active(); inj != nil {
-		return m.runInjected(inj, budget, sink)
+	if faults.Active() != nil {
+		return m.RunCtx(context.Background(), budget, sink)
 	}
 	var rec trace.Record
 	for !m.Halted {
@@ -344,14 +345,19 @@ const ctxCheckMask = CtxCheckInterval - 1
 
 // RunCtx is Run with cooperative cancellation: it polls ctx every few
 // thousand committed instructions and returns ctx.Err() when the context
-// ends mid-run. The fault-opportunity sequence at faults.SiteEmuStep is
-// identical to Run's, so a run that completes under RunCtx is
-// bit-identical to the same run under Run.
+// ends mid-run. It is the one instrumented loop: Run delegates here when
+// a fault injector is armed, and RunCtx falls back to Run's bare loop
+// only when ctx can never end and no injector is armed. A run that
+// completes under RunCtx is therefore bit-identical to the same run
+// under Run, fault-opportunity sequence included.
 func (m *Machine) RunCtx(ctx context.Context, budget int, sink func(*trace.Record)) error {
-	if ctx == nil || ctx.Done() == nil {
-		return m.Run(budget, sink)
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	inj := faults.Active()
+	if inj == nil && ctx.Done() == nil {
+		return m.Run(budget, sink)
+	}
 	var rec trace.Record
 	for !m.Halted {
 		if m.Steps >= budget {
@@ -377,102 +383,36 @@ func (m *Machine) RunCtx(ctx context.Context, budget int, sink func(*trace.Recor
 	return nil
 }
 
-// runInjected is Run with a per-step fault opportunity.
-func (m *Machine) runInjected(inj *faults.Injector, budget int, sink func(*trace.Record)) error {
-	var rec trace.Record
-	for !m.Halted {
-		if m.Steps >= budget {
-			return ErrBudget
-		}
-		if err := inj.Fire(faults.SiteEmuStep); err != nil {
-			return fmt.Errorf("emu: step %d: %w", m.Steps, err)
-		}
-		if err := m.step(&rec); err != nil {
-			return err
-		}
-		if sink != nil {
-			sink(&rec)
-		}
-	}
-	return nil
-}
-
 // collectCap bounds how much storage the budget hint pre-sizes (the same
 // cap the pre-columnar substrate used for its record slice).
 const collectCap = 1 << 20
 
-// Collect runs the program to completion (or budget) and returns the linked
-// trace. A budget overrun is not an error here: the partial trace is still
-// analyzable, mirroring how architecture studies simulate a fixed
-// instruction window of a longer-running benchmark. Hard execution faults
-// still return an error.
-func Collect(p *program.Program, budget int) (*trace.Trace, *Machine, error) {
-	t, m, err := collect(p, budget)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := t.Link(); err != nil {
-		return nil, nil, err
-	}
-	return t, m, nil
-}
-
-// CollectAnalyzed runs the program like Collect and feeds completed trace
-// chunks straight into the fused link+analyze pass — serially in-line by
-// default on one CPU, or through the sharded analyzer's chunk scheduler
-// when more cores (or an explicit shard count) are available. Results are
-// bit-identical to analyzing after the fact in either mode.
+// CollectAnalyzed runs the program to completion (or budget) and returns
+// the linked trace, its oracle analysis, and the final machine state.
+// Completed trace chunks feed the fused link+analyze pass in-line as the
+// emulator fills them, so the analysis runs one chunk behind emulation
+// rather than after it. A budget overrun is not an error here: the partial
+// trace is still analyzable, mirroring how architecture studies simulate a
+// fixed instruction window of a longer-running benchmark. Hard execution
+// faults still return an error.
 func CollectAnalyzed(p *program.Program, budget int) (*trace.Trace, *deadness.Analysis, *Machine, error) {
-	return CollectAnalyzedShardsObserved(p, budget, 0, nil, "")
+	return CollectAnalyzedCtx(context.Background(), p, budget, nil, "")
 }
 
-// CollectAnalyzedShards is CollectAnalyzed with an explicit analyze shard
-// count: shards <= 0 means deadness.DefaultShards (one per CPU), 1 forces
-// the serial in-line pass, and larger values spread the forward and
-// reverse analysis passes across that many shard workers.
-func CollectAnalyzedShards(p *program.Program, budget, shards int) (*trace.Trace, *deadness.Analysis, *Machine, error) {
-	return CollectAnalyzedShardsObserved(p, budget, shards, nil, "")
-}
-
-// CollectAnalyzedObserved is CollectAnalyzed with phase observability
-// through the (nil-safe) collector.
-func CollectAnalyzedObserved(p *program.Program, budget int, mc *metrics.Collector, name string) (*trace.Trace, *deadness.Analysis, *Machine, error) {
-	return CollectAnalyzedShardsObserved(p, budget, 0, mc, name)
-}
-
-// CollectAnalyzedShardsObserved is the full streaming emulate→analyze
-// entry point: PhaseEmulate spans the producer run (with the serial
-// analysis fused in-line, or chunk dispatch to the shard workers), and
-// PhaseAnalyze spans the non-overlapped tail — boundary reconciliation
-// plus the reverse usefulness pass — which is exactly the analysis time
-// on the critical path.
-func CollectAnalyzedShardsObserved(p *program.Program, budget, shards int, mc *metrics.Collector, name string) (*trace.Trace, *deadness.Analysis, *Machine, error) {
-	return CollectAnalyzedShardsCtx(context.Background(), p, budget, shards, mc, name)
-}
-
-// CollectAnalyzedShardsCtx is CollectAnalyzedShardsObserved with
-// cooperative cancellation: when ctx ends mid-collection the emulation
-// aborts within a few thousand instructions, every pooled resource the
-// partial run holds — the trace's chunk arenas and the analyzer's
-// writer-map pages — is released, and ctx.Err() is returned with nil
-// results. A run that completes is bit-identical to an uncancellable one.
-func CollectAnalyzedShardsCtx(ctx context.Context, p *program.Program, budget, shards int, mc *metrics.Collector, name string) (*trace.Trace, *deadness.Analysis, *Machine, error) {
-	if shards <= 0 {
-		shards = deadness.DefaultShards()
-	}
-	if shards == 1 {
-		return collectAnalyzedSerial(ctx, p, budget, mc, name)
-	}
-	return collectAnalyzedSharded(ctx, p, budget, shards, mc, name)
-}
-
-// collectAnalyzedSerial runs the fused pass in-line in the emulator's
-// sink: on a single CPU a consumer goroutine buys no overlap and costs
-// scheduling and channel traffic, so each completed chunk is analyzed
-// synchronously instead. The stream's fact arrays grow with the actual
-// trace (roughly doubling per growth step), not the budget hint — a
-// budget-sized hint over-allocated ~7 MB per short run.
-func collectAnalyzedSerial(ctx context.Context, p *program.Program, budget int, mc *metrics.Collector, name string) (*trace.Trace, *deadness.Analysis, *Machine, error) {
+// CollectAnalyzedCtx is CollectAnalyzed with cooperative cancellation and
+// phase observability through the (nil-safe) collector: PhaseEmulate spans
+// the emulator run with the forward pass fused in-line, and PhaseAnalyze
+// spans the tail — the last partial chunk plus the reverse usefulness
+// pass. When ctx ends mid-collection the emulation aborts within a few
+// thousand instructions, every pooled resource the partial run holds — the
+// trace's chunk arenas and the analyzer's writer-map pages — is released,
+// and ctx.Err() is returned with nil results. A run that completes is
+// bit-identical to an uncancellable one.
+//
+// The stream's fact arrays grow with the actual trace (roughly doubling
+// per growth step), not the budget hint — a budget-sized hint
+// over-allocated ~7 MB per short run.
+func CollectAnalyzedCtx(ctx context.Context, p *program.Program, budget int, mc *metrics.Collector, name string) (*trace.Trace, *deadness.Analysis, *Machine, error) {
 	m := New(p)
 	t := trace.NewWithCapacity(min(budget, collectCap))
 	st := deadness.NewStream(0)
@@ -504,60 +444,6 @@ func collectAnalyzedSerial(ctx context.Context, p *program.Program, budget int, 
 	a := st.Finish(t)
 	sp.End(int64(t.Len()))
 	return t, a, m, nil
-}
-
-// collectAnalyzedSharded feeds completed chunks to the sharded analyzer's
-// scheduler as they fill, so every shard's forward pass overlaps both the
-// emulator and the other shards; reconciliation and the reverse pass run
-// after emulation ends.
-func collectAnalyzedSharded(ctx context.Context, p *program.Program, budget, shards int, mc *metrics.Collector, name string) (*trace.Trace, *deadness.Analysis, *Machine, error) {
-	m := New(p)
-	t := trace.NewWithCapacity(min(budget, collectCap))
-	ss := deadness.NewShardedStream(min(budget, collectCap), shards)
-	sent := 0
-	sp := mc.Start(metrics.PhaseEmulate, name)
-	runErr := m.RunCtx(ctx, budget, func(r *trace.Record) {
-		t.Push(r)
-		if t.Len()>>trace.ChunkBits > sent {
-			ss.Chunk(t.Chunk(sent))
-			sent++
-		}
-	})
-	sp.End(int64(t.Len()))
-
-	sp = mc.Start(metrics.PhaseAnalyze, name)
-	if sent < t.NumChunks() {
-		ss.Chunk(t.Chunk(sent))
-	}
-	if runErr != nil && !errors.Is(runErr, ErrBudget) {
-		// Join the workers and give back every pooled resource the
-		// aborted run holds: the shards' writer-map pages and the trace's
-		// chunk arenas.
-		ss.Close()
-		t.Release()
-		sp.End(0)
-		return nil, nil, nil, runErr
-	}
-	a, err := ss.Finish(t)
-	if err != nil {
-		t.Release()
-		sp.End(0)
-		return nil, nil, nil, err
-	}
-	sp.End(int64(t.Len()))
-	return t, a, m, nil
-}
-
-// collect emits the raw (unlinked) trace of one run, pre-sized from the
-// budget hint so collection never grows from zero.
-func collect(p *program.Program, budget int) (*trace.Trace, *Machine, error) {
-	m := New(p)
-	t := trace.NewWithCapacity(min(budget, collectCap))
-	err := m.Run(budget, t.Push)
-	if err != nil && !errors.Is(err, ErrBudget) {
-		return nil, nil, err
-	}
-	return t, m, nil
 }
 
 func boolTo64(b bool) uint64 {

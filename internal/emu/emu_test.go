@@ -16,7 +16,7 @@ func run(t *testing.T, src string, budget int) (*Machine, *trace.Trace) {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	tr, m, err := Collect(p, budget)
+	tr, _, m, err := CollectAnalyzed(p, budget)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -269,10 +269,10 @@ main:
 	if m.Steps != 100 {
 		t.Errorf("steps = %d, want 100", m.Steps)
 	}
-	// Collect tolerates budget exhaustion.
-	tr, _, err := Collect(p, 50)
+	// CollectAnalyzed tolerates budget exhaustion.
+	tr, _, _, err := CollectAnalyzed(p, 50)
 	if err != nil {
-		t.Fatalf("Collect: %v", err)
+		t.Fatalf("CollectAnalyzed: %v", err)
 	}
 	if tr.Len() != 50 {
 		t.Errorf("trace len = %d, want 50", tr.Len())

@@ -18,13 +18,10 @@ import (
 )
 
 // Canonical phase names used by the experiment engine. PhaseAnalyze covers
-// the fused link+analyze pass over a raw trace (the separate "link" phase
-// disappeared when the substrate became single-pass); PhaseLink remains for
-// callers that still link without analyzing (e.g. trace deserialization).
+// the fused link+analyze pass: linking is never a phase of its own.
 const (
 	PhaseCompile  = "compile"
 	PhaseEmulate  = "emulate"
-	PhaseLink     = "link"
 	PhaseAnalyze  = "analyze"
 	PhaseSimulate = "simulate"
 )

@@ -5,7 +5,6 @@ import (
 	"log"
 
 	"repro/internal/asm"
-	"repro/internal/deadness"
 	"repro/internal/emu"
 	"repro/internal/pipeline"
 )
@@ -26,11 +25,7 @@ loop:
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr, _, err := emu.Collect(prog, 100000)
-	if err != nil {
-		log.Fatal(err)
-	}
-	an, err := deadness.Analyze(tr)
+	tr, an, _, err := emu.CollectAnalyzed(prog, 100000)
 	if err != nil {
 		log.Fatal(err)
 	}

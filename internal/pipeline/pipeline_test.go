@@ -16,11 +16,7 @@ func prep(t *testing.T, src string, budget int) (*trace.Trace, *deadness.Analysi
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := emu.Collect(p, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := deadness.Analyze(tr)
+	tr, a, _, err := emu.CollectAnalyzed(p, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,36 +14,29 @@ import (
 	"repro/internal/lebytes"
 )
 
-// Binary trace formats: a fixed header followed by the trace body.
+// Binary trace format: a fixed 12-byte header (magic, version, record
+// count) followed by the trace body.
 //
-// Version 1 stores fixed-width row records — producer links are derived
-// state, recomputed by Link on load — so the format stays compact (24
-// bytes per record) and version-stable. Ineffectuality hints travel in
-// the record image (they are value observations the trace cannot
-// re-derive); the pre-hint layout kept the byte reserved-zero, so old
-// images remain decodable.
-//
-// Version 3 ("linked", written by SaveLinked) is the warm-start format of
-// the persistent artifact tier, laid out for load speed: after the header
-// comes a per-chunk byte-size table, then one self-contained columnar
-// section per chunk (hot columns back to back, then the memory address
-// side table, then each load's producer-store list). Column sections
-// decode with bulk reads and tight per-column loops instead of per-record
-// scatter, the size table lets chunks decode independently — in parallel
-// on multi-core hosts — and loading restores the links instead of
-// re-deriving them, which removes the writer-map walk from the warm-start
-// path. Every link is validated against the only invariant that matters
-// (a producer strictly precedes its consumer), so a corrupt links section
-// is rejected, never trusted.
+// Version 3 (written by SaveLinked) is laid out for load speed: after the
+// header comes a per-chunk byte-size table, then one self-contained
+// columnar section per chunk (hot columns back to back, then the memory
+// address side table, then each load's producer-store list). Column
+// sections decode with bulk reads and tight per-column loops instead of
+// per-record scatter, the size table lets chunks decode independently —
+// in parallel on multi-core hosts — and loading restores the links
+// instead of re-deriving them. Every link is validated against the only
+// invariant that matters (a producer strictly precedes its consumer), so
+// a corrupt links section is rejected, never trusted. Ineffectuality hints
+// travel in their own column: they are value observations the trace
+// cannot re-derive.
 const (
-	traceMagic   = 0x64746363 // "dtcc"
-	traceVersion = 1
-	// traceVersionLinked is 3: version 2 was the columnar layout without
-	// the ineffectuality hint column and is no longer readable (the only
-	// persisted v2 images lived inside profile artifacts, whose own codec
-	// version gate rejects them as stale before the trace section decodes).
+	traceMagic = 0x64746363 // "dtcc"
+	// traceVersionLinked is the only readable version. Version 1 (row
+	// records, links re-derived on load) and version 2 (columnar without
+	// the hint column) are rejected as unsupported; the only persisted
+	// images of either lived inside profile artifacts, whose own codec
+	// version gate rejects them as stale before the trace section decodes.
 	traceVersionLinked = 3
-	recordBytes        = 24 // version-1 row record image
 
 	// hotColumnBytes is the per-record cost of a version-3 section's fixed
 	// columns: PC(4) Op(1) Rd(1) Rs1(1) Rs2(1) Taken(1) NextPC(4) Src1(4)
@@ -56,70 +49,21 @@ const (
 	maxSectionBytesPerRecord = hotColumnBytes + 8 + 1 + 4*MaxMemProducers
 )
 
+// DefaultLoadLimit caps how many records LoadBytes accepts. The header
+// count is untrusted input: without a cap, 4 corrupt bytes could demand a
+// multi-hundred-gigabyte allocation before a single record is validated.
+// 16M records (~1.5 minutes of emulation at the default budget, ~1 GiB
+// in memory) is far beyond any trace this repository produces.
+const DefaultLoadLimit = 1 << 24
+
 // writeHeader emits the 12-byte file header.
-func writeHeader(bw *bufio.Writer, version uint32, n int) error {
+func writeHeader(bw *bufio.Writer, n int) error {
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:], traceMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
+	binary.LittleEndian.PutUint32(hdr[4:], traceVersionLinked)
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(n))
 	_, err := bw.Write(hdr[:])
 	return err
-}
-
-// encodeRecord fills one 24-byte version-1 record image.
-func (c *Chunk) encodeRecord(i int, buf []byte) {
-	binary.LittleEndian.PutUint32(buf[0:], uint32(c.PC[i]))
-	buf[4] = uint8(c.Op[i])
-	buf[5] = uint8(c.Rd[i])
-	buf[6] = uint8(c.Rs1[i])
-	buf[7] = uint8(c.Rs2[i])
-	binary.LittleEndian.PutUint32(buf[8:], uint32(c.NextPC[i]))
-	var addr uint64
-	var width uint8
-	if mi := c.MemIdx[i]; mi >= 0 {
-		addr, width = c.Addr[mi], c.Width[mi]
-	}
-	binary.LittleEndian.PutUint64(buf[12:], addr)
-	buf[20] = width
-	if c.Taken[i] {
-		buf[21] = 1
-	} else {
-		buf[21] = 0
-	}
-	buf[22] = c.Ineff[i]
-	buf[23] = 0 // reserved
-}
-
-// writeRecords encodes the version-1 record section a chunk at a time:
-// each chunk's records are assembled into one reusable buffer and written
-// with a single Write, instead of one 24-byte Write per record.
-func (t *Trace) writeRecords(bw *bufio.Writer) error {
-	buf := make([]byte, ChunkSize*recordBytes)
-	for ci := 0; ci < t.NumChunks(); ci++ {
-		c := t.chunks[ci]
-		cn := c.Len()
-		b := buf[:cn*recordBytes]
-		for i := 0; i < cn; i++ {
-			c.encodeRecord(i, b[i*recordBytes:])
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Save writes the trace to w in the version-1 format (records only; links
-// are recomputed on load). The trace need not be linked.
-func (t *Trace) Save(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeHeader(bw, traceVersion, t.n); err != nil {
-		return err
-	}
-	if err := t.writeRecords(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
 // sectionSize returns the byte length of the chunk's version-3 columnar
@@ -135,10 +79,11 @@ func (c *Chunk) sectionSize() int {
 }
 
 // encodeSection fills b (sized by sectionSize) with the chunk's columnar
-// section. Access widths are not stored: Link proved every memory record's
-// width equals its opcode's MemWidth, so the loader re-derives them. On
-// little-endian hosts each column is one copy (a Go bool is stored as 0 or
-// 1, so the Taken column's memory image is its wire image too).
+// section. Access widths are not stored: the linker proved every memory
+// record's width equals its opcode's MemWidth, so the loader re-derives
+// them. On little-endian hosts each column is one copy (a Go bool is
+// stored as 0 or 1, so the Taken column's memory image is its wire image
+// too).
 func (c *Chunk) encodeSection(b []byte) {
 	cn := c.Len()
 	var off int
@@ -226,10 +171,10 @@ func (c *Chunk) encodeSection(b []byte) {
 // def-use state. The trace must be linked.
 func (t *Trace) SaveLinked(w io.Writer) error {
 	if !t.Linked {
-		return errors.New("trace: SaveLinked requires a linked trace (call Link first)")
+		return errors.New("trace: SaveLinked requires a linked trace (run deadness.LinkAndAnalyze first)")
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeHeader(bw, traceVersionLinked, t.n); err != nil {
+	if err := writeHeader(bw, t.n); err != nil {
 		return err
 	}
 	nc := t.NumChunks()
@@ -267,20 +212,6 @@ func (t *Trace) LinkedSize() int64 {
 	return n
 }
 
-// DefaultLoadLimit caps how many records Load accepts. The header count
-// is untrusted input: without a cap, 4 corrupt bytes could demand a
-// multi-hundred-gigabyte allocation before a single record is validated.
-// 16M records (~1.5 minutes of emulation at the default budget, ~1 GiB
-// in memory) is far beyond any trace this repository produces.
-const DefaultLoadLimit = 1 << 24
-
-// Load reads a trace written by Save or SaveLinked and returns it linked.
-// It rejects traces larger than DefaultLoadLimit records; use LoadLimit
-// for other bounds.
-func Load(r io.Reader) (*Trace, error) {
-	return LoadLimit(r, DefaultLoadLimit)
-}
-
 // parseHeader validates the 12-byte file header against limit and returns
 // the format version and record count.
 func parseHeader(hdr []byte, limit int) (version uint32, n int, err error) {
@@ -295,69 +226,14 @@ func parseHeader(hdr []byte, limit int) (version uint32, n int, err error) {
 	return version, int(cnt), nil
 }
 
-// bodyBound returns the largest body (post-header byte count) any valid
-// n-record trace of the given version can have. The header count is
-// validated against the load limit before this runs, so the bound caps how
-// much of an untrusted stream LoadLimit will ever buffer.
-func bodyBound(version uint32, n int) (int, error) {
-	switch version {
-	case traceVersion:
-		return n * recordBytes, nil
-	case traceVersionLinked:
-		if n == 0 {
-			return 0, nil
-		}
-		nc := (n-1)>>ChunkBits + 1
-		return 4*nc + n*maxSectionBytesPerRecord, nil
-	default:
-		return 0, fmt.Errorf("trace: unsupported version %d", version)
-	}
-}
-
-// LoadLimit reads a trace written by Save (version 1, links recomputed) or
-// SaveLinked (version 3, links restored and validated), rejecting headers
-// that claim more than limit records (limit <= 0 means DefaultLoadLimit).
-// The body is buffered incrementally up to the version's per-record bound,
-// so a corrupt header cannot force a giant upfront allocation, and the
-// stream must end exactly at the last byte: trailing garbage, malformed
-// records, and link entries that do not strictly precede their consumer
-// are errors.
-func LoadLimit(r io.Reader, limit int) (*Trace, error) {
-	if limit <= 0 {
-		limit = DefaultLoadLimit
-	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	version, n, err := parseHeader(hdr[:], limit)
-	if err != nil {
-		return nil, err
-	}
-	bound, err := bodyBound(version, n)
-	if err != nil {
-		return nil, err
-	}
-	// Read one byte past the bound: a stream still going at that point
-	// cannot be a valid trace, and cutting it off keeps a lying stream
-	// from exhausting memory.
-	body, err := io.ReadAll(io.LimitReader(r, int64(bound)+1))
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading body: %w", err)
-	}
-	if len(body) > bound {
-		return nil, fmt.Errorf("trace: trailing garbage after %d records", n)
-	}
-	return loadBody(version, n, body, false)
-}
-
-// LoadBytes decodes a trace image (as written by Save or SaveLinked) held
-// entirely in memory, with the same validation and limit semantics as
-// LoadLimit. Columnar sections decode straight out of data with no
-// intermediate copy, which makes this the fast path for callers that
-// already hold the image — the persistent artifact tier's warm start
-// reads a verified payload and decodes it in place. No reference to data
-// is retained.
+// LoadBytes decodes a trace image written by SaveLinked and held entirely
+// in memory, rejecting headers that claim more than limit records
+// (limit <= 0 means DefaultLoadLimit). The image is untrusted input:
+// malformed records, link entries that do not strictly precede their
+// consumer, truncation, and trailing garbage are errors. Columnar
+// sections decode straight out of data with no intermediate copy — the
+// persistent artifact tier's warm start reads a verified payload and
+// decodes it in place. No reference to data is retained.
 func LoadBytes(data []byte, limit int) (*Trace, error) {
 	if limit <= 0 {
 		limit = DefaultLoadLimit
@@ -369,38 +245,17 @@ func LoadBytes(data []byte, limit int) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loadBody(version, n, data[12:], true)
-}
-
-// loadBody decodes the post-header bytes of either format. shared marks a
-// body aliasing a caller-owned buffer, which fault injection must not
-// corrupt in place.
-func loadBody(version uint32, n int, body []byte, shared bool) (*Trace, error) {
-	inj := faults.Active()
-	if inj != nil && shared {
-		body = append([]byte(nil), body...)
-	}
-	switch version {
-	case traceVersion:
-		if len(body) < n*recordBytes {
-			return nil, fmt.Errorf("trace: record %d: %w", len(body)/recordBytes, io.ErrUnexpectedEOF)
-		}
-		if len(body) > n*recordBytes {
-			return nil, fmt.Errorf("trace: trailing garbage after %d records", n)
-		}
-		t, err := loadRecords(body, n, inj)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.Link(); err != nil {
-			return nil, err
-		}
-		return t, nil
-	case traceVersionLinked:
-		return loadColumnar(body, n, inj)
-	default:
+	if version != traceVersionLinked {
 		return nil, fmt.Errorf("trace: unsupported version %d", version)
 	}
+	body := data[12:]
+	inj := faults.Active()
+	if inj != nil {
+		// Fault injection mangles the body in place; never corrupt the
+		// caller's buffer.
+		body = append([]byte(nil), body...)
+	}
+	return loadColumnar(body, n, inj)
 }
 
 // extend returns s resized to n elements, reusing its arena when the
@@ -411,101 +266,6 @@ func extend[T any](s []T, n int) []T {
 		return s[:n]
 	}
 	return make([]T, n)
-}
-
-// loadRecords decodes the version-1 record section (already sized exactly
-// by loadBody) chunk by chunk, with tight per-column loops.
-func loadRecords(body []byte, n int, inj *faults.Injector) (*Trace, error) {
-	t := NewWithCapacity(n)
-	for base := 0; base < n; base += ChunkSize {
-		cn := min(n-base, ChunkSize)
-		b := body[base*recordBytes : (base+cn)*recordBytes]
-		if inj != nil {
-			if err := inj.Fire(faults.SiteTraceLoad); err != nil {
-				return nil, fmt.Errorf("trace: record %d: %w", base, err)
-			}
-			inj.Mangle(faults.SiteTraceLoad, b)
-		}
-		ci := base >> ChunkBits
-		var c *Chunk
-		if ci < len(t.chunks) {
-			c = t.chunks[ci]
-		} else {
-			c = newChunk(ChunkSize)
-			t.chunks = append(t.chunks, c)
-		}
-		if err := c.decodeRecords(b, base, cn); err != nil {
-			return nil, err
-		}
-		t.n += cn
-	}
-	return t, nil
-}
-
-// decodeRecords fills the chunk from cn version-1 row records, validating
-// each field (opcode, registers, memory fields only on memory ops).
-func (c *Chunk) decodeRecords(b []byte, base, cn int) error {
-	c.PC = extend(c.PC, cn)
-	c.Op = extend(c.Op, cn)
-	c.Rd = extend(c.Rd, cn)
-	c.Rs1 = extend(c.Rs1, cn)
-	c.Rs2 = extend(c.Rs2, cn)
-	c.Taken = extend(c.Taken, cn)
-	c.NextPC = extend(c.NextPC, cn)
-	c.Src1 = extend(c.Src1, cn)
-	c.Src2 = extend(c.Src2, cn)
-	c.MemIdx = extend(c.MemIdx, cn)
-	c.Ineff = extend(c.Ineff, cn)
-	memCnt := 0
-	for i := 0; i < cn; i++ {
-		r := b[i*recordBytes : (i+1)*recordBytes]
-		if r[23] != 0 {
-			return fmt.Errorf("trace: record %d: nonzero reserved byte", base+i)
-		}
-		op := isa.Op(r[4])
-		if !op.Valid() {
-			return fmt.Errorf("trace: record %d: invalid opcode %d", base+i, r[4])
-		}
-		rd, rs1, rs2 := isa.Reg(r[5]), isa.Reg(r[6]), isa.Reg(r[7])
-		if rd >= isa.NumRegs || rs1 >= isa.NumRegs || rs2 >= isa.NumRegs {
-			return fmt.Errorf("trace: record %d: register out of range", base+i)
-		}
-		if h := r[22]; h != 0 && !validIneffHint(r[4], rd, h) {
-			return fmt.Errorf("trace: record %d: invalid ineffectuality hint %#x for %v", base+i, r[22], op)
-		}
-		c.Ineff[i] = r[22]
-		c.PC[i] = int32(binary.LittleEndian.Uint32(r[0:]))
-		c.Op[i] = op
-		c.Rd[i], c.Rs1[i], c.Rs2[i] = rd, rs1, rs2
-		c.NextPC[i] = int32(binary.LittleEndian.Uint32(r[8:]))
-		c.Taken[i] = r[21] != 0
-		c.Src1[i], c.Src2[i] = 0, 0
-		if op.IsMem() {
-			c.MemIdx[i] = int32(memCnt)
-			memCnt++
-		} else {
-			if binary.LittleEndian.Uint64(r[12:]) != 0 || r[20] != 0 {
-				return fmt.Errorf("trace: record %d: memory fields on non-memory op %v", base+i, op)
-			}
-			c.MemIdx[i] = -1
-		}
-	}
-	c.Addr = extend(c.Addr, memCnt)
-	c.Width = extend(c.Width, memCnt)
-	c.srcOff = extend(c.srcOff, memCnt)
-	c.srcLen = extend(c.srcLen, memCnt)
-	mi := 0
-	for i := 0; i < cn; i++ {
-		if c.MemIdx[i] < 0 {
-			continue
-		}
-		r := b[i*recordBytes:]
-		c.Addr[mi] = binary.LittleEndian.Uint64(r[12:])
-		c.Width[mi] = r[20]
-		c.srcOff[mi], c.srcLen[mi] = 0, 0
-		mi++
-	}
-	return nil
 }
 
 // loadColumnar decodes the version-3 body: the chunk size table, then one
@@ -601,7 +361,7 @@ const (
 // legally produce for it: silent-store on stores, result-equals-source
 // bits on result-producing ops for the sources the op actually reads.
 // Anything outside that in a hint byte marks a corrupt image — the
-// loaders reject it rather than let forged hints reach the analysis.
+// loader rejects it rather than let forged hints reach the analysis.
 var hintAllowed = func() (t [256]uint8) {
 	for i := range t {
 		op := isa.Op(i)
@@ -796,8 +556,8 @@ func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 	}
 	// One pass over the memory records fills the side tables and decodes
 	// each load's producer list. Widths are not stored: SaveLinked requires
-	// a linked trace, and Link proved every memory record's width equals
-	// its opcode's MemWidth.
+	// a linked trace, and the linker proved every memory record's width
+	// equals its opcode's MemWidth.
 	c.memSrcs = c.memSrcs[:0]
 	mi := 0
 	for i := 0; i < cn; i++ {

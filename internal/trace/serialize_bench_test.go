@@ -1,67 +1,56 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // benchTrace synthesizes a linked n-record trace with the op mix that
 // matters to the serializer: register writers, stores, loads (producer
 // lists), and branches.
-func benchTrace(b *testing.B, n int) *Trace {
+func benchTrace(b *testing.B, n int) *trace.Trace {
 	b.Helper()
-	recs := make([]Record, n)
+	recs := make([]trace.Record, n)
 	for i := range recs {
 		pc := int32(i % 1024)
 		switch i % 5 {
 		case 0, 1:
-			recs[i] = Record{PC: pc, Op: isa.ADDI, Rd: isa.Reg(1 + i%8), Rs1: isa.Reg(i % 4), NextPC: pc + 1}
+			recs[i] = trace.Record{PC: pc, Op: isa.ADDI, Rd: isa.Reg(1 + i%8), Rs1: isa.Reg(i % 4), NextPC: pc + 1}
 		case 2:
-			recs[i] = Record{PC: pc, Op: isa.SD, Rs1: isa.Reg(1 + i%8), Rs2: isa.Reg(1 + (i+1)%8),
+			recs[i] = trace.Record{PC: pc, Op: isa.SD, Rs1: isa.Reg(1 + i%8), Rs2: isa.Reg(1 + (i+1)%8),
 				Addr: uint64(i % 4096 * 8), Width: 8, NextPC: pc + 1}
 		case 3:
-			recs[i] = Record{PC: pc, Op: isa.LD, Rd: isa.Reg(1 + i%8), Rs1: isa.Reg(i % 4),
+			recs[i] = trace.Record{PC: pc, Op: isa.LD, Rd: isa.Reg(1 + i%8), Rs1: isa.Reg(i % 4),
 				Addr: uint64(i % 4096 * 8), Width: 8, NextPC: pc + 1}
 		case 4:
-			recs[i] = Record{PC: pc, Op: isa.BNE, Rs1: isa.Reg(1 + i%8), Taken: i%3 == 0, NextPC: pc + 1}
+			recs[i] = trace.Record{PC: pc, Op: isa.BNE, Rs1: isa.Reg(1 + i%8), Taken: i%3 == 0, NextPC: pc + 1}
 		}
 	}
-	t := FromRecords(recs)
-	if err := t.Link(); err != nil {
-		b.Fatal(err)
-	}
+	t := trace.FromRecords(recs)
+	link(b, t)
 	return t
 }
 
-// BenchmarkLoadBytes measures the in-memory decode paths the persistent
-// artifact tier's warm start rides: version 1 (relink) and version 2
-// (columnar restore).
+// BenchmarkLoadBytes measures the in-memory decode path the persistent
+// artifact tier's warm start rides: the linked columnar restore.
 func BenchmarkLoadBytes(b *testing.B) {
 	tr := benchTrace(b, 256<<10)
-	for _, v := range []struct {
-		name string
-		save func(*Trace, io.Writer) error
-	}{
-		{"v1", (*Trace).Save},
-		{"linked", (*Trace).SaveLinked},
-	} {
-		var buf bytes.Buffer
-		if err := v.save(tr, &buf); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(v.name, func(b *testing.B) {
-			b.SetBytes(int64(buf.Len()))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				back, err := LoadBytes(buf.Bytes(), 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				back.Release()
-			}
-		})
+	var buf bytes.Buffer
+	if err := tr.SaveLinked(&buf); err != nil {
+		b.Fatal(err)
 	}
+	b.Run("linked", func(b *testing.B) {
+		b.SetBytes(int64(buf.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			back, err := trace.LoadBytes(buf.Bytes(), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			back.Release()
+		}
+	})
 }

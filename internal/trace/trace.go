@@ -1,8 +1,9 @@
 // Package trace defines the dynamic instruction record produced by the
-// functional emulator and the def-use linker that connects every dynamic
-// operand to its producing dynamic instruction. The linked trace is the
-// substrate for the deadness oracle (internal/deadness) and the timing
-// model (internal/pipeline).
+// functional emulator and the columnar store that holds it, including the
+// producer links that connect every dynamic operand to its producing
+// dynamic instruction. The links are derived by the deadness oracle's
+// fused walk (deadness.LinkAndAnalyze); the linked trace is the substrate
+// for the oracle and the timing model (internal/pipeline).
 //
 // Storage is chunked and columnar (structure-of-arrays): the hot fields
 // that every trace walk touches (PC, Op, registers, control-flow outcome,
@@ -18,7 +19,6 @@
 package trace
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/isa"
@@ -37,7 +37,7 @@ const NoProducer int32 = -1
 // record that a result-producing instruction computed a value equal to
 // the (pre-instruction) value of that register source. Unlike producer
 // links the hints are NOT derivable from the trace (the trace carries no
-// data values), so both wire formats persist them — the warm-start
+// data values), so the wire format persists them — the warm-start
 // invariant is bit-identical records, hints included.
 const (
 	HintSilentStore uint8 = 1 << iota
@@ -45,7 +45,7 @@ const (
 	HintResultEqRs2
 
 	// HintMask covers every defined hint bit; bytes with bits outside it
-	// are rejected by the loaders.
+	// are rejected by the loader.
 	HintMask = HintSilentStore | HintResultEqRs1 | HintResultEqRs2
 )
 
@@ -81,9 +81,9 @@ type Record struct {
 	Addr  uint64
 	Width uint8
 
-	// Producer links, filled by Link. Src1/Src2 are the dynamic sequence
-	// numbers of the instructions that produced the register operands,
-	// or NoProducer.
+	// Producer links, filled by the linker. Src1/Src2 are the dynamic
+	// sequence numbers of the instructions that produced the register
+	// operands, or NoProducer.
 	Src1, Src2 int32
 	// MemSrcs[:NumMemSrcs] are the distinct producer stores of a load.
 	MemSrcs    [MaxMemProducers]int32
@@ -191,36 +191,10 @@ func (c *Chunk) LinkLoadProducers(i int, w *WriterMap) []int32 {
 	return c.memSrcs[start:]
 }
 
-// ReserveLoadProducers records producers for the load at local index i
-// like LinkLoadProducers, but reserves capacity slots in the flat pool so
-// a later SetLoadProducers can rewrite the span with up to capacity
-// entries. Sharded analysis reserves the access width for boundary loads
-// whose final producer set is only known after reconciliation (a load of
-// width w has at most w distinct byte writers).
-func (c *Chunk) ReserveLoadProducers(i int, capacity int, producers []int32) {
-	mi := c.MemIdx[i]
-	start := len(c.memSrcs)
-	c.memSrcs = append(c.memSrcs, producers...)
-	for len(c.memSrcs) < start+capacity {
-		c.memSrcs = append(c.memSrcs, NoProducer)
-	}
-	c.srcOff[mi] = int32(start)
-	c.srcLen[mi] = uint8(len(producers))
-}
-
-// SetLoadProducers rewrites the producer span of the load at local index
-// i in place. The span must have been sized by ReserveLoadProducers with
-// capacity ≥ len(producers).
-func (c *Chunk) SetLoadProducers(i int, producers []int32) {
-	mi := c.MemIdx[i]
-	copy(c.memSrcs[c.srcOff[mi]:], producers)
-	c.srcLen[mi] = uint8(len(producers))
-}
-
 // push appends one record's fields to the columns. Non-memory records
 // canonicalize Addr/Width to zero (they have no side-table slot), and
 // MemSrcs are never taken from the input: producer links are derived
-// state, recomputed by Link.
+// state, recomputed by the linker.
 func (c *Chunk) push(r *Record) {
 	c.PC = append(c.PC, r.PC)
 	c.Op = append(c.Op, r.Op)
@@ -309,7 +283,7 @@ func newChunk(capacity int) *Chunk {
 type Trace struct {
 	chunks []*Chunk
 	n      int
-	// Linked records whether Link has run.
+	// Linked records whether the producer links are current.
 	Linked bool
 }
 
@@ -589,61 +563,4 @@ func (t *Trace) Clone() *Trace {
 		out.chunks = append(out.chunks, nc)
 	}
 	return out
-}
-
-// Link fills the producer columns of every record: register operands via
-// a last-writer table, load bytes via a per-byte last-store map. Linking
-// is idempotent. It returns an error if a record is malformed (e.g. a
-// memory op with a width that does not match its opcode).
-func (t *Trace) Link() error {
-	var regWriter [isa.NumRegs]int32
-	for i := range regWriter {
-		regWriter[i] = NoProducer
-	}
-	memWriter := NewWriterMap()
-	defer memWriter.Reset()
-
-	for ci := 0; ci < t.NumChunks(); ci++ {
-		if err := t.chunks[ci].link(ci<<ChunkBits, &regWriter, memWriter); err != nil {
-			return err
-		}
-	}
-	t.Linked = true
-	return nil
-}
-
-// link runs the def-use linker over one chunk whose first record is
-// dynamic sequence number base, carrying the register and memory
-// last-writer state across chunks.
-func (c *Chunk) link(base int, regWriter *[isa.NumRegs]int32, memWriter *WriterMap) error {
-	c.BeginLink()
-	op, rd, rs1, rs2 := c.Op, c.Rd, c.Rs1, c.Rs2
-	for i := range op {
-		o := op[i]
-		seq := int32(base + i)
-		s1, s2 := NoProducer, NoProducer
-		if o.ReadsRs1() && rs1[i] != isa.RZero {
-			s1 = regWriter[rs1[i]]
-		}
-		if o.ReadsRs2() && rs2[i] != isa.RZero {
-			s2 = regWriter[rs2[i]]
-		}
-		c.Src1[i], c.Src2[i] = s1, s2
-		if mi := c.MemIdx[i]; mi >= 0 {
-			w := c.Width[mi]
-			if w == 0 || int(w) != o.MemWidth() {
-				return fmt.Errorf("trace: seq %d: %v has width %d, want %d",
-					seq, o, w, o.MemWidth())
-			}
-			if o.IsLoad() {
-				c.LinkLoadProducers(i, memWriter)
-			} else {
-				memWriter.Claim(c.Addr[mi], int(w), seq)
-			}
-		}
-		if o.HasDest() && rd[i] != isa.RZero {
-			regWriter[rd[i]] = seq
-		}
-	}
-	return nil
 }

@@ -1,22 +1,31 @@
-package trace
+package trace_test
 
 import (
 	"testing"
 
+	"repro/internal/deadness"
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
+// link runs the fused link+analyze pass over tr, the program's only
+// def-use linker, and fails the test on a malformed trace.
+func link(t testing.TB, tr *trace.Trace) {
+	t.Helper()
+	if _, err := deadness.LinkAndAnalyze(tr); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLinkRegisterProducers(t *testing.T) {
-	tr := FromRecords([]Record{
+	tr := trace.FromRecords([]trace.Record{
 		{PC: 0, Op: isa.ADDI, Rd: 1},                // 0: r1 = ...
 		{PC: 1, Op: isa.ADDI, Rd: 2},                // 1: r2 = ...
 		{PC: 2, Op: isa.ADD, Rd: 3, Rs1: 1, Rs2: 2}, // 2: r3 = r1+r2
 		{PC: 3, Op: isa.ADD, Rd: 1, Rs1: 3, Rs2: 0}, // 3: r1 = r3 (+r0)
 		{PC: 4, Op: isa.BEQ, Rs1: 1, Rs2: 3},        // 4: reads r1, r3
 	})
-	if err := tr.Link(); err != nil {
-		t.Fatal(err)
-	}
+	link(t, tr)
 	r := tr.Records()
 	if r[2].Src1 != 0 || r[2].Src2 != 1 {
 		t.Errorf("add producers = %d,%d; want 0,1", r[2].Src1, r[2].Src2)
@@ -24,7 +33,7 @@ func TestLinkRegisterProducers(t *testing.T) {
 	if r[3].Src1 != 2 {
 		t.Errorf("r3 producer = %d, want 2", r[3].Src1)
 	}
-	if r[3].Src2 != NoProducer {
+	if r[3].Src2 != trace.NoProducer {
 		t.Errorf("r0 should have no producer, got %d", r[3].Src2)
 	}
 	if r[4].Src1 != 3 || r[4].Src2 != 2 {
@@ -33,28 +42,24 @@ func TestLinkRegisterProducers(t *testing.T) {
 }
 
 func TestLinkInitialValuesHaveNoProducer(t *testing.T) {
-	tr := FromRecords([]Record{
+	tr := trace.FromRecords([]trace.Record{
 		{PC: 0, Op: isa.ADD, Rd: 3, Rs1: 5, Rs2: 6},
 	})
-	if err := tr.Link(); err != nil {
-		t.Fatal(err)
-	}
-	if r := tr.At(0); r.Src1 != NoProducer || r.Src2 != NoProducer {
+	link(t, tr)
+	if r := tr.At(0); r.Src1 != trace.NoProducer || r.Src2 != trace.NoProducer {
 		t.Errorf("initial regs have producers: %+v", r)
 	}
 }
 
 func TestLinkMemoryProducers(t *testing.T) {
-	tr := FromRecords([]Record{
+	tr := trace.FromRecords([]trace.Record{
 		{PC: 0, Op: isa.SD, Rs1: 1, Rs2: 2, Addr: 0x100, Width: 8}, // 0
 		{PC: 1, Op: isa.SW, Rs1: 1, Rs2: 2, Addr: 0x104, Width: 4}, // 1: overwrites high half
 		{PC: 2, Op: isa.LD, Rd: 3, Rs1: 1, Addr: 0x100, Width: 8},  // 2: reads both stores
 		{PC: 3, Op: isa.LW, Rd: 4, Rs1: 1, Addr: 0x104, Width: 4},  // 3: reads store 1 only
 		{PC: 4, Op: isa.LB, Rd: 5, Rs1: 1, Addr: 0x200, Width: 1},  // 4: untouched memory
 	})
-	if err := tr.Link(); err != nil {
-		t.Fatal(err)
-	}
+	link(t, tr)
 	ld := tr.At(2)
 	if ld.NumMemSrcs != 2 {
 		t.Fatalf("ld producers = %v, want 2", ld.MemProducers())
@@ -76,28 +81,24 @@ func TestLinkMemoryProducers(t *testing.T) {
 }
 
 func TestLinkRejectsBadWidth(t *testing.T) {
-	tr := FromRecords([]Record{
+	tr := trace.FromRecords([]trace.Record{
 		{PC: 0, Op: isa.LD, Rd: 1, Width: 4},
 	})
-	if err := tr.Link(); err == nil {
+	if _, err := deadness.LinkAndAnalyze(tr); err == nil {
 		t.Error("bad width accepted")
 	}
 }
 
 func TestLinkIdempotent(t *testing.T) {
-	tr := FromRecords([]Record{
+	tr := trace.FromRecords([]trace.Record{
 		{PC: 0, Op: isa.ADDI, Rd: 1},
 		{PC: 1, Op: isa.ADD, Rd: 2, Rs1: 1, Rs2: 1},
 	})
-	if err := tr.Link(); err != nil {
-		t.Fatal(err)
-	}
+	link(t, tr)
 	first := tr.At(1)
-	if err := tr.Link(); err != nil {
-		t.Fatal(err)
-	}
+	link(t, tr)
 	if got := tr.At(1); got != first {
-		t.Errorf("second Link changed record: %+v vs %+v", got, first)
+		t.Errorf("second link changed record: %+v vs %+v", got, first)
 	}
 	if !tr.Linked {
 		t.Error("Linked flag not set")
@@ -106,16 +107,16 @@ func TestLinkIdempotent(t *testing.T) {
 
 func TestHasResult(t *testing.T) {
 	tests := []struct {
-		rec  Record
+		rec  trace.Record
 		want bool
 	}{
-		{Record{Op: isa.ADD, Rd: 1}, true},
-		{Record{Op: isa.ADD, Rd: 0}, false},
-		{Record{Op: isa.SD}, false},
-		{Record{Op: isa.BEQ}, false},
-		{Record{Op: isa.LD, Rd: 5}, true},
-		{Record{Op: isa.JAL, Rd: 31}, true},
-		{Record{Op: isa.OUT, Rs1: 2}, false},
+		{trace.Record{Op: isa.ADD, Rd: 1}, true},
+		{trace.Record{Op: isa.ADD, Rd: 0}, false},
+		{trace.Record{Op: isa.SD}, false},
+		{trace.Record{Op: isa.BEQ}, false},
+		{trace.Record{Op: isa.LD, Rd: 5}, true},
+		{trace.Record{Op: isa.JAL, Rd: 31}, true},
+		{trace.Record{Op: isa.OUT, Rs1: 2}, false},
 	}
 	for _, tt := range tests {
 		if got := tt.rec.HasResult(); got != tt.want {
@@ -125,32 +126,30 @@ func TestHasResult(t *testing.T) {
 }
 
 func TestAppendResetsLinked(t *testing.T) {
-	tr := &Trace{}
-	tr.Append(Record{Op: isa.ADDI, Rd: 1})
-	if err := tr.Link(); err != nil {
-		t.Fatal(err)
-	}
-	tr.Append(Record{Op: isa.ADD, Rd: 2, Rs1: 1, Rs2: 1})
+	tr := &trace.Trace{}
+	tr.Append(trace.Record{Op: isa.ADDI, Rd: 1})
+	link(t, tr)
+	tr.Append(trace.Record{Op: isa.ADD, Rd: 2, Rs1: 1, Rs2: 1})
 	if tr.Linked {
 		t.Error("Append should clear Linked")
 	}
 }
 
 func TestAddMemSrcDedupAndOverflow(t *testing.T) {
-	var r Record
+	var r trace.Record
 	for i := 0; i < 12; i++ {
-		r.addMemSrc(int32(i % 10)) // 10 distinct, but capacity is 8
+		r.AddMemSrc(int32(i % 10)) // 10 distinct, but capacity is 8
 	}
-	if r.NumMemSrcs != MaxMemProducers {
-		t.Errorf("NumMemSrcs = %d, want %d", r.NumMemSrcs, MaxMemProducers)
+	if r.NumMemSrcs != trace.MaxMemProducers {
+		t.Errorf("NumMemSrcs = %d, want %d", r.NumMemSrcs, trace.MaxMemProducers)
 	}
-	r = Record{}
-	r.addMemSrc(5)
-	r.addMemSrc(5)
+	r = trace.Record{}
+	r.AddMemSrc(5)
+	r.AddMemSrc(5)
 	if r.NumMemSrcs != 1 {
 		t.Errorf("dedup failed: %v", r.MemProducers())
 	}
-	r.addMemSrc(NoProducer)
+	r.AddMemSrc(trace.NoProducer)
 	if r.NumMemSrcs != 1 {
 		t.Error("NoProducer recorded")
 	}

@@ -115,12 +115,6 @@ func (w *WriterMap) Get(addr uint64) int32 {
 	return pg.bytes[off]
 }
 
-// Set records seq as the last writer of the single byte at addr.
-func (w *WriterMap) Set(addr uint64, seq int32) {
-	pg := w.page(addr >> wpageBits)
-	pg.setByte(addr&(wpageSize-1), seq)
-}
-
 // setByte claims one byte for seq, demoting it out of the word writer's
 // coverage into the overflow array.
 func (p *writerPage) setByte(off uint64, seq int32) {
@@ -215,75 +209,6 @@ func (w *WriterMap) Overwrite(addr uint64, width int, seq int32, prev []int32) [
 		width -= int(n)
 	}
 	return prev
-}
-
-// ByteWriters fills out[0:width] with the per-byte last writers of
-// [addr, addr+width) (NoProducer for unclaimed bytes) and reports whether
-// every byte has a writer. Sharded analysis uses it to split a memory
-// access into its locally-resolved bytes and the bytes that need the
-// prefix state of earlier shards.
-func (w *WriterMap) ByteWriters(addr uint64, width int, out *[8]int32) bool {
-	// Fast path: an aligned access to a fully word-covered span reads one
-	// slot; a missing page means every byte is unclaimed.
-	if aligned(addr, width) {
-		pg := w.lookup(addr >> wpageBits)
-		if pg == nil {
-			for b := 0; b < width; b++ {
-				out[b] = NoProducer
-			}
-			return false
-		}
-		wi := (addr & (wpageSize - 1)) >> 3
-		if pg.mask[wi] == fullMask {
-			p := pg.word[wi]
-			for b := 0; b < width; b++ {
-				out[b] = p
-			}
-			return p != NoProducer
-		}
-	}
-	all := true
-	for b := 0; b < width; b++ {
-		a := addr + uint64(b)
-		var p int32 = NoProducer
-		if pg := w.lookup(a >> wpageBits); pg != nil {
-			p = pg.getByte(a & (wpageSize - 1))
-		}
-		out[b] = p
-		all = all && p != NoProducer
-	}
-	return all
-}
-
-// MergeInto folds this map's claimed bytes into dst: every byte with a
-// real writer here overrides dst's writer, while unclaimed bytes leave
-// dst untouched. Shard reconciliation uses it to extend the merged prefix
-// writer state with a completed shard's summary; the receiver is left
-// unchanged.
-func (w *WriterMap) MergeInto(dst *WriterMap) {
-	for key, pg := range w.pages {
-		base := key << wpageBits
-		for wi := uint64(0); wi < wpageWords; wi++ {
-			m := pg.mask[wi]
-			if m == fullMask {
-				if p := pg.word[wi]; p != NoProducer {
-					dst.Claim(base+wi<<3, 8, p)
-				}
-				continue
-			}
-			for b := uint64(0); b < 8; b++ {
-				var p int32
-				if m&(1<<b) != 0 {
-					p = pg.word[wi]
-				} else {
-					p = pg.bytes[wi<<3+b]
-				}
-				if p != NoProducer {
-					dst.Set(base+wi<<3+b, p)
-				}
-			}
-		}
-	}
 }
 
 // LoadProducers fills r.MemSrcs with the distinct writers of the load's

@@ -1,10 +1,11 @@
-package trace
+package trace_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // refWriterMap is the obviously-correct reference: one map entry per byte.
@@ -14,7 +15,7 @@ func (m refWriterMap) get(addr uint64) int32 {
 	if w, ok := m[addr]; ok {
 		return w
 	}
-	return NoProducer
+	return trace.NoProducer
 }
 
 func (m refWriterMap) set(addr uint64, width int, seq int32) {
@@ -35,7 +36,7 @@ type memOp struct {
 // in a small window that straddles a page boundary so page-crossing
 // accesses and partial overwrites of word-tracked spans both occur.
 func randomOps(rng *rand.Rand, n int) []memOp {
-	base := uint64(wpageSize - 64) // straddles the first page boundary
+	base := uint64(trace.WPageSize - 64) // straddles the first page boundary
 	ops := make([]memOp, n)
 	for i := range ops {
 		ops[i] = memOp{
@@ -50,7 +51,7 @@ func randomOps(rng *rand.Rand, n int) []memOp {
 func TestWriterMapRandomizedVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		wm := NewWriterMap()
+		wm := trace.NewWriterMap()
 		ref := refWriterMap{}
 		var prev []int32
 		for seq, op := range randomOps(rng, 400) {
@@ -61,7 +62,7 @@ func TestWriterMapRandomizedVsReference(t *testing.T) {
 				} else {
 					prevRef := map[int32]bool{}
 					for b := uint64(0); b < uint64(op.width); b++ {
-						if w := ref.get(op.addr + b); w != NoProducer {
+						if w := ref.get(op.addr + b); w != trace.NoProducer {
 							prevRef[w] = true
 						}
 					}
@@ -82,11 +83,11 @@ func TestWriterMapRandomizedVsReference(t *testing.T) {
 				ref.set(op.addr, op.width, int32(seq))
 				continue
 			}
-			r := &Record{Addr: op.addr, Width: uint8(op.width)}
+			r := &trace.Record{Addr: op.addr, Width: uint8(op.width)}
 			wm.LoadProducers(r)
-			var want Record
+			var want trace.Record
 			for b := uint64(0); b < uint64(op.width); b++ {
-				want.addMemSrc(ref.get(op.addr + b))
+				want.AddMemSrc(ref.get(op.addr + b))
 			}
 			if r.NumMemSrcs != want.NumMemSrcs || r.MemSrcs != want.MemSrcs {
 				t.Fatalf("trial %d seq %d: load at %#x/%d producers %v, want %v",
@@ -103,17 +104,17 @@ func TestWriterMapRandomizedVsReference(t *testing.T) {
 }
 
 func TestWriterMapResetReusesCleanPages(t *testing.T) {
-	wm := NewWriterMap()
+	wm := trace.NewWriterMap()
 	wm.Claim(0x40, 8, 7)
-	wm.Set(0x9, 9) // partial: spills into the overflow array
+	wm.Claim(0x9, 1, 9) // sub-word: spills into the overflow array
 	wm.Reset()
-	if got := wm.Get(0x40); got != NoProducer {
+	if got := wm.Get(0x40); got != trace.NoProducer {
 		t.Errorf("after Reset, Get(0x40) = %d, want NoProducer", got)
 	}
 	// A recycled page must read empty even where the overflow array held
 	// stale entries.
 	wm.Claim(0x100, 8, 1)
-	if got := wm.Get(0x9); got != NoProducer {
+	if got := wm.Get(0x9); got != trace.NoProducer {
 		t.Errorf("recycled page leaks stale writer %d at 0x9", got)
 	}
 }
@@ -135,26 +136,24 @@ func TestLinkRandomizedUnalignedVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		ops := randomOps(rng, 300)
-		tr := &Trace{}
+		tr := &trace.Trace{}
 		for _, op := range ops {
-			tr.Append(Record{
+			tr.Append(trace.Record{
 				Op:    opOfWidth(op.width, op.store),
 				Rd:    isa.Reg(1 + rng.Intn(4)),
 				Addr:  op.addr,
 				Width: uint8(op.width),
 			})
 		}
-		if err := tr.Link(); err != nil {
-			t.Fatal(err)
-		}
+		link(t, tr)
 		ref := refWriterMap{}
 		recs := tr.Records()
 		for seq := range recs {
 			r := &recs[seq]
 			if r.Op.IsLoad() {
-				var want Record
+				var want trace.Record
 				for b := uint64(0); b < uint64(r.Width); b++ {
-					want.addMemSrc(ref.get(r.Addr + b))
+					want.AddMemSrc(ref.get(r.Addr + b))
 				}
 				if r.NumMemSrcs != want.NumMemSrcs || r.MemSrcs != want.MemSrcs {
 					t.Fatalf("trial %d seq %d: load producers %v, want %v",

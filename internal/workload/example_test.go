@@ -19,8 +19,8 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, m, err := emu.Collect(prog, 2_000_000)
-	if err != nil {
+	m := emu.New(prog)
+	if err := m.Run(2_000_000, nil); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("halted:", m.Halted)

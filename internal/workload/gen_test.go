@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
-	"repro/internal/deadness"
 	"repro/internal/emu"
 )
 
@@ -58,12 +57,9 @@ func TestBenchmarksTerminateAndProduceOutput(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, m, err := emu.Collect(prog, 5_000_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !m.Halted {
-				t.Fatal("did not halt within 5M instructions")
+			m := emu.New(prog)
+			if err := m.Run(5_000_000, nil); err != nil {
+				t.Fatalf("did not halt within 5M instructions: %v", err)
 			}
 			if len(m.Outputs) == 0 {
 				t.Error("no outputs")
@@ -99,8 +95,8 @@ func TestOptimizationPreservesSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %+v: %v", name, opts, err)
 			}
-			_, m, err := emu.Collect(prog, 20_000_000)
-			if err != nil {
+			m := emu.New(prog)
+			if err := m.Run(20_000_000, nil); err != nil {
 				t.Fatalf("%s %+v: %v", name, opts, err)
 			}
 			if !reflect.DeepEqual(m.Outputs, want) {
@@ -156,11 +152,7 @@ func TestSuiteDeadFractions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, _, err := emu.Collect(prog, 1_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := deadness.Analyze(tr)
+		tr, a, _, err := emu.CollectAnalyzed(prog, 1_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,11 +15,7 @@ func analyzeProfile(t *testing.T, p Profile) (*deadness.Summary, *program.Progra
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := emu.Collect(prog, 2_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := deadness.Analyze(tr)
+	tr, a, _, err := emu.CollectAnalyzed(prog, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

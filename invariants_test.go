@@ -24,11 +24,7 @@ func buildRandom(t *testing.T, seed int64) (*trace.Trace, *deadness.Analysis) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := emu.Collect(p, 500_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := deadness.Analyze(tr)
+	tr, a, _, err := emu.CollectAnalyzed(p, 500_000)
 	if err != nil {
 		t.Fatal(err)
 	}
