@@ -22,12 +22,15 @@ race:
 check: vet race
 
 # fuzz runs the untrusted-input fuzz targets for a short budget each:
-# the trace decoder (LoadBytes, which reads disk and remote payloads) and
-# assembler parsing. CI runs this non-gating;
-# raise FUZZTIME for local soaking.
+# the trace decoder (LoadBytes, which reads disk and remote payloads),
+# the artifact frame verifier (Unframe, which guards every remote fetch),
+# predictor geometry from the daemon (Config.Validate), and assembler
+# parsing. CI runs this non-gating; raise FUZZTIME for local soaking.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz '^FuzzTraceLoadBytes$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -fuzz '^FuzzUnframe$$' -fuzztime $(FUZZTIME) ./internal/artifact
+	$(GO) test -fuzz '^FuzzConfigValidate$$' -fuzztime $(FUZZTIME) ./internal/dip
 	$(GO) test -fuzz '^FuzzAsmParse$$' -fuzztime $(FUZZTIME) ./internal/asm
 
 # chaos runs the fault-injection soak on its own under the race detector.
@@ -51,8 +54,9 @@ smoke:
 # emulate→analyze path, fused oracle (plus the ineffectuality-dense
 # variant), pipeline timing model (single-cluster and two-cluster
 # steered), the linked trace format's round trip, the persistent artifact
-# tier's cold/warm comparison, the service tier's request-coalescing burst
-# comparison, and the full experiment engine.
+# tier's cold/warm comparison, the service tier's identical-request burst
+# comparison (one build per burst, through the artifact store's
+# single-flight), and the full experiment engine.
 SUBSTRATE_BENCHES = ^(BenchmarkEmulator|BenchmarkCollectAnalyzed|BenchmarkDeadnessOracle|BenchmarkIneffAnalysis|BenchmarkPipeline|BenchmarkClusteredPipeline|BenchmarkTraceSaveLoad|BenchmarkProfileDiskCache|BenchmarkCoalescedLoad|BenchmarkEngineAllExperiments)$$
 
 # BENCH_BASELINE is the committed report that bench-compare diffs against;

@@ -13,13 +13,14 @@
 // Endpoints: GET /healthz, /readyz, /metricz; POST /v1/experiment,
 // /v1/experiments, /v1/predeval, /v1/profile — all POST endpoints accept
 // ?timeout= per-request deadlines and ?stream=1 chunked NDJSON progress.
-// GET and PUT /v1/artifact/{kind}/{digest} transfer encoded artifacts
-// (CRC-framed), so a peer workspace started with -remote-cache pointed
-// here warm-starts from this daemon's cache instead of rebuilding.
-// Identical pending POST requests coalesce into a single execution;
-// requests beyond the worker and queue capacity are shed with 429 +
-// Retry-After; queued requests are granted round-robin across client
-// tokens (X-Client-Token header).
+// GET /v1/artifact/{kind}/{digest} exports encoded artifacts
+// (CRC-framed, read-only), so a peer workspace started with
+// -remote-cache pointed here warm-starts from this daemon's cache
+// instead of rebuilding. Requests beyond the worker and queue capacity
+// are shed with 429 + Retry-After; queued requests are granted
+// round-robin across client tokens (X-Client-Token header); identical
+// concurrent requests each take a slot and share one build in the
+// artifact store.
 //
 // On SIGTERM/SIGINT the daemon drains: readiness flips to 503, new work
 // is rejected, in-flight work finishes (or is cancelled at

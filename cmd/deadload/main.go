@@ -31,7 +31,7 @@ func main() {
 	c := flag.Int("c", 4, "concurrent requests")
 	clients := flag.Int("clients", 0, "distinct client tokens (0 = one per concurrency slot)")
 	mix := flag.String("mix", "", "comma-separated request kinds: profile,predeval,experiment (empty = all)")
-	burst := flag.Int("burst", 1, "repeat each planned request this many consecutive times (duplicate bursts exercise the daemon's request coalescing)")
+	burst := flag.Int("burst", 1, "repeat each planned request this many consecutive times (duplicates overlap and share one build in the daemon's artifact store)")
 	stream := flag.Bool("stream", false, "request ?stream=1 chunked progress responses")
 	timeout := flag.Duration("timeout", time.Minute, "per-request timeout, passed as ?timeout= (0 = none)")
 	seed := flag.Uint64("seed", 1, "seed for the deterministic request sequence")

@@ -28,10 +28,10 @@
 // oldest entries garbage-collected beyond it. -remote-cache attaches a
 // warm deadd daemon as a third tier behind memory and disk (lookup
 // order: memory, disk, remote, build): verified remote hits also warm
-// the local disk tier, and freshly built artifacts push back to the
-// daemon. Per-kind hit/miss/eviction counters — and the disk and remote
-// tiers' hit/miss/write/verify-failure/GC counters — appear in the -v
-// run summary and the -json "artifacts" section.
+// the local disk tier, and the tier is read-only, so freshly built
+// artifacts stay local. Per-kind hit/miss/eviction counters — and the
+// disk and remote tiers' hit/miss/write/verify-failure/GC counters —
+// appear in the -v run summary and the -json "artifacts" section.
 //
 // Failure handling: each experiment attempt is bounded by -timeout,
 // transient failures (see internal/faults) retry up to -retries attempts

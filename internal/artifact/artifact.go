@@ -21,11 +21,11 @@
 //
 // A third, remote tier (SetRemote) sits behind memory and disk: cold
 // misses that both inner tiers miss are fetched from a remote cache (an
-// HTTP daemon, see internal/client), and freshly built artifacts are
-// pushed back so a fleet of processes shares one warm cache. Remote
-// payloads reuse the disk tier's framed encoding, so integrity is
-// CRC-verified end to end and a corrupt fetch degrades to a local
-// rebuild.
+// HTTP daemon, see internal/client). The remote tier is read-only, so
+// every artifact enters a store through GetCtx — built, read from disk,
+// or fetched. Remote payloads reuse the disk tier's framed encoding, so
+// integrity is CRC-verified end to end and a corrupt fetch degrades to a
+// local rebuild.
 //
 // Builds run on a detached context owned by the set of requesters
 // currently waiting on them: when one requester disconnects, surviving
@@ -47,7 +47,7 @@ import (
 )
 
 // ErrNotFound reports that no artifact (resident or on disk) exists under
-// a key, from EncodedArtifact.
+// a key, from EncodedFrame.
 var ErrNotFound = errors.New("artifact: not found")
 
 // Kind names one artifact type. Per-kind counters are reported as
@@ -121,24 +121,21 @@ type KindStats struct {
 	// Remote-tier counters, populated only when the store has a remote
 	// tier and a codec for the kind. RemoteHits counts requests served by
 	// a verified remote fetch (not Misses: no build ran), RemoteMisses
-	// remote lookups that found nothing, RemoteWrites successful pushes of
-	// freshly built artifacts, and RemoteFailures transport or
-	// verification errors (each of which degrades to a local rebuild).
+	// remote lookups that found nothing, and RemoteFailures transport,
+	// verification, or decode errors (each of which degrades to a local
+	// rebuild).
 	RemoteHits     int64 `json:"remote_hits,omitempty"`
 	RemoteMisses   int64 `json:"remote_misses,omitempty"`
-	RemoteWrites   int64 `json:"remote_writes,omitempty"`
 	RemoteFailures int64 `json:"remote_failures,omitempty"`
 }
 
-// RemoteTier is a remote artifact cache (the third tier, behind memory
-// and disk). Fetch returns the framed-and-verified payload for key, with
-// found=false for a clean miss; Store pushes a payload built locally.
-// Implementations must verify payload integrity on fetch (see
-// internal/client); the store treats any error as a degraded lookup and
-// rebuilds locally.
+// RemoteTier is a read-only remote artifact cache (the third tier,
+// behind memory and disk). Fetch returns the framed-and-verified payload
+// for key, with found=false for a clean miss. Implementations must
+// verify payload integrity on fetch (see internal/client); the store
+// treats any error as a degraded lookup and rebuilds locally.
 type RemoteTier interface {
 	Fetch(key Key) (payload []byte, found bool, err error)
-	Store(key Key, payload []byte) error
 }
 
 // Stats is a snapshot of the store.
@@ -219,9 +216,6 @@ func New(budgetBytes int64) *Store {
 	}
 }
 
-// Budget returns the configured byte budget (0 = unlimited).
-func (s *Store) Budget() int64 { return s.budget }
-
 // RegisterCodec makes kind persistable through the disk tier. Register
 // codecs (and attach the disk with SetDisk) before first use: kinds
 // without a codec are never written to or read from disk.
@@ -251,10 +245,10 @@ func (s *Store) DiskTier() *Disk {
 	return s.disk
 }
 
-// SetRemote attaches a remote cache tier (nil detaches). With a tier
-// attached, kinds with a registered codec are fetched remotely when both
-// memory and disk miss (a verified fetch also warms the disk tier), and
-// freshly built artifacts are pushed back. Set before first use.
+// SetRemote attaches a read-only remote cache tier (nil detaches). With
+// a tier attached, kinds with a registered codec are fetched remotely
+// when both memory and disk miss (a verified fetch also warms the disk
+// tier). Set before first use.
 func (s *Store) SetRemote(r RemoteTier) {
 	s.mu.Lock()
 	s.remote = r
@@ -463,11 +457,6 @@ func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote Remo
 			s.persist(key, e.val, disk, codec)
 		}
 	}
-	if e.err == nil && !e.fromDisk && !e.fromRemote && remote != nil && codec != nil {
-		// Push only freshly built artifacts: anything from disk or remote
-		// was either already pushed or came from the remote itself.
-		s.remoteStore(key, e.val, remote, codec)
-	}
 	s.release(e)
 	close(e.done)
 }
@@ -590,59 +579,6 @@ func (s *Store) remoteLoad(key Key, r RemoteTier, c Codec, d *Disk) (v any, size
 	return v, size, true
 }
 
-// remoteStore pushes a freshly built artifact to the remote tier,
-// best-effort: a failed push leaves the local artifact untouched.
-func (s *Store) remoteStore(key Key, v any, r RemoteTier, c Codec) {
-	payload, err := encodeToBytes(c, v)
-	if err != nil {
-		return
-	}
-	if err := r.Store(key, payload); err != nil {
-		s.bump("artifact_remote_failures", key.Kind, func(ks *KindStats) *int64 { return &ks.RemoteFailures })
-		return
-	}
-	s.bump("artifact_remote_writes", key.Kind, func(ks *KindStats) *int64 { return &ks.RemoteWrites })
-}
-
-// EncodedArtifact returns the canonical encoded payload for key, from
-// the resident tier (encoding under a pin) or, failing that, the disk
-// tier. It returns ErrNotFound when neither tier holds the artifact or
-// the kind has no codec. This is the daemon-side read of the remote
-// protocol: what it returns is byte-for-byte what a local persist would
-// have written.
-func (s *Store) EncodedArtifact(key Key) ([]byte, error) {
-	s.mu.Lock()
-	codec := s.codecs[key.Kind]
-	disk := s.disk
-	e, ok := s.items[key]
-	if ok {
-		select {
-		case <-e.done:
-			ok = e.err == nil
-		default:
-			ok = false // in-flight; fall through to disk
-		}
-	}
-	if ok && codec != nil {
-		e.refs++
-		s.unlink(e)
-		s.mu.Unlock()
-		payload, err := encodeToBytes(codec, e.val)
-		s.release(e)
-		return payload, err
-	}
-	s.mu.Unlock()
-	if codec == nil {
-		return nil, ErrNotFound
-	}
-	if disk != nil {
-		if payload, err := disk.Read(key); err == nil {
-			return payload, nil
-		}
-	}
-	return nil, ErrNotFound
-}
-
 // EncodedFrame returns the CRC-framed wire image for key plus a release
 // function the caller must call exactly once after the bytes are written
 // out. A resident artifact encodes under a pin and frames the copy
@@ -684,53 +620,6 @@ func (s *Store) EncodedFrame(key Key) (framed []byte, release func(), spilled bo
 		}
 	}
 	return nil, nil, false, ErrNotFound
-}
-
-// InstallEncoded decodes payload (which has already passed frame
-// verification) and installs it as a completed resident artifact,
-// writing through to the disk tier. If the key is already resident or
-// building, the duplicate decode is discarded (its pooled resources
-// released) — the existing entry wins, but the disk write-through still
-// happens if the entry file is missing. This is the daemon-side write of
-// the remote protocol.
-func (s *Store) InstallEncoded(key Key, payload []byte) error {
-	s.mu.Lock()
-	codec := s.codecs[key.Kind]
-	disk := s.disk
-	s.mu.Unlock()
-	if codec == nil {
-		return fmt.Errorf("artifact: no codec registered for kind %q", key.Kind)
-	}
-	v, size, err := codec.Decode(payload)
-	if err != nil {
-		return err
-	}
-
-	s.mu.Lock()
-	if _, exists := s.items[key]; exists {
-		s.mu.Unlock()
-		if r, ok := v.(Releaser); ok {
-			r.ReleaseArtifact()
-		}
-	} else {
-		done := make(chan struct{})
-		close(done)
-		e := &entry{key: key, done: done, refs: 1, resident: true, val: v, size: size}
-		s.items[key] = e
-		s.used += size
-		s.mu.Unlock()
-		s.release(e)
-	}
-
-	if disk != nil && !disk.Has(key) {
-		if err := disk.Write(key, payload); err == nil {
-			s.bump("artifact_disk_writes", key.Kind, func(ks *KindStats) *int64 { return &ks.DiskWrites })
-			for _, k := range disk.GC() {
-				s.bump("artifact_disk_gc_evictions", k.Kind, func(ks *KindStats) *int64 { return &ks.DiskGCEvictions })
-			}
-		}
-	}
-	return nil
 }
 
 // finishGet reads a completed entry and hands the caller its pin.

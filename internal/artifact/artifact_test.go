@@ -418,12 +418,10 @@ func TestLastWaiterCancelsBuild(t *testing.T) {
 	}
 }
 
-// fakeRemote is an in-memory RemoteTier.
+// fakeRemote is an in-memory RemoteTier; tests fill it with put.
 type fakeRemote struct {
 	mu      sync.Mutex
 	entries map[Key][]byte
-	fetches int
-	stores  int
 	failing bool
 }
 
@@ -432,7 +430,6 @@ func newFakeRemote() *fakeRemote { return &fakeRemote{entries: make(map[Key][]by
 func (r *fakeRemote) Fetch(key Key) ([]byte, bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.fetches++
 	if r.failing {
 		return nil, false, errors.New("remote unavailable")
 	}
@@ -440,19 +437,17 @@ func (r *fakeRemote) Fetch(key Key) ([]byte, bool, error) {
 	return p, ok, nil
 }
 
-func (r *fakeRemote) Store(key Key, payload []byte) error {
+// put stores payload under key, as a peer that built the artifact would
+// serve it.
+func (r *fakeRemote) put(key Key, payload []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.stores++
-	if r.failing {
-		return errors.New("remote unavailable")
-	}
-	r.entries[key] = append([]byte(nil), payload...)
-	return nil
+	r.entries[key] = payload
 }
 
-// TestRemoteTierRoundTrip: a build in one store pushes to the remote; a
-// second cold store fetches it instead of rebuilding, bit-identical.
+// TestRemoteTierRoundTrip: a store builds what the remote lacks and
+// pushes nothing back (the tier is read-only); a second cold store
+// fetches what the remote holds instead of rebuilding, bit-identical.
 func TestRemoteTierRoundTrip(t *testing.T) {
 	remote := newFakeRemote()
 	k := key("run", "shared")
@@ -467,10 +462,18 @@ func TestRemoteTierRoundTrip(t *testing.T) {
 	}
 	rel1()
 	ks1 := s1.Stats().Kinds["run"]
-	if ks1.Misses != 1 || ks1.RemoteMisses != 1 || ks1.RemoteWrites != 1 {
-		t.Fatalf("producer counters: %+v, want miss/remote-miss/remote-write = 1/1/1", ks1)
+	if ks1.Misses != 1 || ks1.RemoteMisses != 1 {
+		t.Fatalf("producer counters: %+v, want miss/remote-miss = 1/1", ks1)
+	}
+	if len(remote.entries) != 0 {
+		t.Fatal("a local build reached the read-only remote tier")
 	}
 
+	payload, err := encodeToBytes(codec, v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote.put(k, payload)
 	s2 := New(0)
 	s2.RegisterCodec("run", codec)
 	s2.SetRemote(remote)
@@ -515,9 +518,7 @@ func TestRemoteHitWarmsDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := remote.Store(k, payload); err != nil {
-		t.Fatal(err)
-	}
+	remote.put(k, payload)
 
 	disk, err := OpenDisk(t.TempDir(), 0)
 	if err != nil {
@@ -544,34 +545,47 @@ func TestRemoteHitWarmsDisk(t *testing.T) {
 	}
 }
 
-// TestEncodedArtifactAndInstall exercises the daemon-side halves of the
-// remote protocol against resident and disk-backed state.
+// TestEncodedArtifactAndInstall exercises both halves of the remote
+// protocol against stores: EncodedFrame exports a resident artifact as a
+// verified frame, and a cold store installs that payload only through
+// GetCtx's remote lookup. A payload the codec rejects is a remote failure
+// answered by a local build, and a kind without a codec is never exported.
 func TestEncodedArtifactAndInstall(t *testing.T) {
 	codec := JSONCodec[string]{Size: 8}
 	k := key("run", "enc")
 
 	s := New(0)
 	s.RegisterCodec("run", codec)
-	if _, err := s.EncodedArtifact(k); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("empty store EncodedArtifact err = %v, want ErrNotFound", err)
+	if _, _, _, err := s.EncodedFrame(k); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("empty store EncodedFrame err = %v, want ErrNotFound", err)
 	}
 	_, rel, err := Get(s, k, func() (string, int64, error) { return "body", 8, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	rel()
-	payload, err := s.EncodedArtifact(k)
+	framed, release, spilled, err := s.EncodedFrame(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if spilled {
+		t.Error("a resident artifact was reported as spilled")
+	}
+	payload, err := Unframe(framed)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	remote := newFakeRemote()
+	remote.put(k, payload)
+	bad := key("run", "bad")
+	remote.put(bad, []byte("{not json"))
 	s2 := New(0)
 	s2.RegisterCodec("run", codec)
-	if err := s2.InstallEncoded(k, payload); err != nil {
-		t.Fatal(err)
-	}
+	s2.SetRemote(remote)
 	v, rel2, err := Get(s2, k, func() (string, int64, error) {
-		t.Error("rebuilt despite installed artifact")
+		t.Error("rebuilt despite an exported artifact on the remote")
 		return "", 8, nil
 	})
 	if err != nil || v != "body" {
@@ -579,11 +593,23 @@ func TestEncodedArtifactAndInstall(t *testing.T) {
 	}
 	rel2()
 
-	if err := s2.InstallEncoded(k, []byte("{not json")); err == nil {
-		t.Fatal("corrupt payload installed without error")
+	v, rel3, err := Get(s2, bad, func() (string, int64, error) { return "rebuilt", 8, nil })
+	if err != nil || v != "rebuilt" {
+		t.Fatalf("undecodable remote payload: v=%q err=%v, want a local rebuild", v, err)
 	}
-	if err := s2.InstallEncoded(key("nokind", "x"), payload); err == nil {
-		t.Fatal("install with no codec succeeded")
+	rel3()
+	if ks := s2.Stats().Kinds["run"]; ks.RemoteHits != 1 || ks.RemoteFailures != 1 || ks.Misses != 1 {
+		t.Fatalf("counters: %+v, want remote_hits=1 remote_failures=1 misses=1", ks)
+	}
+
+	nokind := key("nokind", "x")
+	_, rel4, err := Get(s, nokind, func() (string, int64, error) { return "v", 8, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel4()
+	if _, _, _, err := s.EncodedFrame(nokind); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("EncodedFrame of a codec-less kind: err = %v, want ErrNotFound", err)
 	}
 }
 

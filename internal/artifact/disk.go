@@ -252,9 +252,9 @@ func (d *Disk) FrameView(key Key) ([]byte, func(), error) {
 
 // Frame wraps payload in the disk tier's entry format (magic, version,
 // length, CRC-32C of the payload). The same framing travels over the
-// remote-cache wire (internal/client ↔ the daemon's /v1/artifact
-// endpoints), so transport corruption is caught by exactly the machinery
-// that catches disk corruption.
+// remote-cache wire (the daemon's /v1/artifact export to
+// internal/client), so transport corruption is caught by exactly the
+// machinery that catches disk corruption.
 func Frame(payload []byte) []byte {
 	out := make([]byte, diskHeaderSize+len(payload))
 	binary.LittleEndian.PutUint32(out[0:], diskMagic)

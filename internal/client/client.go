@@ -1,6 +1,6 @@
 // Package client is the HTTP side of the remote artifact tier: a thin
-// cache client that fetches and pushes framed artifact payloads against
-// a deadd daemon's /v1/artifact endpoints. It implements
+// cache client that fetches framed artifact payloads from a deadd
+// daemon's read-only /v1/artifact endpoint. It implements
 // artifact.RemoteTier, so attaching it to a store (Store.SetRemote, or
 // the -remote-cache flag on the CLI tools) makes the daemon's cache the
 // third lookup tier behind memory and disk.
@@ -15,7 +15,6 @@
 package client
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -46,7 +45,7 @@ type Cache struct {
 
 // New validates baseURL (e.g. "http://127.0.0.1:7333") and returns a
 // cache client for the daemon at that address. No connection is made
-// until the first fetch or store.
+// until the first fetch.
 func New(baseURL string) (*Cache, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
@@ -105,27 +104,6 @@ func (c *Cache) Fetch(key artifact.Key) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("client: fetch %s: %w", key, err)
 	}
 	return payload, true, nil
-}
-
-// Store pushes a freshly built payload under key, framed for integrity.
-// Best-effort by contract: the caller's local artifact is unaffected by
-// a failed push.
-func (c *Cache) Store(key artifact.Key, payload []byte) error {
-	req, err := http.NewRequest(http.MethodPut, c.entryURL(key), bytes.NewReader(artifact.Frame(payload)))
-	if err != nil {
-		return fmt.Errorf("client: store %s: %w", key, err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("client: store %s: %w", key, err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("client: store %s: daemon returned %s", key, resp.Status)
-	}
-	return nil
 }
 
 // Cache implements artifact.RemoteTier.

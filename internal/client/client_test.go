@@ -1,7 +1,6 @@
 package client
 
 import (
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,53 +11,36 @@ import (
 	"repro/internal/faults"
 )
 
-// fakeDaemon speaks the daemon's artifact wire protocol over an
-// in-memory map: PUT bodies are unframed and verified like the real
-// server, GETs re-frame the stored payload.
+// fakeDaemon speaks the daemon's read-only artifact wire protocol over
+// an in-memory map that tests fill with put: GETs frame the stored
+// payload.
 type fakeDaemon struct {
 	mu      sync.Mutex
 	entries map[string][]byte
-	gets    int
-	puts    int
 }
 
 func newFakeDaemon() *fakeDaemon { return &fakeDaemon{entries: make(map[string][]byte)} }
 
+func (d *fakeDaemon) put(key artifact.Key, payload []byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.entries[string(key.Kind)+"/"+key.Digest] = payload
+}
+
 func (d *fakeDaemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if !strings.HasPrefix(r.URL.Path, "/v1/artifact/") {
+	if r.Method != http.MethodGet || !strings.HasPrefix(r.URL.Path, "/v1/artifact/") {
 		http.NotFound(w, r)
 		return
 	}
-	key := strings.TrimPrefix(r.URL.Path, "/v1/artifact/")
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	switch r.Method {
-	case http.MethodGet:
-		d.gets++
-		payload, ok := d.entries[key]
-		if !ok {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(artifact.Frame(payload))
-	case http.MethodPut:
-		d.puts++
-		framed, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		payload, err := artifact.Unframe(framed)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		d.entries[key] = append([]byte(nil), payload...)
-		w.WriteHeader(http.StatusCreated)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	payload, ok := d.entries[strings.TrimPrefix(r.URL.Path, "/v1/artifact/")]
+	d.mu.Unlock()
+	if !ok {
+		http.NotFound(w, r)
+		return
 	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(artifact.Frame(payload))
 }
 
 func TestNewValidatesURL(t *testing.T) {
@@ -90,9 +72,7 @@ func TestFetchStoreRoundTrip(t *testing.T) {
 		t.Fatalf("cold fetch: found=%v err=%v, want clean miss", found, err)
 	}
 	payload := []byte("columnar profile bytes")
-	if err := c.Store(k, payload); err != nil {
-		t.Fatal(err)
-	}
+	d.put(k, payload)
 	got, found, err := c.Fetch(k)
 	if err != nil || !found {
 		t.Fatalf("warm fetch: found=%v err=%v", found, err)
@@ -141,9 +121,7 @@ func TestCorruptFetchFallsBackToRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Store(k, seed); err != nil {
-		t.Fatal(err)
-	}
+	d.put(k, seed)
 
 	in := faults.NewInjector(7).Arm(SiteFetch, faults.Rule{Kind: faults.Corrupt, Rate: 1})
 	faults.Set(in)
@@ -187,6 +165,9 @@ func TestCorruptFetchFallsBackToRebuild(t *testing.T) {
 	release2()
 }
 
+// TestStoreSurfacesServerErrors: a daemon answering 500 is a fetch
+// error, which a store with the client attached counts as a remote
+// failure and answers with a local build.
 func TestStoreSurfacesServerErrors(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no", http.StatusInternalServerError)
@@ -197,11 +178,19 @@ func TestStoreSurfacesServerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := artifact.Key{Kind: "run", Digest: "x"}
-	if err := c.Store(k, []byte("p")); err == nil {
-		t.Error("500 on store went unreported")
-	}
 	if _, _, err := c.Fetch(k); err == nil {
 		t.Error("500 on fetch went unreported")
+	}
+	s := artifact.New(0)
+	s.RegisterCodec("run", artifact.JSONCodec[string]{Size: 8})
+	s.SetRemote(c)
+	v, release, err := artifact.Get(s, k, func() (string, int64, error) { return "local", 8, nil })
+	if err != nil || v != "local" {
+		t.Fatalf("get over a failing daemon: v=%q err=%v, want a local build", v, err)
+	}
+	release()
+	if ks := s.Stats().Kinds["run"]; ks.RemoteFailures != 1 || ks.Misses != 1 {
+		t.Errorf("counters: %+v, want remote_failures=1 misses=1", ks)
 	}
 }
 

@@ -48,9 +48,9 @@ func RegisterWorkspace(fs *flag.FlagSet, tool string) *WorkspaceFlags {
 
 // Open validates the flag values and builds the workspace they describe:
 // budgets parsed with binary suffixes, the disk tier attached when
-// -cache-dir is set, and a warm deadd daemon attached as the remote
-// artifact tier when -remote-cache is set (lookup order: memory, disk,
-// remote, build). Errors carry the tool name so they read as usage
+// -cache-dir is set, and a warm deadd daemon attached as the read-only
+// remote artifact tier when -remote-cache is set (lookup order: memory,
+// disk, remote, build). Errors carry the tool name so they read as usage
 // errors when printed bare.
 func (f *WorkspaceFlags) Open() (*core.Workspace, error) {
 	cacheBytes, err := bytesize.Parse(f.CacheBudget)

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/metrics"
 )
 
@@ -228,11 +227,6 @@ func (w *Workspace) RunExperiment(ctx context.Context, id string) (*Experiment, 
 	e.Attempts = attempts
 	return e, nil
 }
-
-// IsTransient reports whether an error is worth retrying; it is
-// faults.IsTransient re-exported so engine callers need not import the
-// injector package.
-func IsTransient(err error) bool { return faults.IsTransient(err) }
 
 func (w *Workspace) dispatch(ctx context.Context, id string) (*Experiment, error) {
 	switch id {

@@ -202,8 +202,9 @@ func (w *Workspace) OpenDiskCache(dir string, budgetBytes int64) error {
 // SetRemoteTier attaches a remote artifact cache — typically an
 // internal/client.Cache pointed at a warm daemon — as the third lookup
 // tier behind memory and disk: cold misses fetch from it (a verified hit
-// also warms the disk tier), and freshly built artifacts are pushed
-// back. nil detaches. Call before the first artifact request.
+// also warms the disk tier). The tier is read-only; what this workspace
+// builds stays local. nil detaches. Call before the first artifact
+// request.
 func (w *Workspace) SetRemoteTier(r artifact.RemoteTier) {
 	w.artifacts().SetRemote(r)
 }
@@ -219,26 +220,14 @@ func (w *Workspace) ArtifactStats() artifact.Stats {
 	return w.artifacts().Stats()
 }
 
-// EncodedArtifact serves the daemon's artifact GET endpoint: the encoded
-// payload for a completed artifact, from memory or the disk tier.
-// artifact.ErrNotFound when the workspace doesn't hold it.
-func (w *Workspace) EncodedArtifact(key artifact.Key) ([]byte, error) {
-	return w.artifacts().EncodedArtifact(key)
-}
-
 // EncodedArtifactFrame serves the daemon's artifact GET endpoint: the
 // CRC-framed wire image for a completed artifact, served zero-copy from
 // the disk tier's mapped entry file when the artifact is spilled
 // (spilled=true) and encoded fresh from the resident tier otherwise.
-// Call release exactly once after the bytes are written out.
+// Call release exactly once after the bytes are written out;
+// artifact.ErrNotFound when the workspace doesn't hold the artifact.
 func (w *Workspace) EncodedArtifactFrame(key artifact.Key) (framed []byte, release func(), spilled bool, err error) {
 	return w.artifacts().EncodedFrame(key)
-}
-
-// InstallArtifact serves the daemon's artifact PUT endpoint: decode an
-// encoded payload pushed by a peer and install it as if built locally.
-func (w *Workspace) InstallArtifact(key artifact.Key, payload []byte) error {
-	return w.artifacts().InstallEncoded(key, payload)
 }
 
 // FlushSpill evicts every unpinned resident artifact from the in-memory

@@ -79,19 +79,27 @@ type ConfigError struct {
 
 func (e *ConfigError) Error() string { return fmt.Sprintf("dip: %s %s", e.Field, e.Reason) }
 
+// maxEntries caps a table's entry count, (1<<LogSets)*Ways. Geometry can
+// arrive from outside the program (the daemon's predeval endpoint), and
+// New allocates every entry up front; the largest table any experiment
+// uses has 2,048 entries.
+const maxEntries = 1 << 20
+
 // Validate reports configuration errors (as a *ConfigError).
 func (c Config) Validate() error {
 	switch {
 	case c.LogSets < 0 || c.LogSets > 20:
 		return &ConfigError{"LogSets", fmt.Sprintf("%d out of range", c.LogSets)}
-	case c.Ways < 1:
-		return &ConfigError{"Ways", "must be >= 1"}
+	case c.Ways < 1 || c.Ways > 64:
+		return &ConfigError{"Ways", fmt.Sprintf("%d out of range", c.Ways)}
+	case c.Ways<<c.LogSets > maxEntries:
+		return &ConfigError{"Ways", fmt.Sprintf("%d with %d sets exceeds %d entries", c.Ways, 1<<c.LogSets, maxEntries)}
 	case c.TagBits < 1 || c.TagBits > 30:
 		return &ConfigError{"TagBits", fmt.Sprintf("%d out of range", c.TagBits)}
 	case c.PathLen < 0 || c.PathLen > 16:
 		return &ConfigError{"PathLen", fmt.Sprintf("%d out of range", c.PathLen)}
-	case c.SigSlots < 1:
-		return &ConfigError{"SigSlots", "must be >= 1"}
+	case c.SigSlots < 1 || c.SigSlots > 64:
+		return &ConfigError{"SigSlots", fmt.Sprintf("%d out of range", c.SigSlots)}
 	case c.CounterBits < 1 || c.CounterBits > 8:
 		return &ConfigError{"CounterBits", fmt.Sprintf("%d out of range", c.CounterBits)}
 	case c.Threshold < 1 || c.Threshold > 1<<c.CounterBits-1:

@@ -39,11 +39,23 @@ func TestConfigValidate(t *testing.T) {
 		{LogSets: 4, Ways: 1, TagBits: 4, SigSlots: 1, CounterBits: 0, Threshold: 1},
 		{LogSets: 4, Ways: 1, TagBits: 4, SigSlots: 1, CounterBits: 2, Threshold: 4},
 		{LogSets: 4, Ways: 1, TagBits: 4, SigSlots: 1, CounterBits: 2, Threshold: 0},
+		// Oversized geometry: 2^40 entries, and a StateBits past int range.
+		{LogSets: 20, Ways: 1 << 20, TagBits: 8, PathLen: 2, SigSlots: 4, CounterBits: 2, Threshold: 2},
+		{LogSets: 4, Ways: 1 << 40, TagBits: 8, PathLen: 2, SigSlots: 4, CounterBits: 2, Threshold: 2},
+		{LogSets: 4, Ways: 65, TagBits: 8, PathLen: 2, SigSlots: 4, CounterBits: 2, Threshold: 2},
+		{LogSets: 4, Ways: 4, TagBits: 8, PathLen: 2, SigSlots: 65, CounterBits: 2, Threshold: 2},
+		{LogSets: 4, Ways: 4, TagBits: 8, PathLen: 2, SigSlots: 1 << 40, CounterBits: 2, Threshold: 2},
+		// 2^15 sets × 64 ways is one doubling past the entry cap.
+		{LogSets: 15, Ways: 64, TagBits: 8, PathLen: 2, SigSlots: 4, CounterBits: 2, Threshold: 2},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted: %+v", i, cfg)
 		}
+	}
+	edge := Config{LogSets: 14, Ways: 64, TagBits: 8, PathLen: 2, SigSlots: 64, CounterBits: 2, Threshold: 2}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("largest allowed geometry rejected: %v", err)
 	}
 }
 

@@ -50,16 +50,13 @@ const (
 	CounterServerFailed     = "server_failed"
 	CounterServerRetries    = "server_retries"
 	CounterServerStreams    = "server_streams"
-	// CounterServerCoalesced counts requests that subscribed to another
-	// identical pending request's execution instead of occupying their own
-	// queue slot — each is one admission, one execution, and (on a cold
-	// artifact) one build that the service tier did not repeat.
+	// CounterServerCoalesced is never incremented: identical requests
+	// share builds in the artifact store, not in the server. The name
+	// stays declared because benchmark/daemon.go still reports it.
 	CounterServerCoalesced = "server_coalesced"
-	// Artifact-endpoint traffic: remote-tier reads served (hit/miss) and
-	// artifact payloads accepted from clients.
+	// Artifact-endpoint traffic: remote-tier reads served (hit/miss).
 	CounterServerArtifactHits   = "server_artifact_hits"
 	CounterServerArtifactMisses = "server_artifact_misses"
-	CounterServerArtifactPuts   = "server_artifact_puts"
 	// CounterServerArtifactSpillthrough counts the GET hits served straight
 	// from the disk tier's mapped entry file — the framed bytes on disk ARE
 	// the wire format, so the response skips the decode/re-encode/re-frame

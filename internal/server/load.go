@@ -32,8 +32,9 @@ type LoadConfig struct {
 	Mix []string
 	// Burst repeats each planned spec this many consecutive times
 	// (default 1). Bursts of identical requests land on the daemon
-	// near-simultaneously through adjacent workers, exercising request
-	// coalescing; Requests stays the total count.
+	// near-simultaneously through adjacent workers, so they meet in the
+	// artifact store's single-flight builds; Requests stays the total
+	// count.
 	Burst int
 	// Stream requests ?stream=1 chunked progress responses.
 	Stream bool

@@ -22,7 +22,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,13 +76,12 @@ type Config struct {
 // Server is the HTTP service; build one with New, expose Handler, and
 // call Drain on shutdown.
 type Server struct {
-	cfg  Config
-	w    *core.Workspace
-	mc   *metrics.Collector
-	adm  *admission
-	bc   *broadcaster
-	coal *coalescer
-	mux  *http.ServeMux
+	cfg Config
+	w   *core.Workspace
+	mc  *metrics.Collector
+	adm *admission
+	bc  *broadcaster
+	mux *http.ServeMux
 
 	// baseCtx parents every request execution; baseCancel is the drain
 	// deadline's hammer — cancelling it deadline-cancels in-flight work.
@@ -106,13 +104,12 @@ func New(cfg Config) *Server {
 		workers = cfg.Workspace.Pool().Workers()
 	}
 	s := &Server{
-		cfg:  cfg,
-		w:    cfg.Workspace,
-		mc:   cfg.Metrics,
-		adm:  newAdmission(workers, cfg.QueueDepth, cfg.Metrics),
-		bc:   newBroadcaster(cfg.Verbose),
-		coal: newCoalescer(),
-		mux:  http.NewServeMux(),
+		cfg: cfg,
+		w:   cfg.Workspace,
+		mc:  cfg.Metrics,
+		adm: newAdmission(workers, cfg.QueueDepth, cfg.Metrics),
+		bc:  newBroadcaster(cfg.Verbose),
+		mux: http.NewServeMux(),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	// Route engine progress lines through the broadcaster so ?stream=1
@@ -127,7 +124,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/predeval", s.handlePredEval)
 	s.mux.HandleFunc("POST /v1/profile", s.handleProfile)
 	s.mux.HandleFunc("GET /v1/artifact/{kind}/{digest}", s.handleArtifactGet)
-	s.mux.HandleFunc("PUT /v1/artifact/{kind}/{digest}", s.handleArtifactPut)
 	return s
 }
 
@@ -253,19 +249,19 @@ func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
 }
 
 // execute runs fn under the daemon's full request discipline: the
-// server.accept fault site, drain checks, coalescing with fair admission
-// and load-shedding, the per-request deadline, and a retry loop for
-// transient failures. key is the request's coalescing identity (endpoint
-// plus canonical spec digest): requests sharing a key while one is
-// pending collapse into a single execution whose result fans out to
-// every subscriber (see coalesce.go). The context passed to fn dies when
-// every interested client has disconnected, the deadline passes, or a
-// drain deadline forces cancellation. Single-flight casualty semantics:
-// a shared artifact build whose originating request disconnects is
-// adopted by surviving waiters in the store itself; the retry loop keeps
-// a casualty backstop for the narrow window where a cancelled build's
-// error still surfaces.
-func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint, key string, fn func(ctx context.Context) (any, error)) {
+// server.accept fault site, drain checks, fair admission with
+// load-shedding, the per-request deadline (which starts at admission, so
+// queue wait does not count against it), and a retry loop for transient
+// failures. The context passed to fn dies when the client disconnects,
+// the deadline passes, or a drain deadline forces cancellation.
+//
+// Identical concurrent requests each take their own admission slot; the
+// work they share collapses one layer down, in the artifact store, which
+// runs every build once for all its waiters and lets a surviving waiter
+// adopt a build whose originating request disconnected. The retry loop
+// keeps a casualty backstop for the narrow window where a cancelled
+// build's error still surfaces.
+func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string, fn func(ctx context.Context) (any, error)) {
 	start := time.Now()
 	if err := faults.Fire(SiteAccept); err != nil {
 		w.Header().Set("Retry-After", "1")
@@ -287,65 +283,73 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint, key s
 
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	// A drain deadline abandons our wait through baseCtx (the flight
-	// itself is hammered the same way in runFlight).
+	// A drain deadline cancels in-flight work through baseCtx.
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 
-	// The stream opens lazily once the flight is admitted, so a request
-	// that sheds or drains before executing still gets a plain 429/503.
-	stream := r.URL.Query().Get("stream") == "1"
-	var fw *streamWriter
-	onAdmitted := func() {
-		if stream && fw == nil {
-			fw = newStreamWriter(w, s.bc, s.mc)
+	qstart := time.Now()
+	err = s.adm.acquire(ctx, clientToken(r))
+	s.mc.Observe(metrics.HistServerQueueWait+"."+endpoint, time.Since(qstart))
+	if err != nil {
+		// Never executed: a shed, a drain rejection, or a client that gave
+		// up while queued. None of these count as server_failed.
+		s.mc.Observe(metrics.HistServerLatency+"."+endpoint, time.Since(start))
+		var shed *ShedError
+		switch {
+		case errors.As(err, &shed):
+			w.Header().Set("Retry-After", strconv.Itoa(int(shed.RetryAfter.Seconds())))
+			writeError(w, http.StatusTooManyRequests, err, 0)
+		case errors.Is(err, ErrDraining):
+			writeError(w, http.StatusServiceUnavailable, err, 0)
+		default:
+			writeError(w, statusForContext(ctx), err, 0)
 		}
+		return
 	}
+	defer s.adm.release()
 
-	jr := s.coal.execute(s, ctx, endpoint, key, clientToken(r), timeout, onAdmitted, fn)
-	if fw != nil {
+	// The stream opens only now, so a request that sheds or drains before
+	// executing still gets a plain 429/503 rather than a committed 200.
+	var fw *streamWriter
+	if r.URL.Query().Get("stream") == "1" {
+		fw = newStreamWriter(w, s.bc, s.mc)
 		defer fw.close()
 	}
+	if timeout > 0 {
+		var tcancel context.CancelFunc
+		ctx, tcancel = context.WithTimeout(ctx, timeout)
+		defer tcancel()
+	}
+	estart := time.Now()
+	res, attempts, err := s.attempt(ctx, fn)
+	s.mc.Observe(metrics.HistServerExec+"."+endpoint, time.Since(estart))
 	s.mc.Observe(metrics.HistServerLatency+"."+endpoint, time.Since(start))
 
-	if jr.err != nil {
-		if jr.preExec {
-			var shed *ShedError
-			switch {
-			case errors.As(jr.err, &shed):
-				w.Header().Set("Retry-After", strconv.Itoa(int(shed.RetryAfter.Seconds())))
-				writeError(w, http.StatusTooManyRequests, jr.err, 0)
-			case errors.Is(jr.err, ErrDraining):
-				writeError(w, http.StatusServiceUnavailable, jr.err, 0)
-			default: // client gave up while the flight was queued
-				writeError(w, statusForContext(ctx), jr.err, 0)
-			}
-			return
-		}
+	if err != nil {
 		s.mc.Add(metrics.CounterServerFailed, 1)
 		if fw != nil {
-			fw.event(streamEvent{Event: "error", Error: jr.err.Error(), Attempts: jr.attempts})
+			fw.event(streamEvent{Event: "error", Error: err.Error(), Attempts: attempts})
 			return
 		}
 		status := http.StatusInternalServerError
 		switch {
-		case errors.Is(jr.err, context.DeadlineExceeded):
+		case errors.Is(err, context.DeadlineExceeded):
 			status = http.StatusGatewayTimeout
-		case errors.Is(jr.err, context.Canceled):
+		case errors.Is(err, context.Canceled):
 			// Client gone or drain-forced; the status is best-effort.
 			status = http.StatusServiceUnavailable
-		case faults.IsTransient(jr.err):
+		case faults.IsTransient(err):
 			status = http.StatusServiceUnavailable
 		}
-		writeError(w, status, jr.err, jr.attempts)
+		writeError(w, status, err, attempts)
 		return
 	}
 	s.mc.Add(metrics.CounterServerCompleted, 1)
 	if fw != nil {
-		fw.event(streamEvent{Event: "result", Data: jr.res, Attempts: jr.attempts})
+		fw.event(streamEvent{Event: "result", Data: res, Attempts: attempts})
 		return
 	}
-	writeJSON(w, http.StatusOK, jr.res)
+	writeJSON(w, http.StatusOK, res)
 }
 
 // attempt is the retry loop around one request execution: each attempt
@@ -515,7 +519,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err, 0)
 		return
 	}
-	s.execute(w, r, "experiment", "experiment:"+req.ID, func(ctx context.Context) (any, error) {
+	s.execute(w, r, "experiment", func(ctx context.Context) (any, error) {
 		exps, err := s.w.RunExperiments(ctx, []string{req.ID})
 		if err != nil {
 			// KeepGoing surfaces single-experiment failures as both a
@@ -544,7 +548,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err, 0)
 		return
 	}
-	s.execute(w, r, "experiments", "experiments:"+strings.Join(req.IDs, ","), func(ctx context.Context) (any, error) {
+	s.execute(w, r, "experiments", func(ctx context.Context) (any, error) {
 		// Partial results: under the workspace's KeepGoing mode every
 		// requested experiment gets an entry, failed ones carrying their
 		// error; the response reports partial=true rather than failing
@@ -609,7 +613,7 @@ func (s *Server) handlePredEval(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err, 0)
 		return
 	}
-	s.execute(w, r, "predeval", "predeval:"+req.Bench+":"+spec.Digest(), func(ctx context.Context) (any, error) {
+	s.execute(w, r, "predeval", func(ctx context.Context) (any, error) {
 		res, err := s.w.EvalPredictorCtx(ctx, req.Bench, spec)
 		if err != nil {
 			return nil, err
@@ -643,7 +647,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err, 0)
 		return
 	}
-	s.execute(w, r, "profile", "profile:"+req.Bench, func(ctx context.Context) (any, error) {
+	s.execute(w, r, "profile", func(ctx context.Context) (any, error) {
 		var out ProfileStats
 		err := s.w.WithProfileCtx(ctx, req.Bench, func(p *core.ProfileResult) error {
 			out = ProfileStats{
@@ -660,11 +664,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// --- artifact transfer (the remote-tier wire protocol) ---
-
-// maxArtifactBytes bounds a pushed artifact payload; profiles run tens
-// of megabytes, so the cap is generous but finite.
-const maxArtifactBytes = 1 << 31
+// --- artifact export (the remote-tier wire protocol) ---
 
 // validArtifactPath checks the {kind}/{digest} route values: kind is a
 // short lowercase identifier, digest a sha256 hex string — both double
@@ -694,12 +694,14 @@ func validArtifactPath(kind, digest string) error {
 }
 
 // handleArtifactGet serves one encoded artifact, CRC-framed with the
-// disk tier's header, from the workspace's memory or disk tier. These
-// endpoints bypass admission: they never compute, only copy bytes, and
-// throttling them would defeat the remote tier's purpose of making a
-// warm peer cheaper than a rebuild. They stay up during drain for the
-// same reason — a draining daemon's artifacts are exactly the warm state
-// a successor wants to pull.
+// disk tier's header, from the workspace's memory or disk tier. The
+// export is read-only: there is no upload route, so everything served
+// here was built by this daemon, loaded from its own disk tier, or
+// fetched by it. The endpoint bypasses admission: it never computes,
+// only copies bytes, and throttling it would defeat the remote tier's
+// purpose of making a warm peer cheaper than a rebuild. It stays up
+// during drain for the same reason — a draining daemon's artifacts are
+// exactly the warm state a successor wants to pull.
 func (s *Server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 	kind, digest := r.PathValue("kind"), r.PathValue("digest")
 	if err := validArtifactPath(kind, digest); err != nil {
@@ -726,31 +728,4 @@ func (s *Server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(framed)
-}
-
-// handleArtifactPut accepts one CRC-framed encoded artifact and installs
-// it into the workspace as if locally built (write-through to the disk
-// tier included). A frame or decode failure is the pusher's problem: 400.
-func (s *Server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
-	kind, digest := r.PathValue("kind"), r.PathValue("digest")
-	if err := validArtifactPath(kind, digest); err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
-		return
-	}
-	framed, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxArtifactBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: artifact body: %w", err), 0)
-		return
-	}
-	payload, err := artifact.Unframe(framed)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
-		return
-	}
-	if err := s.w.InstallArtifact(artifact.Key{Kind: artifact.Kind(kind), Digest: digest}, payload); err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
-		return
-	}
-	s.mc.Add(metrics.CounterServerArtifactPuts, 1)
-	w.WriteHeader(http.StatusCreated)
 }

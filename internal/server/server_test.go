@@ -14,9 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/dip"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 )
@@ -103,6 +103,9 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/profile", `{"bench":"nonesuch"}`},
 		{"/v1/predeval", `{"bench":"nonesuch"}`},
 		{"/v1/predeval", `{"bench":"` + core.SuiteNames()[0] + `","flavor":"alien"}`},
+		// A 2^40-entry table: refused before admission, never allocated.
+		{"/v1/predeval", `{"bench":"` + core.SuiteNames()[0] + `","config":{"LogSets":20,"Ways":1048576,` +
+			`"TagBits":8,"PathLen":2,"SigSlots":4,"CounterBits":2,"Threshold":2}}`},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts.URL+tc.path, tc.body)
@@ -301,10 +304,8 @@ func TestShedUnderBurst(t *testing.T) {
 		faults.Rule{Kind: faults.Delay, Rate: 1, Delay: 50 * time.Millisecond}))
 	t.Cleanup(func() { faults.Set(nil) })
 
-	// Burst cold requests for DISTINCT benches at a single worker with no
-	// queue: identical requests would coalesce instead of queueing, so
-	// every request here names its own bench, and all but the one holding
-	// the worker shed with 429 + Retry-After.
+	// Burst cold requests at a single worker with no queue: all but the
+	// one holding the worker shed with 429 + Retry-After.
 	const burst = 8
 	statuses := make([]int, burst)
 	retryAfter := make([]string, burst)
@@ -372,27 +373,22 @@ func TestMetricz(t *testing.T) {
 	}
 }
 
-// TestCoalescedBurstBitIdentical is the coalescing contract: identical
-// concurrent requests collapse into one execution (one build, no shed
-// even with a zero-depth queue) and every subscriber receives
-// byte-identical response bodies.
+// TestCoalescedBurstBitIdentical is the identical-burst contract:
+// identical concurrent requests each take an admission slot, share one
+// build in the artifact store, and receive byte-identical bodies.
 func TestCoalescedBurstBitIdentical(t *testing.T) {
+	const dup = 6
 	s, ts, mc := newTestServer(t, func(c *Config) {
-		c.Workers = 1
-		// No queue at all: any concurrent duplicate that failed to
-		// coalesce would shed with 429, so all-200 below proves the
-		// duplicates bypassed admission entirely.
-		c.QueueDepth = 0
+		// Deep enough for the whole burst: no duplicate sheds.
+		c.QueueDepth = dup
 	})
 	bench := core.SuiteNames()[1]
 
-	// Hold the flight's execution open so every duplicate arrives while
-	// it is pending.
+	// Hold each execution open so the duplicates overlap.
 	faults.Set(faults.NewInjector(7).Arm(SiteHandle,
 		faults.Rule{Kind: faults.Delay, Rate: 1, Delay: 100 * time.Millisecond}))
 	t.Cleanup(func() { faults.Set(nil) })
 
-	const dup = 6
 	statuses := make([]int, dup)
 	bodies := make([][]byte, dup)
 	var wg sync.WaitGroup
@@ -423,23 +419,18 @@ func TestCoalescedBurstBitIdentical(t *testing.T) {
 			t.Errorf("request %d body diverges from request 0:\n%s\nvs\n%s", i, bodies[i], bodies[0])
 		}
 	}
-	if got := mc.Counter(metrics.CounterServerCoalesced); got == 0 {
-		t.Error("no request coalesced; the burst test is vacuous")
-	}
 	if got := mc.Counter(metrics.CounterServerCompleted); got != dup {
 		t.Errorf("completed counter = %d, want %d", got, dup)
 	}
-	if st := s.w.ArtifactStats().Kinds[core.KindProfile]; st.Misses != 1 {
-		t.Errorf("profile builds = %d, want exactly 1 for %d identical requests", st.Misses, dup)
-	}
-	if got := s.coal.pending(); got != 0 {
-		t.Errorf("pending flights = %d after burst, want 0", got)
+	if st := s.w.ArtifactStats().Kinds[core.KindProfile]; st.Misses != 1 || st.Hits != dup-1 {
+		t.Errorf("profile builds/hits = %d/%d, want 1/%d for %d identical requests", st.Misses, st.Hits, dup-1, dup)
 	}
 }
 
 // TestArtifactTransferEndpoints exercises the remote-tier wire protocol
 // end to end: a cold workspace with the daemon attached as its remote
-// tier warm-starts from it (GET), and pushes what it builds back (PUT).
+// tier warm-starts from it (GET), and the export is read-only (PUT is
+// refused and installs nothing).
 func TestArtifactTransferEndpoints(t *testing.T) {
 	_, ts, mc := newTestServer(t, nil)
 	bench := core.SuiteNames()[0]
@@ -475,13 +466,20 @@ func TestArtifactTransferEndpoints(t *testing.T) {
 		t.Error("daemon served no artifact GET")
 	}
 
-	// Fresh builds push back: evaluate a predictor the daemon has never
-	// seen and the daemon receives the PUT.
-	if _, err := w2.EvalPredictor(bench, dip.Spec{Flavor: dip.FlavorCFI, Config: dip.DefaultConfig()}); err != nil {
+	// No upload route: a PUT of a well-formed frame is refused with 405,
+	// and the key it named still misses below.
+	unknown := "/v1/artifact/profile/" + strings.Repeat("0", 64)
+	put, err := http.NewRequest(http.MethodPut, ts.URL+unknown, bytes.NewReader(artifact.Frame([]byte("{}"))))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if puts := mc.Counter(metrics.CounterServerArtifactPuts); puts == 0 {
-		t.Error("daemon received no artifact PUT after a fresh remote-attached build")
+	resp, err := http.DefaultClient.Do(put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("PUT %s: status %d, want 405", unknown, resp.StatusCode)
 	}
 
 	// Malformed paths are rejected; a well-formed unknown digest is a 404.
@@ -499,7 +497,7 @@ func TestArtifactTransferEndpoints(t *testing.T) {
 			t.Errorf("GET %s: status %d, want 400", path, resp.StatusCode)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/v1/artifact/profile/" + strings.Repeat("0", 64))
+	resp, err = http.Get(ts.URL + unknown)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,14 +557,32 @@ func TestArtifactGetSpillThrough(t *testing.T) {
 
 // TestAdoptionAcrossRequests is the server half of build adoption: a
 // request that starts a cold build and disconnects does not doom the
-// build when a second request for the same artifact is waiting — the
-// survivor adopts the in-flight work instead of paying for a restart.
+// build when a second request for the same artifact is waiting on it —
+// the survivor adopts the in-flight work instead of paying for a restart.
 func TestAdoptionAcrossRequests(t *testing.T) {
 	s, ts, _ := newTestServer(t, nil)
 	bench := core.SuiteNames()[2]
 
+	// Hold the profile build open inside the store (the delay fires in the
+	// build itself), so the survivor attaches to it while it runs.
+	in := faults.NewInjector(3).Arm(faults.SiteWorkspaceMemo,
+		faults.Rule{Kind: faults.Delay, Rate: 1, Max: 1, Delay: 150 * time.Millisecond})
+	faults.Set(in)
+	t.Cleanup(func() { faults.Set(nil) })
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
 	// The originator: starts the cold profile build, then vanishes.
 	octx, ocancel := context.WithCancel(context.Background())
+	defer ocancel()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -580,17 +596,14 @@ func TestAdoptionAcrossRequests(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
+	waitFor("the originator's build to start", func() bool { return in.Fired(faults.SiteWorkspaceMemo) == 1 })
 
-	// The survivor: same request, distinct coalescing identity is NOT
-	// wanted here — it must either coalesce onto the originator's flight
-	// or wait on the same artifact build; both paths must survive the
-	// originator's disconnect.
+	// The survivor: the same request, waiting on the originator's build.
 	done := make(chan deadnessSummaryProbe, 1)
 	errc := make(chan error, 1)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		time.Sleep(2 * time.Millisecond) // let the originator lead
 		resp, err := http.Post(ts.URL+"/v1/profile", "application/json",
 			strings.NewReader(`{"bench":"`+bench+`"}`))
 		if err != nil {
@@ -611,7 +624,9 @@ func TestAdoptionAcrossRequests(t *testing.T) {
 		done <- deadnessSummaryProbe{ps.Summary.Total, ps.Summary.Dead}
 	}()
 
-	time.Sleep(5 * time.Millisecond) // mid-build for the cold profile
+	waitFor("the survivor to attach to the build", func() bool {
+		return s.w.ArtifactStats().Kinds[core.KindProfile].InflightWaits >= 1
+	})
 	ocancel()
 	wg.Wait()
 
@@ -631,5 +646,8 @@ func TestAdoptionAcrossRequests(t *testing.T) {
 			t.Errorf("survivor got %+v, want %+v", got, want)
 		}
 	}
-	_ = s
+	st := s.w.ArtifactStats().Kinds[core.KindProfile]
+	if st.Adoptions != 1 || st.Misses != 1 {
+		t.Errorf("profile adoptions/builds = %d/%d, want 1/1 (adoption, not restart)", st.Adoptions, st.Misses)
+	}
 }

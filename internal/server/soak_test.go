@@ -192,15 +192,6 @@ func TestServerChaosSoak(t *testing.T) {
 	if in.Fired(SiteAccept)+in.Fired(SiteHandle) == 0 {
 		t.Error("no fault fired at the server's own sites")
 	}
-	// The burst-3 duplicates in the plan must have coalesced at least
-	// once: adjacent workers pull adjacent (identical) requests, so some
-	// always overlap a pending flight.
-	if got := mc.Counter(metrics.CounterServerCoalesced); got == 0 {
-		t.Error("no request coalesced under the burst load")
-	}
-	if got := s.coal.pending(); got != 0 {
-		t.Errorf("pending flights = %d after load, want 0", got)
-	}
 
 	// 4. Clean drain; resident artifacts spill to the disk tier.
 	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
