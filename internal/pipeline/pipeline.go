@@ -25,6 +25,13 @@ const (
 	sEliminated
 )
 
+// Functional-unit classes a uop issues to.
+const (
+	unitALU uint8 = iota
+	unitMulDiv
+	unitMem
+)
+
 type uop struct {
 	seq       int
 	state     uopState
@@ -36,9 +43,28 @@ type uop struct {
 	// cluster is the execution cluster (always 0 on single-cluster
 	// machines; 1 is the narrow degraded cluster of a steered machine).
 	cluster uint8
+	// unit and nsrc are decoded once at rename for issue: the
+	// functional-unit class and the register-file read ports used.
+	unit uint8
+	nsrc uint8
+	// lat is the execution latency of a non-load (a load's depends on the
+	// cache and the LSQ at issue).
+	lat int32
 	// pc caches the record's static PC so commit-time predictor training
 	// does not re-derive a trace Ref on the commit hot path.
 	pc int32
+	// pending counts the producers (register sources and in-flight
+	// producer stores) this waiting uop still needs written back;
+	// consumers heads the list of waiting uops linked onto this one, an
+	// index into Machine.edges (0 = none).
+	pending   int32
+	consumers int32
+}
+
+// edge links a waiting consumer onto a producer's consumer list.
+type edge struct {
+	consumer int32
+	next     int32
 }
 
 // pendingUpd is a dead-predictor training event waiting for its resolution
@@ -75,14 +101,21 @@ type Machine struct {
 	tailSeq int // next sequence to rename
 	count   int
 
-	// iq holds the sequence numbers of waiting uops; issued entries are
-	// marked -1 until compaction. Capacity is fixed at IQSize.
-	iq       []int32
+	// Event-driven scheduler. Waiting uops sit in the issue queue, counted
+	// per cluster by iqCount; the ones whose producers have all written
+	// back are on ready, and the issued ones still executing are on
+	// inflight. Both lists are kept in sequence order, so issue select
+	// and write-port arbitration stay oldest-first. A waiting uop with
+	// producers in flight hangs off each producer's consumer list in the
+	// edges arena (edges[0] is the empty-list sentinel; freed edges chain
+	// from edgeFree), and writeback moves it to ready when the last of
+	// them completes.
+	iqCount  [2]int
+	ready    []int32
+	inflight []int32
+	edges    []edge
+	edgeFree int32
 	lsqCount int
-	// iqCount tracks the live (non -1) iq entries per cluster, maintained
-	// at the two iq mutation sites so the per-cycle occupancy sample is
-	// O(1) instead of a queue scan. Only maintained on a steered machine.
-	iqCount [2]int
 
 	freeRegs int
 	// Architectural rename state: poisoned marks registers whose current
@@ -155,7 +188,9 @@ func New(t *trace.Trace, a *deadness.Analysis, cfg Config) (*Machine, error) {
 		mem:      mem,
 		l2:       l2,
 		rob:      make([]uop, ringSize(cfg.ROBSize)),
-		iq:       make([]int32, 0, cfg.IQSize),
+		ready:    make([]int32, 0, cfg.IQSize),
+		inflight: make([]int32, 0, cfg.ROBSize),
+		edges:    make([]edge, 1, 2*cfg.IQSize+1),
 		fq:       make([]int, 4*cfg.FetchWidth),
 		freeRegs: cfg.PhysRegs - isa.NumRegs,
 		redirect: -1,
@@ -240,16 +275,17 @@ func ringSize(n int) int {
 
 func (m *Machine) at(seq int) *uop { return &m.rob[seq&(len(m.rob)-1)] }
 
-// producerReady reports whether dynamic producer p no longer blocks a
-// consumer: committed, finished executing, or eliminated (an eliminated
-// producer is only ever "read" by consumers that are themselves eliminated
-// or that already paid a recovery).
-func (m *Machine) producerReady(p int32) bool {
-	if p == trace.NoProducer || int(p) < m.headSeq {
-		return true
+// insertSeq inserts s into the sequence-ordered list q. New entries are
+// usually among the youngest, so the search runs from the tail.
+func insertSeq(q []int32, s int32) []int32 {
+	i := len(q)
+	for i > 0 && q[i-1] > s {
+		i--
 	}
-	u := m.at(int(p))
-	return u.state == sDone || u.state == sEliminated
+	q = append(q, 0)
+	copy(q[i+1:], q[i:])
+	q[i] = s
+	return q
 }
 
 // ---------------------------------------------------------------- commit
@@ -308,40 +344,56 @@ func (m *Machine) commit() {
 
 // ------------------------------------------------------------- writeback
 
+// writeback completes the executing uops whose latency has elapsed,
+// oldest first, so register-file write ports go to the oldest results and
+// a result denied a port retries next cycle. Each completion wakes the
+// consumers it was the last outstanding producer of.
 func (m *Machine) writeback() {
 	ports := m.cfg.RFWritePorts
 	used := 0
-	for seq := m.headSeq; seq < m.tailSeq; seq++ {
-		u := m.at(seq)
-		if u.state != sIssued || u.doneCycle > m.now {
+	keep := m.inflight[:0]
+	for _, s := range m.inflight {
+		u := m.at(int(s))
+		if u.doneCycle > m.now {
+			keep = append(keep, s)
 			continue
 		}
 		if u.hasDest {
 			if ports > 0 && used >= ports {
 				u.doneCycle = m.now + 1 // retry next cycle
+				keep = append(keep, s)
 				continue
 			}
 			used++
 			m.stats.RFWrites++
 		}
 		u.state = sDone
+		m.wake(u)
 	}
+	m.inflight = keep
+}
+
+// wake releases the consumers linked onto a completed producer: each
+// whose last outstanding producer this was becomes ready to issue.
+func (m *Machine) wake(u *uop) {
+	for e := u.consumers; e != 0; {
+		ed := &m.edges[e]
+		c := m.at(int(ed.consumer))
+		if c.pending--; c.pending == 0 {
+			m.ready = insertSeq(m.ready, ed.consumer)
+		}
+		next := ed.next
+		ed.next = m.edgeFree
+		m.edgeFree = e
+		e = next
+	}
+	u.consumers = 0
 }
 
 // ----------------------------------------------------------------- issue
 
-func latencyClass(op isa.Op) int {
-	switch {
-	case op == isa.MUL:
-		return 1
-	case op == isa.DIVU || op == isa.REMU:
-		return 2
-	case op.IsMem():
-		return 3
-	}
-	return 0
-}
-
+// issue selects ready uops oldest first, subject to issue width,
+// functional units and register-file read ports.
 func (m *Machine) issue() {
 	alus := m.cfg.IntALUs
 	muldivs := m.cfg.MulDivs
@@ -367,58 +419,42 @@ func (m *Machine) issue() {
 	}
 	narrowIssued := 0
 
-	for i := 0; i < len(m.iq) && issued+narrowIssued < m.cfg.IssueWidth+narrowCap; i++ {
-		s := m.iq[i]
-		if s < 0 {
-			continue
-		}
+	ready := m.ready
+	keep := ready[:0]
+	i := 0
+	for ; i < len(ready) && issued+narrowIssued < m.cfg.IssueWidth+narrowCap; i++ {
+		s := ready[i]
 		u := m.at(int(s))
-		if u.state != sWaiting {
-			continue
-		}
 		narrow := u.cluster == 1
 		if narrow {
 			if narrowIssued == narrowCap {
+				keep = append(keep, s)
 				continue
 			}
 		} else if issued == m.cfg.IssueWidth {
+			keep = append(keep, s)
 			continue
 		}
-		r := m.tr.Ref(u.seq)
 		// Functional unit availability.
 		var unit *int
-		switch latencyClass(r.Op()) {
-		case 1, 2:
+		switch {
+		case u.unit == unitMulDiv:
 			unit = &muldivs
-		case 3:
+		case u.unit == unitMem:
 			unit = &memPorts
+		case narrow:
+			unit = &narrowALUs
 		default:
-			if narrow {
-				unit = &narrowALUs
-			} else {
-				unit = &alus
-			}
+			unit = &alus
 		}
 		if *unit == 0 {
+			keep = append(keep, s)
 			continue
 		}
 		// Register-file read ports.
-		nsrc := 0
-		op := r.Op()
-		if op.ReadsRs1() && r.Rs1() != isa.RZero {
-			nsrc++
-		}
-		if op.ReadsRs2() && r.Rs2() != isa.RZero {
-			nsrc++
-		}
+		nsrc := int(u.nsrc)
 		if readPorts > 0 && readsUsed+nsrc > readPorts {
-			continue
-		}
-		// Operand readiness.
-		if !m.producerReady(r.Src1()) || !m.producerReady(r.Src2()) {
-			continue
-		}
-		if u.isLoad && !m.memReady(r) {
+			keep = append(keep, s)
 			continue
 		}
 
@@ -431,69 +467,75 @@ func (m *Machine) issue() {
 		}
 		m.stats.RFReads += int64(nsrc)
 		u.state = sIssued
-		u.doneCycle = m.now + int64(m.execLatency(u, r))
+		u.doneCycle = m.now + int64(m.execLatency(u))
 		if narrow {
 			// Cross-cluster bypass: results computed in the narrow cluster
 			// reach full-cluster consumers one cycle later.
 			u.doneCycle++
 		}
-		if m.steer != nil {
-			m.iqCount[u.cluster]--
-		}
-		m.iq[i] = -1
+		m.iqCount[u.cluster]--
+		m.inflight = insertSeq(m.inflight, s)
 	}
-	m.compactIQ()
+	m.ready = append(keep, ready[i:]...)
 }
 
-// memReady reports whether every in-flight producer store of a load has
-// executed (address and data available for forwarding or visible in the
-// cache order).
-func (m *Machine) memReady(r trace.Ref) bool {
+func (m *Machine) execLatency(u *uop) int {
+	if !u.isLoad {
+		return int(u.lat)
+	}
+	// A load whose youngest producer store is still in flight forwards
+	// from the LSQ and never probes the cache.
+	r := m.tr.Ref(u.seq)
 	for _, p := range r.MemProducers() {
-		if int(p) < m.headSeq {
-			continue
-		}
-		u := m.at(int(p))
-		if u.state == sWaiting {
-			return false
-		}
-		if u.state == sIssued && u.doneCycle > m.now {
-			return false
+		if int(p) >= m.headSeq {
+			return m.cfg.Cache.HitLatency
 		}
 	}
-	return true
+	return m.mem.Access(r.Addr(), int(r.Width()), false)
 }
 
-func (m *Machine) execLatency(u *uop, r trace.Ref) int {
+// decode fills the issue-time fields of a uop from its trace record.
+func (m *Machine) decode(u *uop, r trace.Ref) {
+	op := r.Op()
+	u.lat = 1 // ALU ops, and a store's address generation (data written at commit)
 	switch {
-	case u.isLoad:
-		// A load whose youngest producer store is still in flight forwards
-		// from the LSQ and never probes the cache.
-		for _, p := range r.MemProducers() {
-			if int(p) >= m.headSeq {
-				return m.cfg.Cache.HitLatency
-			}
-		}
-		return m.mem.Access(r.Addr(), int(r.Width()), false)
-	case u.isStore:
-		return 1 // address generation; data written at commit
-	case r.Op() == isa.MUL:
-		return m.cfg.MulLatency
-	case r.Op() == isa.DIVU || r.Op() == isa.REMU:
-		return m.cfg.DivLatency
-	default:
-		return 1
+	case op == isa.MUL:
+		u.unit, u.lat = unitMulDiv, int32(m.cfg.MulLatency)
+	case op == isa.DIVU || op == isa.REMU:
+		u.unit, u.lat = unitMulDiv, int32(m.cfg.DivLatency)
+	case op.IsMem():
+		u.unit = unitMem
+	}
+	if op.ReadsRs1() && r.Rs1() != isa.RZero {
+		u.nsrc++
+	}
+	if op.ReadsRs2() && r.Rs2() != isa.RZero {
+		u.nsrc++
 	}
 }
 
-func (m *Machine) compactIQ() {
-	out := m.iq[:0]
-	for _, s := range m.iq {
-		if s >= 0 {
-			out = append(out, s)
-		}
+// link makes the waiting uop u wait for producer p when p is still
+// waiting or executing. A producer leaves those states only at writeback,
+// so the edge is released exactly when the old per-cycle readiness check
+// would first have passed.
+func (m *Machine) link(u *uop, p int32) {
+	if p == trace.NoProducer || int(p) < m.headSeq {
+		return
 	}
-	m.iq = out
+	pu := m.at(int(p))
+	if pu.state != sWaiting && pu.state != sIssued {
+		return
+	}
+	e := m.edgeFree
+	if e != 0 {
+		m.edgeFree = m.edges[e].next
+	} else {
+		e = int32(len(m.edges))
+		m.edges = append(m.edges, edge{})
+	}
+	m.edges[e] = edge{consumer: int32(u.seq), next: pu.consumers}
+	pu.consumers = e
+	u.pending++
 }
 
 // ---------------------------------------------------------------- rename
@@ -524,6 +566,7 @@ func (m *Machine) rename() {
 		if _, ok := rdest(r); ok {
 			u.hasDest = true
 		}
+		m.decode(u, r)
 
 		elim := false
 		switch {
@@ -551,7 +594,7 @@ func (m *Machine) rename() {
 			if m.checkPoison(r) {
 				return
 			}
-			if len(m.iq) == m.cfg.IQSize {
+			if m.iqCount[0]+m.iqCount[1] == m.cfg.IQSize {
 				m.stats.StallIQ++
 				return
 			}
@@ -580,7 +623,9 @@ func (m *Machine) rename() {
 		}
 
 		// Commit point of no return: consume the fetch queue entry.
-		m.fqHead = (m.fqHead + 1) % len(m.fq)
+		if m.fqHead++; m.fqHead == len(m.fq) {
+			m.fqHead = 0
+		}
 		m.fqLen--
 		if rd, ok := rdest(r); ok {
 			m.poisoned[rd] = elim
@@ -592,12 +637,20 @@ func (m *Machine) rename() {
 			}
 		} else {
 			u.state = sWaiting
-			m.iq = append(m.iq, int32(seq))
-			if m.steer != nil {
-				m.iqCount[u.cluster]++
-			}
+			m.iqCount[u.cluster]++
 			if u.isLoad || u.isStore {
 				m.lsqCount++
+			}
+			m.link(u, r.Src1())
+			m.link(u, r.Src2())
+			if u.isLoad {
+				for _, p := range r.MemProducers() {
+					m.link(u, p)
+				}
+			}
+			if u.pending == 0 {
+				// Younger than every queued uop: the tail keeps ready sorted.
+				m.ready = append(m.ready, int32(seq))
 			}
 		}
 		m.tailSeq = seq + 1
@@ -704,7 +757,11 @@ func (m *Machine) fetch() {
 		}
 		seq := m.fetchSeq
 		r := m.tr.Ref(seq)
-		m.fq[(m.fqHead+m.fqLen)%len(m.fq)] = seq
+		tail := m.fqHead + m.fqLen
+		if tail >= len(m.fq) {
+			tail -= len(m.fq)
+		}
+		m.fq[tail] = seq
 		m.fqLen++
 		m.fetchSeq++
 
