@@ -32,6 +32,10 @@ type Lookahead struct {
 	branchPC    []int32
 	branchTaken []bool
 	preds       []bool // cached predictions for branchPos[:len(preds)]
+	// cursor is the last answer of branchIdxAfter. Pipeline rename and
+	// dip.Evaluate query in nondecreasing trace order, so the next answer
+	// is found by stepping forward from it.
+	cursor int
 
 	// Branches and Mispredicts count predicted conditional branches.
 	Branches    int
@@ -91,9 +95,21 @@ func (l *Lookahead) ensure(idx int) {
 }
 
 // branchIdxAfter returns the index into branchPos of the first conditional
-// branch strictly after trace position seq.
+// branch strictly after trace position seq. Every branch before the cursor
+// lies at or before the previous query's position, so a query that did not
+// move backward scans forward from the cursor; only a backward query pays
+// a binary search.
 func (l *Lookahead) branchIdxAfter(seq int) int {
-	return sort.SearchInts(l.branchPos, seq+1)
+	i := l.cursor
+	if i > 0 && l.branchPos[i-1] > seq {
+		i = sort.SearchInts(l.branchPos, seq+1)
+	} else {
+		for i < len(l.branchPos) && l.branchPos[i] <= seq {
+			i++
+		}
+	}
+	l.cursor = i
+	return i
 }
 
 // NotBranchError is the typed error for a lookahead query at a trace
