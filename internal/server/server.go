@@ -485,13 +485,54 @@ func experimentResult(e *core.Experiment) ExperimentResult {
 	}
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("server: bad request body: %w", err)
+// maxBodyBytes bounds a request body. The largest legitimate one, an
+// experiments request naming every id, is a few hundred bytes.
+const maxBodyBytes = 64 << 10
+
+// Request bodies, one per query endpoint.
+type (
+	experimentRequest struct {
+		ID string `json:"id"`
 	}
-	return nil
+	experimentsRequest struct {
+		IDs []string `json:"ids"`
+	}
+	predEvalRequest struct {
+		Bench  string      `json:"bench"`
+		Flavor string      `json:"flavor"`
+		Config *dip.Config `json:"config"`
+	}
+	profileRequest struct {
+		Bench string `json:"bench"`
+	}
+)
+
+// decodeBody decodes the request body, which must be exactly one JSON
+// value with no unknown fields, into v. On failure it answers 413 for a
+// body over maxBodyBytes, 400 for anything else, and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		// Only whitespace may follow the value.
+		if tok, terr := dec.Token(); terr != io.EOF {
+			err = terr
+			if err == nil {
+				err = fmt.Errorf("trailing data %v after the request", tok)
+			}
+		}
+	}
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("server: bad request body: %w", err), 0)
+	return false
 }
 
 func validExperimentIDs(ids []string) error {
@@ -508,11 +549,8 @@ func validExperimentIDs(ids []string) error {
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		ID string `json:"id"`
-	}
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
+	var req experimentRequest
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := validExperimentIDs([]string{req.ID}); err != nil {
@@ -534,11 +572,8 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		IDs []string `json:"ids"`
-	}
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
+	var req experimentsRequest
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.IDs) == 0 {
@@ -589,13 +624,8 @@ type PredEvalResult struct {
 }
 
 func (s *Server) handlePredEval(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Bench  string      `json:"bench"`
-		Flavor string      `json:"flavor"`
-		Config *dip.Config `json:"config"`
-	}
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
+	var req predEvalRequest
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if _, err := workload.ByName(req.Bench); err != nil {
@@ -636,11 +666,8 @@ type ProfileStats struct {
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Bench string `json:"bench"`
-	}
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
+	var req profileRequest
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if _, err := workload.ByName(req.Bench); err != nil {

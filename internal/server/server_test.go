@@ -94,24 +94,36 @@ func TestProbesAndDrain(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	_, ts, _ := newTestServer(t, nil)
+	bench := core.SuiteNames()[0]
 	cases := []struct {
 		path, body string
+		want       int
 	}{
-		{"/v1/experiment", `{"id":"e999"}`},
-		{"/v1/experiment", `{oops`},
-		{"/v1/experiments", `{"ids":["e1","nope"]}`},
-		{"/v1/profile", `{"bench":"nonesuch"}`},
-		{"/v1/predeval", `{"bench":"nonesuch"}`},
-		{"/v1/predeval", `{"bench":"` + core.SuiteNames()[0] + `","flavor":"alien"}`},
+		{"/v1/experiment", `{"id":"e999"}`, http.StatusBadRequest},
+		{"/v1/experiment", `{oops`, http.StatusBadRequest},
+		{"/v1/experiments", `{"ids":["e1","nope"]}`, http.StatusBadRequest},
+		{"/v1/profile", `{"bench":"nonesuch"}`, http.StatusBadRequest},
+		{"/v1/predeval", `{"bench":"nonesuch"}`, http.StatusBadRequest},
+		{"/v1/predeval", `{"bench":"` + bench + `","flavor":"alien"}`, http.StatusBadRequest},
 		// A 2^40-entry table: refused before admission, never allocated.
-		{"/v1/predeval", `{"bench":"` + core.SuiteNames()[0] + `","config":{"LogSets":20,"Ways":1048576,` +
-			`"TagBits":8,"PathLen":2,"SigSlots":4,"CounterBits":2,"Threshold":2}}`},
+		{"/v1/predeval", `{"bench":"` + bench + `","config":{"LogSets":20,"Ways":1048576,` +
+			`"TagBits":8,"PathLen":2,"SigSlots":4,"CounterBits":2,"Threshold":2}}`, http.StatusBadRequest},
+		// Anything after the one JSON value.
+		{"/v1/profile", `{"bench":"` + bench + `"}garbage`, http.StatusBadRequest},
+		{"/v1/experiment", `{"id":"e1"} {"id":"e2"}`, http.StatusBadRequest},
+		// A body past maxBodyBytes is refused before it is decoded whole.
+		{"/v1/experiments", `{"ids":[` + strings.Repeat(`"e1",`, maxBodyBytes/5) + `"e1"]}`,
+			http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts.URL+tc.path, tc.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s %s: status %d, want 400 (body %s)", tc.path, tc.body, resp.StatusCode, body)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %.60s: status %d, want %d (body %s)", tc.path, tc.body, resp.StatusCode, tc.want, body)
 		}
+	}
+	// Trailing whitespace is not trailing data.
+	if resp, body := post(t, ts.URL+"/v1/profile", `{"bench":"`+bench+`"}`+" \n\t\n"); resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing whitespace: status %d, want 200 (body %s)", resp.StatusCode, body)
 	}
 	// Bad ?timeout= is a usage error too.
 	resp, _ := post(t, ts.URL+"/v1/profile?timeout=banana", `{"bench":"`+core.SuiteNames()[0]+`"}`)
