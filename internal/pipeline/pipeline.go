@@ -494,22 +494,32 @@ func (m *Machine) execLatency(u *uop) int {
 	return m.mem.Access(r.Addr(), int(r.Width()), false)
 }
 
-// decode fills the issue-time fields of a uop from its trace record.
-func (m *Machine) decode(u *uop, r trace.Ref) {
+// decode builds the uop of record r in its slot, with everything issue
+// and commit need from the record (a load still reads its address and
+// producer stores at issue).
+func (m *Machine) decode(u *uop, seq int, r trace.Ref) {
 	op := r.Op()
-	u.lat = 1 // ALU ops, and a store's address generation (data written at commit)
+	f := op.Flags()
+	*u = uop{
+		seq:     seq,
+		hasDest: f.Has(isa.FlagHasDest) && r.Rd() != isa.RZero,
+		isLoad:  f.Has(isa.FlagLoad),
+		isStore: f.Has(isa.FlagStore),
+		lat:     1, // ALU ops, and a store's address generation (data written at commit)
+		pc:      r.PC(),
+	}
 	switch {
 	case op == isa.MUL:
 		u.unit, u.lat = unitMulDiv, int32(m.cfg.MulLatency)
 	case op == isa.DIVU || op == isa.REMU:
 		u.unit, u.lat = unitMulDiv, int32(m.cfg.DivLatency)
-	case op.IsMem():
+	case f.Has(isa.FlagMem):
 		u.unit = unitMem
 	}
-	if op.ReadsRs1() && r.Rs1() != isa.RZero {
+	if f.Has(isa.FlagReadsRs1) && r.Rs1() != isa.RZero {
 		u.nsrc++
 	}
-	if op.ReadsRs2() && r.Rs2() != isa.RZero {
+	if f.Has(isa.FlagReadsRs2) && r.Rs2() != isa.RZero {
 		u.nsrc++
 	}
 }
@@ -557,16 +567,7 @@ func (m *Machine) rename() {
 		// count dropped below the ROB size), so build the uop in place; a
 		// stall below simply leaves the slot to be rewritten on retry.
 		u := m.at(seq)
-		*u = uop{
-			seq:     seq,
-			isLoad:  r.Op().IsLoad(),
-			isStore: r.Op().IsStore(),
-			pc:      r.PC(),
-		}
-		if _, ok := rdest(r); ok {
-			u.hasDest = true
-		}
-		m.decode(u, r)
+		m.decode(u, seq, r)
 
 		elim := false
 		switch {
@@ -627,8 +628,8 @@ func (m *Machine) rename() {
 			m.fqHead = 0
 		}
 		m.fqLen--
-		if rd, ok := rdest(r); ok {
-			m.poisoned[rd] = elim
+		if u.hasDest {
+			m.poisoned[r.Rd()] = elim
 		}
 		if elim {
 			u.state = sEliminated
@@ -658,27 +659,20 @@ func (m *Machine) rename() {
 	}
 }
 
-// rdest returns the effective destination register of a record.
-func rdest(r trace.Ref) (isa.Reg, bool) {
-	if r.Op().HasDest() && r.Rd() != isa.RZero {
-		return r.Rd(), true
-	}
-	return 0, false
-}
-
 // checkPoison fires a recovery if the instruction reads a value whose
 // producer was eliminated. It returns true when rename must stall.
 func (m *Machine) checkPoison(r trace.Ref) bool {
 	hit := false
-	if r.Op().ReadsRs1() && r.Rs1() != isa.RZero && m.poisoned[r.Rs1()] {
+	f := r.Op().Flags()
+	if f.Has(isa.FlagReadsRs1) && r.Rs1() != isa.RZero && m.poisoned[r.Rs1()] {
 		m.poisoned[r.Rs1()] = false
 		hit = true
 	}
-	if r.Op().ReadsRs2() && r.Rs2() != isa.RZero && m.poisoned[r.Rs2()] {
+	if f.Has(isa.FlagReadsRs2) && r.Rs2() != isa.RZero && m.poisoned[r.Rs2()] {
 		m.poisoned[r.Rs2()] = false
 		hit = true
 	}
-	if r.Op().IsLoad() && m.elimStore != nil {
+	if f.Has(isa.FlagLoad) && m.elimStore != nil {
 		for _, p := range r.MemProducers() {
 			if m.elimStore[p] {
 				m.elimStore[p] = false
