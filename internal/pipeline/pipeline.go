@@ -525,9 +525,13 @@ func (m *Machine) decode(u *uop, seq int, r trace.Ref) {
 }
 
 // link makes the waiting uop u wait for producer p when p is still
-// waiting or executing. A producer leaves those states only at writeback,
-// so the edge is released exactly when the old per-cycle readiness check
-// would first have passed.
+// waiting or executing. A committed or eliminated producer never blocks a
+// consumer (an eliminated one is read only by consumers that already paid
+// a recovery). A producer leaves waiting and executing only at writeback,
+// which wakes u in the same cycle, before issue. A load waits on its
+// in-flight producer stores the same way: a store has no destination, so
+// it never waits for a write port and is done in the writeback of the
+// cycle its execution ends.
 func (m *Machine) link(u *uop, p int32) {
 	if p == trace.NoProducer || int(p) < m.headSeq {
 		return
