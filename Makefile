@@ -52,19 +52,20 @@ smoke:
 	./scripts/daemon_smoke.sh
 
 # SUBSTRATE_BENCHES are the per-substrate throughput benchmarks tracked in
-# the committed BENCH_*.json reports: emulator, the streamed
+# the committed BENCH_*.json reports: emulator (bare, and recording its
+# trace through trace.Push, so the gap is the recording cost), the streamed
 # emulate→analyze path, fused oracle (plus the ineffectuality-dense
 # variant), pipeline timing model (single-cluster and two-cluster
 # steered), the linked trace format's round trip, the persistent artifact
 # tier's cold/warm comparison, the service tier's identical-request burst
 # comparison (one build per burst, through the artifact store's
 # single-flight), and the full experiment engine.
-SUBSTRATE_BENCHES = ^(BenchmarkEmulator|BenchmarkCollectAnalyzed|BenchmarkDeadnessOracle|BenchmarkIneffAnalysis|BenchmarkPipeline|BenchmarkClusteredPipeline|BenchmarkTraceSaveLoad|BenchmarkProfileDiskCache|BenchmarkCoalescedLoad|BenchmarkEngineAllExperiments)$$
+SUBSTRATE_BENCHES = ^(BenchmarkEmulator|BenchmarkEmulatorRecord|BenchmarkCollectAnalyzed|BenchmarkDeadnessOracle|BenchmarkIneffAnalysis|BenchmarkPipeline|BenchmarkClusteredPipeline|BenchmarkTraceSaveLoad|BenchmarkProfileDiskCache|BenchmarkCoalescedLoad|BenchmarkEngineAllExperiments)$$
 
 # BENCH_BASELINE is the committed report that bench-compare diffs against;
 # BENCH_TOL is the relative regression tolerance (benchmarks vary with
 # host hardware, so keep it loose).
-BENCH_BASELINE ?= BENCH_12.json
+BENCH_BASELINE ?= BENCH_14.json
 BENCH_TOL ?= 0.25
 
 # bench regenerates $(BENCH_BASELINE) from the substrate benchmarks (with

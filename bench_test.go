@@ -188,6 +188,30 @@ func BenchmarkEmulator(b *testing.B) {
 	b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
+// BenchmarkEmulatorRecord is BenchmarkEmulator with every committed
+// instruction recorded into a columnar trace through trace.Push, the
+// collect path's sink, so the gap between the two is the cost of trace
+// recording alone. Each iteration releases its trace, so chunk arenas
+// recycle through the pool as they do for a real caller.
+func BenchmarkEmulatorRecord(b *testing.B) {
+	prog, err := asm.Assemble("bench", benchProgramSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	insts := 0
+	for i := 0; i < b.N; i++ {
+		t := trace.NewWithCapacity(1_000_000)
+		m := emu.New(prog)
+		if err := m.Run(1_000_000, t.Push); err != nil {
+			b.Fatal(err)
+		}
+		insts = t.Len()
+		t.Release()
+	}
+	b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
+}
+
 // BenchmarkDeadnessOracle measures the fused single-pass substrate: one
 // walk derives both the def-use links and the oracle's forward facts.
 // Each iteration re-links the collected trace with LinkAndAnalyze, so it
