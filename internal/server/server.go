@@ -516,15 +516,12 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	err := dec.Decode(v)
 	if err == nil {
 		// Only whitespace may follow the value.
-		if tok, terr := dec.Token(); terr != io.EOF {
-			err = terr
-			if err == nil {
-				err = fmt.Errorf("trailing data %v after the request", tok)
-			}
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-	}
-	if err == nil {
-		return true
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
 	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
