@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-compare bench-all check fuzz chaos soak smoke
+.PHONY: build test vet race bench bench-compare bench-all check fuzz chaos soak smoke cancel-window
 
 build:
 	$(GO) build ./...
@@ -40,10 +40,19 @@ chaos:
 	$(GO) test -race -timeout 30m -run '^TestChaosSoak$$' -v ./internal/core
 
 # soak runs the daemon chaos soak: the full HTTP service path (admission,
-# backpressure, retries, drain) under injected faults, with completed
-# responses held bit-identical to a clean direct run.
+# backpressure, drain) under injected faults, with completed responses
+# held bit-identical to a clean direct run.
 soak:
 	$(GO) test -race -timeout 30m -run '^TestServerChaosSoak$$' -v ./internal/server
+
+# cancel-window repeats the tests of the artifact store's cancellation
+# window under the race detector: a build whose last waiter left is never
+# joined, a surviving waiter adopts a build its originator abandoned, and
+# the request after a client disconnect gets a fresh build. Nothing
+# retries a request that inherits a cancelled build's error, so these
+# tests alone hold that contract.
+cancel-window:
+	$(GO) test -race -count=20 -run '^(TestAbandonedBuildNotJoined|TestLastWaiterCancelsBuild|TestAdoptionSurvivesOriginatorCancel|TestClientDisconnectRecovery|TestAdoptionAcrossRequests)$$' ./internal/artifact ./internal/server
 
 # smoke starts a real deadd with a temp persistent cache, drives it with
 # deadload, SIGTERMs it, and asserts a clean drain (exit 0) that spilled

@@ -39,10 +39,11 @@ func runExperiment(b *testing.B, id string, metrics ...string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		w := core.NewWorkspace(benchBudget)
-		e, err := w.RunExperiment(context.Background(), id)
+		exps, err := w.RunExperiments(context.Background(), []string{id})
 		if err != nil {
 			b.Fatal(err)
 		}
+		e := exps[0]
 		if i == b.N-1 {
 			for _, m := range metrics {
 				v, ok := e.Metrics[m]

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	deadd [-addr host:port] [-queue n] [-request-timeout d] [-max-timeout d]
-//	      [-retries n] [-drain-timeout d] [-n budget] [-j workers]
+//	      [-drain-timeout d] [-n budget] [-j workers]
 //	      [-cache-budget bytes] [-cache-dir dir] [-disk-budget bytes]
 //	      [-remote-cache url] [-v]
 //
@@ -20,7 +20,8 @@
 // are shed with 429 + Retry-After; queued requests are granted
 // round-robin across client tokens (X-Client-Token header); identical
 // concurrent requests each take a slot and share one build in the
-// artifact store.
+// artifact store. Each request executes once: a transient failure is a
+// 503 with a "transient" error kind, and the client may ask again.
 //
 // On SIGTERM/SIGINT the daemon drains: readiness flips to 503, new work
 // is rejected, in-flight work finishes (or is cancelled at
@@ -46,7 +47,6 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/cliflags"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/server"
 )
@@ -60,7 +60,6 @@ func run() int {
 	queue := flag.Int("queue", 16, "admission queue depth (waiting requests beyond the workers; 0 = shed when all workers busy)")
 	reqTimeout := flag.Duration("request-timeout", 2*time.Minute, "default per-request execution deadline (0 = none)")
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "clamp on client-requested ?timeout= deadlines (0 = no clamp)")
-	retries := flag.Int("retries", 3, "attempts per request; transient failures retry with backoff")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long graceful drain waits for in-flight work before cancelling it")
 	wsFlags := cliflags.RegisterWorkspace(flag.CommandLine, "deadd")
 	verbose := flag.Bool("v", false, "tee per-phase engine progress lines to stderr")
@@ -82,17 +81,11 @@ func run() int {
 		return 2
 	}
 
-	retry := core.RetryPolicy{}
-	if *retries > 1 {
-		retry = core.DefaultRetryPolicy()
-		retry.MaxAttempts = *retries
-	}
 	cfg := server.Config{
 		Workspace:      w,
 		QueueDepth:     *queue,
 		DefaultTimeout: *reqTimeout,
 		MaxTimeout:     *maxTimeout,
-		Retry:          retry,
 		Metrics:        mc,
 	}
 	if *verbose {

@@ -10,12 +10,11 @@
 //	experiments [-only id[,id...]] [-skip id[,id...]] [-n budget] [-j workers]
 //	            [-cache-budget bytes] [-cache-dir dir] [-disk-budget bytes]
 //	            [-remote-cache url] [-v] [-md | -json] [-keep-going]
-//	            [-timeout d] [-retries n]
+//	            [-timeout d]
 //
 // Experiment selection: -only restricts the run to the listed ids, -skip
 // excludes ids from whatever -only selected (default: all); both validate
-// against the known experiment ids up front. -e is a legacy alias of
-// -only.
+// against the known experiment ids up front.
 //
 // The workspace derives programs, profiles, predictor evaluations, and
 // machine runs through a content-addressed artifact cache; -cache-budget
@@ -33,11 +32,10 @@
 // disk and remote tiers' hit/miss/write/verify-failure/GC counters —
 // appear in the -v run summary and the -json "artifacts" section.
 //
-// Failure handling: each experiment attempt is bounded by -timeout,
-// transient failures (see internal/faults) retry up to -retries attempts
-// with exponential backoff, and -keep-going switches to partial-results
-// mode — every experiment runs, failures are reported per experiment, and
-// the exit code is 3 instead of 1 when at least one experiment succeeded.
+// Failure handling: each experiment runs once, bounded by -timeout, and
+// -keep-going switches to partial-results mode — every experiment runs,
+// failures are reported per experiment, and the exit code is 3 instead
+// of 1 when at least one experiment succeeded.
 // The FAULTS / FAULTS_SEED environment variables arm the deterministic
 // fault injector for resilience testing.
 package main
@@ -72,15 +70,13 @@ func main() {
 
 func run() int {
 	only := flag.String("only", "", "comma-separated experiment ids to run (default: all)")
-	ids := flag.String("e", "", "alias of -only (legacy)")
 	skip := flag.String("skip", "", "comma-separated experiment ids to exclude")
 	wsFlags := cliflags.RegisterWorkspace(flag.CommandLine, "experiments")
 	md := flag.Bool("md", false, "emit markdown sections (EXPERIMENTS.md body)")
 	asJSON := flag.Bool("json", false, "emit machine-readable metrics")
 	verbose := flag.Bool("v", false, "print per-phase progress lines and a run summary to stderr")
 	keepGoing := flag.Bool("keep-going", false, "run every experiment even after failures; report failures per experiment")
-	timeout := flag.Duration("timeout", 0, "deadline per experiment attempt (0 = none)")
-	retries := flag.Int("retries", 1, "attempts per experiment; failures classified transient are retried with backoff")
+	timeout := flag.Duration("timeout", 0, "deadline per experiment (0 = none)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
@@ -97,13 +93,6 @@ func run() int {
 		}
 	}()
 
-	if *only != "" && *ids != "" && *only != *ids {
-		fmt.Fprintln(os.Stderr, "experiments: -e is an alias of -only; pass one of them")
-		return exitUsage
-	}
-	if *only == "" {
-		*only = *ids
-	}
 	list, err := selectExperiments(*only, *skip)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -122,11 +111,6 @@ func run() int {
 	w.Metrics = mc
 	w.KeepGoing = *keepGoing
 	w.Timeout = *timeout
-	if *retries > 1 {
-		p := core.DefaultRetryPolicy()
-		p.MaxAttempts = *retries
-		w.Retry = p
-	}
 
 	if _, err := cliflags.ArmFaults(mc, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -171,7 +155,7 @@ func run() int {
 		for _, e := range exps {
 			if e.Err != nil {
 				failed++
-				fmt.Printf("=== %s: FAILED after %d attempt(s)\n%v\n\n", strings.ToUpper(e.ID), e.Attempts, e.Err)
+				fmt.Printf("=== %s: FAILED\n%v\n\n", strings.ToUpper(e.ID), e.Err)
 				continue
 			}
 			fmt.Printf("=== %s: %s (%.1fs)\n", strings.ToUpper(e.ID), e.Title, e.Wall.Seconds())
@@ -252,16 +236,15 @@ func selectExperiments(only, skip string) ([]string, error) {
 // wall-clock phase report and counters of this particular run, and the
 // artifacts section the per-kind cache hit/miss/eviction statistics and
 // residency.
-// Failed experiments (partial-results mode) carry error and attempts in
-// place of metrics.
+// Failed experiments (partial-results mode) carry an error in place of
+// metrics.
 func printJSON(exps []*core.Experiment, arts artifact.Stats, mc *metrics.Collector) bool {
 	type jsonExp struct {
-		ID       string             `json:"id"`
-		Title    string             `json:"title,omitempty"`
-		Claim    string             `json:"claim,omitempty"`
-		Metrics  map[string]float64 `json:"metrics,omitempty"`
-		Error    string             `json:"error,omitempty"`
-		Attempts int                `json:"attempts,omitempty"`
+		ID      string             `json:"id"`
+		Title   string             `json:"title,omitempty"`
+		Claim   string             `json:"claim,omitempty"`
+		Metrics map[string]float64 `json:"metrics,omitempty"`
+		Error   string             `json:"error,omitempty"`
 	}
 	out := struct {
 		Experiments []jsonExp       `json:"experiments"`
@@ -273,7 +256,6 @@ func printJSON(exps []*core.Experiment, arts artifact.Stats, mc *metrics.Collect
 		if e.Err != nil {
 			// Keep only the first line: injected-panic errors embed stacks.
 			je.Error, _, _ = strings.Cut(e.Err.Error(), "\n")
-			je.Attempts = e.Attempts
 		}
 		out.Experiments = append(out.Experiments, je)
 	}

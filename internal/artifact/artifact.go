@@ -31,7 +31,9 @@
 // currently waiting on them: when one requester disconnects, surviving
 // waiters adopt the in-flight build (counted as artifact_adoptions)
 // instead of watching it die with its originator and re-running it; only
-// when the last waiter leaves is the build cancelled.
+// when the last waiter leaves is the build cancelled, and a requester
+// that arrives after that starts a fresh build rather than joining the
+// dying one.
 package artifact
 
 import (
@@ -184,8 +186,7 @@ type Store struct {
 	// MemoErr, when non-nil, reports whether a build error should stay
 	// memoized (rebuilding a deterministic failure would just fail again).
 	// Errors it rejects — and all errors when nil — are forgotten, so the
-	// next request rebuilds; this is what makes engine-level retry of
-	// transient faults effective. Set before first use.
+	// next request rebuilds. Set before first use.
 	MemoErr func(error) bool
 
 	budget int64
@@ -342,8 +343,10 @@ func Get[T any](s *Store, key Key, build func() (T, int64, error)) (T, func(), e
 // if ctx is cancelled while other requesters still wait on the same
 // in-flight build, they adopt it (counted once per build as
 // artifact_adoptions) and the build keeps running for them; GetCtx then
-// returns ctx.Err() to the departed requester. The build callback
-// receives that detached context, not ctx.
+// returns ctx.Err() to the departed requester. Once the last requester
+// has left, the next one starts a fresh build; a late success of the
+// abandoned build is released, not cached. The build callback receives
+// that detached context, not ctx.
 //
 // build returns the value and its resident size in bytes. A build error
 // is propagated to every concurrent requester; whether it stays memoized
@@ -438,17 +441,21 @@ func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote Remo
 	e.buildCancel()
 
 	s.mu.Lock()
+	// An entry its last waiter abandoned is no longer indexed (see
+	// waitBuild): nobody can read its value, so it is neither memoized
+	// nor resident.
+	indexed := s.items[key] == e
 	if e.err != nil {
 		memo := !e.panicked && s.MemoErr != nil && s.MemoErr(e.err)
-		if !memo && s.items[key] == e {
+		if !memo && indexed {
 			delete(s.items, key)
 		}
-	} else {
+	} else if indexed {
 		e.resident = true
 		s.used += e.size
 	}
 	s.mu.Unlock()
-	if e.err == nil && !e.fromDisk && disk != nil && codec != nil {
+	if indexed && e.err == nil && !e.fromDisk && disk != nil && codec != nil {
 		// Write through while the value is pinned by the builder:
 		// persistence must encode before any eviction can release pooled
 		// resources. (A remote hit lands on disk inside remoteLoad, payload
@@ -459,13 +466,17 @@ func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote Remo
 	}
 	s.release(e)
 	close(e.done)
+	if r, ok := e.val.(Releaser); ok && !indexed && e.err == nil {
+		r.ReleaseArtifact()
+	}
 }
 
 // waitBuild blocks until e's in-flight build completes (returning nil
 // with the caller's pin intact) or ctx is cancelled first. On
 // cancellation it drops the caller's pin and waiter slot: if other
 // waiters survive they adopt the build; if the caller was the last, the
-// detached build context is cancelled and the build dies promptly.
+// entry leaves the index and the detached build context is cancelled, so
+// the build dies promptly and nobody else joins it.
 func (s *Store) waitBuild(ctx context.Context, e *entry) error {
 	select {
 	case <-e.done:
@@ -488,6 +499,12 @@ func (s *Store) waitBuild(ctx context.Context, e *entry) error {
 	e.waiters--
 	e.refs--
 	last := e.waiters == 0
+	if last && !e.resident && s.items[e.key] == e {
+		// Unindex the cancelled build, so the next requester starts a
+		// fresh one instead of joining it. A resident entry finished in
+		// time and stays cached.
+		delete(s.items, e.key)
+	}
 	if !last && !e.adopted {
 		e.adopted = true
 		ks := s.kindStats(e.key.Kind)

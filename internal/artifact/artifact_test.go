@@ -388,34 +388,151 @@ func TestLastWaiterCancelsBuild(t *testing.T) {
 		t.Fatalf("sole requester got %v, want context.Canceled", err)
 	}
 
-	// The cancelled build's error must not be memoized: rebuild succeeds.
-	deadline := time.After(5 * time.Second)
-	for {
-		v, release, err := Get(s, k, func() (int, int64, error) {
-			builds.Add(1)
-			return 7, 8, nil
-		})
-		if err == nil {
-			release()
-			if v != 7 {
-				t.Fatalf("rebuild returned %d, want 7", v)
-			}
-			break
-		}
-		// The detached builder may not have finished unwinding yet; a
-		// request landing in that window waits it out and sees Canceled.
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("rebuild: %v", err)
-		}
-		select {
-		case <-deadline:
-			t.Fatal("cancelled build error stayed memoized")
-		case <-time.After(time.Millisecond):
-		}
+	// The cancelled build is neither joined nor memoized: the very next
+	// request rebuilds, even if the detached builder is still unwinding.
+	v, release, err := Get(s, k, func() (int, int64, error) {
+		builds.Add(1)
+		return 7, 8, nil
+	})
+	if err != nil {
+		t.Fatalf("rebuild after the last waiter left: %v", err)
+	}
+	release()
+	if v != 7 {
+		t.Fatalf("rebuild returned %d, want 7", v)
 	}
 	if ks := s.Stats().Kinds["profile"]; ks.Adoptions != 0 {
 		t.Errorf("adoptions=%d, want 0 (no survivor adopted anything)", ks.Adoptions)
 	}
+}
+
+// releaseCounter is an artifact value that reports each ReleaseArtifact
+// call on a channel, so a test can wait for a release made on the
+// store's detached build goroutine.
+type releaseCounter struct {
+	name     string
+	released chan string
+}
+
+func (v *releaseCounter) ReleaseArtifact() { v.released <- v.name }
+
+// TestAbandonedBuildNotJoined pins the window between the last waiter
+// leaving a build and that build returning. The abandoned build is held
+// open on a gate; a request arriving in the window must start a fresh
+// build, not join the dying one and inherit its cancellation.
+func TestAbandonedBuildNotJoined(t *testing.T) {
+	// abandon starts a build through a requester that cancels at once.
+	// The build waits for its detached context to die, then for gate,
+	// then returns late(bctx).
+	abandon := func(t *testing.T, s *Store, k Key, gate chan struct{}, late func(context.Context) (any, int64, error)) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		started := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := GetCtx(s, ctx, k, func(bctx context.Context) (any, int64, error) {
+				close(started)
+				<-bctx.Done()
+				<-gate
+				return late(bctx)
+			})
+			done <- err
+		}()
+		<-started
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("sole requester got %v, want context.Canceled", err)
+		}
+	}
+	// fresh issues the second request while the abandoned build is still
+	// held open. If the request joins that build instead of starting its
+	// own, it opens the gate so the test fails rather than hangs.
+	fresh := func(t *testing.T, s *Store, k Key, gate chan struct{}, val any) (any, func()) {
+		t.Helper()
+		type result struct {
+			v       any
+			release func()
+			err     error
+		}
+		got := make(chan result, 1)
+		go func() {
+			v, release, err := Get(s, k, func() (any, int64, error) { return val, 8, nil })
+			got <- result{v, release, err}
+		}()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			select {
+			case r := <-got:
+				if r.err != nil {
+					t.Fatalf("request after the last waiter left: %v", r.err)
+				}
+				return r.v, r.release
+			case <-time.After(time.Millisecond):
+			}
+			if s.Stats().Kinds["profile"].InflightWaits > 0 {
+				close(gate)
+				r := <-got
+				t.Fatalf("request joined the abandoned build: val=%v err=%v", r.v, r.err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("request neither built nor joined")
+			}
+		}
+	}
+
+	t.Run("abandoned_build_fails", func(t *testing.T) {
+		s := New(0)
+		s.MemoErr = func(err error) bool { return !errors.Is(err, context.Canceled) }
+		k := key("profile", "abandoned-fails")
+		gate := make(chan struct{})
+		abandon(t, s, k, gate, func(bctx context.Context) (any, int64, error) { return nil, 0, bctx.Err() })
+		v, release := fresh(t, s, k, gate, 7)
+		release()
+		close(gate)
+		ks := s.Stats().Kinds["profile"]
+		if v != 7 || ks.Misses != 2 {
+			t.Errorf("got %v after %d builds, want 7 from a second build", v, ks.Misses)
+		}
+	})
+
+	t.Run("abandoned_build_succeeds_late", func(t *testing.T) {
+		s := New(0)
+		k := key("profile", "abandoned-succeeds")
+		gate := make(chan struct{})
+		// Room beyond the two releases expected, so an extra one shows
+		// up in the drain below instead of blocking the store.
+		released := make(chan string, 4)
+		abandon(t, s, k, gate, func(context.Context) (any, int64, error) {
+			return &releaseCounter{"orphan", released}, 8, nil
+		})
+		v, release := fresh(t, s, k, gate, &releaseCounter{"fresh", released})
+		release()
+		if rc, _ := v.(*releaseCounter); rc == nil || rc.name != "fresh" {
+			t.Fatalf("got %v, want the fresh build's value", v)
+		}
+		// The fresh build has finished; now let the orphan succeed.
+		close(gate)
+		select {
+		case name := <-released:
+			if name != "orphan" {
+				t.Fatalf("released %q, want the orphan's value", name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the orphan's late value was never released")
+		}
+		if st := s.Stats(); st.ResidentBytes != 8 {
+			t.Errorf("resident bytes = %d, want 8 (one copy)", st.ResidentBytes)
+		}
+		s.EvictAll()
+		close(released)
+		var names []string
+		for name := range released {
+			names = append(names, name)
+		}
+		if !sameSeq(names, []string{"fresh"}) {
+			t.Errorf("after EvictAll released %v, want [fresh] (the orphan exactly once)", names)
+		}
+	})
 }
 
 // fakeRemote is an in-memory RemoteTier; tests fill it with put.

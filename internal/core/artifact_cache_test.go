@@ -152,8 +152,8 @@ func TestTransientFaultEvictsOnlyPoisonedArtifact(t *testing.T) {
 		t.Errorf("survivor hits = %d, want 2", hits)
 	}
 
-	// The poisoned artifact was forgotten, not memoized: the retry (the
-	// injector's Max is exhausted) rebuilds it successfully.
+	// The poisoned artifact was forgotten, not memoized: the next request
+	// (the injector's Max is exhausted) rebuilds it successfully.
 	c, err := w.ProfileOf("mcf")
 	if err != nil || c == nil {
 		t.Fatalf("post-fault rebuild: res=%v err=%v", c, err)

@@ -11,7 +11,7 @@ import (
 	"repro/internal/metrics"
 )
 
-// TestChaosSoak drives the full 18-experiment suite with the fault
+// TestChaosSoak drives the full experiment suite with the fault
 // injector armed at every engine site class and asserts the graceful-
 // degradation contract:
 //
@@ -45,16 +45,17 @@ func TestChaosSoak(t *testing.T) {
 	// Rate-1, Max-capped rules guarantee injections regardless of how the
 	// schedule lands on goroutines; the low-rate rules add seeded noise at
 	// every other site class, including per-instruction emulator faults.
-	// The memo rule is capped too: uncapped, how many builds it hits
-	// depends on how builds coalesce, and in about one run in six no
-	// experiment survived its four attempts, which made the survivor
-	// checks below vacuous and the run fail. Capped, every run has both
-	// survivors and injected failures to check.
+	// Each experiment runs once, and a fault in a shared build (a profile
+	// feeds every experiment) fails every experiment waiting on it, so
+	// the transient pool, memo and emulator rules are capped low enough
+	// that every run has both survivors and injected failures to check.
+	// An emulator fault always kills a profile build, which is why that
+	// rule fires at most once.
 	in := faults.NewInjector(42).
-		Arm(faults.SitePoolTask, faults.Rule{Kind: faults.Transient, Rate: 1, Max: 5}).
+		Arm(faults.SitePoolTask, faults.Rule{Kind: faults.Transient, Rate: 1, Max: 2}).
 		Arm(faults.SitePoolTask, faults.Rule{Kind: faults.Delay, Rate: 0.02, Max: 10, Delay: time.Millisecond}).
-		Arm(faults.SiteWorkspaceMemo, faults.Rule{Kind: faults.Transient, Rate: 0.3, Max: 24}).
-		Arm(faults.SiteEmuStep, faults.Rule{Kind: faults.Transient, Rate: 0.0001, Max: 4}).
+		Arm(faults.SiteWorkspaceMemo, faults.Rule{Kind: faults.Transient, Rate: 0.3, Max: 4}).
+		Arm(faults.SiteEmuStep, faults.Rule{Kind: faults.Transient, Rate: 0.0001, Max: 1}).
 		Arm(faults.SiteSimulate, faults.Rule{Kind: faults.Panic, Rate: 1, Max: 2}).
 		Arm(faults.SiteSimulate, faults.Rule{Kind: faults.Transient, Rate: 0.01})
 	mc := metrics.New()
@@ -65,7 +66,6 @@ func TestChaosSoak(t *testing.T) {
 	w := NewWorkspaceWorkers(budget, 0)
 	w.Metrics = mc
 	w.KeepGoing = true
-	w.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond}
 	// Arm the artifact cache's LRU eviction too, so transient-fault
 	// eviction, budget eviction, and rebuilds all interleave under
 	// injection — survivors must still match the clean run bit for bit.
@@ -128,14 +128,13 @@ func TestChaosSoak(t *testing.T) {
 		if errors.Is(e.Err, context.Canceled) {
 			t.Errorf("%s reports cancellation under KeepGoing: %v", e.ID, e.Err)
 		}
-		if e.Attempts < 1 {
-			t.Errorf("%s failed with %d attempts recorded", e.ID, e.Attempts)
-		}
 	}
-	t.Logf("chaos soak: %d injections, %d/%d experiments succeeded, %d retries",
-		injected, succeeded, len(ids), mc.Counter(metrics.CounterRetries))
+	t.Logf("chaos soak: %d injections, %d/%d experiments succeeded", injected, succeeded, len(ids))
 	if succeeded == 0 {
-		t.Error("no experiment survived injection; retry/eviction is not recovering transients")
+		t.Error("no experiment survived injection; the survivor check is vacuous")
+	}
+	if failed == 0 {
+		t.Error("no experiment failed under injection; the attribution checks are vacuous")
 	}
 	if failed > 0 != (chaotic.err != nil) {
 		t.Errorf("error/failure mismatch: %d failures but err = %v", failed, chaotic.err)
@@ -149,12 +148,6 @@ func TestChaosSoak(t *testing.T) {
 			t.Errorf("RunError accounts for %d+%d experiments, want %d",
 				len(re.Completed), len(re.Failures), len(ids))
 		}
-	}
-
-	// Transient pool faults are retried at a level that re-runs them, so
-	// the rate-1 Max-capped rule above guarantees retries happened.
-	if mc.Counter(metrics.CounterRetries) == 0 {
-		t.Error("no retry recorded despite guaranteed transient pool faults")
 	}
 
 	// Leak check: give coordinator goroutines a moment to unwind, then

@@ -112,13 +112,14 @@ func TestExperimentDispatch(t *testing.T) {
 	if len(ids) != 21 {
 		t.Fatalf("experiment ids = %v", ids)
 	}
-	if _, err := w.RunExperiment(context.Background(), "bogus"); err == nil {
+	if _, err := w.RunExperiments(context.Background(), []string{"bogus"}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	e, err := w.RunExperiment(context.Background(), "e1")
+	exps, err := w.RunExperiments(context.Background(), []string{"e1"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := exps[0]
 	if e.ID != "e1" || e.Table.NumRows() != len(SuiteNames())+1 {
 		t.Errorf("e1 table has %d rows", e.Table.NumRows())
 	}

@@ -16,11 +16,9 @@ import (
 // Failure is one experiment's structured failure.
 type Failure struct {
 	ID string
-	// Err is the final error after any retries; injected faults remain
-	// reachable through its chain (errors.As(*faults.Error)).
+	// Err is the experiment's error; injected faults remain reachable
+	// through its chain (errors.As(*faults.Error)).
 	Err error
-	// Attempts is how many dispatch attempts ran.
-	Attempts int
 }
 
 // RunError reports a partially failed run. It always carries the
@@ -95,22 +93,22 @@ func (e *Experiment) Render() string {
 // workspace's bounded pool, so total parallelism stays at the pool's
 // bound even with experiments × suite fan-out.
 //
-// Failure semantics follow the workspace's knobs: each attempt is bounded
-// by Timeout, transient failures retry per Retry, and the run degrades
-// per KeepGoing. With KeepGoing false (the default) the first failure
-// cancels the work still pending and RunExperiments returns (nil, *RunError)
-// carrying the experiments that had already completed. With KeepGoing
-// true every experiment runs to completion; the returned slice has one
-// entry per requested ID — failed entries carry Err and no Table — and
-// the error is a *RunError describing the failures (nil if none).
+// Failure semantics follow the workspace's knobs: each experiment runs
+// once, bounded by Timeout, and the run degrades per KeepGoing. With
+// KeepGoing false (the default) the first failure cancels the work still
+// pending and RunExperiments returns (nil, *RunError) carrying the
+// experiments that had already completed. With KeepGoing true every
+// experiment runs to completion; the returned slice has one entry per
+// requested ID — failed entries carry Err and no Table — and the error
+// is a *RunError describing the failures (nil if none).
 func (w *Workspace) RunExperiments(ctx context.Context, ids []string) ([]*Experiment, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	// Build every benchmark profile once upfront: all experiments need
-	// them, and preloading keeps the verbose phase report tidy. Transient
-	// build failures retry here; under KeepGoing a benchmark that still
-	// fails is left for the experiments that need it to report.
+	// them, and preloading keeps the verbose phase report tidy. Under
+	// KeepGoing a benchmark that fails is left for the experiments that
+	// need it to report.
 	if err := w.Preload(ctx); err != nil && !w.KeepGoing {
 		return nil, err
 	}
@@ -122,16 +120,15 @@ func (w *Workspace) RunExperiments(ctx context.Context, ids []string) ([]*Experi
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			e, attempts, err := w.runOne(ctx, id)
+			e, err := w.runOne(ctx, id)
 			if err != nil {
-				failures[i] = &Failure{ID: id, Err: fmt.Errorf("experiment %s: %w", id, err), Attempts: attempts}
+				failures[i] = &Failure{ID: id, Err: fmt.Errorf("experiment %s: %w", id, err)}
 				w.Metrics.Add(metrics.CounterExperimentFailures, 1)
 				if !w.KeepGoing {
 					cancel()
 				}
 				return
 			}
-			e.Attempts = attempts
 			out[i] = e
 		}(i, id)
 	}
@@ -155,34 +152,28 @@ func (w *Workspace) RunExperiments(ctx context.Context, ids []string) ([]*Experi
 	// carry their error in place of tables and metrics.
 	for i, f := range failures {
 		if f != nil {
-			out[i] = &Experiment{ID: f.ID, Err: f.Err, Attempts: f.Attempts}
+			out[i] = &Experiment{ID: f.ID, Err: f.Err}
 		}
 	}
 	return out, runErr
 }
 
-// runOne runs one experiment with per-attempt deadlines and transient
-// retry, reporting wall time across all attempts.
-func (w *Workspace) runOne(ctx context.Context, id string) (*Experiment, int, error) {
+// runOne runs one experiment under the workspace's Timeout deadline.
+func (w *Workspace) runOne(ctx context.Context, id string) (*Experiment, error) {
 	sp := w.Metrics.Start("experiment", id)
 	start := time.Now()
-	var e *Experiment
-	attempts, err := retryTransient(ctx, w.Retry, w.Metrics, func(ctx context.Context) error {
-		actx, cancel := ctx, context.CancelFunc(func() {})
-		if w.Timeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, w.Timeout)
-		}
+	if w.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, w.Timeout)
 		defer cancel()
-		var aerr error
-		e, aerr = w.dispatchSafe(actx, id)
-		return aerr
-	})
+	}
+	e, err := w.dispatchSafe(ctx, id)
 	sp.End(0)
 	if err != nil {
-		return nil, attempts, err
+		return nil, err
 	}
 	e.Wall = time.Since(start)
-	return e, attempts, nil
+	return e, nil
 }
 
 // dispatchSafe is dispatch with panic containment: a panicking experiment
@@ -201,31 +192,13 @@ func (w *Workspace) dispatchSafe(ctx context.Context, id string) (e *Experiment,
 }
 
 // Preload builds every suite benchmark's profile through the bounded
-// pool, retrying transient build failures per the workspace policy.
+// pool.
 func (w *Workspace) Preload(ctx context.Context) error {
 	_, err := overSuite(ctx, w, func(name string) (struct{}, error) {
-		_, err := retryTransient(ctx, w.Retry, w.Metrics, func(context.Context) error {
-			_, err := w.ProfileOf(name)
-			return err
-		})
+		_, err := w.ProfileOf(name)
 		return struct{}{}, err
 	})
 	return err
-}
-
-// RunExperiment preloads the suite and dispatches one experiment by ID
-// (case-sensitive, lowercase) under the workspace's timeout and retry
-// policy.
-func (w *Workspace) RunExperiment(ctx context.Context, id string) (*Experiment, error) {
-	if err := w.Preload(ctx); err != nil {
-		return nil, err
-	}
-	e, attempts, err := w.runOne(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	e.Attempts = attempts
-	return e, nil
 }
 
 func (w *Workspace) dispatch(ctx context.Context, id string) (*Experiment, error) {

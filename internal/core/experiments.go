@@ -29,9 +29,6 @@ type Experiment struct {
 	// Wall is how long the experiment took; it reflects scheduling and
 	// memoization, so it is excluded from deterministic comparisons.
 	Wall time.Duration
-	// Attempts is how many dispatch attempts ran (>1 means transient
-	// failures were retried). Like Wall, it is run-specific.
-	Attempts int
 	// Err is the structured failure of an experiment that did not
 	// complete; set only in RunExperiments' partial-results (KeepGoing)
 	// mode, where such entries carry no Table, Figure, or Metrics.

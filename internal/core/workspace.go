@@ -76,12 +76,9 @@ type Workspace struct {
 	// Set it before first use.
 	CacheBudget int64
 
-	// Timeout bounds each experiment attempt with a deadline that
-	// propagates through the pool fan-out (0 = none).
+	// Timeout bounds each experiment with a deadline that propagates
+	// through the pool fan-out (0 = none).
 	Timeout time.Duration
-	// Retry governs re-running experiments that fail transiently (see
-	// faults.IsTransient). The zero policy means a single attempt.
-	Retry RetryPolicy
 	// KeepGoing switches RunExperiments to partial-results mode: every
 	// experiment runs to completion and failures are reported per
 	// experiment instead of cancelling the whole run.
@@ -168,8 +165,8 @@ func (w *Workspace) artifacts() *artifact.Store {
 		w.store = artifact.New(w.CacheBudget)
 		// Only successes and deterministic (permanent) failures are
 		// memoized: an artifact that fails transiently — an injected
-		// fault, a cancelled context — is forgotten so a later attempt
-		// rebuilds it, which is what makes engine-level retry effective.
+		// fault, a cancelled context — is forgotten so the next request
+		// rebuilds it.
 		w.store.MemoErr = func(err error) bool { return !evictable(err) }
 		// Register the persistable kinds. Programs are deliberately absent:
 		// compiling is cheaper than encoding, and the profile codec
@@ -362,7 +359,7 @@ func (w *Workspace) buildProfile(ctx context.Context, name string, opts *compile
 }
 
 // evictable reports whether an artifact's failure should be forgotten so
-// the work can be re-attempted: transient faults and context cancellation
+// the next request rebuilds it: transient faults and context cancellation
 // or expiry (a run aborted mid-build must not poison the next run).
 // Deterministic failures stay memoized — rebuilding would just fail again.
 func evictable(err error) bool {

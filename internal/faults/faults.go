@@ -6,11 +6,12 @@
 // (seed, site, opportunity index), so a given seed reproduces the same
 // fault schedule for the same sequence of opportunities at a site.
 //
-// The injector distinguishes transient faults (retryable — see
-// IsTransient) from permanent ones, and can also panic, delay, or corrupt
-// a byte buffer in flight, which is how trace-record corruption is
-// modeled. The chaos soak in internal/core drives the full experiment
-// suite with an injector installed at every site class.
+// The injector distinguishes transient faults (forgotten by the artifact
+// memo and answered 503 by the daemon — see IsTransient) from permanent
+// ones, and can also panic, delay, or corrupt a byte buffer in flight,
+// which is how trace-record corruption is modeled. The chaos soak in
+// internal/core drives the full experiment suite with an injector
+// installed at every site class.
 package faults
 
 import (
@@ -103,9 +104,9 @@ func IsKnownSite(s Site) bool {
 type Kind int
 
 const (
-	// Transient is a typed retryable error (IsTransient reports true).
+	// Transient is a typed error that IsTransient reports true for.
 	Transient Kind = iota
-	// Permanent is a typed non-retryable error.
+	// Permanent is a typed error that IsTransient reports false for.
 	Permanent
 	// Panic panics with an *Error as the panic value so recovery layers
 	// can still attribute the failure to its site.
@@ -146,12 +147,14 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("faults: injected %s fault at %s (opportunity %d)", e.Kind, e.Site, e.Seq)
 }
 
-// Transient reports whether the fault is retryable.
+// Transient reports whether the fault is transient (see IsTransient).
 func (e *Error) Transient() bool { return e.Kind == Transient || e.Kind == Delay }
 
-// IsTransient reports whether err should be retried: it or any error in
-// its chain exposes `Transient() bool` returning true. Context
-// cancellation and deadline expiry are never transient.
+// IsTransient reports whether err is transient: it or any error in its
+// chain exposes `Transient() bool` returning true. The workspace's
+// artifact memo forgets a transient failure, so the next request
+// rebuilds instead of replaying it, and the daemon answers one with 503.
+// Context cancellation and deadline expiry are never transient.
 func IsTransient(err error) bool {
 	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false

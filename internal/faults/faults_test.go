@@ -110,11 +110,11 @@ func TestIsTransientExcludesContextErrors(t *testing.T) {
 	if IsTransient(context.Canceled) || IsTransient(context.DeadlineExceeded) {
 		t.Error("context errors must never be transient")
 	}
-	// Even a transient fault wrapped together with cancellation must not
-	// retry: the caller's deadline wins.
+	// Even a transient fault wrapped together with cancellation is not
+	// transient: the caller's deadline wins.
 	both := fmt.Errorf("%w: %w", context.Canceled, &Error{Site: SitePoolTask, Kind: Transient})
 	if IsTransient(both) {
-		t.Error("cancellation in the chain must veto retry")
+		t.Error("cancellation in the chain must veto transience")
 	}
 }
 

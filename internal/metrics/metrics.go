@@ -28,11 +28,9 @@ const (
 
 // Canonical counter names for the failure model: injected faults (the
 // fault injector also emits a per-site/kind breakdown under
-// "faults_injected.<site>.<kind>"), retries of transient failures, and
-// experiments that exhausted their attempts.
+// "faults_injected.<site>.<kind>") and failed experiments.
 const (
 	CounterFaultsInjected     = "faults_injected"
-	CounterRetries            = "retries"
 	CounterExperimentFailures = "experiment_failures"
 )
 
@@ -40,16 +38,19 @@ const (
 // (internal/server): admitted requests, requests shed by the bounded
 // admission queue (429 backpressure), the live queue depth (incremented
 // on enqueue, decremented on dequeue or abandonment — a gauge carried on
-// the counter substrate), completed and failed requests, server-level
-// retries of transient failures, and streaming progress subscriptions.
+// the counter substrate), completed and failed requests, and streaming
+// progress subscriptions.
 const (
 	CounterServerAdmitted   = "server_admitted"
 	CounterServerShed       = "server_shed"
 	CounterServerQueueDepth = "server_queue_depth"
 	CounterServerCompleted  = "server_completed"
 	CounterServerFailed     = "server_failed"
-	CounterServerRetries    = "server_retries"
 	CounterServerStreams    = "server_streams"
+	// CounterServerRetries is never incremented: the daemon runs each
+	// request once. The name stays declared because benchmark/daemon.go
+	// still reports it.
+	CounterServerRetries = "server_retries"
 	// CounterServerCoalesced is never incremented: identical requests
 	// share builds in the artifact store, not in the server. The name
 	// stays declared because benchmark/daemon.go still reports it.

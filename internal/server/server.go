@@ -3,9 +3,10 @@
 // predictor-evaluation, and profile queries with the robustness
 // machinery a long-lived service needs — a bounded admission queue with
 // load-shedding backpressure (429 + Retry-After), per-client round-robin
-// fairness, per-request deadlines with transient-fault retry, streaming
-// progress over chunked responses, health/readiness probes, and graceful
-// drain on shutdown.
+// fairness, per-request deadlines, streaming progress over chunked
+// responses, health/readiness probes, and graceful drain on shutdown.
+// Each request executes once: a transient failure is answered with 503
+// and the client decides whether to ask again.
 //
 // Every result the daemon serves derives through the workspace's
 // content-addressed artifact store, so responses are bit-identical to
@@ -37,8 +38,8 @@ import (
 
 // Fault-injection sites owned by the daemon: SiteAccept fires as a
 // request enters admission (a failure there is pre-execution and always
-// retryable by the client), SiteHandle fires once per execution attempt
-// inside the server's retry loop.
+// retryable by the client), SiteHandle fires once per request execution,
+// just before it runs.
 const (
 	SiteAccept faults.Site = "server.accept"
 	SiteHandle faults.Site = "server.handle"
@@ -61,9 +62,6 @@ type Config struct {
 	// MaxTimeout clamps client-requested deadlines (0 = no clamp).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Retry re-runs transiently failing request attempts (zero value =
-	// no retry).
-	Retry core.RetryPolicy
 	// Metrics receives the daemon's counters and, when its verbose
 	// stream is routed through the server (see New), the progress lines
 	// streamed to subscribers. Nil is ignored in the usual nil-safe way.
@@ -190,13 +188,11 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 
 // --- request plumbing ---
 
-// errorBody is the JSON error envelope: what failed, how it classifies
-// (transient errors are worth a client retry), and how many attempts the
-// server made.
+// errorBody is the JSON error envelope: what failed and how it
+// classifies (transient errors are worth a client retry).
 type errorBody struct {
-	Error    string `json:"error"`
-	Kind     string `json:"kind"`
-	Attempts int    `json:"attempts,omitempty"`
+	Error string `json:"error"`
+	Kind  string `json:"kind"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -207,7 +203,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, err error, attempts int) {
+func writeError(w http.ResponseWriter, status int, err error) {
 	kind := "permanent"
 	switch {
 	case faults.IsTransient(err):
@@ -217,7 +213,7 @@ func writeError(w http.ResponseWriter, status int, err error, attempts int) {
 	case errors.Is(err, context.Canceled):
 		kind = "cancelled"
 	}
-	writeJSON(w, status, errorBody{Error: err.Error(), Kind: kind, Attempts: attempts})
+	writeJSON(w, status, errorBody{Error: err.Error(), Kind: kind})
 }
 
 // clientToken identifies the requester for fair queueing: an explicit
@@ -251,30 +247,30 @@ func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
 // execute runs fn under the daemon's full request discipline: the
 // server.accept fault site, drain checks, fair admission with
 // load-shedding, the per-request deadline (which starts at admission, so
-// queue wait does not count against it), and a retry loop for transient
-// failures. The context passed to fn dies when the client disconnects,
-// the deadline passes, or a drain deadline forces cancellation.
+// queue wait does not count against it), and the server.handle fault
+// site, then fn, once. The context passed to fn dies when the client
+// disconnects, the deadline passes, or a drain deadline forces
+// cancellation.
 //
 // Identical concurrent requests each take their own admission slot; the
 // work they share collapses one layer down, in the artifact store, which
-// runs every build once for all its waiters and lets a surviving waiter
-// adopt a build whose originating request disconnected. The retry loop
-// keeps a casualty backstop for the narrow window where a cancelled
-// build's error still surfaces.
+// runs every build once for all its waiters, lets a surviving waiter
+// adopt a build whose originating request disconnected, and starts a
+// fresh build for a request that arrives after the last waiter left.
 func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string, fn func(ctx context.Context) (any, error)) {
 	start := time.Now()
 	if err := faults.Fire(SiteAccept); err != nil {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err, 0)
+		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, ErrDraining, 0)
+		writeError(w, http.StatusServiceUnavailable, ErrDraining)
 		return
 	}
 	timeout, err := s.requestTimeout(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -298,11 +294,11 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string
 		switch {
 		case errors.As(err, &shed):
 			w.Header().Set("Retry-After", strconv.Itoa(int(shed.RetryAfter.Seconds())))
-			writeError(w, http.StatusTooManyRequests, err, 0)
+			writeError(w, http.StatusTooManyRequests, err)
 		case errors.Is(err, ErrDraining):
-			writeError(w, http.StatusServiceUnavailable, err, 0)
+			writeError(w, http.StatusServiceUnavailable, err)
 		default:
-			writeError(w, statusForContext(ctx), err, 0)
+			writeError(w, statusForContext(ctx), err)
 		}
 		return
 	}
@@ -321,14 +317,17 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string
 		defer tcancel()
 	}
 	estart := time.Now()
-	res, attempts, err := s.attempt(ctx, fn)
+	var res any
+	if err = faults.Fire(SiteHandle); err == nil {
+		res, err = fn(ctx)
+	}
 	s.mc.Observe(metrics.HistServerExec+"."+endpoint, time.Since(estart))
 	s.mc.Observe(metrics.HistServerLatency+"."+endpoint, time.Since(start))
 
 	if err != nil {
 		s.mc.Add(metrics.CounterServerFailed, 1)
 		if fw != nil {
-			fw.event(streamEvent{Event: "error", Error: err.Error(), Attempts: attempts})
+			fw.event(streamEvent{Event: "error", Error: err.Error()})
 			return
 		}
 		status := http.StatusInternalServerError
@@ -341,50 +340,15 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string
 		case faults.IsTransient(err):
 			status = http.StatusServiceUnavailable
 		}
-		writeError(w, status, err, attempts)
+		writeError(w, status, err)
 		return
 	}
 	s.mc.Add(metrics.CounterServerCompleted, 1)
 	if fw != nil {
-		fw.event(streamEvent{Event: "result", Data: res, Attempts: attempts})
+		fw.event(streamEvent{Event: "result", Data: res})
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
-}
-
-// attempt is the retry loop around one request execution: each attempt
-// fires the server.handle site, transient failures (and single-flight
-// cancellation casualties — see execute) retry with the shared backoff
-// schedule while our own context is live.
-func (s *Server) attempt(ctx context.Context, fn func(ctx context.Context) (any, error)) (any, int, error) {
-	max := s.cfg.Retry.MaxAttempts
-	if max < 1 {
-		max = 1
-	}
-	var res any
-	var err error
-	for attempt := 1; ; attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, attempt, cerr
-		}
-		err = faults.Fire(SiteHandle)
-		if err == nil {
-			res, err = fn(ctx)
-		}
-		if err == nil {
-			return res, attempt, nil
-		}
-		casualty := errors.Is(err, context.Canceled) && ctx.Err() == nil
-		if ctx.Err() != nil || (!faults.IsTransient(err) && !casualty) || attempt >= max {
-			return nil, attempt, err
-		}
-		s.mc.Add(metrics.CounterServerRetries, 1)
-		select {
-		case <-ctx.Done():
-			return nil, attempt, ctx.Err()
-		case <-time.After(s.cfg.Retry.Backoff(attempt)):
-		}
-	}
 }
 
 func statusForContext(ctx context.Context) int {
@@ -400,11 +364,10 @@ func statusForContext(ctx context.Context) int {
 // events carry an engine progress line; the final event is result or
 // error.
 type streamEvent struct {
-	Event    string `json:"event"`
-	Line     string `json:"line,omitempty"`
-	Data     any    `json:"data,omitempty"`
-	Error    string `json:"error,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
+	Event string `json:"event"`
+	Line  string `json:"line,omitempty"`
+	Data  any    `json:"data,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
 // streamWriter subscribes to the progress broadcaster and relays lines
@@ -466,22 +429,21 @@ func (sw *streamWriter) close() {
 // configuration it is byte-for-byte what `experiments` would print from
 // its tables.
 type ExperimentResult struct {
-	ID       string             `json:"id"`
-	Title    string             `json:"title,omitempty"`
-	Claim    string             `json:"claim,omitempty"`
-	Metrics  map[string]float64 `json:"metrics,omitempty"`
-	Render   string             `json:"render,omitempty"`
-	Attempts int                `json:"attempts,omitempty"`
-	Error    string             `json:"error,omitempty"`
+	ID      string             `json:"id"`
+	Title   string             `json:"title,omitempty"`
+	Claim   string             `json:"claim,omitempty"`
+	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Render  string             `json:"render,omitempty"`
+	Error   string             `json:"error,omitempty"`
 }
 
 func experimentResult(e *core.Experiment) ExperimentResult {
 	if e.Err != nil {
-		return ExperimentResult{ID: e.ID, Error: e.Err.Error(), Attempts: e.Attempts}
+		return ExperimentResult{ID: e.ID, Error: e.Err.Error()}
 	}
 	return ExperimentResult{
 		ID: e.ID, Title: e.Title, Claim: e.Claim,
-		Metrics: e.Metrics, Render: e.Render(), Attempts: e.Attempts,
+		Metrics: e.Metrics, Render: e.Render(),
 	}
 }
 
@@ -528,7 +490,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if errors.As(err, &tooLarge) {
 		status = http.StatusRequestEntityTooLarge
 	}
-	writeError(w, status, fmt.Errorf("server: bad request body: %w", err), 0)
+	writeError(w, status, fmt.Errorf("server: bad request body: %w", err))
 	return false
 }
 
@@ -551,7 +513,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := validExperimentIDs([]string{req.ID}); err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.execute(w, r, "experiment", func(ctx context.Context) (any, error) {
@@ -577,7 +539,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		req.IDs = core.ExperimentIDs()
 	}
 	if err := validExperimentIDs(req.IDs); err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.execute(w, r, "experiments", func(ctx context.Context) (any, error) {
@@ -626,7 +588,7 @@ func (s *Server) handlePredEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, err := workload.ByName(req.Bench); err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	spec := dip.Spec{Flavor: req.Flavor, Config: dip.DefaultConfig()}
@@ -637,7 +599,7 @@ func (s *Server) handlePredEval(w http.ResponseWriter, r *http.Request) {
 		spec.Config = *req.Config
 	}
 	if _, err := spec.New(); err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.execute(w, r, "predeval", func(ctx context.Context) (any, error) {
@@ -668,7 +630,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, err := workload.ByName(req.Bench); err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.execute(w, r, "profile", func(ctx context.Context) (any, error) {
@@ -729,7 +691,7 @@ func validArtifactPath(kind, digest string) error {
 func (s *Server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 	kind, digest := r.PathValue("kind"), r.PathValue("digest")
 	if err := validArtifactPath(kind, digest); err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	framed, release, spilled, err := s.w.EncodedArtifactFrame(
@@ -737,10 +699,10 @@ func (s *Server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if errors.Is(err, artifact.ErrNotFound) {
 			s.mc.Add(metrics.CounterServerArtifactMisses, 1)
-			writeError(w, http.StatusNotFound, err, 0)
+			writeError(w, http.StatusNotFound, err)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, err, 0)
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	defer release()

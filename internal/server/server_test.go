@@ -34,7 +34,6 @@ func newTestServer(t *testing.T, tune func(*Config)) (*Server, *httptest.Server,
 		Workers:        2,
 		QueueDepth:     8,
 		DefaultTimeout: time.Minute,
-		Retry:          core.DefaultRetryPolicy(),
 		Metrics:        mc,
 	}
 	if tune != nil {

@@ -26,7 +26,7 @@ import (
 //  1. terminate, with every request either completing or failing with a
 //     structured status (no hangs, no invalid responses),
 //  2. serve completed responses bit-identical to what a clean direct
-//     workspace produces for the same spec — retries, shed-retry loops,
+//     workspace produces for the same spec — shed-retry loops,
 //     evictions, and injected faults must never surface a corrupted
 //     result,
 //  3. attach Retry-After to every 429,
@@ -89,8 +89,8 @@ func TestServerChaosSoak(t *testing.T) {
 	faults.Set(in)
 	defer faults.Set(nil)
 
-	// --- the daemon under test: shed-prone queue, retrying policy,
-	// disk tier for the drain spill ---
+	// --- the daemon under test: shed-prone queue, disk tier for the
+	// drain spill ---
 	w := core.NewWorkspaceWorkers(budget, 2)
 	w.KeepGoing = true
 	w.Metrics = mc
@@ -103,7 +103,6 @@ func TestServerChaosSoak(t *testing.T) {
 		Workers:        2,
 		QueueDepth:     2,
 		DefaultTimeout: time.Minute,
-		Retry:          core.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond},
 		Metrics:        mc,
 	})
 	ts := httptest.NewServer(s.Handler())

@@ -206,7 +206,7 @@ func TestLoadUnderCorruptionInjection(t *testing.T) {
 		t.Errorf("injected read fault not attributed: %v", err)
 	}
 	if !faults.IsTransient(err) {
-		t.Error("injected transient load fault lost its retryability")
+		t.Error("injected transient load fault lost its transient classification")
 	}
 }
 
