@@ -24,6 +24,7 @@ check: vet race
 # fuzz runs the untrusted-input fuzz targets for a short budget each:
 # the trace decoder (LoadBytes, which reads disk and remote payloads),
 # the artifact frame verifier (Unframe, which guards every remote fetch),
+# the profile-facts decoder (which reads disk and remote facts entries),
 # predictor geometry from the daemon (Config.Validate), the daemon's
 # request-body decoder (decodeBody), and assembler parsing. CI runs this
 # non-gating; raise FUZZTIME for local soaking.
@@ -31,6 +32,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz '^FuzzTraceLoadBytes$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz '^FuzzUnframe$$' -fuzztime $(FUZZTIME) ./internal/artifact
+	$(GO) test -fuzz '^FuzzFactsDecode$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz '^FuzzConfigValidate$$' -fuzztime $(FUZZTIME) ./internal/dip
 	$(GO) test -fuzz '^FuzzDecodeBody$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -fuzz '^FuzzAsmParse$$' -fuzztime $(FUZZTIME) ./internal/asm
@@ -65,16 +67,16 @@ smoke:
 # trace through trace.Push, so the gap is the recording cost), the streamed
 # emulate→analyze path, fused oracle (plus the ineffectuality-dense
 # variant), pipeline timing model (single-cluster and two-cluster
-# steered), the linked trace format's round trip, the persistent artifact
-# tier's cold/warm comparison, the service tier's identical-request burst
-# comparison (one build per burst, through the artifact store's
-# single-flight), and the full experiment engine.
-SUBSTRATE_BENCHES = ^(BenchmarkEmulator|BenchmarkEmulatorRecord|BenchmarkCollectAnalyzed|BenchmarkDeadnessOracle|BenchmarkIneffAnalysis|BenchmarkPipeline|BenchmarkClusteredPipeline|BenchmarkTraceSaveLoad|BenchmarkProfileDiskCache|BenchmarkCoalescedLoad|BenchmarkEngineAllExperiments)$$
+# steered), compile, predictor evaluation, the linked trace format's round
+# trip, the persistent artifact tier's cold/warm comparison, the service
+# tier's identical-request burst comparison (one build per burst, through
+# the artifact store's single-flight), and the full experiment engine.
+SUBSTRATE_BENCHES = ^(BenchmarkEmulator|BenchmarkEmulatorRecord|BenchmarkCollectAnalyzed|BenchmarkDeadnessOracle|BenchmarkIneffAnalysis|BenchmarkPipeline|BenchmarkClusteredPipeline|BenchmarkWorkloadCompile|BenchmarkPredictorEvaluate|BenchmarkTraceSaveLoad|BenchmarkProfileDiskCache|BenchmarkCoalescedLoad|BenchmarkEngineAllExperiments)$$
 
 # BENCH_BASELINE is the committed report that bench-compare diffs against;
 # BENCH_TOL is the relative regression tolerance (benchmarks vary with
 # host hardware, so keep it loose).
-BENCH_BASELINE ?= BENCH_14.json
+BENCH_BASELINE ?= BENCH_17.json
 BENCH_TOL ?= 0.25
 
 # bench regenerates $(BENCH_BASELINE) from the substrate benchmarks (with

@@ -404,6 +404,48 @@ func BenchmarkIneffAnalysis(b *testing.B) {
 	b.ReportMetric(100*s.IneffFraction(), "ineff_%")
 }
 
+// BenchmarkWorkloadCompile measures the compile layer: one suite
+// benchmark from IR through every pass to a program, the work each of a
+// cold suite's 33 profile builds starts with.
+func BenchmarkWorkloadCompile(b *testing.B) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := prof.Compile(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPredictorEvaluate measures trace-level predictor evaluation:
+// the default CFI spec (E5's design point) over one suite benchmark's 1M
+// profile, the dip.Evaluate walk behind every predeval artifact.
+func BenchmarkPredictorEvaluate(b *testing.B) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Profile(prof, nil, 1_000_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pred, err := dip.Spec{Flavor: dip.FlavorCFI, Config: dip.DefaultConfig()}.New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pred.Evaluate(res.Trace, res.Analysis); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Trace.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
+}
+
 // BenchmarkTraceSaveLoad measures a round trip through the linked trace
 // format the persistent artifact tier writes: SaveLinked, then LoadBytes,
 // which restores the links instead of re-deriving them.
@@ -590,19 +632,6 @@ func BenchmarkEngineAllExperiments(b *testing.B) {
 			b.ReportMetric(float64(mc.Counter(core.CounterMachineSims)), "sims")
 			b.ReportMetric(float64(mc.Counter(core.CounterMachineMemoHits)), "memo-hits")
 			b.ReportMetric(float64(mc.Counter(core.CounterProfileBuilds)), "profiles")
-		}
-	}
-}
-
-func BenchmarkWorkloadCompile(b *testing.B) {
-	prof, err := workload.ByName("gcc")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := prof.Compile(nil); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

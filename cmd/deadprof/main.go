@@ -4,13 +4,14 @@
 // Profiles build concurrently through a workspace pool; rows print in
 // suite order regardless of -j.
 //
-// Profiles derive through the workspace's content-addressed artifact
-// cache: -cache-budget bounds its resident bytes, -cache-dir attaches a
+// The tables read only a profile's facts (summary, locality, mix), which
+// derive through the workspace's content-addressed artifact cache:
+// -cache-budget bounds its resident bytes, -cache-dir attaches a
 // persistent disk tier shared across runs and processes, and
 // -remote-cache attaches a warm deadd daemon as a third tier (lookup
 // order: memory, disk, remote, build), so a repeated invocation loads
-// its profiles instead of re-emulating (use -artifacts to see the
-// hit/miss/disk/remote counters proving it).
+// the facts instead of re-emulating and decodes no trace (use
+// -artifacts to see the hit/miss/disk/remote counters proving it).
 //
 // Usage:
 //
@@ -30,21 +31,11 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/deadness"
 	"repro/internal/metrics"
 	"repro/internal/program"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-// benchRow is the plain data one benchmark contributes to the tables,
-// captured while its profile is pinned so no row render touches an
-// evictable trace.
-type benchRow struct {
-	summary  deadness.Summary
-	locality deadness.Locality
-	mix      deadness.Mix
-}
 
 func main() {
 	bench := flag.String("bench", "", "benchmark name (default: whole suite)")
@@ -85,12 +76,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	needMix := *mix
-	rows := make([]benchRow, len(profiles))
-	err = w.Pool().ForEach(context.Background(), len(profiles), func(i int) error {
+	ctx := context.Background()
+	rows := make([]core.ProfileFacts, len(profiles))
+	err = w.Pool().ForEach(ctx, len(profiles), func(i int) error {
 		p := profiles[i]
-		// No override leaves opts nil, so the profile artifact (in memory
-		// and on disk) is the same one deadsim and experiments derive.
+		// No override leaves opts nil, so the facts artifact (in memory and
+		// on disk) is the same one the experiments derive.
 		var opts *compiler.Options
 		if *hoist >= 0 || *licm >= 0 || *regs >= 0 {
 			o := p.Opts
@@ -105,16 +96,11 @@ func main() {
 			}
 			opts = &o
 		}
-		err := w.WithProfileOptions(p.Name, opts, func(res *core.ProfileResult) error {
-			rows[i] = benchRow{summary: res.Summary, locality: res.Locality}
-			if needMix {
-				rows[i].mix = deadness.ComputeMix(res.Trace)
-			}
-			return nil
-		})
+		f, err := w.Facts(ctx, p.Name, opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
 		}
+		rows[i] = f
 		return nil
 	})
 	stopCPU()
@@ -144,8 +130,8 @@ func main() {
 	tb := stats.NewTable("bench", "dyn", "dead%", "first%", "trans%",
 		"alu", "loads", "stores", "hoist-dead", "spill-dead", "statics")
 	for i, p := range profiles {
-		s := rows[i].summary
-		loc := rows[i].locality
+		s := rows[i].Summary
+		loc := rows[i].Locality
 		tb.AddRow(p.Name,
 			fmt.Sprint(s.Total),
 			stats.Pct(s.DeadFraction()),
@@ -172,11 +158,11 @@ func main() {
 
 // printMix emits the suite characterization table: dynamic instruction
 // class distribution and branch behaviour.
-func printMix(profiles []workload.Profile, rows []benchRow) {
+func printMix(profiles []workload.Profile, rows []core.ProfileFacts) {
 	tb := stats.NewTable("bench", "dyn", "alu%", "muldiv%", "load%", "store%",
 		"branch%", "taken%", "jump%")
 	for i, p := range profiles {
-		m := rows[i].mix
+		m := rows[i].Mix
 		tb.AddRow(p.Name, fmt.Sprint(m.Total),
 			stats.Pct(m.Fraction(m.ALU)), stats.Pct(m.Fraction(m.MulDiv)),
 			stats.Pct(m.Fraction(m.Loads)), stats.Pct(m.Fraction(m.Stores)),

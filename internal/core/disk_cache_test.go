@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -175,12 +176,19 @@ func TestProfileOptionVariantsArePersistedDistinctly(t *testing.T) {
 	opts := p.Opts
 	opts.MaxHoist = 0
 
+	// variantOf fetches the variant profile the way a facts build does.
+	variantOf := func(w *Workspace) (*ProfileResult, error) {
+		res, release, err := w.profileFor(context.Background(), bench, &opts)
+		release()
+		return res, err
+	}
+
 	cold := diskWorkspace(t, dir)
 	base, err := cold.ProfileOf(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	variant, err := cold.ProfileWithOptions(bench, &opts)
+	variant, err := variantOf(cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +200,7 @@ func TestProfileOptionVariantsArePersistedDistinctly(t *testing.T) {
 	}
 
 	warm := diskWorkspace(t, dir)
-	warmVariant, err := warm.ProfileWithOptions(bench, &opts)
+	warmVariant, err := variantOf(warm)
 	if err != nil {
 		t.Fatal(err)
 	}

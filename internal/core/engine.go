@@ -105,14 +105,6 @@ func (w *Workspace) RunExperiments(ctx context.Context, ids []string) ([]*Experi
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Build every benchmark profile once upfront: all experiments need
-	// them, and preloading keeps the verbose phase report tidy. Under
-	// KeepGoing a benchmark that fails is left for the experiments that
-	// need it to report.
-	if err := w.Preload(ctx); err != nil && !w.KeepGoing {
-		return nil, err
-	}
-
 	out := make([]*Experiment, len(ids))
 	failures := make([]*Failure, len(ids))
 	var wg sync.WaitGroup
@@ -189,16 +181,6 @@ func (w *Workspace) dispatchSafe(ctx context.Context, id string) (e *Experiment,
 		return nil, err
 	}
 	return w.dispatch(ctx, id)
-}
-
-// Preload builds every suite benchmark's profile through the bounded
-// pool.
-func (w *Workspace) Preload(ctx context.Context) error {
-	_, err := overSuite(ctx, w, func(name string) (struct{}, error) {
-		_, err := w.ProfileOf(name)
-		return struct{}{}, err
-	})
-	return err
 }
 
 func (w *Workspace) dispatch(ctx context.Context, id string) (*Experiment, error) {

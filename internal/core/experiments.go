@@ -52,13 +52,13 @@ func (w *Workspace) E1(ctx context.Context) (*Experiment, error) {
 			"transitive%", "dead-ALU", "dead-loads", "dead-stores"),
 		Metrics: map[string]float64{},
 	}
+	facts, err := suiteFacts(ctx, w)
+	if err != nil {
+		return nil, err
+	}
 	var fracs []float64
-	for _, name := range SuiteNames() {
-		res, err := w.ProfileOf(name)
-		if err != nil {
-			return nil, err
-		}
-		s := res.Summary
+	for i, name := range SuiteNames() {
+		s := facts[i].Summary
 		f := s.DeadFraction()
 		fracs = append(fracs, f)
 		firstLevel, err := safeDiv(s.FirstLevel, s.Dead)
@@ -91,13 +91,13 @@ func (w *Workspace) E2(ctx context.Context) (*Experiment, error) {
 			"dead-from-partial%", "mostly-dead-share%"),
 		Metrics: map[string]float64{},
 	}
+	facts, err := suiteFacts(ctx, w)
+	if err != nil {
+		return nil, err
+	}
 	var fromPartial []float64
-	for _, name := range SuiteNames() {
-		res, err := w.ProfileOf(name)
-		if err != nil {
-			return nil, err
-		}
-		loc := res.Locality
+	for i, name := range SuiteNames() {
+		loc := facts[i].Locality
 		fromPartial = append(fromPartial, loc.DeadFromPartial)
 		e.Table.AddRow(name, fmt.Sprint(loc.DeadStatics),
 			fmt.Sprint(loc.FullyDeadStatics), fmt.Sprint(loc.PartiallyDeadStatics),
@@ -121,9 +121,9 @@ func (w *Workspace) E3(ctx context.Context) (*Experiment, error) {
 			"hoist-dead", "spill-dead", "callconv-dead", "licm-dead", "normal-dead"),
 		Metrics: map[string]float64{},
 	}
-	type pair struct{ res, noh *ProfileResult }
+	type pair struct{ res, noh ProfileFacts }
 	results, err := overSuite(ctx, w, func(name string) (pair, error) {
-		res, err := w.ProfileOf(name)
+		res, err := w.Facts(ctx, name, nil)
 		if err != nil {
 			return pair{}, err
 		}
@@ -133,7 +133,7 @@ func (w *Workspace) E3(ctx context.Context) (*Experiment, error) {
 		}
 		opts := prof.Opts
 		opts.MaxHoist = 0
-		noh, err := w.ProfileWithOptions(name, &opts)
+		noh, err := w.Facts(ctx, name, &opts)
 		if err != nil {
 			return pair{}, err
 		}
@@ -173,13 +173,13 @@ func (w *Workspace) E4(ctx context.Context) (*Experiment, error) {
 			"top32-cov%", "top64-cov%", "mostly-dead-share%"),
 		Metrics: map[string]float64{},
 	}
+	facts, err := suiteFacts(ctx, w)
+	if err != nil {
+		return nil, err
+	}
 	var top16, mostly []float64
-	for _, name := range SuiteNames() {
-		res, err := w.ProfileOf(name)
-		if err != nil {
-			return nil, err
-		}
-		loc := res.Locality
+	for i, name := range SuiteNames() {
+		loc := facts[i].Locality
 		covAt := func(pt int) float64 {
 			for i, p := range loc.CoveragePoints {
 				if p == pt {

@@ -86,9 +86,9 @@ func (w *Workspace) E12(ctx context.Context) (*Experiment, error) {
 			"statically-removed"),
 		Metrics: map[string]float64{},
 	}
-	type pair struct{ res, dce *ProfileResult }
+	type pair struct{ res, dce ProfileFacts }
 	results, err := overSuite(ctx, w, func(name string) (pair, error) {
-		res, err := w.ProfileOf(name)
+		res, err := w.Facts(ctx, name, nil)
 		if err != nil {
 			return pair{}, err
 		}
@@ -98,7 +98,7 @@ func (w *Workspace) E12(ctx context.Context) (*Experiment, error) {
 		}
 		opts := prof.Opts
 		opts.DCE = true
-		withDCE, err := w.ProfileWithOptions(name, &opts)
+		withDCE, err := w.Facts(ctx, name, &opts)
 		if err != nil {
 			return pair{}, err
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/deadness"
 	"repro/internal/dip"
 	"repro/internal/stats"
 )
@@ -22,19 +21,13 @@ func (w *Workspace) E16(ctx context.Context) (*Experiment, error) {
 			"p90", "p99", "within-ROB%", "unresolved"),
 		Metrics: map[string]float64{},
 	}
-	results, err := overSuite(ctx, w, func(name string) (deadness.DistanceStats, error) {
-		res, err := w.ProfileOf(name)
-		if err != nil {
-			return deadness.DistanceStats{}, err
-		}
-		return res.Analysis.ResolveDistances(true), nil
-	})
+	facts, err := suiteFacts(ctx, w)
 	if err != nil {
 		return nil, err
 	}
 	var withins []float64
 	for i, name := range SuiteNames() {
-		st := results[i]
+		st := facts[i].DeadResolve
 		withins = append(withins, st.WithinROB)
 		e.Table.AddRow(name, fmt.Sprint(st.Count),
 			fmt.Sprintf("%.1f", st.Mean),

@@ -27,29 +27,14 @@ func (w *Workspace) E18(ctx context.Context) (*Experiment, error) {
 	}
 	windows := []int{10_000, 50_000, 250_000}
 
-	type row struct {
-		full float64
-		at   []float64 // one per window size
-	}
-	results, err := overSuite(ctx, w, func(name string) (row, error) {
-		var r row
-		// The windowed analysis reads the trace, so the profile stays
-		// pinned (no eviction) for the duration.
-		err := w.WithProfile(name, func(res *ProfileResult) error {
-			r.full = res.Summary.DeadFraction()
-			for _, win := range windows {
-				f, err := windowedDeadFraction(res.Trace, win)
-				if err != nil {
-					return err
-				}
-				r.at = append(r.at, f)
-			}
-			return nil
-		})
-		if err != nil {
-			return row{}, err
+	// The windowed re-analysis costs two thirds of a profile build, so
+	// only E18's facts carry it: the window sizes are part of their key.
+	results, err := overSuite(ctx, w, func(name string) (ProfileFacts, error) {
+		f, err := w.facts(ctx, name, nil, windows)
+		if err == nil && len(f.WindowDead) != len(windows) {
+			err = fmt.Errorf("e18 %s: facts hold %d window fractions, want %d", name, len(f.WindowDead), len(windows))
 		}
-		return r, nil
+		return f, err
 	})
 	if err != nil {
 		return nil, err
@@ -57,14 +42,14 @@ func (w *Workspace) E18(ctx context.Context) (*Experiment, error) {
 
 	var fulls []float64
 	for _, r := range results {
-		fulls = append(fulls, r.full)
+		fulls = append(fulls, r.Summary.DeadFraction())
 	}
 	fullMean := stats.Mean(fulls)
 	var pts []stats.Point
 	for wi, win := range windows {
 		var vals []float64
 		for _, r := range results {
-			vals = append(vals, r.at[wi])
+			vals = append(vals, r.WindowDead[wi])
 		}
 		m := stats.Mean(vals)
 		e.Table.AddRow(fmt.Sprint(win), stats.Pct(m),
@@ -86,7 +71,7 @@ func (w *Workspace) E18(ctx context.Context) (*Experiment, error) {
 // each independently (values crossing a boundary are conservatively
 // live), and returns the aggregate dead fraction.
 //
-// The input trace is shared by every experiment running concurrently, so
+// The input trace is shared by every reader of the pinned profile, so
 // its chunks must stay untouched; each window's records are block-copied
 // into one reusable scratch trace (Reset keeps the chunk storage between
 // windows, Release returns the pooled arenas at the end), so the call

@@ -29,14 +29,7 @@ func (w *Workspace) E19(ctx context.Context) (*Experiment, error) {
 			"trivial-ops", "ineff%", "dead+ineff-reach%"),
 		Metrics: map[string]float64{},
 	}
-	results, err := overSuite(ctx, w, func(name string) (deadness.Summary, error) {
-		var s deadness.Summary
-		err := w.WithProfile(name, func(res *ProfileResult) error {
-			s = res.Summary
-			return nil
-		})
-		return s, err
-	})
+	facts, err := suiteFacts(ctx, w)
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +37,7 @@ func (w *Workspace) E19(ctx context.Context) (*Experiment, error) {
 	var pts []stats.Point
 	var byProv [program.NumProvenances]deadness.ProvCount
 	for i, name := range SuiteNames() {
-		s := results[i]
+		s := facts[i].Summary
 		df, nf := s.DeadFraction(), s.IneffFraction()
 		deadF = append(deadF, df)
 		ineffF = append(ineffF, nf)

@@ -19,16 +19,19 @@ import (
 
 // Artifact kinds the workspace derives. They form a small DAG: a compiled
 // program feeds a profile (emulated + linked + analyzed trace), which
-// feeds predictor evaluations and machine runs. Every kind is addressed
-// by a canonical digest of its full input spec, so two experiments asking
-// for the same computation share one artifact regardless of which asked
-// first.
+// feeds its facts (the small summaries), predictor evaluations and
+// machine runs. Every kind is addressed by a canonical digest of its full
+// input spec, so two experiments asking for the same computation share
+// one artifact regardless of which asked first.
 const (
 	// KindProgram is a compiled benchmark: (benchmark, compile options).
 	KindProgram artifact.Kind = "program"
 	// KindProfile is an emulated + analyzed trace with its summaries:
 	// (benchmark, budget, compile options).
 	KindProfile artifact.Kind = "profile"
+	// KindFacts is a profile's small summaries (ProfileFacts): the
+	// profile's key plus E18's window sizes and a format version.
+	KindFacts artifact.Kind = "facts"
 	// KindPredEval is one trace-level predictor evaluation: (benchmark,
 	// budget, canonical dip.Spec digest).
 	KindPredEval artifact.Kind = "predeval"
@@ -56,7 +59,7 @@ const (
 )
 
 // Workspace derives per-benchmark programs, traces, oracle analyses,
-// predictor evaluations, and machine simulations through a
+// profile facts, predictor evaluations, and machine simulations through a
 // content-addressed artifact store, so the experiment drivers can run
 // many machine configurations over the same inputs without re-emulating
 // or re-simulating. It is safe for concurrent use: each artifact is
@@ -172,6 +175,7 @@ func (w *Workspace) artifacts() *artifact.Store {
 		// compiling is cheaper than encoding, and the profile codec
 		// recompiles on decode anyway.
 		w.store.RegisterCodec(KindProfile, profileCodec{w})
+		w.store.RegisterCodec(KindFacts, factsCodec)
 		w.store.RegisterCodec(KindPredEval, predEvalCodec{})
 		w.store.RegisterCodec(KindMachine, machineCodec{})
 	}
@@ -180,10 +184,10 @@ func (w *Workspace) artifacts() *artifact.Store {
 }
 
 // OpenDiskCache attaches a persistent disk tier rooted at dir to the
-// workspace's artifact store: profiles, predictor evaluations, and
-// machine runs write through to a content-addressed on-disk cache, cold
-// misses load from disk instead of rebuilding, and in-memory evictions
-// spill to disk. budgetBytes bounds the directory (0 = unlimited; the
+// workspace's artifact store: profiles, their facts, predictor
+// evaluations, and machine runs write through to a content-addressed
+// on-disk cache, cold misses load from disk instead of rebuilding, and
+// in-memory evictions spill to disk. budgetBytes bounds the directory (0 = unlimited; the
 // oldest entries are garbage-collected beyond it). The directory may be
 // shared with concurrent processes. Call before the first artifact
 // request.
@@ -286,18 +290,10 @@ func (w *Workspace) profileFor(ctx context.Context, name string, opts *compiler.
 // GC-managed fields (Summary, Locality, Analysis, PassStats, Prog) stay
 // valid indefinitely, but Trace may be recycled once a cache budget is
 // set — callers that read the trace must use WithProfile instead.
+// Readers of the summaries alone should use Facts, which a warm store
+// answers without decoding the trace.
 func (w *Workspace) ProfileOf(name string) (*ProfileResult, error) {
 	res, release, err := w.profileFor(context.Background(), name, nil)
-	release()
-	return res, err
-}
-
-// ProfileWithOptions is ProfileOf with an explicit compile-option
-// override (nil means the workload's own options); variant compilations
-// (E3, E12) are distinct artifacts keyed by their options. The unpinned
-// contract of ProfileOf applies.
-func (w *Workspace) ProfileWithOptions(name string, opts *compiler.Options) (*ProfileResult, error) {
-	res, release, err := w.profileFor(context.Background(), name, opts)
 	release()
 	return res, err
 }
@@ -306,7 +302,7 @@ func (w *Workspace) ProfileWithOptions(name string, opts *compiler.Options) (*Pr
 // guaranteed resident (not evicted, chunks not recycled) until fn
 // returns. Use it for any consumer that reads res.Trace.
 func (w *Workspace) WithProfile(name string, fn func(*ProfileResult) error) error {
-	return w.WithProfileOptions(name, nil, fn)
+	return w.WithProfileCtx(context.Background(), name, fn)
 }
 
 // WithProfileCtx is WithProfile with cooperative cancellation of this
@@ -316,17 +312,6 @@ func (w *Workspace) WithProfile(name string, fn func(*ProfileResult) error) erro
 // to completion for them. See profileFor.
 func (w *Workspace) WithProfileCtx(ctx context.Context, name string, fn func(*ProfileResult) error) error {
 	res, release, err := w.profileFor(ctx, name, nil)
-	if err != nil {
-		return err
-	}
-	defer release()
-	return fn(res)
-}
-
-// WithProfileOptions is WithProfile with an explicit compile-option
-// override (nil means the workload's own options).
-func (w *Workspace) WithProfileOptions(name string, opts *compiler.Options, fn func(*ProfileResult) error) error {
-	res, release, err := w.profileFor(context.Background(), name, opts)
 	if err != nil {
 		return err
 	}

@@ -4,8 +4,9 @@
 # ineffectuality experiment through the experiment endpoint, warm-start a
 # second process from the daemon's cache over HTTP, SIGTERM the daemon,
 # and assert (1) E19 dispatches and returns a non-error result, (2) a
-# remote warm start that rebuilt nothing (profile-kind misses == 0,
-# remote hits recorded), (3) a zero exit after graceful drain, and (4) a
+# remote warm start that rebuilt nothing (facts-kind misses == 0, remote
+# hits recorded, no profile built), (3) a zero exit after graceful
+# drain, and (4) a
 # non-zero artifact disk-write count in the final metrics dump — proving
 # the drain-time spill to the disk tier ran.
 set -euo pipefail
@@ -60,21 +61,27 @@ if echo "$e19" | grep -q '"error"'; then
     exit 1
 fi
 
-# Remote warm start: make sure the daemon holds gzip's profile, then run
-# deadprof as a second process with the daemon as its remote artifact
-# tier and the same budget (profile keys include it). The profile must
-# arrive over HTTP — zero profile-kind builds, at least one remote hit.
-curl -fsS -X POST -d '{"bench":"gzip"}' "http://$ADDR/v1/profile" >/dev/null
+# Remote warm start: the E19 request above left the daemon holding every
+# benchmark's default facts, gzip's among them. Run deadprof as a second
+# process with the daemon as its remote artifact tier and the same budget
+# (facts keys include it). deadprof reads only facts, so they must arrive
+# over HTTP — zero facts-kind builds, at least one remote hit — and no
+# profile may be built.
 "$WORK/deadprof" -bench gzip -n "$BUDGET" -remote-cache "http://$ADDR" \
     -artifacts >"$WORK/deadprof.out" 2>"$WORK/deadprof.err"
-prof_block="$(sed -n '/"profile": {/,/}/p' "$WORK/deadprof.err")"
-if ! echo "$prof_block" | grep -q '"misses": 0'; then
-    echo "daemon_smoke: remote warm start rebuilt the profile:" >&2
+facts_block="$(sed -n '/"facts": {/,/}/p' "$WORK/deadprof.err")"
+if ! echo "$facts_block" | grep -q '"misses": 0'; then
+    echo "daemon_smoke: remote warm start rebuilt the facts:" >&2
     cat "$WORK/deadprof.err" >&2
     exit 1
 fi
-if ! echo "$prof_block" | grep -Eq '"remote_hits": [1-9]'; then
+if ! echo "$facts_block" | grep -Eq '"remote_hits": [1-9]'; then
     echo "daemon_smoke: remote warm start recorded no remote hits:" >&2
+    cat "$WORK/deadprof.err" >&2
+    exit 1
+fi
+if sed -n '/"profile": {/,/}/p' "$WORK/deadprof.err" | grep -Eq '"misses": [1-9]'; then
+    echo "daemon_smoke: remote warm start built a profile:" >&2
     cat "$WORK/deadprof.err" >&2
     exit 1
 fi
