@@ -24,15 +24,18 @@ check: vet race
 # fuzz runs the untrusted-input fuzz targets for a short budget each:
 # the trace decoder (LoadBytes, which reads disk and remote payloads),
 # the artifact frame verifier (Unframe, which guards every remote fetch),
-# the profile-facts decoder (which reads disk and remote facts entries),
-# predictor geometry from the daemon (Config.Validate), the daemon's
-# request-body decoder (decodeBody), and assembler parsing. CI runs this
-# non-gating; raise FUZZTIME for local soaking.
+# the profile, profile-facts and result (predeval and machine) decoders
+# (which read disk and remote entries), predictor geometry from the
+# daemon (Config.Validate), the daemon's request-body decoder
+# (decodeBody), and assembler parsing. CI runs this non-gating; raise
+# FUZZTIME for local soaking.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz '^FuzzTraceLoadBytes$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz '^FuzzUnframe$$' -fuzztime $(FUZZTIME) ./internal/artifact
+	$(GO) test -fuzz '^FuzzProfileDecode$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz '^FuzzFactsDecode$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz '^FuzzResultDecode$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz '^FuzzConfigValidate$$' -fuzztime $(FUZZTIME) ./internal/dip
 	$(GO) test -fuzz '^FuzzDecodeBody$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -fuzz '^FuzzAsmParse$$' -fuzztime $(FUZZTIME) ./internal/asm

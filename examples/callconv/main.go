@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/program"
 	"repro/internal/workload"
 )
@@ -24,11 +25,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.Profile(prof, nil, core.DefaultBudget)
+	prog, _, err := prof.Compile(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := res.Summary
+	tr, an, _, err := emu.CollectAnalyzed(prog, core.DefaultBudget)
+	if err != nil {
+		log.Fatal(err)
+	}
+	s := an.Summarize(tr, prog)
 	fmt.Printf("benchmark %s: %d dynamic instructions, %d dead (%.1f%%)\n\n",
 		prof.Name, s.Total, s.Dead, 100*s.DeadFraction())
 
@@ -49,16 +54,15 @@ func main() {
 
 	// The dead restores are partially dead: the same static restore is
 	// useful whenever the caller does not overwrite the register.
-	profStats := res.Analysis.StaticProfile(res.Trace)
 	partial := 0
-	for _, st := range profStats {
-		if res.Prog.ProvenanceOf(st.PC) == program.ProvCallRestore && st.Dead < st.Dyn {
+	for _, st := range an.StaticProfile(tr) {
+		if prog.ProvenanceOf(st.PC) == program.ProvCallRestore && st.Dead < st.Dyn {
 			partial++
 		}
 	}
 	fmt.Printf("dead-producing restore statics that are PARTIALLY dead: %d\n", partial)
 
-	dist := res.Analysis.ResolveDistances(true)
+	dist := an.ResolveDistances(true)
 	fmt.Printf("\ndeadness outcomes resolve quickly: median %d instructions, %.1f%% within a ROB\n",
 		dist.P50, 100*dist.WithinROB)
 }

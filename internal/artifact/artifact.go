@@ -1,6 +1,6 @@
 // Package artifact is a typed, content-addressed derivation cache: every
-// value the experiment engine computes — compiled programs, emulated and
-// analyzed trace profiles, predictor evaluations, machine runs — is an
+// value the experiment engine computes — emulated and analyzed trace
+// profiles, their facts, predictor evaluations, machine runs — is an
 // artifact addressed by its kind and a canonical digest of the full input
 // spec that produced it. The store provides single-flight computation
 // (concurrent requesters of one artifact block on one producer), per-kind
@@ -522,7 +522,7 @@ func (s *Store) waitBuild(ctx context.Context, e *entry) error {
 // decoded cleanly; any failure (including a corrupt entry, which Read has
 // already deleted) degrades to a rebuild.
 func (s *Store) diskLoad(key Key, d *Disk, c Codec) (v any, size int64, ok bool) {
-	payload, release, err := d.ReadView(key)
+	payload, err := d.Read(key)
 	if err != nil {
 		var ce *CorruptError
 		if errors.As(err, &ce) {
@@ -531,7 +531,6 @@ func (s *Store) diskLoad(key Key, d *Disk, c Codec) (v any, size int64, ok bool)
 		return nil, 0, false
 	}
 	v, size, err = c.Decode(payload)
-	release()
 	if err != nil {
 		// The bytes were intact (digest verified) but the codec rejected
 		// them — a stale format from another build of the code. Delete so
@@ -596,14 +595,13 @@ func (s *Store) remoteLoad(key Key, r RemoteTier, c Codec, d *Disk) (v any, size
 	return v, size, true
 }
 
-// EncodedFrame returns the CRC-framed wire image for key plus a release
-// function the caller must call exactly once after the bytes are written
-// out. A resident artifact encodes under a pin and frames the copy
-// (release is then a no-op); otherwise the disk tier's mapped entry file
-// is served as-is with spilled=true — the framed bytes on disk ARE the
-// wire format, so the spill-through path performs no decode, re-encode,
-// or frame copy. ErrNotFound when neither tier holds the artifact.
-func (s *Store) EncodedFrame(key Key) (framed []byte, release func(), spilled bool, err error) {
+// EncodedFrame returns the CRC-framed wire image for key. A resident
+// artifact encodes under a pin and frames the copy; otherwise the disk
+// tier's entry is served as read with spilled=true — the framed bytes on
+// disk ARE the wire format, so the spill-through path performs no
+// decode, re-encode, or frame copy. ErrNotFound when neither tier holds
+// the artifact.
+func (s *Store) EncodedFrame(key Key) (framed []byte, spilled bool, err error) {
 	s.mu.Lock()
 	codec := s.codecs[key.Kind]
 	disk := s.disk
@@ -623,20 +621,20 @@ func (s *Store) EncodedFrame(key Key) (framed []byte, release func(), spilled bo
 		payload, err := encodeToBytes(codec, e.val)
 		s.release(e)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
-		return Frame(payload), func() {}, false, nil
+		return Frame(payload), false, nil
 	}
 	s.mu.Unlock()
 	if codec == nil {
-		return nil, nil, false, ErrNotFound
+		return nil, false, ErrNotFound
 	}
 	if disk != nil {
-		if framed, release, err := disk.FrameView(key); err == nil {
-			return framed, release, true, nil
+		if framed, err := disk.ReadFramed(key); err == nil {
+			return framed, true, nil
 		}
 	}
-	return nil, nil, false, ErrNotFound
+	return nil, false, ErrNotFound
 }
 
 // finishGet reads a completed entry and hands the caller its pin.

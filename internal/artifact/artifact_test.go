@@ -673,7 +673,7 @@ func TestEncodedArtifactAndInstall(t *testing.T) {
 
 	s := New(0)
 	s.RegisterCodec("run", codec)
-	if _, _, _, err := s.EncodedFrame(k); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s.EncodedFrame(k); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("empty store EncodedFrame err = %v, want ErrNotFound", err)
 	}
 	_, rel, err := Get(s, k, func() (string, int64, error) { return "body", 8, nil })
@@ -681,11 +681,10 @@ func TestEncodedArtifactAndInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel()
-	framed, release, spilled, err := s.EncodedFrame(k)
+	framed, spilled, err := s.EncodedFrame(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	release()
 	if spilled {
 		t.Error("a resident artifact was reported as spilled")
 	}
@@ -725,7 +724,7 @@ func TestEncodedArtifactAndInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel4()
-	if _, _, _, err := s.EncodedFrame(nokind); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s.EncodedFrame(nokind); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("EncodedFrame of a codec-less kind: err = %v, want ErrNotFound", err)
 	}
 }

@@ -8,8 +8,7 @@ import (
 )
 
 // Codec serializes one artifact kind for the persistent disk tier. A kind
-// with no registered codec is simply never persisted (e.g. compiled
-// programs, which are cheaper to rebuild than to encode).
+// with no registered codec is simply never persisted.
 //
 // Encode/Decode must round-trip bit-identically: a decoded artifact is
 // served in place of a rebuild, and the store's contract is that the two
@@ -18,11 +17,8 @@ import (
 // sections in place instead of re-buffering a stream — but it must still
 // validate structure: a file written by a different build of the code is
 // untrusted input, so return an error rather than a malformed value.
-// The payload may be a view over mapped file pages that the store
-// releases when Decode returns, so the decoded value must not retain
-// references into it. The
-// returned size is the resident footprint charged against the in-memory
-// budget, exactly as the builder would have reported it.
+// The returned size is the resident footprint charged against the
+// in-memory budget, exactly as the builder would have reported it.
 type Codec interface {
 	Encode(w io.Writer, v any) error
 	Decode(payload []byte) (v any, size int64, err error)

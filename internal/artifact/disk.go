@@ -184,70 +184,41 @@ func (d *Disk) Write(key Key, payload []byte) error {
 	return nil
 }
 
-// ReadView returns the verified payload stored under key as a view over
-// the entry's mapped pages, plus a release function the caller must call
-// exactly once when done. The view is only valid until release; callers
-// that decode the payload must finish (or copy) before releasing. It
-// returns an error wrapping fs.ErrNotExist when no entry exists, and a
+// Read returns the verified payload stored under key. It returns an
+// error wrapping fs.ErrNotExist when no entry exists, and a
 // *CorruptError — after deleting the entry — when verification fails;
 // both degrade to a rebuild at the store layer.
-func (d *Disk) ReadView(key Key) ([]byte, func(), error) {
-	data, release, err := mapFile(d.path(key))
+func (d *Disk) Read(key Key) ([]byte, error) {
+	data, err := d.ReadFramed(key)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	return data[diskHeaderSize:], nil
+}
+
+// ReadFramed returns the verified entry stored under key as its complete
+// framed image, header included. The on-disk entry format and the
+// remote-cache wire format are the same framing (see Frame), so a server
+// can write the image straight to the wire without unframing and
+// re-framing. Error semantics match Read.
+func (d *Disk) ReadFramed(key Key) ([]byte, error) {
+	data, err := os.ReadFile(d.path(key))
+	if err != nil {
+		return nil, err
 	}
 	if err := faults.Fire(faults.SiteArtifactDisk); err != nil {
 		// An injected read fault is a degraded lookup, not corruption:
 		// leave the entry alone and let the caller rebuild.
-		release()
-		return nil, nil, fmt.Errorf("artifact: disk read %s: %w", key, err)
+		return nil, fmt.Errorf("artifact: disk read %s: %w", key, err)
 	}
-	// The mapping is private, so mangling models corruption without
+	// data is a private copy, so mangling models corruption without
 	// touching the file (the entry's deletion below is what removes it).
 	faults.Mangle(faults.SiteArtifactDisk, data)
-	payload, reason := verifyEntry(data)
-	if reason != "" {
-		release()
-		d.remove(key)
-		return nil, nil, &CorruptError{Key: key, Reason: reason}
-	}
-	return payload, release, nil
-}
-
-// Read returns the verified payload stored under key as a private copy,
-// with the same error semantics as ReadView.
-func (d *Disk) Read(key Key) ([]byte, error) {
-	view, release, err := d.ReadView(key)
-	if err != nil {
-		return nil, err
-	}
-	payload := append([]byte(nil), view...)
-	release()
-	return payload, nil
-}
-
-// FrameView returns the verified entry stored under key as a view of the
-// complete framed image — header included — over the entry's mapped
-// pages, plus a release function the caller must call exactly once. The
-// on-disk entry format and the remote-cache wire format are the same
-// framing (see Frame), so a server can write the view straight to the
-// wire without unframing and re-framing. Error semantics match ReadView.
-func (d *Disk) FrameView(key Key) ([]byte, func(), error) {
-	data, release, err := mapFile(d.path(key))
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := faults.Fire(faults.SiteArtifactDisk); err != nil {
-		release()
-		return nil, nil, fmt.Errorf("artifact: disk read %s: %w", key, err)
-	}
-	faults.Mangle(faults.SiteArtifactDisk, data)
 	if _, reason := verifyEntry(data); reason != "" {
-		release()
 		d.remove(key)
-		return nil, nil, &CorruptError{Key: key, Reason: reason}
+		return nil, &CorruptError{Key: key, Reason: reason}
 	}
-	return data, release, nil
+	return data, nil
 }
 
 // Frame wraps payload in the disk tier's entry format (magic, version,

@@ -26,13 +26,21 @@ func DirNames() []string {
 	return names
 }
 
+// CheckDirName reports an error unless name is a registered direction
+// predictor. It is a registry lookup: validating a name builds nothing.
+func CheckDirName(name string) error {
+	if _, ok := dirMakers[name]; !ok {
+		return fmt.Errorf("bpred: unknown direction predictor %q (have %v)", name, DirNames())
+	}
+	return nil
+}
+
 // NewDirByName builds a fresh instance of a registered direction
 // predictor. Instances are stateful, so every evaluation that needs
 // deterministic results must construct its own.
 func NewDirByName(name string) (DirPredictor, error) {
-	mk, ok := dirMakers[name]
-	if !ok {
-		return nil, fmt.Errorf("bpred: unknown direction predictor %q (have %v)", name, DirNames())
+	if err := CheckDirName(name); err != nil {
+		return nil, err
 	}
-	return mk(), nil
+	return dirMakers[name](), nil
 }

@@ -46,8 +46,14 @@ func TestPredEvalArtifactSharedAcrossSpecs(t *testing.T) {
 	}
 
 	// An invalid spec is rejected before touching the store.
-	if _, err := w.EvalPredictor("gzip", dip.Spec{Flavor: "nope"}); err == nil {
-		t.Error("invalid spec accepted")
+	hits := mc.Counter("artifact_hits." + string(KindPredEval))
+	for _, bad := range []dip.Spec{{Flavor: "nope"}, {Flavor: dip.FlavorCFI, Config: cfg, Dir: "no-such-dir"}} {
+		if _, err := w.EvalPredictor("gzip", bad); err == nil {
+			t.Errorf("invalid spec %+v accepted", bad)
+		}
+	}
+	if mc.Counter("artifact_misses."+string(KindPredEval)) != 2 || mc.Counter("artifact_hits."+string(KindPredEval)) != hits {
+		t.Error("an invalid spec reached the store")
 	}
 }
 

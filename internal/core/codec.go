@@ -7,11 +7,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"repro/internal/compiler"
 	"repro/internal/deadness"
 	"repro/internal/lebytes"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // firstNonBool returns the index of the first byte in b that is neither 0
@@ -33,46 +35,58 @@ func firstNonBool(b []byte) int {
 }
 
 // Profile persistence: a profile artifact serializes as a small JSON
-// header (identity + summaries), the linked trace in the trace package's
-// linked binary format, and the analysis fact arrays as raw columns.
-// The program and pass stats are deliberately NOT stored — compilation is
-// deterministic and cheap, so Decode recompiles through the workspace's
-// program artifact instead of trusting serialized code.
+// header (identity, summaries and pass stats), the linked trace in the
+// trace package's linked binary format, and the analysis fact arrays as
+// raw columns. No reader of a decoded profile needs its program, so the
+// program is not stored and Decode compiles nothing: decoding is a pure
+// function of the payload and the workspace budget.
 //
 // Layout: uvarint header length, JSON header, uvarint trace length,
 // SaveLinked trace, then Kind/Candidate/EverRead/Ineff as one byte per
 // record and Resolve as little-endian int32. Every section is validated
-// on decode (strict JSON, the trace loader's own checks, 0/1 booleans,
+// on decode (canonical strict JSON naming a suite benchmark, minimal
+// length prefixes, the trace loader's own checks, 0/1 booleans,
 // deadness.Restore's invariants); a payload that fails any of them is
-// treated as corrupt and rebuilt.
+// treated as corrupt and rebuilt. So an accepted payload is exactly the
+// bytes Encode writes for the value it decodes to.
 
 // profileCodecVersion is the format generation of the profile payload.
-// It gates every structural change to the layout (currently: version 2
-// added the Ineff fact column): an entry written by a different
-// generation — including pre-versioning entries, whose headers decode
-// with Version 0 — is *stale*, not corrupt. Decode rejects it with an
-// ordinary error, which the artifact tiers translate into delete +
-// rebuild (Store.diskLoad), never into a corruption failure.
-const profileCodecVersion = 2
+// It gates every structural change to the layout (version 2 added the
+// Ineff fact column; version 3 replaced the compile options with the
+// pass stats): an entry written by a different generation — including
+// pre-versioning entries, whose headers decode with Version 0 — is
+// *stale*, not corrupt. Decode rejects it with an ordinary error, which
+// the artifact tiers translate into delete + rebuild (Store.diskLoad),
+// never into a corruption failure.
+const profileCodecVersion = 3
 
 // profileHeader is the JSON section of a persisted profile.
 type profileHeader struct {
-	Version  int `json:",omitempty"`
-	Bench    string
-	Budget   int
-	Opts     *compiler.Options `json:",omitempty"`
-	Summary  deadness.Summary
-	Locality deadness.Locality
+	Version   int `json:",omitempty"`
+	Bench     string
+	Budget    int
+	PassStats compiler.PassStats
+	Summary   deadness.Summary
+	Locality  deadness.Locality
 }
 
 // maxProfileHeaderBytes bounds the untrusted header-length prefix.
 const maxProfileHeaderBytes = 1 << 20
 
-// profileCodec persists KindProfile artifacts. It holds the workspace so
-// Decode can recompile the benchmark's program (served from the program
-// artifact, so repeated decodes compile once).
+// profileCodec persists KindProfile artifacts for a workspace of the
+// given budget; Decode rejects an entry built under any other.
 type profileCodec struct {
-	w *Workspace
+	budget int
+}
+
+// uvarint reads a length prefix, refusing an encoding longer than the
+// minimal one PutUvarint writes (n <= 0 on any failure).
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 0 && n != max(1, (bits.Len64(v)+6)/7) {
+		return 0, 0
+	}
+	return v, n
 }
 
 func (c profileCodec) Encode(w io.Writer, v any) error {
@@ -90,12 +104,12 @@ func (c profileCodec) Encode(w io.Writer, v any) error {
 		return fmt.Errorf("core: profile codec: analysis does not match %d-record trace", n)
 	}
 	hdr, err := json.Marshal(profileHeader{
-		Version:  profileCodecVersion,
-		Bench:    res.Bench,
-		Budget:   c.w.Budget,
-		Opts:     res.opts,
-		Summary:  res.Summary,
-		Locality: res.Locality,
+		Version:   profileCodecVersion,
+		Bench:     res.Bench,
+		Budget:    c.budget,
+		PassStats: res.PassStats,
+		Summary:   res.Summary,
+		Locality:  res.Locality,
 	})
 	if err != nil {
 		return err
@@ -172,7 +186,7 @@ func (c profileCodec) EncodeSizeHint(v any) int {
 }
 
 func (c profileCodec) Decode(payload []byte) (any, int64, error) {
-	hlen, hn := binary.Uvarint(payload)
+	hlen, hn := uvarint(payload)
 	if hn <= 0 {
 		return nil, 0, fmt.Errorf("core: profile decode: header length: %w", io.ErrUnexpectedEOF)
 	}
@@ -184,10 +198,14 @@ func (c profileCodec) Decode(payload []byte) (any, int64, error) {
 		return nil, 0, fmt.Errorf("core: profile decode: header: %w", io.ErrUnexpectedEOF)
 	}
 	var h profileHeader
-	dec := json.NewDecoder(bytes.NewReader(payload[off : off+int(hlen)]))
+	hdr := payload[off : off+int(hlen)]
+	dec := json.NewDecoder(bytes.NewReader(hdr))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&h); err != nil {
 		return nil, 0, fmt.Errorf("core: profile decode: header: %w", err)
+	}
+	if canon, err := json.Marshal(h); err != nil || !bytes.Equal(canon, hdr) {
+		return nil, 0, fmt.Errorf("core: profile decode: header is not in canonical form")
 	}
 	off += int(hlen)
 	if h.Version != profileCodecVersion {
@@ -197,25 +215,13 @@ func (c profileCodec) Decode(payload []byte) (any, int64, error) {
 		return nil, 0, fmt.Errorf("core: profile decode: stale codec version %d, want %d",
 			h.Version, profileCodecVersion)
 	}
-	if h.Bench == "" {
-		return nil, 0, fmt.Errorf("core: profile decode: empty benchmark name")
+	if _, err := workload.ByName(h.Bench); err != nil {
+		return nil, 0, fmt.Errorf("core: profile decode: %w", err)
 	}
-	if h.Budget != c.w.Budget {
-		return nil, 0, fmt.Errorf("core: profile decode: entry budget %d, workspace budget %d", h.Budget, c.w.Budget)
+	if h.Budget != c.budget {
+		return nil, 0, fmt.Errorf("core: profile decode: entry budget %d, workspace budget %d", h.Budget, c.budget)
 	}
-	// Recompiling the program shares no state with the payload, so it runs
-	// concurrently with the trace and analysis decode below; the channel is
-	// buffered so an early decode-error return never strands the goroutine.
-	type compiled struct {
-		cp  compiledProgram
-		err error
-	}
-	progCh := make(chan compiled, 1)
-	go func() {
-		cp, err := c.w.programOf(h.Bench, h.Opts)
-		progCh <- compiled{cp, err}
-	}()
-	tlen, tn := binary.Uvarint(payload[off:])
+	tlen, tn := uvarint(payload[off:])
 	if tn <= 0 {
 		return nil, 0, fmt.Errorf("core: profile decode: trace length: %w", io.ErrUnexpectedEOF)
 	}
@@ -275,19 +281,13 @@ func (c profileCodec) Decode(payload []byte) (any, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	prog := <-progCh
-	if prog.err != nil {
-		return nil, 0, fmt.Errorf("core: profile decode: recompiling %s: %w", h.Bench, prog.err)
-	}
 	res := &ProfileResult{
 		Bench:     h.Bench,
-		Prog:      prog.cp.Prog,
 		Trace:     tr,
 		Analysis:  a,
 		Summary:   h.Summary,
 		Locality:  h.Locality,
-		PassStats: prog.cp.Stats,
-		opts:      h.Opts,
+		PassStats: h.PassStats,
 	}
 	return res, res.SizeBytes(), nil
 }

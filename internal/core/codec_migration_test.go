@@ -17,11 +17,22 @@ import (
 
 // downgradeProfileEntry rewrites the single persisted profile entry under
 // dir as if a previous-generation writer had produced it: the JSON
-// header's Version field is patched back to 1 and the payload re-framed
-// with a correct CRC. The result is a fully intact, checksum-valid entry
-// in an outdated format — exactly what a cache directory holds after a
-// codec upgrade, and a different failure class from bit-rot corruption.
+// header's Version field is patched back one generation and the payload
+// re-framed with a correct CRC. The result is a fully intact,
+// checksum-valid entry in an outdated format — exactly what a cache
+// directory holds after a codec upgrade, and a different failure class
+// from bit-rot corruption.
 func downgradeProfileEntry(t *testing.T, dir string) {
+	t.Helper()
+	patchProfileHeader(t, dir,
+		fmt.Sprintf(`"Version":%d`, profileCodecVersion),
+		fmt.Sprintf(`"Version":%d`, profileCodecVersion-1))
+}
+
+// patchProfileHeader replaces from with to, which must be as long, in the
+// JSON header of the single persisted profile entry under dir, and
+// re-frames the payload with a correct CRC.
+func patchProfileHeader(t *testing.T, dir, from, to string) {
 	t.Helper()
 	profDir := filepath.Join(dir, string(KindProfile))
 	files, err := os.ReadDir(profDir)
@@ -41,14 +52,15 @@ func downgradeProfileEntry(t *testing.T, dir string) {
 	if hn <= 0 || hn+int(hlen) > len(payload) {
 		t.Fatal("current entry has a malformed header length")
 	}
-	// Both version strings are the same length, so the header (and the
-	// uvarint prefix) keep their size and the patch is purely in place.
-	cur := fmt.Sprintf(`"Version":%d`, profileCodecVersion)
-	old := fmt.Sprintf(`"Version":%d`, profileCodecVersion-1)
+	// Both strings are the same length, so the header (and the uvarint
+	// prefix) keep their size and the patch is purely in place.
+	if len(from) != len(to) {
+		t.Fatalf("patch %q -> %q changes the header length", from, to)
+	}
 	hdr := payload[hn : hn+int(hlen)]
-	patched := bytes.Replace(hdr, []byte(cur), []byte(old), 1)
+	patched := bytes.Replace(hdr, []byte(from), []byte(to), 1)
 	if bytes.Equal(patched, hdr) {
-		t.Fatalf("header %q carries no %s field", hdr, cur)
+		t.Fatalf("header %q carries no %s", hdr, from)
 	}
 	copy(hdr, patched)
 	if err := os.WriteFile(path, artifact.Frame(payload), 0o644); err != nil {
@@ -57,42 +69,52 @@ func downgradeProfileEntry(t *testing.T, dir string) {
 }
 
 // TestProfileEntryStaleVersionRebuilds is the codec-migration contract: a
-// valid entry written by an older codec generation is *stale*, not
-// corrupt — a warm start must silently delete it and rebuild through the
-// ordinary miss path, never surface a corruption error, and leave a
-// current-generation entry behind for the next warm start to hit.
+// checksum-valid entry the decoder rejects — written by an older codec
+// generation, or naming no suite benchmark — is *stale*, not corrupt. A
+// warm start must silently delete it and rebuild through the ordinary
+// miss path, never surface a corruption error, and leave a current
+// entry behind for the next warm start to hit.
 func TestProfileEntryStaleVersionRebuilds(t *testing.T) {
-	dir := t.TempDir()
-	bench := "gzip"
-	cold := diskWorkspace(t, dir)
-	coldProf, err := cold.ProfileOf(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	downgradeProfileEntry(t, dir)
+	for _, tc := range []struct{ name, from, to string }{
+		{"older-version",
+			fmt.Sprintf(`"Version":%d`, profileCodecVersion),
+			fmt.Sprintf(`"Version":%d`, profileCodecVersion-1)},
+		{"unknown-bench", `"Bench":"gzip"`, `"Bench":"gzop"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			bench := "gzip"
+			cold := diskWorkspace(t, dir)
+			coldProf, err := cold.ProfileOf(bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			patchProfileHeader(t, dir, tc.from, tc.to)
 
-	warm := diskWorkspace(t, dir)
-	warmProf, err := warm.ProfileOf(bench)
-	if err != nil {
-		t.Fatalf("warm start over a stale-version entry failed: %v", err)
-	}
-	if !reflect.DeepEqual(warmProf.Summary, coldProf.Summary) {
-		t.Error("rebuilt profile differs from original")
-	}
-	ws := warm.ArtifactStats().Kinds[KindProfile]
-	if ws.VerifyFailures != 1 || ws.Misses != 1 || ws.DiskWrites != 1 {
-		t.Errorf("stale-entry stats = %+v, want one verify failure + rebuild + re-persist", ws)
-	}
+			warm := diskWorkspace(t, dir)
+			warmProf, err := warm.ProfileOf(bench)
+			if err != nil {
+				t.Fatalf("warm start over a stale entry failed: %v", err)
+			}
+			if !reflect.DeepEqual(warmProf.Summary, coldProf.Summary) {
+				t.Error("rebuilt profile differs from original")
+			}
+			ws := warm.ArtifactStats().Kinds[KindProfile]
+			if ws.VerifyFailures != 1 || ws.Misses != 1 || ws.DiskWrites != 1 {
+				t.Errorf("stale-entry stats = %+v, want one verify failure + rebuild + re-persist", ws)
+			}
 
-	// The rebuild must have left a current entry: a third workspace
-	// warm-starts with zero builds.
-	fresh := diskWorkspace(t, dir)
-	if _, err := fresh.ProfileOf(bench); err != nil {
-		t.Fatal(err)
-	}
-	fs := fresh.ArtifactStats().Kinds[KindProfile]
-	if fs.Misses != 0 || fs.DiskHits != 1 {
-		t.Errorf("post-migration stats = %+v, want pure disk hit", fs)
+			// The rebuild must have left a current entry: a third
+			// workspace warm-starts with zero builds.
+			fresh := diskWorkspace(t, dir)
+			if _, err := fresh.ProfileOf(bench); err != nil {
+				t.Fatal(err)
+			}
+			fs := fresh.ArtifactStats().Kinds[KindProfile]
+			if fs.Misses != 0 || fs.DiskHits != 1 {
+				t.Errorf("post-migration stats = %+v, want pure disk hit", fs)
+			}
+		})
 	}
 }
 

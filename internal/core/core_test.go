@@ -38,11 +38,8 @@ func TestProfileRunsABenchmark(t *testing.T) {
 }
 
 func TestEvalPredictor(t *testing.T) {
-	p, err := workload.ByName("crafty")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := EvalPredictor(p, dip.DefaultConfig(), testBudget, false)
+	w := NewWorkspace(testBudget)
+	res, err := w.EvalPredictor("crafty", dip.Spec{Flavor: dip.FlavorCFI, Config: dip.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +50,7 @@ func TestEvalPredictor(t *testing.T) {
 		t.Errorf("implausibly poor predictor: %v", res)
 	}
 	bad := dip.Config{}
-	if _, err := EvalPredictor(p, bad, testBudget, false); err == nil {
+	if _, err := w.EvalPredictor("crafty", dip.Spec{Flavor: dip.FlavorCFI, Config: bad}); err == nil {
 		t.Error("invalid predictor config accepted")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dip"
+	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -26,7 +27,8 @@ func diskWorkspace(t *testing.T, dir string) *Workspace {
 // check at the workspace level: a fresh workspace over a populated cache
 // directory must produce bit-identical profiles, predictor evaluations,
 // and machine runs with zero profile builds — the disk-hit counters prove
-// every profile came from disk.
+// every profile came from disk — and compile nothing: a profile's pass
+// stats come back from its header.
 func TestWorkspaceWarmStartBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	bench := "gzip"
@@ -53,6 +55,7 @@ func TestWorkspaceWarmStartBitIdentical(t *testing.T) {
 	}
 
 	warm := diskWorkspace(t, dir)
+	warm.Metrics = metrics.New()
 	warmProf, err := warm.ProfileOf(bench)
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +122,9 @@ func TestWorkspaceWarmStartBitIdentical(t *testing.T) {
 	}
 	if ws[KindMachine].Misses != 0 || ws[KindMachine].DiskHits != 1 {
 		t.Errorf("warm machine stats = %+v, want pure disk hit", ws[KindMachine])
+	}
+	if n := warm.Metrics.Summary().Phases[metrics.PhaseCompile].Count; n != 0 {
+		t.Errorf("warm start opened %d compile spans, want 0", n)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/deadness"
+	"repro/internal/metrics"
 )
 
 // TestFactsMatchProfile checks that every field of a benchmark's facts
@@ -77,7 +78,7 @@ func TestFactsVersionPinsLayout(t *testing.T) {
 // TestWarmSuiteReadsNoTrace pins the warm path: over a disk tier that a
 // cold suite populated, E1-E21 answer from facts, predictor evaluations
 // and machine runs alone, so no profile is opened, no trace decoded and
-// no program recompiled. The machine-only experiments touch neither
+// nothing compiled. The machine-only experiments touch neither
 // profiles nor facts.
 func TestWarmSuiteReadsNoTrace(t *testing.T) {
 	if testing.Short() {
@@ -112,6 +113,7 @@ func TestWarmSuiteReadsNoTrace(t *testing.T) {
 	}
 
 	warm := open()
+	warm.Metrics = metrics.New()
 	warmRes, err := warm.RunExperiments(ctx, ids)
 	if err != nil {
 		t.Fatalf("warm run: %v", err)
@@ -121,8 +123,8 @@ func TestWarmSuiteReadsNoTrace(t *testing.T) {
 	if p := ks[KindProfile]; p.Hits != 0 || p.Misses != 0 || p.DiskHits != 0 {
 		t.Errorf("warm suite opened profiles: %+v", p)
 	}
-	if n := ks[KindProgram].Misses; n != 0 {
-		t.Errorf("warm suite compiled %d programs, want 0", n)
+	if n := warm.Metrics.Summary().Phases[metrics.PhaseCompile].Count; n != 0 {
+		t.Errorf("warm suite opened %d compile spans, want 0", n)
 	}
 	if f := ks[KindFacts]; f.Misses != 0 || f.DiskHits != int64(4*len(SuiteNames())) {
 		t.Errorf("warm facts stats = %+v, want %d disk hits (default, no-hoist, DCE and E18's windows per benchmark) and no builds",

@@ -118,7 +118,7 @@ func (predEvalCodec) Decode(payload []byte) (any, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	nlen, nn := binary.Uvarint(body)
+	nlen, nn := uvarint(body)
 	if nn <= 0 || uint64(len(body)-nn) < nlen {
 		return nil, 0, fmt.Errorf("core: predeval decode: name: %w", io.ErrUnexpectedEOF)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/dip"
 	"repro/internal/pipeline"
 )
@@ -149,4 +150,57 @@ func TestResultCodecsAreBinary(t *testing.T) {
 	if got, want := buf.Len(), resultHeaderSize+8*machineFields; got != want {
 		t.Errorf("machine encoding is %d bytes, want exactly %d", got, want)
 	}
+}
+
+// FuzzResultDecode throws arbitrary bytes at the predeval and machine
+// codecs, which read disk and remote payloads; machine selects which. The
+// property: no panic, and a payload a codec accepts is exactly the bytes
+// it encodes for the decoded value. Seeds are real results of a small
+// workspace, each also offered to the other codec, plus truncated,
+// stale-version and checksum-broken copies.
+func FuzzResultDecode(f *testing.F) {
+	w := NewWorkspaceWorkers(3_000, 1)
+	pe, err := w.EvalPredictor("gzip", dip.Spec{Flavor: dip.FlavorCFI, Config: dip.DefaultConfig()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	st, err := w.RunMachine("gzip", pipeline.ContendedConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	codecOf := func(machine bool) artifact.Codec {
+		if machine {
+			return machineCodec{}
+		}
+		return predEvalCodec{}
+	}
+	for _, machine := range []bool{false, true} {
+		var v any = pe
+		if machine {
+			v = st
+		}
+		valid := encode(f, codecOf(machine), v)
+		if _, _, err := codecOf(machine).Decode(valid); err != nil {
+			f.Fatalf("the valid seed is refused: %v", err)
+		}
+		f.Add(machine, valid)
+		f.Add(!machine, valid)
+		f.Add(machine, valid[:len(valid)-1])
+		stale := bytes.Clone(valid)
+		stale[0]--
+		f.Add(machine, stale)
+		broken := bytes.Clone(valid)
+		broken[len(broken)-1] ^= 1
+		f.Add(machine, broken)
+	}
+	f.Fuzz(func(t *testing.T, machine bool, payload []byte) {
+		c := codecOf(machine)
+		v, _, err := c.Decode(payload)
+		if err != nil {
+			return
+		}
+		if again := encode(t, c, v); !bytes.Equal(again, payload) {
+			t.Fatalf("accepted payload %x re-encodes to %x", payload, again)
+		}
+	})
 }

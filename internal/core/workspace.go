@@ -13,18 +13,19 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
-	"repro/internal/program"
 	"repro/internal/workload"
 )
 
-// Artifact kinds the workspace derives. They form a small DAG: a compiled
-// program feeds a profile (emulated + linked + analyzed trace), which
-// feeds its facts (the small summaries), predictor evaluations and
-// machine runs. Every kind is addressed by a canonical digest of its full
-// input spec, so two experiments asking for the same computation share
-// one artifact regardless of which asked first.
+// Artifact kinds the workspace derives. They form a small DAG: a profile
+// (compiled, emulated, linked and analyzed trace) feeds its facts (the
+// small summaries), predictor evaluations and machine runs. Every kind
+// is addressed by a canonical digest of its full input spec, so two
+// experiments asking for the same computation share one artifact
+// regardless of which asked first.
 const (
-	// KindProgram is a compiled benchmark: (benchmark, compile options).
+	// KindProgram names no artifact: a profile build compiles its own
+	// program. It stays declared only because benchmark/layers.go reads
+	// it.
 	KindProgram artifact.Kind = "program"
 	// KindProfile is an emulated + analyzed trace with its summaries:
 	// (benchmark, budget, compile options).
@@ -58,8 +59,8 @@ const (
 	CounterMachineMemoHits = "artifact_hits." + string(KindMachine)
 )
 
-// Workspace derives per-benchmark programs, traces, oracle analyses,
-// profile facts, predictor evaluations, and machine simulations through a
+// Workspace derives per-benchmark traces, oracle analyses, profile facts,
+// predictor evaluations, and machine simulations through a
 // content-addressed artifact store, so the experiment drivers can run
 // many machine configurations over the same inputs without re-emulating
 // or re-simulating. It is safe for concurrent use: each artifact is
@@ -92,14 +93,8 @@ type Workspace struct {
 	pool  *Pool
 }
 
-// programSpec keys a compiled-program artifact. Opts marshals by content
-// (nil means the workload's own options), matching Profile.Compile.
-type programSpec struct {
-	Bench string
-	Opts  *compiler.Options `json:",omitempty"`
-}
-
-// profileSpec keys a profile artifact.
+// profileSpec keys a profile artifact. Opts marshals by content (nil
+// means the workload's own options), matching workload.Profile.Compile.
 type profileSpec struct {
 	Bench  string
 	Budget int
@@ -121,12 +116,6 @@ type machineSpec struct {
 	Bench        string
 	Budget       int
 	ConfigDigest string
-}
-
-// compiledProgram is the program-artifact value.
-type compiledProgram struct {
-	Prog  *program.Program
-	Stats compiler.PassStats
 }
 
 // NewWorkspace creates a workspace with the given per-benchmark dynamic
@@ -171,10 +160,8 @@ func (w *Workspace) artifacts() *artifact.Store {
 		// fault, a cancelled context — is forgotten so the next request
 		// rebuilds it.
 		w.store.MemoErr = func(err error) bool { return !evictable(err) }
-		// Register the persistable kinds. Programs are deliberately absent:
-		// compiling is cheaper than encoding, and the profile codec
-		// recompiles on decode anyway.
-		w.store.RegisterCodec(KindProfile, profileCodec{w})
+		// Register the persistable kinds.
+		w.store.RegisterCodec(KindProfile, profileCodec{w.Budget})
 		w.store.RegisterCodec(KindFacts, factsCodec)
 		w.store.RegisterCodec(KindPredEval, predEvalCodec{})
 		w.store.RegisterCodec(KindMachine, machineCodec{})
@@ -222,12 +209,11 @@ func (w *Workspace) ArtifactStats() artifact.Stats {
 }
 
 // EncodedArtifactFrame serves the daemon's artifact GET endpoint: the
-// CRC-framed wire image for a completed artifact, served zero-copy from
-// the disk tier's mapped entry file when the artifact is spilled
-// (spilled=true) and encoded fresh from the resident tier otherwise.
-// Call release exactly once after the bytes are written out;
-// artifact.ErrNotFound when the workspace doesn't hold the artifact.
-func (w *Workspace) EncodedArtifactFrame(key artifact.Key) (framed []byte, release func(), spilled bool, err error) {
+// CRC-framed wire image for a completed artifact, read as-is from the
+// disk tier's entry file when the artifact is spilled (spilled=true) and
+// encoded fresh from the resident tier otherwise; artifact.ErrNotFound
+// when the workspace doesn't hold the artifact.
+func (w *Workspace) EncodedArtifactFrame(key artifact.Key) (framed []byte, spilled bool, err error) {
 	return w.artifacts().EncodedFrame(key)
 }
 
@@ -239,32 +225,6 @@ func (w *Workspace) EncodedArtifactFrame(key artifact.Key) (framed []byte, relea
 // drain so warm state survives a restart.
 func (w *Workspace) FlushSpill() {
 	w.artifacts().EvictAll()
-}
-
-// programOf returns the compiled program artifact for a benchmark. The
-// value is plain GC-managed data, so it needs no pinning.
-func (w *Workspace) programOf(name string, opts *compiler.Options) (compiledProgram, error) {
-	key := artifact.Key{Kind: KindProgram, Digest: artifact.Digest(programSpec{name, opts})}
-	cp, release, err := artifact.Get(w.artifacts(), key, func() (compiledProgram, int64, error) {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return compiledProgram{}, 0, err
-		}
-		sp := w.Metrics.Start(metrics.PhaseCompile, name)
-		prog, passStats, err := p.Compile(opts)
-		sp.End(0)
-		if err != nil {
-			return compiledProgram{}, 0, err
-		}
-		return compiledProgram{prog, passStats}, programSize(prog), nil
-	})
-	release()
-	return cp, err
-}
-
-func programSize(p *program.Program) int64 {
-	const instBytes = 8 // isa.Inst: Op/Rd/Rs1/Rs2 uint8 + Imm int32
-	return int64(cap(p.Insts)*instBytes + cap(p.Prov) + cap(p.Data))
 }
 
 // profileFor fetches (building on miss) the profile artifact for one
@@ -287,7 +247,7 @@ func (w *Workspace) profileFor(ctx context.Context, name string, opts *compiler.
 
 // ProfileOf returns the trace-level analysis of a suite benchmark,
 // building it on first use. The result is returned unpinned: the
-// GC-managed fields (Summary, Locality, Analysis, PassStats, Prog) stay
+// GC-managed fields (Summary, Locality, Analysis, PassStats) stay
 // valid indefinitely, but Trace may be recycled once a cache budget is
 // set — callers that read the trace must use WithProfile instead.
 // Readers of the summaries alone should use Facts, which a warm store
@@ -331,15 +291,14 @@ func (w *Workspace) buildProfile(ctx context.Context, name string, opts *compile
 	if err := faults.Fire(faults.SiteWorkspaceMemo); err != nil {
 		return nil, 0, fmt.Errorf("core: profiling %s: %w", name, err)
 	}
-	cp, err := w.programOf(name, opts)
+	p, err := workload.ByName(name)
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err = profileProgramWith(ctx, name, cp.Prog, cp.Stats, w.Budget, w.Metrics)
+	res, err = profileWith(ctx, p, opts, w.Budget, w.Metrics)
 	if err != nil {
 		return nil, 0, err
 	}
-	res.opts = opts
 	return res, res.SizeBytes(), nil
 }
 
@@ -361,16 +320,17 @@ func (w *Workspace) EvalPredictor(name string, spec dip.Spec) (dip.Result, error
 }
 
 // EvalPredictorCtx is EvalPredictor with cooperative cancellation of any
-// profile build the evaluation initiates (see WithProfileCtx).
+// profile build the evaluation initiates (see WithProfileCtx). An invalid
+// spec fails before any artifact entry exists; only a build constructs
+// the predictor, so a cache hit allocates no predictor state.
 func (w *Workspace) EvalPredictorCtx(ctx context.Context, name string, spec dip.Spec) (dip.Result, error) {
 	spec = spec.Canonical()
-	pred, err := spec.New()
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return dip.Result{}, err
 	}
 	key := artifact.Key{Kind: KindPredEval, Digest: artifact.Digest(predEvalSpec{name, w.Budget, spec.Digest()})}
 	r, release, err := artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (dip.Result, int64, error) {
-		return w.buildPredEval(bctx, name, spec, pred)
+		return w.buildPredEval(bctx, name, spec)
 	})
 	release()
 	return r, err
@@ -379,7 +339,7 @@ func (w *Workspace) EvalPredictorCtx(ctx context.Context, name string, spec dip.
 // predEvalSize is the flat footprint charged per evaluation result.
 const predEvalSize = int64(128)
 
-func (w *Workspace) buildPredEval(ctx context.Context, name string, spec dip.Spec, pred dip.Predictor) (res dip.Result, size int64, err error) {
+func (w *Workspace) buildPredEval(ctx context.Context, name string, spec dip.Spec) (res dip.Result, size int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, size, err = dip.Result{}, 0,
@@ -388,6 +348,10 @@ func (w *Workspace) buildPredEval(ctx context.Context, name string, spec dip.Spe
 	}()
 	if err := faults.Fire(faults.SiteWorkspaceMemo); err != nil {
 		return dip.Result{}, 0, fmt.Errorf("core: evaluating %s on %s: %w", spec.Label(), name, err)
+	}
+	pred, err := spec.New()
+	if err != nil {
+		return dip.Result{}, 0, err
 	}
 	err = w.WithProfileCtx(ctx, name, func(p *ProfileResult) error {
 		sp := w.Metrics.Start("predict", name+" "+spec.Label())

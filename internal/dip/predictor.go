@@ -142,21 +142,14 @@ func (s Spec) Validate() error {
 		}
 		return nil
 	}
-	if s.Flavor == FlavorSteer {
+	if s.Flavor != FlavorSteer {
 		// Steer carries no table geometry; the direction predictor is its
 		// whole configuration.
-		if _, err := bpred.NewDirByName(s.Dir); err != nil {
+		if err := s.Config.Validate(); err != nil {
 			return err
 		}
-		return nil
 	}
-	if err := s.Config.Validate(); err != nil {
-		return err
-	}
-	if _, err := bpred.NewDirByName(s.Dir); err != nil {
-		return err
-	}
-	return nil
+	return bpred.CheckDirName(s.Dir)
 }
 
 // Digest canonically fingerprints the evaluation the spec describes.

@@ -24,9 +24,6 @@ const (
 // Has reports whether every bit of mask is set.
 func (f OpFlags) Has(mask OpFlags) bool { return f&mask == mask }
 
-// Any reports whether at least one bit of mask is set.
-func (f OpFlags) Any(mask OpFlags) bool { return f&mask != 0 }
-
 var opFlags [NumOps]OpFlags
 var memWidths [NumOps]uint8
 

@@ -194,11 +194,6 @@ func (o Op) ReadsRs2() bool {
 	return o.IsALUReg() || o.IsStore() || o.IsCondBranch()
 }
 
-// HasImm reports whether the instruction carries an immediate operand.
-func (o Op) HasImm() bool {
-	return o.IsALUImm() || o.IsMem() || o.IsCondBranch() || o.IsJump()
-}
-
 // Inst is one decoded r64 instruction. The zero value is a NOP.
 type Inst struct {
 	Op  Op

@@ -10,6 +10,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"runtime"
 	runtimemetrics "runtime/metrics"
 	"sort"
@@ -59,7 +60,7 @@ const (
 	CounterServerArtifactHits   = "server_artifact_hits"
 	CounterServerArtifactMisses = "server_artifact_misses"
 	// CounterServerArtifactSpillthrough counts the GET hits served straight
-	// from the disk tier's mapped entry file — the framed bytes on disk ARE
+	// from the disk tier's entry file — the framed bytes on disk ARE
 	// the wire format, so the response skips the decode/re-encode/re-frame
 	// round trip (a subset of server_artifact_hits).
 	CounterServerArtifactSpillthrough = "server_artifact_spillthrough"
@@ -122,21 +123,11 @@ type histogram struct {
 
 func histIndex(d time.Duration) int {
 	us := uint64(d / time.Microsecond)
-	i := bitLen64(us)
+	i := bits.Len64(us)
 	if i >= histBuckets {
 		return histBuckets - 1
 	}
 	return i
-}
-
-// bitLen64 is bits.Len64, inlined to keep the import set stable.
-func bitLen64(x uint64) int {
-	n := 0
-	for x != 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // Observe folds one duration into the named histogram.

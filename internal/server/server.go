@@ -598,7 +598,7 @@ func (s *Server) handlePredEval(w http.ResponseWriter, r *http.Request) {
 	if req.Config != nil {
 		spec.Config = *req.Config
 	}
-	if _, err := spec.New(); err != nil {
+	if err := spec.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -694,7 +694,7 @@ func (s *Server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	framed, release, spilled, err := s.w.EncodedArtifactFrame(
+	framed, spilled, err := s.w.EncodedArtifactFrame(
 		artifact.Key{Kind: artifact.Kind(kind), Digest: digest})
 	if err != nil {
 		if errors.Is(err, artifact.ErrNotFound) {
@@ -705,11 +705,10 @@ func (s *Server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	defer release()
 	s.mc.Add(metrics.CounterServerArtifactHits, 1)
 	if spilled {
-		// Served straight off the disk tier's mapped entry file: the framed
-		// bytes on disk are the wire format, no re-encode happened.
+		// Served straight off the disk tier's entry file: the framed bytes
+		// on disk are the wire format, no re-encode happened.
 		s.mc.Add(metrics.CounterServerArtifactSpillthrough, 1)
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

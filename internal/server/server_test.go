@@ -523,7 +523,7 @@ func TestArtifactTransferEndpoints(t *testing.T) {
 
 // TestArtifactGetSpillThrough pins the disk-tier fast path: when the
 // requested artifact lives only in the daemon's disk tier, the GET serves
-// the mapped entry file bytes directly (the on-disk framing IS the wire
+// the entry file's bytes directly (the on-disk framing IS the wire
 // framing) and counts a spill-through; a remote-attached workspace must
 // decode those bytes as a normal warm start.
 func TestArtifactGetSpillThrough(t *testing.T) {
