@@ -28,17 +28,22 @@ check: vet race
 # (which read disk and remote entries), predictor geometry from the
 # daemon (Config.Validate), the daemon's request-body decoder
 # (decodeBody), and assembler parsing. CI runs this non-gating; raise
-# FUZZTIME for local soaking.
+# FUZZTIME for local soaking. Each input that widens coverage is
+# minimized for at most 2s: go's default of 60s outlasts the whole
+# window, so the slower decoders used to stop fuzzing after a few
+# seconds (FuzzProfileDecode ran 66-184 execs in 30s; with 2s it runs
+# tens of thousands).
 FUZZTIME ?= 30s
+FUZZFLAGS = -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 fuzz:
-	$(GO) test -fuzz '^FuzzTraceLoadBytes$$' -fuzztime $(FUZZTIME) ./internal/trace
-	$(GO) test -fuzz '^FuzzUnframe$$' -fuzztime $(FUZZTIME) ./internal/artifact
-	$(GO) test -fuzz '^FuzzProfileDecode$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz '^FuzzFactsDecode$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz '^FuzzResultDecode$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz '^FuzzConfigValidate$$' -fuzztime $(FUZZTIME) ./internal/dip
-	$(GO) test -fuzz '^FuzzDecodeBody$$' -fuzztime $(FUZZTIME) ./internal/server
-	$(GO) test -fuzz '^FuzzAsmParse$$' -fuzztime $(FUZZTIME) ./internal/asm
+	$(GO) test -fuzz '^FuzzTraceLoadBytes$$' $(FUZZFLAGS) ./internal/trace
+	$(GO) test -fuzz '^FuzzUnframe$$' $(FUZZFLAGS) ./internal/artifact
+	$(GO) test -fuzz '^FuzzProfileDecode$$' $(FUZZFLAGS) ./internal/core
+	$(GO) test -fuzz '^FuzzFactsDecode$$' $(FUZZFLAGS) ./internal/core
+	$(GO) test -fuzz '^FuzzResultDecode$$' $(FUZZFLAGS) ./internal/core
+	$(GO) test -fuzz '^FuzzConfigValidate$$' $(FUZZFLAGS) ./internal/dip
+	$(GO) test -fuzz '^FuzzDecodeBody$$' $(FUZZFLAGS) ./internal/server
+	$(GO) test -fuzz '^FuzzAsmParse$$' $(FUZZFLAGS) ./internal/asm
 
 # chaos runs the fault-injection soak on its own under the race detector.
 chaos:

@@ -406,7 +406,8 @@ func BenchmarkIneffAnalysis(b *testing.B) {
 
 // BenchmarkWorkloadCompile measures the compile layer: one suite
 // benchmark from IR through every pass to a program, the work each of a
-// cold suite's 33 profile builds starts with.
+// cold suite's 33 compiles does (11 of them start profile builds, the
+// other 22 the no-hoist and with-DCE facts builds).
 func BenchmarkWorkloadCompile(b *testing.B) {
 	prof, err := workload.ByName("gcc")
 	if err != nil {
@@ -545,11 +546,13 @@ func BenchmarkProfileDiskCache(b *testing.B) {
 // daemon workspace's resident artifacts and issues profile requests
 // against the cold cache. "solo" is the one-request baseline, "burst8"
 // fires 8 identical requests concurrently, and "serial8" issues the same
-// 8 back to back. Every request takes its own admission slot; the
-// concurrent duplicates meet in the artifact store, whose single-flight
-// runs one build for all of them, so burst8's ns/op should track
-// serial8's, not 8x solo's. builds/burst counts profile-kind cache
-// misses per iteration: 1 for all three.
+// 8 back to back. Every request takes its own admission slot and reads
+// the benchmark's default facts; the concurrent duplicates meet at that
+// facts build in the artifact store, whose single-flight runs one build
+// (over one profile build) for all of them, so burst8's ns/op should
+// track serial8's, not 8x solo's. builds/burst counts facts-kind cache
+// misses per iteration: 1 for all three. The benchmark fails if the
+// profile kind missed a different number of times.
 func BenchmarkCoalescedLoad(b *testing.B) {
 	run := func(b *testing.B, requests int, concurrent bool) {
 		w := core.NewWorkspaceWorkers(benchBudget, 2)
@@ -604,7 +607,11 @@ func BenchmarkCoalescedLoad(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		builds := w.ArtifactStats().Kinds[core.KindProfile].Misses
+		ks := w.ArtifactStats().Kinds
+		builds := ks[core.KindFacts].Misses
+		if p := ks[core.KindProfile].Misses; p != builds {
+			b.Fatalf("%d facts builds opened %d profile builds", builds, p)
+		}
 		b.ReportMetric(float64(builds)/float64(b.N), "builds/burst")
 	}
 	b.Run("solo", func(b *testing.B) { run(b, 1, false) })

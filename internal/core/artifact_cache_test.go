@@ -83,7 +83,7 @@ func TestCacheBudgetEvictsAndStaysBitIdentical(t *testing.T) {
 	}
 
 	w := NewWorkspaceWorkers(budget, 0)
-	// Small enough that the 33 profile artifacts (3 per benchmark) churn
+	// Small enough that the 11 profile artifacts (one per benchmark) churn
 	// constantly; large enough to hold the handful pinned at once.
 	w.CacheBudget = 8 << 20
 	mc := metrics.New()
@@ -108,9 +108,11 @@ func TestCacheBudgetEvictsAndStaysBitIdentical(t *testing.T) {
 	if evictions == 0 {
 		t.Error("no artifact evicted under an 8 MiB budget; the test is vacuous")
 	}
+	// Only one build per benchmark is initial, so more than three per
+	// benchmark means at least two rebuilds per benchmark on average.
 	if rebuilds := st.Kinds[KindProfile].Misses; rebuilds <= int64(3*len(SuiteNames())) {
-		t.Errorf("profile misses = %d under churn, want rebuilds beyond the initial %d",
-			rebuilds, 3*len(SuiteNames()))
+		t.Errorf("profile misses = %d under churn, want more than %d (the %d initial builds plus rebuilds)",
+			rebuilds, 3*len(SuiteNames()), len(SuiteNames()))
 	}
 	if mc.Counter("artifact_evictions."+string(KindProfile)) != st.Kinds[KindProfile].Evictions {
 		t.Error("metrics counter and store snapshot disagree on profile evictions")

@@ -45,8 +45,9 @@ func (r *ProfileResult) SizeBytes() int64 {
 }
 
 // ReleaseArtifact returns the profile's pooled trace chunks to the
-// chunk pool when the artifact store evicts it. Only unpinned profiles
-// are evicted, so no reader can still hold the trace.
+// chunk pool when the artifact store evicts it, or when a facts build is
+// done with the compile-option variant it built for itself. Only
+// unpinned profiles are evicted, so no reader can still hold the trace.
 func (r *ProfileResult) ReleaseArtifact() {
 	if r.Trace != nil {
 		r.Trace.Release()

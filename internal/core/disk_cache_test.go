@@ -169,12 +169,16 @@ func TestWorkspaceRebuildsCorruptProfileEntry(t *testing.T) {
 	}
 }
 
-// TestProfileOptionVariantsArePersistedDistinctly checks the disk tier
-// keys compile-option variants separately (E3/E12-style overrides), and
-// that a warm start with the same override hits its own entry.
-func TestProfileOptionVariantsArePersistedDistinctly(t *testing.T) {
+// TestOptionVariantsPersistOnlyAsFacts checks that a compile-option
+// variant (E3/E12-style override) reaches the disk tier as its own facts
+// entry and never as a profile: a cold workspace stores the default
+// profile and two distinct facts entries, and a warm one reads the
+// variant facts as a pure disk hit without opening or compiling a
+// profile. TestWarmSuiteReadsNoTrace counts a cold suite's entries.
+func TestOptionVariantsPersistOnlyAsFacts(t *testing.T) {
 	dir := t.TempDir()
 	bench := "gzip"
+	ctx := context.Background()
 	p, err := workload.ByName(bench)
 	if err != nil {
 		t.Fatal(err)
@@ -182,42 +186,57 @@ func TestProfileOptionVariantsArePersistedDistinctly(t *testing.T) {
 	opts := p.Opts
 	opts.MaxHoist = 0
 
-	// variantOf fetches the variant profile the way a facts build does.
-	variantOf := func(w *Workspace) (*ProfileResult, error) {
-		res, release, err := w.profileFor(context.Background(), bench, &opts)
-		release()
-		return res, err
-	}
-
 	cold := diskWorkspace(t, dir)
-	base, err := cold.ProfileOf(bench)
+	base, err := cold.Facts(ctx, bench, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	variant, err := variantOf(cold)
+	variant, err := cold.Facts(ctx, bench, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(base.Summary, variant.Summary) {
-		t.Log("variant summary equals base; override had no effect on this benchmark")
+	if reflect.DeepEqual(base, variant) {
+		t.Error("no-hoist facts equal the default facts; the override had no effect")
 	}
-	if got := cold.ArtifactStats().Kinds[KindProfile].DiskWrites; got != 2 {
-		t.Fatalf("cold run persisted %d profile entries, want 2", got)
+	cs := cold.ArtifactStats().Kinds
+	if cs[KindProfile].DiskWrites != 1 || cs[KindFacts].DiskWrites != 2 {
+		t.Fatalf("cold run persisted %d profile and %d facts entries, want 1 and 2",
+			cs[KindProfile].DiskWrites, cs[KindFacts].DiskWrites)
 	}
 
 	warm := diskWorkspace(t, dir)
-	warmVariant, err := variantOf(warm)
+	warm.Metrics = metrics.New()
+	warmVariant, err := warm.Facts(ctx, bench, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(warmVariant.Summary, variant.Summary) {
-		t.Error("variant profile differs after disk round trip")
+	if !reflect.DeepEqual(warmVariant, variant) {
+		t.Errorf("variant facts differ after disk round trip:\ncold %+v\nwarm %+v", variant, warmVariant)
 	}
-	if !reflect.DeepEqual(warmVariant.PassStats, variant.PassStats) {
-		t.Error("variant pass stats differ after disk round trip")
+	ws := warm.ArtifactStats().Kinds
+	if f := ws[KindFacts]; f.Misses != 0 || f.DiskHits != 1 {
+		t.Errorf("warm variant facts stats = %+v, want pure disk hit", f)
 	}
-	ws := warm.ArtifactStats().Kinds[KindProfile]
-	if ws.Misses != 0 || ws.DiskHits != 1 {
-		t.Errorf("warm variant stats = %+v, want pure disk hit", ws)
+	if p := ws[KindProfile]; p.Hits != 0 || p.Misses != 0 || p.DiskHits != 0 {
+		t.Errorf("warm variant facts opened a profile: %+v", p)
+	}
+	if n := warm.Metrics.Summary().Phases[metrics.PhaseCompile].Count; n != 0 {
+		t.Errorf("warm variant facts opened %d compile spans, want 0", n)
+	}
+}
+
+// TestDefaultProfileKeyPinned pins the disk key of one default profile to
+// the digest it had when profileSpec also carried an omitempty
+// compile-options pointer, nil for every default profile. Disk tiers and
+// remote daemons populated under that spec keep serving default profiles.
+func TestDefaultProfileKeyPinned(t *testing.T) {
+	const want = "8a768280103d6cb5d8e5b9be14b74c7c97a64c811ab77948e605e9a852ee4505"
+	dir := t.TempDir()
+	if _, err := diskWorkspace(t, dir).ProfileOf("gzip"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, string(KindProfile), want)); err != nil {
+		files, _ := os.ReadDir(filepath.Join(dir, string(KindProfile)))
+		t.Errorf("gzip's profile at budget %d is not stored under %s: %v (entries %v)", testBudget, want, err, files)
 	}
 }

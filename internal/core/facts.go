@@ -8,6 +8,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/deadness"
 	"repro/internal/faults"
+	"repro/internal/workload"
 )
 
 // factsVersion is the format generation of ProfileFacts. The facts spec
@@ -18,10 +19,10 @@ import (
 // the shape of ProfileFacts until this is bumped.
 const factsVersion = 1
 
-// factsSpec keys a facts artifact: the profile's key (benchmark, budget,
-// compile options), the window sizes E18 re-analyzes, and the format
-// version. Only E18 names windows; every other reader shares the
-// window-less entry.
+// factsSpec keys a facts artifact: the benchmark, the budget, the
+// compile options (nil means the workload's own), the window sizes E18
+// re-analyzes, and the format version. Only E18 names windows; every
+// other reader shares the window-less entry.
 type factsSpec struct {
 	Version int
 	Bench   string
@@ -32,7 +33,7 @@ type factsSpec struct {
 
 // ProfileFacts is everything the summary readers take from a profile:
 // E1-E4, E12, E16, E18, E19 and deadprof. It is a small plain value
-// built once from the pinned profile and persisted on its own, so a warm
+// built once from the profile and persisted on its own, so a warm
 // run answers those readers without decoding a trace.
 type ProfileFacts struct {
 	Summary   deadness.Summary
@@ -55,7 +56,7 @@ const factsSize = int64(4096)
 var factsCodec = artifact.JSONCodec[ProfileFacts]{Size: factsSize}
 
 // Facts returns the profile facts of a suite benchmark compiled with opts
-// (nil means the workload's own options). Only a build opens the profile;
+// (nil means the workload's own options). Only a build reads a profile;
 // facts served from memory, disk or the remote tier read no trace.
 func (w *Workspace) Facts(ctx context.Context, name string, opts *compiler.Options) (ProfileFacts, error) {
 	return w.facts(ctx, name, opts, nil)
@@ -71,7 +72,7 @@ func (w *Workspace) facts(ctx context.Context, name string, opts *compiler.Optio
 	return f, err
 }
 
-// buildFacts derives the facts from the profile, pinned for the duration,
+// buildFacts derives the facts from the profile, held for the duration,
 // with the same panic containment and fault site as buildPredEval.
 func (w *Workspace) buildFacts(ctx context.Context, name string, opts *compiler.Options, windows []int) (f ProfileFacts, size int64, err error) {
 	defer func() {
@@ -82,7 +83,7 @@ func (w *Workspace) buildFacts(ctx context.Context, name string, opts *compiler.
 	if err := faults.Fire(faults.SiteWorkspaceMemo); err != nil {
 		return ProfileFacts{}, 0, fmt.Errorf("core: summarizing %s: %w", name, err)
 	}
-	res, release, err := w.profileFor(ctx, name, opts)
+	res, release, err := w.factsProfile(ctx, name, opts)
 	if err != nil {
 		return ProfileFacts{}, 0, err
 	}
@@ -102,6 +103,27 @@ func (w *Workspace) buildFacts(ctx context.Context, name string, opts *compiler.
 		f.WindowDead = append(f.WindowDead, d)
 	}
 	return f, factsSize, nil
+}
+
+// factsProfile returns the profile a facts build reads and the function
+// that lets go of it. The default-option profile comes pinned from the
+// store, because predictor evaluations and machine runs share it. A
+// compile-option variant (E3's no-hoist, E12's with-DCE) has no other
+// reader, so it is built here, outside the store, and its trace chunks go
+// back to the pool once the facts are computed.
+func (w *Workspace) factsProfile(ctx context.Context, name string, opts *compiler.Options) (*ProfileResult, func(), error) {
+	if opts == nil {
+		return w.profileFor(ctx, name)
+	}
+	p, err := workload.ByName(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := profileWith(ctx, p, opts, w.Budget, w.Metrics)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, res.ReleaseArtifact, nil
 }
 
 // suiteFacts returns every suite benchmark's default facts, in suite

@@ -75,11 +75,12 @@ func TestFactsVersionPinsLayout(t *testing.T) {
 	}
 }
 
-// TestWarmSuiteReadsNoTrace pins the warm path: over a disk tier that a
-// cold suite populated, E1-E21 answer from facts, predictor evaluations
-// and machine runs alone, so no profile is opened, no trace decoded and
-// nothing compiled. The machine-only experiments touch neither
-// profiles nor facts.
+// TestWarmSuiteReadsNoTrace pins the warm path: a cold suite stores one
+// profile and four facts entries per benchmark, and over that disk tier
+// E1-E21 answer from facts, predictor evaluations and machine runs
+// alone, so no profile is opened, no trace decoded and nothing
+// compiled. The machine-only experiments touch neither profiles nor
+// facts.
 func TestWarmSuiteReadsNoTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite twice")
@@ -102,6 +103,23 @@ func TestWarmSuiteReadsNoTrace(t *testing.T) {
 	want := make(map[string]string, len(ids))
 	for _, e := range coldRes {
 		want[e.ID] = e.Render()
+	}
+	// Only default profiles are artifacts; the no-hoist and with-DCE
+	// variants live inside their facts builds.
+	for _, c := range []struct {
+		kind artifact.Kind
+		want int
+	}{
+		{KindProfile, len(SuiteNames())},
+		{KindFacts, 4 * len(SuiteNames())},
+	} {
+		files, err := os.ReadDir(filepath.Join(dir, string(c.kind)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != c.want {
+			t.Errorf("cold suite stored %d %s entries, want %d", len(files), c.kind, c.want)
+		}
 	}
 	same := func(run string, res []*Experiment) {
 		t.Helper()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/compiler"
 	"repro/internal/dip"
 	"repro/internal/faults"
 	"repro/internal/metrics"
@@ -18,7 +17,9 @@ import (
 
 // Artifact kinds the workspace derives. They form a small DAG: a profile
 // (compiled, emulated, linked and analyzed trace) feeds its facts (the
-// small summaries), predictor evaluations and machine runs. Every kind
+// small summaries), predictor evaluations and machine runs. Only
+// default-option profiles are artifacts: a facts build under other compile
+// options builds its profile privately and keeps none. Every kind
 // is addressed by a canonical digest of its full input spec, so two
 // experiments asking for the same computation share one artifact
 // regardless of which asked first.
@@ -27,11 +28,11 @@ const (
 	// program. It stays declared only because benchmark/layers.go reads
 	// it.
 	KindProgram artifact.Kind = "program"
-	// KindProfile is an emulated + analyzed trace with its summaries:
-	// (benchmark, budget, compile options).
+	// KindProfile is an emulated + analyzed trace with its summaries,
+	// compiled with the workload's own options: (benchmark, budget).
 	KindProfile artifact.Kind = "profile"
-	// KindFacts is a profile's small summaries (ProfileFacts): the
-	// profile's key plus E18's window sizes and a format version.
+	// KindFacts is a profile's small summaries (ProfileFacts): benchmark,
+	// budget, compile options, E18's window sizes and a format version.
 	KindFacts artifact.Kind = "facts"
 	// KindPredEval is one trace-level predictor evaluation: (benchmark,
 	// budget, canonical dip.Spec digest).
@@ -46,8 +47,9 @@ const (
 // cache miss, a "memo hit" is a cache hit (including waiting on an
 // in-flight build, so hits+misses is schedule-independent).
 const (
-	// CounterProfileBuilds counts benchmark profiles built from scratch
-	// (emulate + link + analyze).
+	// CounterProfileBuilds counts profile artifacts built from scratch
+	// (emulate + link + analyze): default-option profiles only, since a
+	// compile-option variant is built inside its facts build.
 	CounterProfileBuilds = "artifact_misses." + string(KindProfile)
 	// CounterProfileMemoHits counts profile requests served from the
 	// artifact store.
@@ -93,12 +95,13 @@ type Workspace struct {
 	pool  *Pool
 }
 
-// profileSpec keys a profile artifact. Opts marshals by content (nil
-// means the workload's own options), matching workload.Profile.Compile.
+// profileSpec keys a profile artifact. Every profile artifact uses the
+// workload's own compile options. The spec once also held an omitempty
+// options pointer, nil for these profiles, so the digests are unchanged
+// and tiers written before keep serving them (TestDefaultProfileKeyPinned).
 type profileSpec struct {
 	Bench  string
 	Budget int
-	Opts   *compiler.Options `json:",omitempty"`
 }
 
 // predEvalSpec keys a predictor-evaluation artifact. The predictor
@@ -228,8 +231,8 @@ func (w *Workspace) FlushSpill() {
 }
 
 // profileFor fetches (building on miss) the profile artifact for one
-// benchmark and compile-option override, returning it pinned: the trace
-// cannot be evicted until the release function runs.
+// benchmark, returning it pinned: the trace cannot be evicted until the
+// release function runs.
 //
 // The context governs this requester's interest, not the build itself:
 // builds run on a detached context owned by every requester currently
@@ -238,10 +241,10 @@ func (w *Workspace) FlushSpill() {
 // last interested requester disconnects is the emulation aborted and its
 // pooled resources released. A cancelled build is forgotten (see
 // evictable), so the next request rebuilds deterministically.
-func (w *Workspace) profileFor(ctx context.Context, name string, opts *compiler.Options) (*ProfileResult, func(), error) {
-	key := artifact.Key{Kind: KindProfile, Digest: artifact.Digest(profileSpec{name, w.Budget, opts})}
+func (w *Workspace) profileFor(ctx context.Context, name string) (*ProfileResult, func(), error) {
+	key := artifact.Key{Kind: KindProfile, Digest: artifact.Digest(profileSpec{name, w.Budget})}
 	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (*ProfileResult, int64, error) {
-		return w.buildProfile(bctx, name, opts)
+		return w.buildProfile(bctx, name)
 	})
 }
 
@@ -253,7 +256,7 @@ func (w *Workspace) profileFor(ctx context.Context, name string, opts *compiler.
 // Readers of the summaries alone should use Facts, which a warm store
 // answers without decoding the trace.
 func (w *Workspace) ProfileOf(name string) (*ProfileResult, error) {
-	res, release, err := w.profileFor(context.Background(), name, nil)
+	res, release, err := w.profileFor(context.Background(), name)
 	release()
 	return res, err
 }
@@ -266,12 +269,12 @@ func (w *Workspace) WithProfile(name string, fn func(*ProfileResult) error) erro
 }
 
 // WithProfileCtx is WithProfile with cooperative cancellation of this
-// requester's interest in the profile: the daemon uses it so a
-// disconnected client's profile build aborts — unless other requesters
-// are waiting on the same build, in which case they adopt it and it runs
-// to completion for them. See profileFor.
+// requester's interest in the profile: predictor-evaluation and machine
+// builds use it so an abandoned request's profile build aborts — unless
+// other requesters are waiting on the same build, in which case they
+// adopt it and it runs to completion for them. See profileFor.
 func (w *Workspace) WithProfileCtx(ctx context.Context, name string, fn func(*ProfileResult) error) error {
-	res, release, err := w.profileFor(ctx, name, nil)
+	res, release, err := w.profileFor(ctx, name)
 	if err != nil {
 		return err
 	}
@@ -282,7 +285,7 @@ func (w *Workspace) WithProfileCtx(ctx context.Context, name string, fn func(*Pr
 // buildProfile runs one profile build with panic containment. The panic
 // is converted to an error here, inside the build, so the store memoizes
 // it like any other deterministic failure.
-func (w *Workspace) buildProfile(ctx context.Context, name string, opts *compiler.Options) (res *ProfileResult, size int64, err error) {
+func (w *Workspace) buildProfile(ctx context.Context, name string) (res *ProfileResult, size int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, size, err = nil, 0, recoveredError(fmt.Sprintf("core: profiling %s panicked", name), r)
@@ -295,7 +298,7 @@ func (w *Workspace) buildProfile(ctx context.Context, name string, opts *compile
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err = profileWith(ctx, p, opts, w.Budget, w.Metrics)
+	res, err = profileWith(ctx, p, nil, w.Budget, w.Metrics)
 	if err != nil {
 		return nil, 0, err
 	}

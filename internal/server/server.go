@@ -615,7 +615,8 @@ func (s *Server) handlePredEval(w http.ResponseWriter, r *http.Request) {
 }
 
 // ProfileStats is the profile-query response: the oracle summary and
-// static locality for one benchmark.
+// static locality for one benchmark, read from its default facts, so a
+// warm workspace answers without opening a trace.
 type ProfileStats struct {
 	Bench        string            `json:"bench"`
 	Budget       int               `json:"budget"`
@@ -634,19 +635,15 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.execute(w, r, "profile", func(ctx context.Context) (any, error) {
-		var out ProfileStats
-		err := s.w.WithProfileCtx(ctx, req.Bench, func(p *core.ProfileResult) error {
-			out = ProfileStats{
-				Bench: req.Bench, Budget: s.w.Budget,
-				Summary: p.Summary, Locality: p.Locality,
-				DeadFraction: p.Summary.DeadFraction(),
-			}
-			return nil
-		})
+		f, err := s.w.Facts(ctx, req.Bench, nil)
 		if err != nil {
 			return nil, err
 		}
-		return out, nil
+		return ProfileStats{
+			Bench: req.Bench, Budget: s.w.Budget,
+			Summary: f.Summary, Locality: f.Locality,
+			DeadFraction: f.Summary.DeadFraction(),
+		}, nil
 	})
 }
 

@@ -433,8 +433,47 @@ func TestCoalescedBurstBitIdentical(t *testing.T) {
 	if got := mc.Counter(metrics.CounterServerCompleted); got != dup {
 		t.Errorf("completed counter = %d, want %d", got, dup)
 	}
-	if st := s.w.ArtifactStats().Kinds[core.KindProfile]; st.Misses != 1 || st.Hits != dup-1 {
-		t.Errorf("profile builds/hits = %d/%d, want 1/%d for %d identical requests", st.Misses, st.Hits, dup-1, dup)
+	ks := s.w.ArtifactStats().Kinds
+	if st := ks[core.KindFacts]; st.Misses != 1 || st.Hits != dup-1 {
+		t.Errorf("facts builds/hits = %d/%d, want 1/%d for %d identical requests", st.Misses, st.Hits, dup-1, dup)
+	}
+	if st := ks[core.KindProfile]; st.Misses != 1 || st.Hits != 0 {
+		t.Errorf("profile builds/hits = %d/%d, want 1/0 (read by the one facts build)", st.Misses, st.Hits)
+	}
+}
+
+// TestProfileEndpointReadsOnlyFacts pins /v1/profile's warm path: over a
+// disk tier a cold server populated, the answer is the facts entry alone,
+// read from disk with no profile opened, and its body equals the cold
+// server's.
+func TestProfileEndpointReadsOnlyFacts(t *testing.T) {
+	dir := t.TempDir()
+	overDir := func(cfg *Config) {
+		if err := cfg.Workspace.OpenDiskCache(dir, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body := `{"bench":"` + core.SuiteNames()[0] + `"}`
+	_, cold, _ := newTestServer(t, overDir)
+	resp, coldBody := post(t, cold.URL+"/v1/profile", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold: status %d: %s", resp.StatusCode, coldBody)
+	}
+
+	s, warm, _ := newTestServer(t, overDir)
+	resp, warmBody := post(t, warm.URL+"/v1/profile", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm: status %d: %s", resp.StatusCode, warmBody)
+	}
+	if !bytes.Equal(warmBody, coldBody) {
+		t.Errorf("warm body diverges from the cold server's:\ncold %s\nwarm %s", coldBody, warmBody)
+	}
+	ks := s.w.ArtifactStats().Kinds
+	if f := ks[core.KindFacts]; f.DiskHits != 1 || f.Misses != 0 {
+		t.Errorf("warm facts stats = %+v, want one disk hit and no build", f)
+	}
+	if p := ks[core.KindProfile]; p.Hits != 0 || p.Misses != 0 || p.DiskHits != 0 {
+		t.Errorf("warm /v1/profile opened a profile: %+v", p)
 	}
 }
 
@@ -574,8 +613,9 @@ func TestAdoptionAcrossRequests(t *testing.T) {
 	s, ts, _ := newTestServer(t, nil)
 	bench := core.SuiteNames()[2]
 
-	// Hold the profile build open inside the store (the delay fires in the
-	// build itself), so the survivor attaches to it while it runs.
+	// Hold the facts build open inside the store (the delay fires in the
+	// build itself, before it asks for the profile), so the survivor
+	// attaches to it while it runs.
 	in := faults.NewInjector(3).Arm(faults.SiteWorkspaceMemo,
 		faults.Rule{Kind: faults.Delay, Rate: 1, Max: 1, Delay: 150 * time.Millisecond})
 	faults.Set(in)
@@ -591,7 +631,7 @@ func TestAdoptionAcrossRequests(t *testing.T) {
 		}
 	}
 
-	// The originator: starts the cold profile build, then vanishes.
+	// The originator: starts the cold facts build, then vanishes.
 	octx, ocancel := context.WithCancel(context.Background())
 	defer ocancel()
 	var wg sync.WaitGroup
@@ -636,7 +676,7 @@ func TestAdoptionAcrossRequests(t *testing.T) {
 	}()
 
 	waitFor("the survivor to attach to the build", func() bool {
-		return s.w.ArtifactStats().Kinds[core.KindProfile].InflightWaits >= 1
+		return s.w.ArtifactStats().Kinds[core.KindFacts].InflightWaits >= 1
 	})
 	ocancel()
 	wg.Wait()
@@ -657,8 +697,11 @@ func TestAdoptionAcrossRequests(t *testing.T) {
 			t.Errorf("survivor got %+v, want %+v", got, want)
 		}
 	}
-	st := s.w.ArtifactStats().Kinds[core.KindProfile]
-	if st.Adoptions != 1 || st.Misses != 1 {
-		t.Errorf("profile adoptions/builds = %d/%d, want 1/1 (adoption, not restart)", st.Adoptions, st.Misses)
+	ks := s.w.ArtifactStats().Kinds
+	if st := ks[core.KindFacts]; st.Adoptions != 1 || st.Misses != 1 {
+		t.Errorf("facts adoptions/builds = %d/%d, want 1/1 (adoption, not restart)", st.Adoptions, st.Misses)
+	}
+	if st := ks[core.KindProfile]; st.Misses != 1 {
+		t.Errorf("profile builds = %d, want 1 (the adopted facts build's)", st.Misses)
 	}
 }
