@@ -542,28 +542,22 @@ func BenchmarkProfileDiskCache(b *testing.B) {
 }
 
 // BenchmarkCoalescedLoad measures the service tier's redundant-work
-// elimination end to end over real HTTP: each iteration flushes the
-// daemon workspace's resident artifacts and issues profile requests
-// against the cold cache. "solo" is the one-request baseline, "burst8"
-// fires 8 identical requests concurrently, and "serial8" issues the same
-// 8 back to back. Every request takes its own admission slot and reads
-// the benchmark's default facts; the concurrent duplicates meet at that
-// facts build in the artifact store, whose single-flight runs one build
-// (over one profile build) for all of them, so burst8's ns/op should
-// track serial8's, not 8x solo's. builds/burst counts facts-kind cache
-// misses per iteration: 1 for all three. The benchmark fails if the
-// profile kind missed a different number of times.
+// elimination end to end over real HTTP: each iteration starts a fresh
+// daemon over a fresh workspace and issues profile requests against its
+// cold store. "solo" is the one-request baseline, "burst8" fires 8
+// identical requests concurrently, and "serial8" issues the same 8 back
+// to back. Every request takes its own admission slot and reads the
+// benchmark's default facts; the concurrent duplicates meet at that facts
+// build in the artifact store, whose single-flight runs one build (over
+// one profile build) for all of them, so burst8's ns/op should track
+// serial8's, not 8x solo's. builds/burst counts facts-kind cache misses
+// per iteration: 1 for all three. The benchmark fails if the profile kind
+// missed a different number of times.
 func BenchmarkCoalescedLoad(b *testing.B) {
 	run := func(b *testing.B, requests int, concurrent bool) {
-		w := core.NewWorkspaceWorkers(benchBudget, 2)
-		mc := metrics.New()
-		w.Metrics = mc
-		s := server.New(server.Config{Workspace: w, QueueDepth: 32, Metrics: mc})
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
 		body := `{"bench":"gzip"}`
-		post := func() error {
-			resp, err := http.Post(ts.URL+"/v1/profile", "application/json", strings.NewReader(body))
+		post := func(url string) error {
+			resp, err := http.Post(url+"/v1/profile", "application/json", strings.NewReader(body))
 			if err != nil {
 				return err
 			}
@@ -576,10 +570,15 @@ func BenchmarkCoalescedLoad(b *testing.B) {
 			}
 			return nil
 		}
+		var builds, profileBuilds int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			w.FlushSpill()
+			w := core.NewWorkspaceWorkers(benchBudget, 2)
+			mc := metrics.New()
+			w.Metrics = mc
+			s := server.New(server.Config{Workspace: w, QueueDepth: 32, Metrics: mc})
+			ts := httptest.NewServer(s.Handler())
 			b.StartTimer()
 			if concurrent {
 				var wg sync.WaitGroup
@@ -588,7 +587,7 @@ func BenchmarkCoalescedLoad(b *testing.B) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						errc <- post()
+						errc <- post(ts.URL)
 					}()
 				}
 				wg.Wait()
@@ -600,17 +599,21 @@ func BenchmarkCoalescedLoad(b *testing.B) {
 				}
 			} else {
 				for r := 0; r < requests; r++ {
-					if err := post(); err != nil {
+					if err := post(ts.URL); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
+			b.StopTimer()
+			ts.Close()
+			ks := w.ArtifactStats().Kinds
+			builds += ks[core.KindFacts].Misses
+			profileBuilds += ks[core.KindProfile].Misses
+			b.StartTimer()
 		}
 		b.StopTimer()
-		ks := w.ArtifactStats().Kinds
-		builds := ks[core.KindFacts].Misses
-		if p := ks[core.KindProfile].Misses; p != builds {
-			b.Fatalf("%d facts builds opened %d profile builds", builds, p)
+		if profileBuilds != builds {
+			b.Fatalf("%d facts builds opened %d profile builds", builds, profileBuilds)
 		}
 		b.ReportMetric(float64(builds)/float64(b.N), "builds/burst")
 	}

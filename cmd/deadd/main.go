@@ -6,9 +6,8 @@
 // Usage:
 //
 //	deadd [-addr host:port] [-queue n] [-request-timeout d] [-max-timeout d]
-//	      [-drain-timeout d] [-n budget] [-j workers]
-//	      [-cache-budget bytes] [-cache-dir dir] [-disk-budget bytes]
-//	      [-remote-cache url] [-v]
+//	      [-drain-timeout d] [-n budget] [-j workers] [-cache-dir dir]
+//	      [-disk-budget bytes] [-remote-cache url] [-v]
 //
 // Endpoints: GET /healthz, /readyz, /metricz; POST /v1/experiment,
 // /v1/experiments, /v1/predeval, /v1/profile — all POST endpoints accept
@@ -23,13 +22,21 @@
 // artifact store. Each request executes once: a transient failure is a
 // 503 with a "transient" error kind, and the client may ask again.
 //
+// Every artifact the daemon completes stays in memory until it exits.
+// That stays bounded: the daemon serves one budget, so it holds at most
+// the 11 suite profiles and the fixed set of facts and machine results
+// its endpoints reach. Only /v1/predeval results grow, one per distinct
+// predictor spec a client sends, each at the cost of a full evaluation.
+// -cache-dir with -disk-budget is the bounded tier.
+//
 // On SIGTERM/SIGINT the daemon drains: readiness flips to 503, new work
 // is rejected, in-flight work finishes (or is cancelled at
-// -drain-timeout), resident artifacts spill to the -cache-dir disk tier,
-// and a final JSON metrics dump ({"run": ..., "artifacts": ...}) goes to
-// stdout before a zero exit. The FAULTS / FAULTS_SEED environment
-// variables arm the fault injector (sites server.accept and
-// server.handle belong to the daemon); malformed rules abort startup.
+// -drain-timeout), every resident artifact the -cache-dir disk tier
+// lacks (a failed write-through) is written to it, and a final JSON
+// metrics dump ({"run": ..., "artifacts": ...}) goes to stdout before a
+// zero exit. The FAULTS / FAULTS_SEED environment variables arm the
+// fault injector (sites server.accept and server.handle belong to the
+// daemon); malformed rules abort startup.
 package main
 
 import (
@@ -117,7 +124,7 @@ func run() int {
 
 	// Graceful drain: readiness flips first so load balancers stop
 	// routing, then in-flight work finishes or is deadline-cancelled,
-	// then resident artifacts spill to the disk tier.
+	// then resident artifacts missing from the disk tier are written.
 	dctx, dcancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer dcancel()
 	forced := s.Drain(dctx)

@@ -6,8 +6,8 @@
 //
 // The tables read only a profile's facts (summary, locality, mix), which
 // derive through the workspace's content-addressed artifact cache:
-// -cache-budget bounds its resident bytes, -cache-dir attaches a
-// persistent disk tier shared across runs and processes, and
+// -cache-dir attaches a persistent disk tier shared across runs and
+// processes, and
 // -remote-cache attaches a warm deadd daemon as a third tier (lookup
 // order: memory, disk, remote, build), so a repeated invocation loads
 // the facts instead of re-emulating and decodes no trace (use
@@ -16,9 +16,8 @@
 // Usage:
 //
 //	deadprof [-bench name] [-n budget] [-hoist n] [-licm n] [-regs n]
-//	         [-locality] [-mix] [-j workers] [-cache-budget bytes]
-//	         [-cache-dir dir] [-disk-budget bytes] [-remote-cache url]
-//	         [-artifacts]
+//	         [-locality] [-mix] [-j workers] [-cache-dir dir]
+//	         [-disk-budget bytes] [-remote-cache url] [-artifacts]
 package main
 
 import (

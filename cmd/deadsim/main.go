@@ -8,8 +8,8 @@
 //
 //	deadsim [-bench name] [-n budget] [-machine baseline|contended|deep]
 //	        [-regs n] [-elim off|on|both] [-clusters 1|2] [-steer predictor]
-//	        [-j workers] [-cache-budget bytes] [-cache-dir dir]
-//	        [-disk-budget bytes] [-remote-cache url] [-v]
+//	        [-j workers] [-cache-dir dir] [-disk-budget bytes]
+//	        [-remote-cache url] [-v]
 //
 // -clusters 2 reorganizes the selected machine as a full-width cluster
 // plus a single-issue narrow cluster fed by the ineffectuality steering
@@ -17,12 +17,11 @@
 // gains per-cluster commit and steering columns.
 //
 // Profiles and machine runs derive through the workspace's
-// content-addressed artifact cache; -cache-budget bounds its resident
-// bytes, -cache-dir attaches a persistent disk tier shared across runs
-// and processes (bounded by -disk-budget), and -remote-cache attaches a
-// warm deadd daemon as a third tier (lookup order: memory, disk, remote,
-// build), so repeated invocations load artifacts instead of recomputing
-// them. The -v run summary includes the per-kind cache, disk-tier, and
+// content-addressed artifact cache; -cache-dir attaches a persistent disk
+// tier shared across runs and processes (bounded by -disk-budget), and
+// -remote-cache attaches a warm deadd daemon as a third tier (lookup
+// order: memory, disk, remote, build), so repeated invocations load
+// artifacts instead of recomputing them. The -v run summary includes the per-kind cache, disk-tier, and
 // remote-tier counters.
 package main
 

@@ -8,29 +8,27 @@
 // Usage:
 //
 //	experiments [-only id[,id...]] [-skip id[,id...]] [-n budget] [-j workers]
-//	            [-cache-budget bytes] [-cache-dir dir] [-disk-budget bytes]
-//	            [-remote-cache url] [-v] [-md | -json] [-keep-going]
-//	            [-timeout d]
+//	            [-cache-dir dir] [-disk-budget bytes] [-remote-cache url]
+//	            [-v] [-md | -json] [-keep-going] [-timeout d]
 //
 // Experiment selection: -only restricts the run to the listed ids, -skip
 // excludes ids from whatever -only selected (default: all); both validate
 // against the known experiment ids up front.
 //
-// The workspace derives programs, profiles, predictor evaluations, and
-// machine runs through a content-addressed artifact cache; -cache-budget
-// bounds its resident bytes (suffixes KiB/MiB/GiB; 0 = unlimited), with
-// least-recently-used artifacts evicted and rebuilt deterministically on
-// demand. -cache-dir additionally attaches a persistent disk tier shared
-// across runs (and safely across concurrent processes): artifacts write
-// through on build, cold misses load from disk instead of rebuilding, and
-// evictions spill to disk; -disk-budget bounds the directory, with the
-// oldest entries garbage-collected beyond it. -remote-cache attaches a
-// warm deadd daemon as a third tier behind memory and disk (lookup
-// order: memory, disk, remote, build): verified remote hits also warm
-// the local disk tier, and the tier is read-only, so freshly built
-// artifacts stay local. Per-kind hit/miss/eviction counters — and the
-// disk and remote tiers' hit/miss/write/verify-failure/GC counters —
-// appear in the -v run summary and the -json "artifacts" section.
+// The workspace derives profiles, their facts, predictor evaluations, and
+// machine runs through a content-addressed artifact cache that keeps
+// every artifact it completes for the rest of the run. -cache-dir
+// attaches a persistent disk tier shared across runs (and safely across
+// concurrent processes): artifacts write through on build and cold misses
+// load from disk instead of rebuilding; -disk-budget bounds the directory
+// (suffixes KiB/MiB/GiB; 0 = unlimited), with the oldest entries
+// garbage-collected beyond it. -remote-cache attaches a warm deadd daemon
+// as a third tier behind memory and disk (lookup order: memory, disk,
+// remote, build): verified remote hits also warm the local disk tier, and
+// the tier is read-only, so freshly built artifacts stay local. Per-kind
+// hit/miss counters — and the disk and remote tiers'
+// hit/miss/write/verify-failure/GC counters — appear in the -v run
+// summary and the -json "artifacts" section.
 //
 // Failure handling: each experiment runs once, bounded by -timeout, and
 // -keep-going switches to partial-results mode — every experiment runs,
@@ -234,7 +232,7 @@ func selectExperiments(only, skip string) ([]string, error) {
 // printJSON emits the machine-readable form: the experiments array is
 // deterministic (identical for any -j), while the run section carries the
 // wall-clock phase report and counters of this particular run, and the
-// artifacts section the per-kind cache hit/miss/eviction statistics and
+// artifacts section the per-kind cache hit/miss statistics and
 // residency.
 // Failed experiments (partial-results mode) carry an error in place of
 // metrics.

@@ -9,20 +9,19 @@
 //
 //	predsweep [-bench name] [-n budget] [-mode point|sweep|assoc|cfi|steer]
 //	          [-path n] [-slots n] [-steer-dir name] [-j workers]
-//	          [-cache-budget bytes] [-cache-dir dir] [-disk-budget bytes]
-//	          [-remote-cache url]
+//	          [-cache-dir dir] [-disk-budget bytes] [-remote-cache url]
 //
 // -mode steer evaluates the cluster-steering predictor (dip.FlavorSteer):
 // every registered direction predictor reinterpreted over ineffectuality
 // outcomes, or just the one named by -steer-dir.
 //
 // Traces, oracle analyses, and predictor evaluations derive through the
-// workspace's content-addressed artifact cache; -cache-budget bounds its
-// resident bytes, -cache-dir attaches a persistent disk tier shared
-// across runs and processes (bounded by -disk-budget), and -remote-cache
-// attaches a warm deadd daemon as a third tier, so a sweep re-invoked
-// after a warm run loads its profiles instead of re-emulating. The FAULTS / FAULTS_SEED environment variables arm the
-// deterministic fault injector; malformed rules abort at startup.
+// workspace's content-addressed artifact cache; -cache-dir attaches a
+// persistent disk tier shared across runs and processes (bounded by
+// -disk-budget), and -remote-cache attaches a warm deadd daemon as a
+// third tier, so a sweep re-invoked after a warm run loads its profiles
+// instead of re-emulating. The FAULTS / FAULTS_SEED environment variables
+// arm the deterministic fault injector; malformed rules abort at startup.
 package main
 
 import (

@@ -3,21 +3,22 @@
 // profiles, their facts, predictor evaluations, machine runs — is an
 // artifact addressed by its kind and a canonical digest of the full input
 // spec that produced it. The store provides single-flight computation
-// (concurrent requesters of one artifact block on one producer), per-kind
-// hit/miss/eviction/in-flight counters, and LRU eviction under a
-// configurable byte budget, so sweep-heavy workloads reuse work across
-// experiments while peak memory stays bounded.
+// (concurrent requesters of one artifact block on one producer) and
+// per-kind hit/miss/in-flight counters, so sweep-heavy workloads reuse
+// work across experiments. A completed artifact stays resident for the
+// life of its store.
 //
-// Artifacts are pure functions of their spec: a rebuild after eviction
-// must be bit-identical to the original, which is what makes eviction
-// invisible to the experiment outputs.
+// Artifacts are pure functions of their spec: a rebuild in a fresh store
+// must be bit-identical to the original, which is what lets a disk or
+// remote copy stand in for a build.
 //
 // A store may additionally be backed by a persistent disk tier (SetDisk):
 // kinds with a registered Codec write through to a content-addressed
-// on-disk cache on build, cold misses load from disk instead of
-// rebuilding, and LRU-evicted artifacts spill to disk rather than being
-// dropped. Disk entries are integrity-verified on readback and the disk
-// tier is safe to share between concurrent processes; see Disk.
+// on-disk cache on build, and cold misses load from disk instead of
+// rebuilding. PersistResident retries the write-through of anything
+// resident that is missing from disk. Disk entries are
+// integrity-verified on readback and the disk tier is safe to share
+// between concurrent processes; see Disk.
 //
 // A third, remote tier (SetRemote) sits behind memory and disk: cold
 // misses that both inner tiers miss are fetched from a remote cache (an
@@ -53,8 +54,8 @@ import (
 var ErrNotFound = errors.New("artifact: not found")
 
 // Kind names one artifact type. Per-kind counters are reported as
-// "artifact_hits.<kind>", "artifact_misses.<kind>",
-// "artifact_evictions.<kind>", and "artifact_inflight_waits.<kind>".
+// "artifact_hits.<kind>", "artifact_misses.<kind>", and
+// "artifact_inflight_waits.<kind>".
 type Kind string
 
 // Key is an artifact's content address: its kind plus the canonical
@@ -80,9 +81,10 @@ func Digest(spec any) string {
 }
 
 // Releaser is implemented by artifact values that recycle pooled
-// resources (e.g. a profile's columnar trace chunks) when the store
-// evicts them. ReleaseArtifact is called only once the artifact has no
-// pinned readers, so implementations may return arenas to a sync.Pool.
+// resources (e.g. a profile's columnar trace chunks). The store calls
+// ReleaseArtifact only on the late value of a build whose last waiter
+// left (see GetCtx): nobody can read that value, so implementations may
+// return arenas to a sync.Pool. A resident artifact is never released.
 type Releaser interface {
 	ReleaseArtifact()
 }
@@ -94,10 +96,8 @@ type KindStats struct {
 	// schedule-independent; InflightWaits breaks out the waiters).
 	Hits int64 `json:"hits"`
 	// Misses counts builds actually executed (including rebuilds after
-	// eviction or a forgotten transient failure).
+	// a forgotten transient failure).
 	Misses int64 `json:"misses"`
-	// Evictions counts artifacts dropped by the LRU byte budget.
-	Evictions int64 `json:"evictions"`
 	// InflightWaits counts requesters that blocked on another goroutine's
 	// in-flight build of the same artifact.
 	InflightWaits int64 `json:"inflight_waits"`
@@ -143,10 +143,8 @@ type RemoteTier interface {
 // Stats is a snapshot of the store.
 type Stats struct {
 	Kinds map[Kind]KindStats `json:"kinds"`
-	// ResidentBytes is the total size of completed artifacts currently
-	// held; BudgetBytes is the configured bound (0 = unlimited).
+	// ResidentBytes is the total size of completed artifacts held.
 	ResidentBytes int64 `json:"resident_bytes"`
-	BudgetBytes   int64 `json:"budget_bytes,omitempty"`
 	// DiskUsedBytes/DiskBudgetBytes describe the persistent tier when one
 	// is attached (see SetDisk).
 	DiskUsedBytes   int64 `json:"disk_used_bytes,omitempty"`
@@ -172,16 +170,13 @@ type entry struct {
 	buildCancel context.CancelFunc
 
 	// Guarded by the store lock.
-	refs       int    // pinned readers (builder + hit requesters)
-	waiters    int    // requesters blocked on the in-flight build
-	adopted    bool   // a requester left while others stayed (counted once)
-	resident   bool   // counted in usedBytes, evictable when refs == 0
-	prev, next *entry // LRU list links, set only while unpinned
+	waiters  int  // requesters blocked on the in-flight build
+	adopted  bool // a requester left while others stayed (counted once)
+	resident bool // completed and indexed, counted in used
 }
 
 // Store is a content-addressed artifact cache with single-flight
-// computation and LRU eviction. The zero value is unusable; create with
-// New.
+// computation. The zero value is unusable; create with New.
 type Store struct {
 	// MemoErr, when non-nil, reports whether a build error should stay
 	// memoized (rebuilding a deterministic failure would just fail again).
@@ -189,16 +184,11 @@ type Store struct {
 	// next request rebuilds. Set before first use.
 	MemoErr func(error) bool
 
-	budget int64
-
 	mu    sync.Mutex
 	mc    *metrics.Collector
 	items map[Key]*entry
 	used  int64
 	stats map[Kind]*KindStats
-	// lru is a doubly-linked list of unpinned resident entries; head is
-	// the least recently released, tail the most recent.
-	head, tail *entry
 	// Persistent tier (nil = memory only), remote tier (nil = none), and
 	// the per-kind codec registry deciding which kinds they carry.
 	disk   *Disk
@@ -206,14 +196,11 @@ type Store struct {
 	codecs map[Kind]Codec
 }
 
-// New creates a store bounded to budgetBytes of resident artifact data
-// (0 = unlimited). The budget is soft: pinned artifacts are never
-// evicted, so concurrent pins can exceed it transiently.
-func New(budgetBytes int64) *Store {
+// New creates an empty store.
+func New() *Store {
 	return &Store{
-		budget: budgetBytes,
-		items:  make(map[Key]*entry),
-		stats:  make(map[Kind]*KindStats),
+		items: make(map[Key]*entry),
+		stats: make(map[Kind]*KindStats),
 	}
 }
 
@@ -230,9 +217,8 @@ func (s *Store) RegisterCodec(kind Kind, c Codec) {
 }
 
 // SetDisk attaches a persistent disk tier (nil detaches). With a tier
-// attached, kinds with a registered codec write through on build, satisfy
-// cold misses from disk, and spill to disk when the in-memory LRU evicts
-// them. Set before first use.
+// attached, kinds with a registered codec write through on build and
+// satisfy cold misses from disk. Set before first use.
 func (s *Store) SetDisk(d *Disk) {
 	s.mu.Lock()
 	s.disk = d
@@ -278,7 +264,6 @@ func (s *Store) Stats() Stats {
 	out := Stats{
 		Kinds:         make(map[Kind]KindStats, len(s.stats)),
 		ResidentBytes: s.used,
-		BudgetBytes:   s.budget,
 	}
 	for k, ks := range s.stats {
 		out.Kinds[k] = *ks
@@ -325,18 +310,16 @@ func (s *Store) kindStats(k Kind) *KindStats {
 // no matter how many goroutines ask concurrently. It is GetCtx with a
 // background context: the requester never disconnects, so it always
 // waits the build out.
-func Get[T any](s *Store, key Key, build func() (T, int64, error)) (T, func(), error) {
+func Get[T any](s *Store, key Key, build func() (T, int64, error)) (T, error) {
 	return GetCtx(s, context.Background(), key, func(context.Context) (T, int64, error) {
 		return build()
 	})
 }
 
 // GetCtx returns the artifact at key, computing it with build at most
-// once no matter how many goroutines ask concurrently. The artifact is
-// pinned until the returned release function is called: a pinned
-// artifact is never evicted, so values holding pooled resources (see
-// Releaser) stay valid until released. release is always non-nil and
-// idempotent.
+// once no matter how many goroutines ask concurrently. A completed
+// artifact stays resident for the life of the store, so the value stays
+// valid however long the caller holds it.
 //
 // The build runs on a goroutine of its own under a detached context that
 // is cancelled only when the last interested requester has disconnected:
@@ -345,19 +328,17 @@ func Get[T any](s *Store, key Key, build func() (T, int64, error)) (T, func(), e
 // artifact_adoptions) and the build keeps running for them; GetCtx then
 // returns ctx.Err() to the departed requester. Once the last requester
 // has left, the next one starts a fresh build; a late success of the
-// abandoned build is released, not cached. The build callback receives
-// that detached context, not ctx.
+// abandoned build is released (see Releaser), not cached. The build
+// callback receives that detached context, not ctx.
 //
 // build returns the value and its resident size in bytes. A build error
 // is propagated to every concurrent requester; whether it stays memoized
 // is decided by the store's MemoErr. A panicking build is converted to an
 // error (never memoized) so waiters are not deadlocked.
-func GetCtx[T any](s *Store, ctx context.Context, key Key, build func(context.Context) (T, int64, error)) (T, func(), error) {
+func GetCtx[T any](s *Store, ctx context.Context, key Key, build func(context.Context) (T, int64, error)) (T, error) {
 	s.mu.Lock()
 	e, ok := s.items[key]
 	if ok {
-		e.refs++
-		s.unlink(e) // pinned entries leave the LRU list
 		building := false
 		select {
 		case <-e.done:
@@ -374,17 +355,17 @@ func GetCtx[T any](s *Store, ctx context.Context, key Key, build func(context.Co
 		if building {
 			if err := s.waitBuild(ctx, e); err != nil {
 				var zero T
-				return zero, func() {}, err
+				return zero, err
 			}
 		}
-		return finishGet[T](s, e)
+		return finishGet[T](e)
 	}
 
 	// The build context is detached from the requester deliberately:
 	// ownership belongs to the waiter set (refcounted via e.waiters), not
 	// to whichever request happened to arrive first.
 	bctx, cancel := context.WithCancel(context.Background())
-	e = &entry{key: key, done: make(chan struct{}), refs: 2, waiters: 1, buildCancel: cancel}
+	e = &entry{key: key, done: make(chan struct{}), waiters: 1, buildCancel: cancel}
 	s.items[key] = e
 	codec := s.codecs[key.Kind]
 	disk := s.disk
@@ -397,16 +378,14 @@ func GetCtx[T any](s *Store, ctx context.Context, key Key, build func(context.Co
 
 	if err := s.waitBuild(ctx, e); err != nil {
 		var zero T
-		return zero, func() {}, err
+		return zero, err
 	}
-	return finishGet[T](s, e)
+	return finishGet[T](e)
 }
 
 // runBuild executes one detached single-flight build: disk tier, then
-// remote tier, then the build callback. It owns one pin (released here,
-// before done closes, so the last requester release is what triggers
-// eviction — synchronously, as callers of Get have always observed) and
-// is the only writer of the entry's value fields until done closes.
+// remote tier, then the build callback. It is the only writer of the
+// entry's value fields until done closes.
 func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote RemoteTier, codec Codec, build func(context.Context) (any, int64, error)) {
 	key := e.key
 	func() {
@@ -455,28 +434,24 @@ func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote Remo
 		s.used += e.size
 	}
 	s.mu.Unlock()
-	if indexed && e.err == nil && !e.fromDisk && disk != nil && codec != nil {
-		// Write through while the value is pinned by the builder:
-		// persistence must encode before any eviction can release pooled
-		// resources. (A remote hit lands on disk inside remoteLoad, payload
-		// intact, so it is excluded alongside disk hits.)
-		if !e.fromRemote {
-			s.persist(key, e.val, disk, codec)
-		}
+	// Write through before done closes, so a requester that sees the value
+	// also sees its disk entry. A disk hit is already there, and a remote
+	// hit lands on disk inside remoteLoad, payload intact.
+	if indexed && e.err == nil && !e.fromDisk && !e.fromRemote && disk != nil && codec != nil {
+		s.persist(key, e.val, disk, codec)
 	}
-	s.release(e)
 	close(e.done)
 	if r, ok := e.val.(Releaser); ok && !indexed && e.err == nil {
 		r.ReleaseArtifact()
 	}
 }
 
-// waitBuild blocks until e's in-flight build completes (returning nil
-// with the caller's pin intact) or ctx is cancelled first. On
-// cancellation it drops the caller's pin and waiter slot: if other
-// waiters survive they adopt the build; if the caller was the last, the
-// entry leaves the index and the detached build context is cancelled, so
-// the build dies promptly and nobody else joins it.
+// waitBuild blocks until e's in-flight build completes (returning nil)
+// or ctx is cancelled first. On cancellation it drops the caller's
+// waiter slot: if other waiters survive they adopt the build; if the
+// caller was the last, the entry leaves the index and the detached build
+// context is cancelled, so the build dies promptly and nobody else joins
+// it.
 func (s *Store) waitBuild(ctx context.Context, e *entry) error {
 	select {
 	case <-e.done:
@@ -497,7 +472,6 @@ func (s *Store) waitBuild(ctx context.Context, e *entry) error {
 	default:
 	}
 	e.waiters--
-	e.refs--
 	last := e.waiters == 0
 	if last && !e.resident && s.items[e.key] == e {
 		// Unindex the cancelled build, so the next requester starts a
@@ -596,11 +570,11 @@ func (s *Store) remoteLoad(key Key, r RemoteTier, c Codec, d *Disk) (v any, size
 }
 
 // EncodedFrame returns the CRC-framed wire image for key. A resident
-// artifact encodes under a pin and frames the copy; otherwise the disk
-// tier's entry is served as read with spilled=true — the framed bytes on
-// disk ARE the wire format, so the spill-through path performs no
-// decode, re-encode, or frame copy. ErrNotFound when neither tier holds
-// the artifact.
+// artifact is encoded and the copy framed; otherwise the disk tier's
+// entry is served as read with spilled=true — the framed bytes on disk
+// ARE the wire format, so the spill-through path performs no decode,
+// re-encode, or frame copy. ErrNotFound when neither tier holds the
+// artifact.
 func (s *Store) EncodedFrame(key Key) (framed []byte, spilled bool, err error) {
 	s.mu.Lock()
 	codec := s.codecs[key.Kind]
@@ -615,11 +589,8 @@ func (s *Store) EncodedFrame(key Key) (framed []byte, spilled bool, err error) {
 		}
 	}
 	if ok && codec != nil {
-		e.refs++
-		s.unlink(e)
 		s.mu.Unlock()
 		payload, err := encodeToBytes(codec, e.val)
-		s.release(e)
 		if err != nil {
 			return nil, false, err
 		}
@@ -637,132 +608,50 @@ func (s *Store) EncodedFrame(key Key) (framed []byte, spilled bool, err error) {
 	return nil, false, ErrNotFound
 }
 
-// finishGet reads a completed entry and hands the caller its pin.
-func finishGet[T any](s *Store, e *entry) (T, func(), error) {
+// finishGet reads a completed entry.
+func finishGet[T any](e *entry) (T, error) {
+	var zero T
 	if e.err != nil {
-		var zero T
-		s.release(e)
-		return zero, func() {}, e.err
+		return zero, e.err
 	}
-	var released sync.Once
-	rel := func() { released.Do(func() { s.release(e) }) }
 	v, ok := e.val.(T)
 	if !ok {
 		// Two different value types under one key is a caller bug; fail
 		// loudly rather than corrupting the typed contract.
-		rel()
-		var zero T
-		return zero, func() {}, fmt.Errorf("artifact: %s holds %T, requested %T", e.key, e.val, v)
+		return zero, fmt.Errorf("artifact: %s holds %T, requested %T", e.key, e.val, v)
 	}
-	return v, rel, nil
+	return v, nil
 }
 
-// release unpins the entry; the last unpin of a resident entry makes it
-// evictable (appended at the MRU end of the LRU list) and triggers budget
-// enforcement.
-func (s *Store) release(e *entry) {
-	s.mu.Lock()
-	e.refs--
-	var victims []*entry
-	if e.refs == 0 && e.resident && s.items[e.key] == e {
-		s.pushTail(e)
-		victims = s.evictOverBudgetLocked()
+// PersistResident writes every completed resident artifact whose kind
+// has a codec and whose disk entry is missing through to the disk tier,
+// so a write-through that failed at build time gets a second attempt.
+// Entries that are already on disk cost one stat each. The daemon calls
+// it during graceful drain, so warm state survives a restart; it is a
+// no-op without a disk tier.
+func (s *Store) PersistResident() {
+	type pending struct {
+		e     *entry
+		codec Codec
 	}
-	s.mu.Unlock()
-	s.releaseVictims(victims)
-}
-
-// EvictAll drops every unpinned resident artifact regardless of budget,
-// releasing pooled resources. Useful at the end of a run.
-func (s *Store) EvictAll() {
-	s.mu.Lock()
-	var victims []*entry
-	for s.head != nil {
-		victims = append(victims, s.evictHeadLocked())
-	}
-	s.mu.Unlock()
-	s.releaseVictims(victims)
-}
-
-// releaseVictims spills evicted values to the disk tier (if attached and
-// not already present there) and then runs their Releasers, all outside
-// the store lock. The spill must precede the Releaser: releasing may
-// recycle pooled resources the encoder still needs.
-func (s *Store) releaseVictims(victims []*entry) {
 	s.mu.Lock()
 	disk := s.disk
-	s.mu.Unlock()
-	for _, v := range victims {
-		if disk != nil && v.err == nil {
-			if c := s.codecFor(v.key.Kind); c != nil {
-				s.persist(v.key, v.val, disk, c)
+	var todo []pending
+	if disk != nil {
+		for _, e := range s.items {
+			c := s.codecs[e.key.Kind]
+			if c == nil || !e.resident {
+				continue
+			}
+			select {
+			case <-e.done:
+				todo = append(todo, pending{e, c})
+			default: // its own write-through is still running
 			}
 		}
-		if r, ok := v.val.(Releaser); ok {
-			r.ReleaseArtifact()
-		}
 	}
-}
-
-// codecFor returns the registered codec for kind, or nil.
-func (s *Store) codecFor(kind Kind) Codec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.codecs[kind]
-}
-
-// evictOverBudgetLocked drops least-recently-used unpinned entries until
-// the resident size fits the budget. Call with s.mu held; the caller
-// runs the victims' Releasers outside the lock.
-func (s *Store) evictOverBudgetLocked() []*entry {
-	if s.budget <= 0 {
-		return nil
+	s.mu.Unlock()
+	for _, p := range todo {
+		s.persist(p.e.key, p.e.val, disk, p.codec)
 	}
-	var victims []*entry
-	for s.used > s.budget && s.head != nil {
-		victims = append(victims, s.evictHeadLocked())
-	}
-	return victims
-}
-
-// evictHeadLocked removes the LRU head from the list, the map, and the
-// resident accounting. Call with s.mu held and s.head != nil.
-func (s *Store) evictHeadLocked() *entry {
-	e := s.head
-	s.unlink(e)
-	delete(s.items, e.key)
-	e.resident = false
-	s.used -= e.size
-	ks := s.kindStats(e.key.Kind)
-	s.count("artifact_evictions", e.key.Kind, &ks.Evictions)
-	return e
-}
-
-// pushTail appends e at the MRU end. Call with s.mu held.
-func (s *Store) pushTail(e *entry) {
-	e.prev, e.next = s.tail, nil
-	if s.tail != nil {
-		s.tail.next = e
-	} else {
-		s.head = e
-	}
-	s.tail = e
-}
-
-// unlink removes e from the LRU list if present. Call with s.mu held.
-func (s *Store) unlink(e *entry) {
-	if s.head != e && e.prev == nil && e.next == nil {
-		return // not in the list
-	}
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }

@@ -15,16 +15,6 @@ func key(kind Kind, spec string) Key {
 	return Key{Kind: kind, Digest: Digest(spec)}
 }
 
-// tracked is an artifact value whose eviction is observable: the store
-// must call ReleaseArtifact exactly once per eviction, after the last
-// pin is gone.
-type tracked struct {
-	name string
-	log  *[]string
-}
-
-func (v *tracked) ReleaseArtifact() { *v.log = append(*v.log, v.name) }
-
 func TestDigestCanonical(t *testing.T) {
 	type spec struct {
 		A string
@@ -42,7 +32,7 @@ func TestDigestCanonical(t *testing.T) {
 }
 
 func TestGetSingleFlight(t *testing.T) {
-	s := New(0)
+	s := New()
 	var builds atomic.Int64
 	const n = 32
 
@@ -56,12 +46,11 @@ func TestGetSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			v, release, err := Get(s, k, func() (int, int64, error) {
+			v, err := Get(s, k, func() (int, int64, error) {
 				builds.Add(1)
 				time.Sleep(20 * time.Millisecond) // widen the in-flight window
 				return 42, 8, nil
 			})
-			defer release()
 			vals[i], errs[i] = v, err
 		}(i)
 	}
@@ -85,92 +74,18 @@ func TestGetSingleFlight(t *testing.T) {
 	}
 }
 
-// TestLRUEvictionOrder scripts a deterministic sequence of gets and
-// releases against a small budget and asserts the exact eviction order
-// (least recently released first), that pinned artifacts are never
-// victims, and that an evicted artifact rebuilds on the next request.
-func TestLRUEvictionOrder(t *testing.T) {
-	s := New(8)
-	var log []string
-	builds := map[string]int{}
-	get := func(name string) func() {
-		_, release, err := Get(s, key("profile", name), func() (*tracked, int64, error) {
-			builds[name]++
-			return &tracked{name, &log}, 4, nil
-		})
-		if err != nil {
-			t.Fatalf("get %s: %v", name, err)
-		}
-		return release
-	}
-
-	get("a")()
-	get("b")()
-	get("c")() // 12 bytes > 8: evicts a
-	if want := []string{"a"}; !sameSeq(log, want) {
-		t.Fatalf("eviction log %v, want %v", log, want)
-	}
-	get("b")()       // touch b: LRU order becomes [c, b]
-	get("d")()       // 12 > 8: evicts c, not the recently used b
-	relE := get("e") // pinned: resident but not evictable
-	get("f")()       // b, d unpinned: both evicted to make room
-	if want := []string{"a", "c", "b", "d"}; !sameSeq(log, want) {
-		t.Fatalf("eviction log %v, want %v", log, want)
-	}
-	relE()
-	if st := s.Stats(); st.ResidentBytes != 8 {
-		t.Errorf("resident bytes = %d, want 8 (e + f)", st.ResidentBytes)
-	}
-
-	// The evicted artifact is rebuilt on demand.
-	get("a")()
-	if builds["a"] != 2 {
-		t.Errorf("a built %d times, want 2 (original + post-eviction rebuild)", builds["a"])
-	}
-	if ks := s.Stats().Kinds["profile"]; ks.Evictions < 4 {
-		t.Errorf("evictions = %d, want >= 4", ks.Evictions)
-	}
-}
-
-// TestEvictThenRecomputeBitIdentical checks the pure-function contract
-// the experiment engine relies on: a value rebuilt after eviction is
-// identical to the cold-store value.
-func TestEvictThenRecomputeBitIdentical(t *testing.T) {
-	mk := func(budget int64) func(name string) string {
-		s := New(budget)
-		return func(name string) string {
-			v, release, err := Get(s, key("profile", name), func() (string, int64, error) {
-				return strings.Repeat(name, 3), 6, nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			release()
-			return v
-		}
-	}
-	cold := mk(0)
-	churn := mk(6) // only one artifact fits: every get evicts the prior one
-	for _, name := range []string{"aa", "bb", "aa", "cc", "aa"} {
-		if c, h := cold(name), churn(name); c != h {
-			t.Fatalf("%s: churned store returned %q, cold store %q", name, h, c)
-		}
-	}
-}
-
 func TestErrorMemoizationPolicy(t *testing.T) {
 	errPerm := errors.New("permanent")
 	errTransient := errors.New("transient")
 
-	s := New(0)
+	s := New()
 	s.MemoErr = func(err error) bool { return errors.Is(err, errPerm) }
 	builds := map[string]int{}
 	get := func(name string, fail error) error {
-		_, release, err := Get(s, key("run", name), func() (int, int64, error) {
+		_, err := Get(s, key("run", name), func() (int, int64, error) {
 			builds[name]++
 			return 0, 1, fail
 		})
-		release()
 		return err
 	}
 
@@ -198,18 +113,17 @@ func TestErrorMemoizationPolicy(t *testing.T) {
 }
 
 func TestPanicNeverMemoized(t *testing.T) {
-	s := New(0)
+	s := New()
 	s.MemoErr = func(error) bool { return true } // even an always-memoize policy
 	calls := 0
 	get := func() (int, error) {
-		v, release, err := Get(s, key("run", "x"), func() (int, int64, error) {
+		v, err := Get(s, key("run", "x"), func() (int, int64, error) {
 			calls++
 			if calls == 1 {
 				panic("boom")
 			}
 			return 7, 1, nil
 		})
-		release()
 		return v, err
 	}
 	if _, err := get(); err == nil || !strings.Contains(err.Error(), "panicked") {
@@ -221,46 +135,24 @@ func TestPanicNeverMemoized(t *testing.T) {
 }
 
 func TestTypeMismatchFailsLoudly(t *testing.T) {
-	s := New(0)
+	s := New()
 	k := key("run", "x")
-	_, release, err := Get(s, k, func() (int, int64, error) { return 1, 1, nil })
+	_, err := Get(s, k, func() (int, int64, error) { return 1, 1, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	release()
-	_, release2, err := Get(s, k, func() (string, int64, error) { return "", 1, nil })
-	release2()
+	_, err = Get(s, k, func() (string, int64, error) { return "", 1, nil })
 	if err == nil || !strings.Contains(err.Error(), "holds") {
 		t.Fatalf("type mismatch err = %v, want a loud failure", err)
 	}
 }
 
-func TestEvictAll(t *testing.T) {
-	s := New(0)
-	var log []string
-	for _, name := range []string{"a", "b"} {
-		_, release, err := Get(s, key("profile", name), func() (*tracked, int64, error) {
-			return &tracked{name, &log}, 4, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		release()
-	}
-	s.EvictAll()
-	if len(log) != 2 {
-		t.Errorf("EvictAll released %d artifacts, want 2 (%v)", len(log), log)
-	}
-	if st := s.Stats(); st.ResidentBytes != 0 {
-		t.Errorf("resident bytes = %d after EvictAll", st.ResidentBytes)
-	}
-}
-
-// TestConcurrentChurn hammers a tiny-budget store from many goroutines
-// (run with -race): gets, releases, and evictions interleave, and the
-// counters must still balance — every request is exactly one hit or miss.
+// TestConcurrentChurn hammers a store from many goroutines (run with
+// -race): builds, in-flight waits and hits interleave, and the counters
+// must still balance — every request is exactly one hit or miss, and
+// each distinct artifact is built once.
 func TestConcurrentChurn(t *testing.T) {
-	s := New(10)
+	s := New()
 	var requests atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -270,13 +162,12 @@ func TestConcurrentChurn(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				name := fmt.Sprintf("it-%d", (g+i)%7)
 				requests.Add(1)
-				v, release, err := Get(s, key("churn", name), func() (string, int64, error) {
+				v, err := Get(s, key("churn", name), func() (string, int64, error) {
 					return name + name, 4, nil
 				})
 				if err != nil || v != name+name {
 					t.Errorf("get %s: v=%q err=%v", name, v, err)
 				}
-				release()
 			}
 		}(g)
 	}
@@ -285,8 +176,8 @@ func TestConcurrentChurn(t *testing.T) {
 	if total := ks.Hits + ks.Misses; total != requests.Load() {
 		t.Errorf("hits+misses = %d, want %d requests", total, requests.Load())
 	}
-	if ks.Evictions == 0 {
-		t.Error("churn over a tiny budget evicted nothing")
+	if ks.Misses != 7 {
+		t.Errorf("misses = %d, want 7 (one build per distinct artifact)", ks.Misses)
 	}
 }
 
@@ -295,7 +186,7 @@ func TestConcurrentChurn(t *testing.T) {
 // is already attached, and the build must complete once for the survivor
 // — no casualty, no re-run.
 func TestAdoptionSurvivesOriginatorCancel(t *testing.T) {
-	s := New(0)
+	s := New()
 	var builds atomic.Int64
 	buildGate := make(chan struct{}) // held closed until the waiter has joined and the owner left
 	buildDied := make(chan struct{}) // closed if the build's detached ctx is cancelled
@@ -305,7 +196,7 @@ func TestAdoptionSurvivesOriginatorCancel(t *testing.T) {
 	ownerDone := make(chan error, 1)
 	started := make(chan struct{})
 	go func() {
-		_, _, err := GetCtx(s, ownerCtx, k, func(bctx context.Context) (int, int64, error) {
+		_, err := GetCtx(s, ownerCtx, k, func(bctx context.Context) (int, int64, error) {
 			builds.Add(1)
 			close(started)
 			select {
@@ -323,14 +214,13 @@ func TestAdoptionSurvivesOriginatorCancel(t *testing.T) {
 	// Second requester attaches to the in-flight build.
 	waiterDone := make(chan int, 1)
 	go func() {
-		v, release, err := GetCtx(s, context.Background(), k, func(context.Context) (int, int64, error) {
+		v, err := GetCtx(s, context.Background(), k, func(context.Context) (int, int64, error) {
 			builds.Add(1)
 			return -1, 8, nil
 		})
 		if err != nil {
 			t.Errorf("adopting waiter: %v", err)
 		}
-		release()
 		waiterDone <- v
 	}()
 	// Wait until the waiter is registered (InflightWaits ticks when it
@@ -365,7 +255,7 @@ func TestAdoptionSurvivesOriginatorCancel(t *testing.T) {
 // build must be cancelled promptly, its error forgotten (per MemoErr),
 // and the next request rebuilds cleanly.
 func TestLastWaiterCancelsBuild(t *testing.T) {
-	s := New(0)
+	s := New()
 	s.MemoErr = func(err error) bool { return !errors.Is(err, context.Canceled) }
 	var builds atomic.Int64
 	k := key("profile", "lone")
@@ -374,7 +264,7 @@ func TestLastWaiterCancelsBuild(t *testing.T) {
 	started := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := GetCtx(s, ctx, k, func(bctx context.Context) (int, int64, error) {
+		_, err := GetCtx(s, ctx, k, func(bctx context.Context) (int, int64, error) {
 			builds.Add(1)
 			close(started)
 			<-bctx.Done() // must fire: the sole waiter leaves
@@ -390,14 +280,13 @@ func TestLastWaiterCancelsBuild(t *testing.T) {
 
 	// The cancelled build is neither joined nor memoized: the very next
 	// request rebuilds, even if the detached builder is still unwinding.
-	v, release, err := Get(s, k, func() (int, int64, error) {
+	v, err := Get(s, k, func() (int, int64, error) {
 		builds.Add(1)
 		return 7, 8, nil
 	})
 	if err != nil {
 		t.Fatalf("rebuild after the last waiter left: %v", err)
 	}
-	release()
 	if v != 7 {
 		t.Fatalf("rebuild returned %d, want 7", v)
 	}
@@ -430,7 +319,7 @@ func TestAbandonedBuildNotJoined(t *testing.T) {
 		started := make(chan struct{})
 		done := make(chan error, 1)
 		go func() {
-			_, _, err := GetCtx(s, ctx, k, func(bctx context.Context) (any, int64, error) {
+			_, err := GetCtx(s, ctx, k, func(bctx context.Context) (any, int64, error) {
 				close(started)
 				<-bctx.Done()
 				<-gate
@@ -447,17 +336,16 @@ func TestAbandonedBuildNotJoined(t *testing.T) {
 	// fresh issues the second request while the abandoned build is still
 	// held open. If the request joins that build instead of starting its
 	// own, it opens the gate so the test fails rather than hangs.
-	fresh := func(t *testing.T, s *Store, k Key, gate chan struct{}, val any) (any, func()) {
+	fresh := func(t *testing.T, s *Store, k Key, gate chan struct{}, val any) any {
 		t.Helper()
 		type result struct {
-			v       any
-			release func()
-			err     error
+			v   any
+			err error
 		}
 		got := make(chan result, 1)
 		go func() {
-			v, release, err := Get(s, k, func() (any, int64, error) { return val, 8, nil })
-			got <- result{v, release, err}
+			v, err := Get(s, k, func() (any, int64, error) { return val, 8, nil })
+			got <- result{v, err}
 		}()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
@@ -466,7 +354,7 @@ func TestAbandonedBuildNotJoined(t *testing.T) {
 				if r.err != nil {
 					t.Fatalf("request after the last waiter left: %v", r.err)
 				}
-				return r.v, r.release
+				return r.v
 			case <-time.After(time.Millisecond):
 			}
 			if s.Stats().Kinds["profile"].InflightWaits > 0 {
@@ -481,13 +369,12 @@ func TestAbandonedBuildNotJoined(t *testing.T) {
 	}
 
 	t.Run("abandoned_build_fails", func(t *testing.T) {
-		s := New(0)
+		s := New()
 		s.MemoErr = func(err error) bool { return !errors.Is(err, context.Canceled) }
 		k := key("profile", "abandoned-fails")
 		gate := make(chan struct{})
 		abandon(t, s, k, gate, func(bctx context.Context) (any, int64, error) { return nil, 0, bctx.Err() })
-		v, release := fresh(t, s, k, gate, 7)
-		release()
+		v := fresh(t, s, k, gate, 7)
 		close(gate)
 		ks := s.Stats().Kinds["profile"]
 		if v != 7 || ks.Misses != 2 {
@@ -496,17 +383,16 @@ func TestAbandonedBuildNotJoined(t *testing.T) {
 	})
 
 	t.Run("abandoned_build_succeeds_late", func(t *testing.T) {
-		s := New(0)
+		s := New()
 		k := key("profile", "abandoned-succeeds")
 		gate := make(chan struct{})
-		// Room beyond the two releases expected, so an extra one shows
-		// up in the drain below instead of blocking the store.
+		// Room beyond the one release expected, so an extra one shows up
+		// in the drain below instead of blocking the store.
 		released := make(chan string, 4)
 		abandon(t, s, k, gate, func(context.Context) (any, int64, error) {
 			return &releaseCounter{"orphan", released}, 8, nil
 		})
-		v, release := fresh(t, s, k, gate, &releaseCounter{"fresh", released})
-		release()
+		v := fresh(t, s, k, gate, &releaseCounter{"fresh", released})
 		if rc, _ := v.(*releaseCounter); rc == nil || rc.name != "fresh" {
 			t.Fatalf("got %v, want the fresh build's value", v)
 		}
@@ -523,14 +409,21 @@ func TestAbandonedBuildNotJoined(t *testing.T) {
 		if st := s.Stats(); st.ResidentBytes != 8 {
 			t.Errorf("resident bytes = %d, want 8 (one copy)", st.ResidentBytes)
 		}
-		s.EvictAll()
+		// The orphan's release is the last thing its build goroutine does.
+		// Another hit must be served the cached fresh value, and nothing
+		// may be released after the orphan: the fresh value never is, and
+		// the orphan is released exactly once.
+		again, err := Get(s, k, func() (any, int64, error) { return nil, 0, errors.New("rebuilt") })
+		if rc, _ := again.(*releaseCounter); err != nil || rc == nil || rc.name != "fresh" {
+			t.Errorf("hit after the orphan finished: v=%v err=%v, want the fresh value", again, err)
+		}
 		close(released)
 		var names []string
 		for name := range released {
 			names = append(names, name)
 		}
-		if !sameSeq(names, []string{"fresh"}) {
-			t.Errorf("after EvictAll released %v, want [fresh] (the orphan exactly once)", names)
+		if len(names) != 0 {
+			t.Errorf("released %v after the orphan, want nothing (orphan once, fresh never)", names)
 		}
 	})
 }
@@ -570,14 +463,13 @@ func TestRemoteTierRoundTrip(t *testing.T) {
 	k := key("run", "shared")
 	codec := JSONCodec[string]{Size: 8}
 
-	s1 := New(0)
+	s1 := New()
 	s1.RegisterCodec("run", codec)
 	s1.SetRemote(remote)
-	v1, rel1, err := Get(s1, k, func() (string, int64, error) { return "payload", 8, nil })
+	v1, err := Get(s1, k, func() (string, int64, error) { return "payload", 8, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel1()
 	ks1 := s1.Stats().Kinds["run"]
 	if ks1.Misses != 1 || ks1.RemoteMisses != 1 {
 		t.Fatalf("producer counters: %+v, want miss/remote-miss = 1/1", ks1)
@@ -591,17 +483,16 @@ func TestRemoteTierRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote.put(k, payload)
-	s2 := New(0)
+	s2 := New()
 	s2.RegisterCodec("run", codec)
 	s2.SetRemote(remote)
-	v2, rel2, err := Get(s2, k, func() (string, int64, error) {
+	v2, err := Get(s2, k, func() (string, int64, error) {
 		t.Error("consumer rebuilt despite a remote hit")
 		return "", 8, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel2()
 	if v1 != v2 {
 		t.Fatalf("remote round trip: %q != %q", v1, v2)
 	}
@@ -612,14 +503,13 @@ func TestRemoteTierRoundTrip(t *testing.T) {
 
 	// A failing remote degrades to a local rebuild, counted as a failure.
 	remote.failing = true
-	s3 := New(0)
+	s3 := New()
 	s3.RegisterCodec("run", codec)
 	s3.SetRemote(remote)
-	v3, rel3, err := Get(s3, k, func() (string, int64, error) { return "payload", 8, nil })
+	v3, err := Get(s3, k, func() (string, int64, error) { return "payload", 8, nil })
 	if err != nil || v3 != "payload" {
 		t.Fatalf("degraded get: v=%q err=%v", v3, err)
 	}
-	rel3()
 	if ks3 := s3.Stats().Kinds["run"]; ks3.RemoteFailures == 0 || ks3.Misses != 1 {
 		t.Fatalf("degraded counters: %+v, want remote_failures>0 misses=1", ks3)
 	}
@@ -641,18 +531,17 @@ func TestRemoteHitWarmsDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(0)
+	s := New()
 	s.RegisterCodec("run", codec)
 	s.SetDisk(disk)
 	s.SetRemote(remote)
-	v, rel, err := Get(s, k, func() (int, int64, error) {
+	v, err := Get(s, k, func() (int, int64, error) {
 		t.Error("rebuilt despite remote entry")
 		return 0, 4, nil
 	})
 	if err != nil || v != 41 {
 		t.Fatalf("remote get: v=%d err=%v", v, err)
 	}
-	rel()
 	if !disk.Has(k) {
 		t.Fatal("remote hit did not warm the disk tier")
 	}
@@ -671,16 +560,15 @@ func TestEncodedArtifactAndInstall(t *testing.T) {
 	codec := JSONCodec[string]{Size: 8}
 	k := key("run", "enc")
 
-	s := New(0)
+	s := New()
 	s.RegisterCodec("run", codec)
 	if _, _, err := s.EncodedFrame(k); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("empty store EncodedFrame err = %v, want ErrNotFound", err)
 	}
-	_, rel, err := Get(s, k, func() (string, int64, error) { return "body", 8, nil })
+	_, err := Get(s, k, func() (string, int64, error) { return "body", 8, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel()
 	framed, spilled, err := s.EncodedFrame(k)
 	if err != nil {
 		t.Fatal(err)
@@ -697,33 +585,30 @@ func TestEncodedArtifactAndInstall(t *testing.T) {
 	remote.put(k, payload)
 	bad := key("run", "bad")
 	remote.put(bad, []byte("{not json"))
-	s2 := New(0)
+	s2 := New()
 	s2.RegisterCodec("run", codec)
 	s2.SetRemote(remote)
-	v, rel2, err := Get(s2, k, func() (string, int64, error) {
+	v, err := Get(s2, k, func() (string, int64, error) {
 		t.Error("rebuilt despite an exported artifact on the remote")
 		return "", 8, nil
 	})
 	if err != nil || v != "body" {
 		t.Fatalf("installed get: v=%q err=%v", v, err)
 	}
-	rel2()
 
-	v, rel3, err := Get(s2, bad, func() (string, int64, error) { return "rebuilt", 8, nil })
+	v, err = Get(s2, bad, func() (string, int64, error) { return "rebuilt", 8, nil })
 	if err != nil || v != "rebuilt" {
 		t.Fatalf("undecodable remote payload: v=%q err=%v, want a local rebuild", v, err)
 	}
-	rel3()
 	if ks := s2.Stats().Kinds["run"]; ks.RemoteHits != 1 || ks.RemoteFailures != 1 || ks.Misses != 1 {
 		t.Fatalf("counters: %+v, want remote_hits=1 remote_failures=1 misses=1", ks)
 	}
 
 	nokind := key("nokind", "x")
-	_, rel4, err := Get(s, nokind, func() (string, int64, error) { return "v", 8, nil })
+	_, err = Get(s, nokind, func() (string, int64, error) { return "v", 8, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel4()
 	if _, _, err := s.EncodedFrame(nokind); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("EncodedFrame of a codec-less kind: err = %v, want ErrNotFound", err)
 	}
@@ -751,16 +636,4 @@ func TestFrameRoundTrip(t *testing.T) {
 	if _, err := Unframe(framed[:diskHeaderSize-1]); err == nil {
 		t.Fatal("truncated header went undetected")
 	}
-}
-
-func sameSeq(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -17,8 +17,8 @@ import (
 // sections in place instead of re-buffering a stream — but it must still
 // validate structure: a file written by a different build of the code is
 // untrusted input, so return an error rather than a malformed value.
-// The returned size is the resident footprint charged against the
-// in-memory budget, exactly as the builder would have reported it.
+// The returned size is the resident footprint counted in
+// Stats.ResidentBytes, exactly as the builder would have reported it.
 type Codec interface {
 	Encode(w io.Writer, v any) error
 	Decode(payload []byte) (v any, size int64, err error)

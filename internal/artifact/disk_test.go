@@ -25,9 +25,9 @@ type payload struct {
 func payloadCodec() Codec { return JSONCodec[payload]{Size: 64} }
 
 // diskStore builds a store backed by a disk tier at dir.
-func diskStore(t *testing.T, dir string, memBudget, diskBudget int64) *Store {
+func diskStore(t *testing.T, dir string, diskBudget int64) *Store {
 	t.Helper()
-	s := New(memBudget)
+	s := New()
 	s.RegisterCodec("profile", payloadCodec())
 	d, err := OpenDisk(dir, diskBudget)
 	if err != nil {
@@ -39,7 +39,7 @@ func diskStore(t *testing.T, dir string, memBudget, diskBudget int64) *Store {
 
 func getPayload(t *testing.T, s *Store, k Key, builds *atomic.Int64) payload {
 	t.Helper()
-	v, release, err := Get(s, k, func() (payload, int64, error) {
+	v, err := Get(s, k, func() (payload, int64, error) {
 		if builds != nil {
 			builds.Add(1)
 		}
@@ -48,7 +48,6 @@ func getPayload(t *testing.T, s *Store, k Key, builds *atomic.Int64) payload {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release()
 	return v
 }
 
@@ -240,7 +239,7 @@ func TestStoreWarmStartFromDisk(t *testing.T) {
 	k := key("profile", "gzip")
 
 	var builds atomic.Int64
-	cold := diskStore(t, dir, 0, 0)
+	cold := diskStore(t, dir, 0)
 	want := getPayload(t, cold, k, &builds)
 	if builds.Load() != 1 {
 		t.Fatalf("cold run built %d times", builds.Load())
@@ -250,7 +249,7 @@ func TestStoreWarmStartFromDisk(t *testing.T) {
 		t.Errorf("cold stats = %+v", cs)
 	}
 
-	warm := diskStore(t, dir, 0, 0)
+	warm := diskStore(t, dir, 0)
 	got := getPayload(t, warm, k, &builds)
 	if builds.Load() != 1 {
 		t.Fatalf("warm run rebuilt (%d builds total)", builds.Load())
@@ -274,7 +273,7 @@ func TestStoreRebuildsCorruptDiskEntry(t *testing.T) {
 	dir := t.TempDir()
 	k := key("profile", "gzip")
 	var builds atomic.Int64
-	cold := diskStore(t, dir, 0, 0)
+	cold := diskStore(t, dir, 0)
 	want := getPayload(t, cold, k, &builds)
 
 	path := cold.DiskTier().path(k)
@@ -287,7 +286,7 @@ func TestStoreRebuildsCorruptDiskEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm := diskStore(t, dir, 0, 0)
+	warm := diskStore(t, dir, 0)
 	got := getPayload(t, warm, k, &builds)
 	if got != want {
 		t.Errorf("rebuilt value %+v differs from original %+v", got, want)
@@ -300,7 +299,7 @@ func TestStoreRebuildsCorruptDiskEntry(t *testing.T) {
 		t.Errorf("rebuild stats = %+v", ws)
 	}
 	// Third store: the rebuilt write-through must serve a clean disk hit.
-	third := diskStore(t, dir, 0, 0)
+	third := diskStore(t, dir, 0)
 	if got := getPayload(t, third, k, &builds); got != want {
 		t.Error("third run differs")
 	}
@@ -324,7 +323,7 @@ func TestStoreRejectsUndecodablePayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	var builds atomic.Int64
-	s := diskStore(t, dir, 0, 0)
+	s := diskStore(t, dir, 0)
 	getPayload(t, s, k, &builds)
 	if builds.Load() != 1 {
 		t.Error("undecodable payload served without rebuild")
@@ -335,34 +334,43 @@ func TestStoreRejectsUndecodablePayload(t *testing.T) {
 	}
 }
 
-// TestStoreSpillOnEvict removes the disk entry behind the store's back
-// and then evicts: the LRU victim must be re-encoded and spilled before
-// its Releaser runs.
-func TestStoreSpillOnEvict(t *testing.T) {
+// TestStorePersistResidentRetriesWriteThrough is the drain's second
+// persistence attempt: a build whose write-through failed at the
+// artifact.disk fault site is resident but not on disk, and
+// PersistResident writes it, once.
+func TestStorePersistResidentRetriesWriteThrough(t *testing.T) {
 	dir := t.TempDir()
-	s := New(100) // budget below two 64-byte artifacts
-	s.RegisterCodec("profile", payloadCodec())
-	d, err := OpenDisk(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetDisk(d)
+	s := diskStore(t, dir, 0)
+	k := key("profile", "gzip")
 
-	k1, k2 := key("profile", "gzip"), key("profile", "vpr")
-	getPayload(t, s, k1, nil)
-	// Drop k1's write-through entry so the upcoming eviction must spill.
-	if err := os.Remove(d.path(k1)); err != nil {
-		t.Fatal(err)
+	in := faults.NewInjector(1).Arm(faults.SiteArtifactDisk, faults.Rule{Kind: faults.Transient, Rate: 1, Max: 1})
+	faults.Set(in)
+	defer faults.Set(nil)
+	getPayload(t, s, k, nil)
+	if in.Fired(faults.SiteArtifactDisk) != 1 {
+		t.Fatalf("fault fired %d times, want 1 (the write-through)", in.Fired(faults.SiteArtifactDisk))
 	}
-	getPayload(t, s, k2, nil) // release pushes over budget, evicts k1
-	if !d.Has(k1) {
-		t.Error("evicted artifact not spilled to disk")
+	if s.DiskTier().Has(k) || s.Stats().Kinds["profile"].DiskWrites != 0 {
+		t.Fatalf("write-through survived its injected fault: stats %+v", s.Stats().Kinds["profile"])
 	}
-	// And the spilled entry must be servable.
+
+	s.PersistResident()
+	if !s.DiskTier().Has(k) {
+		t.Fatal("PersistResident did not write the resident artifact")
+	}
+	if got := s.Stats().Kinds["profile"].DiskWrites; got != 1 {
+		t.Errorf("disk writes = %d after PersistResident, want 1", got)
+	}
 	var builds atomic.Int64
-	getPayload(t, s, k1, &builds)
-	if builds.Load() != 0 {
-		t.Error("spilled artifact rebuilt instead of loaded")
+	fresh := diskStore(t, dir, 0)
+	getPayload(t, fresh, k, &builds)
+	if builds.Load() != 0 || fresh.Stats().Kinds["profile"].DiskHits != 1 {
+		t.Errorf("fresh store: %d builds, stats %+v, want a disk hit", builds.Load(), fresh.Stats().Kinds["profile"])
+	}
+
+	s.PersistResident()
+	if got := s.Stats().Kinds["profile"].DiskWrites; got != 1 {
+		t.Errorf("disk writes = %d after a second PersistResident, want still 1", got)
 	}
 }
 
@@ -371,7 +379,7 @@ func TestStoreSpillOnEvict(t *testing.T) {
 func TestStoreDiskGCCounters(t *testing.T) {
 	dir := t.TempDir()
 	// Each JSON payload entry is ~48+30 bytes; budget for ~one entry.
-	s := diskStore(t, dir, 0, 100)
+	s := diskStore(t, dir, 100)
 	for i := 0; i < 4; i++ {
 		k := key("profile", fmt.Sprint("bench", i))
 		getPayload(t, s, k, nil)
@@ -391,7 +399,7 @@ func TestStoreDiskGCCounters(t *testing.T) {
 // consistent; run under -race this also proves the locking.
 func TestDiskConcurrentStores(t *testing.T) {
 	dir := t.TempDir()
-	stores := [2]*Store{diskStore(t, dir, 0, 0), diskStore(t, dir, 0, 0)}
+	stores := [2]*Store{diskStore(t, dir, 0), diskStore(t, dir, 0)}
 
 	const goroutines = 8
 	const keysN = 6
@@ -404,7 +412,7 @@ func TestDiskConcurrentStores(t *testing.T) {
 			s := stores[g%2]
 			for i := 0; i < keysN; i++ {
 				k := key("profile", fmt.Sprint("bench", i))
-				v, release, err := Get(s, k, func() (payload, int64, error) {
+				v, err := Get(s, k, func() (payload, int64, error) {
 					return payload{Name: k.Digest[:8], N: 42}, 64, nil
 				})
 				if err != nil {
@@ -414,7 +422,6 @@ func TestDiskConcurrentStores(t *testing.T) {
 				if v.Name != k.Digest[:8] {
 					errs <- fmt.Errorf("wrong value for %v: %+v", k, v)
 				}
-				release()
 			}
 		}(g)
 	}
@@ -452,10 +459,10 @@ func TestDiskFaultInjection(t *testing.T) {
 			defer faults.Set(nil)
 
 			for round := 0; round < 2; round++ {
-				s := diskStore(t, dir, 0, 0)
+				s := diskStore(t, dir, 0)
 				for i := 0; i < 5; i++ {
 					k := key("profile", fmt.Sprint("bench", i))
-					v, release, err := Get(s, k, func() (payload, int64, error) {
+					v, err := Get(s, k, func() (payload, int64, error) {
 						return payload{Name: k.Digest[:8], N: 42}, 64, nil
 					})
 					if err != nil {
@@ -464,7 +471,6 @@ func TestDiskFaultInjection(t *testing.T) {
 					if v.Name != k.Digest[:8] {
 						t.Fatalf("round %d: wrong value %+v", round, v)
 					}
-					release()
 				}
 			}
 			if in.Fired(faults.SiteArtifactDisk) == 0 {
@@ -509,7 +515,7 @@ func TestDiskFaultInjection(t *testing.T) {
 func TestDiskCrossProcess(t *testing.T) {
 	const keysN = 5
 	if dir := os.Getenv("ARTIFACT_DISK_CHILD"); dir != "" {
-		s := New(0)
+		s := New()
 		s.RegisterCodec("profile", payloadCodec())
 		d, err := OpenDisk(dir, 0)
 		if err != nil {
@@ -518,7 +524,7 @@ func TestDiskCrossProcess(t *testing.T) {
 		s.SetDisk(d)
 		for i := 0; i < keysN; i++ {
 			k := key("profile", fmt.Sprint("bench", i))
-			v, release, err := Get(s, k, func() (payload, int64, error) {
+			v, err := Get(s, k, func() (payload, int64, error) {
 				return payload{Name: k.Digest[:8], N: 42}, 64, nil
 			})
 			if err != nil {
@@ -527,7 +533,6 @@ func TestDiskCrossProcess(t *testing.T) {
 			if v.Name != k.Digest[:8] {
 				t.Fatalf("wrong value for %v: %+v", k, v)
 			}
-			release()
 		}
 		out, err := json.Marshal(s.Stats().Kinds["profile"])
 		if err != nil {

@@ -1,6 +1,6 @@
 // Package bytesize parses human-readable byte counts ("256MiB", "1GiB",
-// "900000") for the CLI cache-budget flags. One parser serves every
-// command so the accepted syntax cannot drift between flags.
+// "900000") for the CLI -disk-budget flag. One parser serves every
+// command so the accepted syntax cannot drift between commands.
 package bytesize
 
 import (

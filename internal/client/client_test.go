@@ -127,18 +127,17 @@ func TestCorruptFetchFallsBackToRebuild(t *testing.T) {
 	faults.Set(in)
 	defer faults.Set(nil)
 
-	s := artifact.New(0)
+	s := artifact.New()
 	s.RegisterCodec("run", codec)
 	s.SetRemote(c)
 	rebuilds := 0
-	v, release, err := artifact.Get(s, k, func() (string, int64, error) {
+	v, err := artifact.Get(s, k, func() (string, int64, error) {
 		rebuilds++
 		return "the value", 8, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	release()
 	if v != "the value" || rebuilds != 1 {
 		t.Fatalf("degraded get: v=%q rebuilds=%d, want intact value from 1 local rebuild", v, rebuilds)
 	}
@@ -152,17 +151,16 @@ func TestCorruptFetchFallsBackToRebuild(t *testing.T) {
 
 	// Disarmed, the same store setup serves the remote entry.
 	faults.Set(nil)
-	s2 := artifact.New(0)
+	s2 := artifact.New()
 	s2.RegisterCodec("run", codec)
 	s2.SetRemote(c)
-	v2, release2, err := artifact.Get(s2, k, func() (string, int64, error) {
+	v2, err := artifact.Get(s2, k, func() (string, int64, error) {
 		t.Error("rebuilt despite intact remote entry")
 		return "", 8, nil
 	})
 	if err != nil || v2 != "the value" {
 		t.Fatalf("clean fetch: v=%q err=%v", v2, err)
 	}
-	release2()
 }
 
 // TestStoreSurfacesServerErrors: a daemon answering 500 is a fetch
@@ -181,14 +179,13 @@ func TestStoreSurfacesServerErrors(t *testing.T) {
 	if _, _, err := c.Fetch(k); err == nil {
 		t.Error("500 on fetch went unreported")
 	}
-	s := artifact.New(0)
+	s := artifact.New()
 	s.RegisterCodec("run", artifact.JSONCodec[string]{Size: 8})
 	s.SetRemote(c)
-	v, release, err := artifact.Get(s, k, func() (string, int64, error) { return "local", 8, nil })
+	v, err := artifact.Get(s, k, func() (string, int64, error) { return "local", 8, nil })
 	if err != nil || v != "local" {
 		t.Fatalf("get over a failing daemon: v=%q err=%v, want a local build", v, err)
 	}
-	release()
 	if ks := s.Stats().Kinds["run"]; ks.RemoteFailures != 1 || ks.Misses != 1 {
 		t.Errorf("counters: %+v, want remote_failures=1 misses=1", ks)
 	}

@@ -1,9 +1,9 @@
 // Package cliflags factors the workspace-construction flags every tool
-// shares — the worker count, the artifact-cache budgets, and the
-// persistent disk tier — so the binaries register one consistent flag
-// surface and build their workspace the same way. It also centralizes
-// arming the FAULTS environment injector so a typo'd rule fails loudly
-// at startup in every tool, not just the ones that remembered to check.
+// shares — the worker count and the persistent disk and remote artifact
+// tiers — so the binaries register one consistent flag surface and build
+// their workspace the same way. It also centralizes arming the FAULTS
+// environment injector so a typo'd rule fails loudly at startup in every
+// tool, not just the ones that remembered to check.
 package cliflags
 
 import (
@@ -26,20 +26,18 @@ type WorkspaceFlags struct {
 
 	Budget      int
 	Workers     int
-	CacheBudget string
 	CacheDir    string
 	DiskBudget  string
 	RemoteCache string
 }
 
 // RegisterWorkspace registers the shared workspace flags on fs:
-// -n, -j, -cache-budget, -cache-dir, -disk-budget, and -remote-cache.
+// -n, -j, -cache-dir, -disk-budget, and -remote-cache.
 // The tool name prefixes every error Open reports.
 func RegisterWorkspace(fs *flag.FlagSet, tool string) *WorkspaceFlags {
 	f := &WorkspaceFlags{tool: tool}
 	fs.IntVar(&f.Budget, "n", core.DefaultBudget, "per-benchmark dynamic instruction budget")
 	fs.IntVar(&f.Workers, "j", 0, "max concurrently executing heavy tasks (0 = GOMAXPROCS)")
-	fs.StringVar(&f.CacheBudget, "cache-budget", "", "artifact-cache resident-byte budget, e.g. 256MiB (empty or 0 = unlimited)")
 	fs.StringVar(&f.CacheDir, "cache-dir", "", "persistent artifact-cache directory shared across runs (empty = memory only)")
 	fs.StringVar(&f.DiskBudget, "disk-budget", "", "disk byte budget for -cache-dir, e.g. 1GiB (empty or 0 = unlimited)")
 	fs.StringVar(&f.RemoteCache, "remote-cache", "", "base URL of a deadd daemon to use as a remote artifact tier, e.g. http://host:8080 (empty = none)")
@@ -47,16 +45,12 @@ func RegisterWorkspace(fs *flag.FlagSet, tool string) *WorkspaceFlags {
 }
 
 // Open validates the flag values and builds the workspace they describe:
-// budgets parsed with binary suffixes, the disk tier attached when
+// the disk budget parsed with binary suffixes, the disk tier attached when
 // -cache-dir is set, and a warm deadd daemon attached as the read-only
 // remote artifact tier when -remote-cache is set (lookup order: memory,
 // disk, remote, build). Errors carry the tool name so they read as usage
 // errors when printed bare.
 func (f *WorkspaceFlags) Open() (*core.Workspace, error) {
-	cacheBytes, err := bytesize.Parse(f.CacheBudget)
-	if err != nil {
-		return nil, fmt.Errorf("%s: -cache-budget: %w", f.tool, err)
-	}
 	diskBytes, err := bytesize.Parse(f.DiskBudget)
 	if err != nil {
 		return nil, fmt.Errorf("%s: -disk-budget: %w", f.tool, err)
@@ -65,7 +59,6 @@ func (f *WorkspaceFlags) Open() (*core.Workspace, error) {
 		return nil, fmt.Errorf("%s: -disk-budget requires -cache-dir", f.tool)
 	}
 	w := core.NewWorkspaceWorkers(f.Budget, f.Workers)
-	w.CacheBudget = cacheBytes
 	if f.CacheDir != "" {
 		if err := w.OpenDiskCache(f.CacheDir, diskBytes); err != nil {
 			return nil, fmt.Errorf("%s: %w", f.tool, err)

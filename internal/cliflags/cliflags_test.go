@@ -33,13 +33,13 @@ func TestOpenDefaults(t *testing.T) {
 
 func TestOpenDiskTier(t *testing.T) {
 	dir := t.TempDir()
-	f := newFlagSet(t, "-cache-dir", dir, "-disk-budget", "4MiB", "-cache-budget", "1MiB", "-j", "2")
+	f := newFlagSet(t, "-cache-dir", dir, "-disk-budget", "4MiB", "-j", "2")
 	w, err := f.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.CacheBudget != 1<<20 {
-		t.Errorf("CacheBudget = %d, want 1MiB", w.CacheBudget)
+	if got := w.ArtifactStats().DiskBudgetBytes; got != 4<<20 {
+		t.Errorf("disk tier budget = %d, want 4MiB", got)
 	}
 	if got := w.Pool().Workers(); got != 2 {
 		t.Errorf("workers = %d, want 2", got)
@@ -62,7 +62,6 @@ func TestOpenRemoteTier(t *testing.T) {
 
 func TestOpenErrorsCarryToolName(t *testing.T) {
 	cases := [][]string{
-		{"-cache-budget", "12zz"},
 		{"-disk-budget", "12zz"},
 		{"-disk-budget", "1MiB"}, // without -cache-dir
 		{"-remote-cache", "ftp://nope"},

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/dip"
@@ -54,68 +53,6 @@ func TestPredEvalArtifactSharedAcrossSpecs(t *testing.T) {
 	}
 	if mc.Counter("artifact_misses."+string(KindPredEval)) != 2 || mc.Counter("artifact_hits."+string(KindPredEval)) != hits {
 		t.Error("an invalid spec reached the store")
-	}
-}
-
-// TestCacheBudgetEvictsAndStaysBitIdentical is the acceptance check for
-// the bounded artifact cache: a run under a budget small enough to force
-// evictions must produce byte-identical experiment output to an
-// unbounded run, with evictions actually happening and predictor
-// evaluations still deduplicating across experiments.
-func TestCacheBudgetEvictsAndStaysBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full suite twice")
-	}
-	const budget = 60_000
-	ids := ExperimentIDs()
-
-	clean := NewWorkspaceWorkers(budget, 0)
-	cleanRes, err := clean.RunExperiments(context.Background(), ids)
-	if err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
-	// Cross-experiment dedup is asserted on the unbounded workspace: under
-	// a tight budget a predeval artifact may legitimately be evicted by
-	// profile churn before its reuse arrives, so its hit count there is
-	// schedule-dependent.
-	if hits := clean.ArtifactStats().Kinds[KindPredEval].Hits; hits == 0 {
-		t.Error("no predictor-evaluation artifact hits across the unbounded suite")
-	}
-
-	w := NewWorkspaceWorkers(budget, 0)
-	// Small enough that the 11 profile artifacts (one per benchmark) churn
-	// constantly; large enough to hold the handful pinned at once.
-	w.CacheBudget = 8 << 20
-	mc := metrics.New()
-	w.Metrics = mc
-	res, err := w.RunExperiments(context.Background(), ids)
-	if err != nil {
-		t.Fatalf("budgeted run: %v", err)
-	}
-
-	for i := range ids {
-		a, b := renderExperiment(cleanRes[i]), renderExperiment(res[i])
-		if a != b {
-			t.Errorf("%s diverges under cache eviction:\n--- unbounded\n%s\n--- budgeted\n%s", ids[i], a, b)
-		}
-	}
-
-	st := w.ArtifactStats()
-	var evictions int64
-	for _, ks := range st.Kinds {
-		evictions += ks.Evictions
-	}
-	if evictions == 0 {
-		t.Error("no artifact evicted under an 8 MiB budget; the test is vacuous")
-	}
-	// Only one build per benchmark is initial, so more than three per
-	// benchmark means at least two rebuilds per benchmark on average.
-	if rebuilds := st.Kinds[KindProfile].Misses; rebuilds <= int64(3*len(SuiteNames())) {
-		t.Errorf("profile misses = %d under churn, want more than %d (the %d initial builds plus rebuilds)",
-			rebuilds, 3*len(SuiteNames()), len(SuiteNames()))
-	}
-	if mc.Counter("artifact_evictions."+string(KindProfile)) != st.Kinds[KindProfile].Evictions {
-		t.Error("metrics counter and store snapshot disagree on profile evictions")
 	}
 }
 

@@ -66,10 +66,6 @@ func TestChaosSoak(t *testing.T) {
 	w := NewWorkspaceWorkers(budget, 0)
 	w.Metrics = mc
 	w.KeepGoing = true
-	// Arm the artifact cache's LRU eviction too, so transient-fault
-	// eviction, budget eviction, and rebuilds all interleave under
-	// injection — survivors must still match the clean run bit for bit.
-	w.CacheBudget = 16 << 20
 
 	type result struct {
 		res []*Experiment

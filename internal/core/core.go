@@ -30,9 +30,9 @@ type ProfileResult struct {
 	PassStats compiler.PassStats
 }
 
-// SizeBytes estimates the resident footprint charged against the
-// workspace's artifact-cache budget: the columnar trace dominates, with
-// the per-record analysis arrays second.
+// SizeBytes estimates the resident footprint the artifact store reports
+// (Stats.ResidentBytes): the columnar trace dominates, with the
+// per-record analysis arrays second.
 func (r *ProfileResult) SizeBytes() int64 {
 	var n int64 = 4096 // summaries, locality, headers
 	if r.Trace != nil {
@@ -44,10 +44,11 @@ func (r *ProfileResult) SizeBytes() int64 {
 	return n
 }
 
-// ReleaseArtifact returns the profile's pooled trace chunks to the
-// chunk pool when the artifact store evicts it, or when a facts build is
-// done with the compile-option variant it built for itself. Only
-// unpinned profiles are evicted, so no reader can still hold the trace.
+// ReleaseArtifact returns the profile's pooled trace chunks to the chunk
+// pool when a facts build is done with the compile-option variant it
+// built for itself, or when the artifact store drops the late result of
+// a build every requester abandoned. No reader can still hold the trace
+// in either case; a profile the store keeps is never released.
 func (r *ProfileResult) ReleaseArtifact() {
 	if r.Trace != nil {
 		r.Trace.Release()

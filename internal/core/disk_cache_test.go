@@ -85,14 +85,8 @@ func TestWorkspaceWarmStartBitIdentical(t *testing.T) {
 			t.Errorf("analysis %s column differs after disk round trip", cmp.name)
 		}
 	}
-	err = warm.WithProfile(bench, func(res *ProfileResult) error {
-		if !reflect.DeepEqual(res.Trace.Records(), coldRecords) {
-			t.Error("trace records differ after disk round trip")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(warmProf.Trace.Records(), coldRecords) {
+		t.Error("trace records differ after disk round trip")
 	}
 
 	warmEval, err := warm.EvalPredictor(bench, spec)

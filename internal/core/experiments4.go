@@ -71,7 +71,7 @@ func (w *Workspace) E18(ctx context.Context) (*Experiment, error) {
 // each independently (values crossing a boundary are conservatively
 // live), and returns the aggregate dead fraction.
 //
-// The input trace is shared by every reader of the pinned profile, so
+// The input trace is shared by every reader of the resident profile, so
 // its chunks must stay untouched; each window's records are block-copied
 // into one reusable scratch trace (Reset keeps the chunk storage between
 // windows, Release returns the pooled arenas at the end), so the call

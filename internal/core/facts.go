@@ -49,7 +49,7 @@ type ProfileFacts struct {
 	WindowDead []float64
 }
 
-// factsSize is the flat footprint charged per facts value.
+// factsSize is the flat resident footprint reported per facts value.
 const factsSize = int64(4096)
 
 // factsCodec persists KindFacts artifacts as strict JSON.
@@ -65,15 +65,13 @@ func (w *Workspace) Facts(ctx context.Context, name string, opts *compiler.Optio
 // facts is Facts with E18's window sizes, which are part of the key.
 func (w *Workspace) facts(ctx context.Context, name string, opts *compiler.Options, windows []int) (ProfileFacts, error) {
 	key := artifact.Key{Kind: KindFacts, Digest: artifact.Digest(factsSpec{factsVersion, name, w.Budget, opts, windows})}
-	f, release, err := artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (ProfileFacts, int64, error) {
+	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (ProfileFacts, int64, error) {
 		return w.buildFacts(bctx, name, opts, windows)
 	})
-	release()
-	return f, err
 }
 
-// buildFacts derives the facts from the profile, held for the duration,
-// with the same panic containment and fault site as buildPredEval.
+// buildFacts derives the facts from the profile, with the same panic
+// containment and fault site as buildPredEval.
 func (w *Workspace) buildFacts(ctx context.Context, name string, opts *compiler.Options, windows []int) (f ProfileFacts, size int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -83,11 +81,13 @@ func (w *Workspace) buildFacts(ctx context.Context, name string, opts *compiler.
 	if err := faults.Fire(faults.SiteWorkspaceMemo); err != nil {
 		return ProfileFacts{}, 0, fmt.Errorf("core: summarizing %s: %w", name, err)
 	}
-	res, release, err := w.factsProfile(ctx, name, opts)
+	res, err := w.factsProfile(ctx, name, opts)
 	if err != nil {
 		return ProfileFacts{}, 0, err
 	}
-	defer release()
+	if opts != nil {
+		defer res.ReleaseArtifact()
+	}
 	f = ProfileFacts{
 		Summary:     res.Summary,
 		Locality:    res.Locality,
@@ -105,25 +105,21 @@ func (w *Workspace) buildFacts(ctx context.Context, name string, opts *compiler.
 	return f, factsSize, nil
 }
 
-// factsProfile returns the profile a facts build reads and the function
-// that lets go of it. The default-option profile comes pinned from the
-// store, because predictor evaluations and machine runs share it. A
-// compile-option variant (E3's no-hoist, E12's with-DCE) has no other
-// reader, so it is built here, outside the store, and its trace chunks go
-// back to the pool once the facts are computed.
-func (w *Workspace) factsProfile(ctx context.Context, name string, opts *compiler.Options) (*ProfileResult, func(), error) {
+// factsProfile returns the profile a facts build reads. The
+// default-option profile comes from the store, because predictor
+// evaluations and machine runs share it. A compile-option variant (E3's
+// no-hoist, E12's with-DCE) has no other reader, so it is built here,
+// outside the store, and buildFacts returns its trace chunks to the pool
+// once the facts are computed.
+func (w *Workspace) factsProfile(ctx context.Context, name string, opts *compiler.Options) (*ProfileResult, error) {
 	if opts == nil {
-		return w.profileFor(ctx, name)
+		return w.ProfileOfCtx(ctx, name)
 	}
 	p, err := workload.ByName(name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res, err := profileWith(ctx, p, opts, w.Budget, w.Metrics)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, res.ReleaseArtifact, nil
+	return profileWith(ctx, p, opts, w.Budget, w.Metrics)
 }
 
 // suiteFacts returns every suite benchmark's default facts, in suite

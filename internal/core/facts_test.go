@@ -25,21 +25,19 @@ func TestFactsMatchProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = w.WithProfile("gzip", func(p *ProfileResult) error {
-		want := ProfileFacts{
-			Summary:     p.Summary,
-			Locality:    p.Locality,
-			PassStats:   p.PassStats,
-			DeadResolve: p.Analysis.ResolveDistances(true),
-			Mix:         deadness.ComputeMix(p.Trace),
-		}
-		if !reflect.DeepEqual(f, want) {
-			t.Errorf("facts differ from the profile:\ngot  %+v\nwant %+v", f, want)
-		}
-		return nil
-	})
+	p, err := w.ProfileOf("gzip")
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := ProfileFacts{
+		Summary:     p.Summary,
+		Locality:    p.Locality,
+		PassStats:   p.PassStats,
+		DeadResolve: p.Analysis.ResolveDistances(true),
+		Mix:         deadness.ComputeMix(p.Trace),
+	}
+	if !reflect.DeepEqual(f, want) {
+		t.Errorf("facts differ from the profile:\ngot  %+v\nwant %+v", f, want)
 	}
 }
 

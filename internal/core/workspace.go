@@ -75,13 +75,6 @@ type Workspace struct {
 	// collection at zero cost.
 	Metrics *metrics.Collector
 
-	// CacheBudget, when positive, bounds the resident bytes of unpinned
-	// artifacts: the least-recently-used artifacts beyond the budget are
-	// evicted (profiles return their pooled trace chunks) and rebuilt
-	// deterministically on the next request. Zero means no eviction.
-	// Set it before first use.
-	CacheBudget int64
-
 	// Timeout bounds each experiment with a deadline that propagates
 	// through the pool fan-out (0 = none).
 	Timeout time.Duration
@@ -157,7 +150,7 @@ func (w *Workspace) artifacts() *artifact.Store {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.store == nil {
-		w.store = artifact.New(w.CacheBudget)
+		w.store = artifact.New()
 		// Only successes and deterministic (permanent) failures are
 		// memoized: an artifact that fails transiently — an injected
 		// fault, a cancelled context — is forgotten so the next request
@@ -176,11 +169,10 @@ func (w *Workspace) artifacts() *artifact.Store {
 // OpenDiskCache attaches a persistent disk tier rooted at dir to the
 // workspace's artifact store: profiles, their facts, predictor
 // evaluations, and machine runs write through to a content-addressed
-// on-disk cache, cold misses load from disk instead of rebuilding, and
-// in-memory evictions spill to disk. budgetBytes bounds the directory (0 = unlimited; the
-// oldest entries are garbage-collected beyond it). The directory may be
-// shared with concurrent processes. Call before the first artifact
-// request.
+// on-disk cache, and cold misses load from disk instead of rebuilding.
+// budgetBytes bounds the directory (0 = unlimited; the oldest entries are
+// garbage-collected beyond it). The directory may be shared with
+// concurrent processes. Call before the first artifact request.
 func (w *Workspace) OpenDiskCache(dir string, budgetBytes int64) error {
 	d, err := artifact.OpenDisk(dir, budgetBytes)
 	if err != nil {
@@ -212,74 +204,44 @@ func (w *Workspace) ArtifactStats() artifact.Stats {
 }
 
 // EncodedArtifactFrame serves the daemon's artifact GET endpoint: the
-// CRC-framed wire image for a completed artifact, read as-is from the
-// disk tier's entry file when the artifact is spilled (spilled=true) and
-// encoded fresh from the resident tier otherwise; artifact.ErrNotFound
-// when the workspace doesn't hold the artifact.
+// CRC-framed wire image for a completed artifact, encoded fresh when it
+// is resident and read as-is from the disk tier's entry file otherwise
+// (spilled=true); artifact.ErrNotFound when the workspace holds it in
+// neither tier.
 func (w *Workspace) EncodedArtifactFrame(key artifact.Key) (framed []byte, spilled bool, err error) {
 	return w.artifacts().EncodedFrame(key)
 }
 
-// FlushSpill evicts every unpinned resident artifact from the in-memory
-// tier; with a disk tier attached each eviction spills (persists) the
-// artifact before its pooled resources are released, so anything whose
-// write-through was lost — e.g. to an injected artifact.disk fault —
-// gets a second persistence attempt. The daemon calls it during graceful
-// drain so warm state survives a restart.
-func (w *Workspace) FlushSpill() {
-	w.artifacts().EvictAll()
+// PersistResident writes every resident artifact that has no disk entry
+// through to the disk tier, so anything whose write-through was lost —
+// e.g. to an injected artifact.disk fault — gets a second attempt. The
+// daemon calls it during graceful drain so warm state survives a
+// restart.
+func (w *Workspace) PersistResident() {
+	w.artifacts().PersistResident()
 }
 
-// profileFor fetches (building on miss) the profile artifact for one
-// benchmark, returning it pinned: the trace cannot be evicted until the
-// release function runs.
-//
-// The context governs this requester's interest, not the build itself:
-// builds run on a detached context owned by every requester currently
-// waiting on them. Cancelling ctx while other requesters wait hands the
-// in-flight build to the survivors (artifact_adoptions); only when the
-// last interested requester disconnects is the emulation aborted and its
-// pooled resources released. A cancelled build is forgotten (see
-// evictable), so the next request rebuilds deterministically.
-func (w *Workspace) profileFor(ctx context.Context, name string) (*ProfileResult, func(), error) {
+// ProfileOf returns the trace-level analysis of a suite benchmark,
+// building it on first use. Readers of the summaries alone should use
+// Facts, which a warm store answers without decoding the trace.
+func (w *Workspace) ProfileOf(name string) (*ProfileResult, error) {
+	return w.ProfileOfCtx(context.Background(), name)
+}
+
+// ProfileOfCtx is ProfileOf with cooperative cancellation of this
+// requester's interest in the profile. The context governs the
+// requester, not the build itself: builds run on a detached context
+// owned by every requester currently waiting on them. Cancelling ctx
+// while other requesters wait hands the in-flight build to the survivors
+// (artifact_adoptions); only when the last interested requester
+// disconnects is the emulation aborted and its pooled resources
+// released. A cancelled build is forgotten (see evictable), so the next
+// request rebuilds deterministically.
+func (w *Workspace) ProfileOfCtx(ctx context.Context, name string) (*ProfileResult, error) {
 	key := artifact.Key{Kind: KindProfile, Digest: artifact.Digest(profileSpec{name, w.Budget})}
 	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (*ProfileResult, int64, error) {
 		return w.buildProfile(bctx, name)
 	})
-}
-
-// ProfileOf returns the trace-level analysis of a suite benchmark,
-// building it on first use. The result is returned unpinned: the
-// GC-managed fields (Summary, Locality, Analysis, PassStats) stay
-// valid indefinitely, but Trace may be recycled once a cache budget is
-// set — callers that read the trace must use WithProfile instead.
-// Readers of the summaries alone should use Facts, which a warm store
-// answers without decoding the trace.
-func (w *Workspace) ProfileOf(name string) (*ProfileResult, error) {
-	res, release, err := w.profileFor(context.Background(), name)
-	release()
-	return res, err
-}
-
-// WithProfile runs fn with the benchmark's profile pinned: the trace is
-// guaranteed resident (not evicted, chunks not recycled) until fn
-// returns. Use it for any consumer that reads res.Trace.
-func (w *Workspace) WithProfile(name string, fn func(*ProfileResult) error) error {
-	return w.WithProfileCtx(context.Background(), name, fn)
-}
-
-// WithProfileCtx is WithProfile with cooperative cancellation of this
-// requester's interest in the profile: predictor-evaluation and machine
-// builds use it so an abandoned request's profile build aborts — unless
-// other requesters are waiting on the same build, in which case they
-// adopt it and it runs to completion for them. See profileFor.
-func (w *Workspace) WithProfileCtx(ctx context.Context, name string, fn func(*ProfileResult) error) error {
-	res, release, err := w.profileFor(ctx, name)
-	if err != nil {
-		return err
-	}
-	defer release()
-	return fn(res)
 }
 
 // buildProfile runs one profile build with panic containment. The panic
@@ -323,7 +285,7 @@ func (w *Workspace) EvalPredictor(name string, spec dip.Spec) (dip.Result, error
 }
 
 // EvalPredictorCtx is EvalPredictor with cooperative cancellation of any
-// profile build the evaluation initiates (see WithProfileCtx). An invalid
+// profile build the evaluation initiates (see ProfileOfCtx). An invalid
 // spec fails before any artifact entry exists; only a build constructs
 // the predictor, so a cache hit allocates no predictor state.
 func (w *Workspace) EvalPredictorCtx(ctx context.Context, name string, spec dip.Spec) (dip.Result, error) {
@@ -332,14 +294,12 @@ func (w *Workspace) EvalPredictorCtx(ctx context.Context, name string, spec dip.
 		return dip.Result{}, err
 	}
 	key := artifact.Key{Kind: KindPredEval, Digest: artifact.Digest(predEvalSpec{name, w.Budget, spec.Digest()})}
-	r, release, err := artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (dip.Result, int64, error) {
+	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (dip.Result, int64, error) {
 		return w.buildPredEval(bctx, name, spec)
 	})
-	release()
-	return r, err
 }
 
-// predEvalSize is the flat footprint charged per evaluation result.
+// predEvalSize is the flat resident footprint reported per evaluation result.
 const predEvalSize = int64(128)
 
 func (w *Workspace) buildPredEval(ctx context.Context, name string, spec dip.Spec) (res dip.Result, size int64, err error) {
@@ -356,13 +316,13 @@ func (w *Workspace) buildPredEval(ctx context.Context, name string, spec dip.Spe
 	if err != nil {
 		return dip.Result{}, 0, err
 	}
-	err = w.WithProfileCtx(ctx, name, func(p *ProfileResult) error {
-		sp := w.Metrics.Start("predict", name+" "+spec.Label())
-		r, eerr := pred.Evaluate(p.Trace, p.Analysis)
-		sp.End(int64(p.Trace.Len()))
-		res = r
-		return eerr
-	})
+	p, err := w.ProfileOfCtx(ctx, name)
+	if err != nil {
+		return dip.Result{}, 0, err
+	}
+	sp := w.Metrics.Start("predict", name+" "+spec.Label())
+	res, err = pred.Evaluate(p.Trace, p.Analysis)
+	sp.End(int64(p.Trace.Len()))
 	if err != nil {
 		return dip.Result{}, 0, err
 	}
@@ -381,19 +341,17 @@ func (w *Workspace) RunMachine(name string, cfg pipeline.Config) (pipeline.Stats
 }
 
 // RunMachineCtx is RunMachine with cooperative cancellation of any
-// profile build the simulation initiates (see WithProfileCtx). The
+// profile build the simulation initiates (see ProfileOfCtx). The
 // pipeline simulation itself is not interruptible; the profile build
 // dominates a cold request's wall time.
 func (w *Workspace) RunMachineCtx(ctx context.Context, name string, cfg pipeline.Config) (pipeline.Stats, error) {
 	key := artifact.Key{Kind: KindMachine, Digest: artifact.Digest(machineSpec{name, w.Budget, cfg.Digest()})}
-	st, release, err := artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (pipeline.Stats, int64, error) {
+	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (pipeline.Stats, int64, error) {
 		return w.simulate(bctx, name, cfg)
 	})
-	release()
-	return st, err
 }
 
-// machineStatsSize is the flat footprint charged per simulation result.
+// machineStatsSize is the flat resident footprint reported per simulation result.
 const machineStatsSize = int64(512)
 
 func (w *Workspace) simulate(ctx context.Context, name string, cfg pipeline.Config) (st pipeline.Stats, size int64, err error) {
@@ -406,18 +364,15 @@ func (w *Workspace) simulate(ctx context.Context, name string, cfg pipeline.Conf
 	if err := faults.Fire(faults.SiteSimulate); err != nil {
 		return pipeline.Stats{}, 0, fmt.Errorf("core: simulating %s %s: %w", name, cfg.Label(), err)
 	}
-	err = w.WithProfileCtx(ctx, name, func(res *ProfileResult) error {
-		sp := w.Metrics.Start(metrics.PhaseSimulate, fmt.Sprintf("%s %s", name, cfg.Label()))
-		s, serr := pipeline.Run(res.Trace, res.Analysis, cfg)
-		sp.End(int64(res.Trace.Len()))
-		if serr != nil {
-			return fmt.Errorf("core: simulating %s: %w", name, serr)
-		}
-		st = s
-		return nil
-	})
+	res, err := w.ProfileOfCtx(ctx, name)
 	if err != nil {
 		return pipeline.Stats{}, 0, err
+	}
+	sp := w.Metrics.Start(metrics.PhaseSimulate, fmt.Sprintf("%s %s", name, cfg.Label()))
+	st, err = pipeline.Run(res.Trace, res.Analysis, cfg)
+	sp.End(int64(res.Trace.Len()))
+	if err != nil {
+		return pipeline.Stats{}, 0, fmt.Errorf("core: simulating %s: %w", name, err)
 	}
 	return st, machineStatsSize, nil
 }

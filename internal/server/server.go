@@ -135,9 +135,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // (readiness flips to 503, acquires fail with ErrDraining), let queued
 // and in-flight requests finish, and — if ctx expires first —
 // deadline-cancel whatever is still running and wait for it to unwind.
-// Finally the workspace's resident artifacts spill to the disk tier, so
-// a warm restart reloads them instead of recomputing. Returns ctx's
-// error if the deadline forced cancellation, nil on a clean drain.
+// Finally every resident artifact missing from the disk tier is written
+// to it, so a warm restart reloads it instead of recomputing. Returns
+// ctx's error if the deadline forced cancellation, nil on a clean drain.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.adm.drain()
@@ -154,7 +154,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.baseCancel()
 		<-done // in-flight work observes cancellation and unwinds
 	}
-	s.w.FlushSpill()
+	s.w.PersistResident()
 	return forced
 }
 

@@ -145,16 +145,12 @@ func TestProfileEndpointMatchesDirect(t *testing.T) {
 	}
 
 	// Bit-identity with a direct workspace computation at the same budget.
-	ref := core.NewWorkspace(testBudget)
-	var want ProfileStats
-	err := ref.WithProfile(bench, func(p *core.ProfileResult) error {
-		want = ProfileStats{Bench: bench, Budget: testBudget, Summary: p.Summary,
-			Locality: p.Locality, DeadFraction: p.Summary.DeadFraction()}
-		return nil
-	})
+	p, err := core.NewWorkspace(testBudget).ProfileOf(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := ProfileStats{Bench: bench, Budget: testBudget, Summary: p.Summary,
+		Locality: p.Locality, DeadFraction: p.Summary.DeadFraction()}
 	gb, _ := json.Marshal(got)
 	wb, _ := json.Marshal(want)
 	if !bytes.Equal(gb, wb) {
@@ -284,14 +280,11 @@ func TestClientDisconnectRecovery(t *testing.T) {
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
-	ref := core.NewWorkspace(testBudget)
-	var want deadnessSummaryProbe
-	if err := ref.WithProfile(bench, func(p *core.ProfileResult) error {
-		want = deadnessSummaryProbe{p.Summary.Total, p.Summary.Dead}
-		return nil
-	}); err != nil {
+	p, err := core.NewWorkspace(testBudget).ProfileOf(bench)
+	if err != nil {
 		t.Fatal(err)
 	}
+	want := deadnessSummaryProbe{p.Summary.Total, p.Summary.Dead}
 	if got.Summary.Total != want.total || got.Summary.Dead != want.dead {
 		t.Errorf("post-disconnect profile diverges: got %d/%d, want %d/%d",
 			got.Summary.Dead, got.Summary.Total, want.dead, want.total)
@@ -498,14 +491,11 @@ func TestArtifactTransferEndpoints(t *testing.T) {
 	}
 	w2 := core.NewWorkspaceWorkers(testBudget, 2)
 	w2.SetRemoteTier(rc)
-	var got deadnessSummaryProbe
-	if err := w2.WithProfile(bench, func(p *core.ProfileResult) error {
-		got = deadnessSummaryProbe{p.Summary.Total, p.Summary.Dead}
-		return nil
-	}); err != nil {
+	p, err := w2.ProfileOf(bench)
+	if err != nil {
 		t.Fatalf("remote warm start: %v", err)
 	}
-	if got.total == 0 {
+	if p.Summary.Total == 0 {
 		t.Error("remote-fetched profile is empty")
 	}
 	st := w2.ArtifactStats().Kinds[core.KindProfile]
@@ -567,18 +557,20 @@ func TestArtifactTransferEndpoints(t *testing.T) {
 // decode those bytes as a normal warm start.
 func TestArtifactGetSpillThrough(t *testing.T) {
 	dir := t.TempDir()
-	s, ts, mc := newTestServer(t, func(cfg *Config) {
+	withDisk := func(cfg *Config) {
 		if err := cfg.Workspace.OpenDiskCache(dir, 64<<20); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	_, ts, _ := newTestServer(t, withDisk)
 	bench := core.SuiteNames()[0]
 	if resp, body := post(t, ts.URL+"/v1/profile", `{"bench":"`+bench+`"}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm profile: %d: %s", resp.StatusCode, body)
 	}
-	// Evict the resident tier: the only remaining copy is the spilled disk
-	// entry, so the GET below must take the spill-through path.
-	s.w.FlushSpill()
+	// Restart the daemon over the same tier: nothing is resident, so the
+	// only copy is the disk entry and the GET below must take the
+	// spill-through path.
+	_, ts, mc := newTestServer(t, withDisk)
 
 	rc, err := client.New(ts.URL)
 	if err != nil {
@@ -586,14 +578,11 @@ func TestArtifactGetSpillThrough(t *testing.T) {
 	}
 	w2 := core.NewWorkspaceWorkers(testBudget, 2)
 	w2.SetRemoteTier(rc)
-	var total int
-	if err := w2.WithProfile(bench, func(p *core.ProfileResult) error {
-		total = p.Summary.Total
-		return nil
-	}); err != nil {
-		t.Fatalf("remote warm start from spilled entry: %v", err)
+	p, err := w2.ProfileOf(bench)
+	if err != nil {
+		t.Fatalf("remote warm start from the disk entry: %v", err)
 	}
-	if total == 0 {
+	if p.Summary.Total == 0 {
 		t.Error("spill-through-fetched profile is empty")
 	}
 	spills := mc.Counter(metrics.CounterServerArtifactSpillthrough)
@@ -685,15 +674,11 @@ func TestAdoptionAcrossRequests(t *testing.T) {
 	case err := <-errc:
 		t.Fatal(err)
 	case got := <-done:
-		ref := core.NewWorkspace(testBudget)
-		var want deadnessSummaryProbe
-		if err := ref.WithProfile(bench, func(p *core.ProfileResult) error {
-			want = deadnessSummaryProbe{p.Summary.Total, p.Summary.Dead}
-			return nil
-		}); err != nil {
+		p, err := core.NewWorkspace(testBudget).ProfileOf(bench)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
+		if want := (deadnessSummaryProbe{p.Summary.Total, p.Summary.Dead}); got != want {
 			t.Errorf("survivor got %+v, want %+v", got, want)
 		}
 	}

@@ -26,12 +26,11 @@ import (
 //  1. terminate, with every request either completing or failing with a
 //     structured status (no hangs, no invalid responses),
 //  2. serve completed responses bit-identical to what a clean direct
-//     workspace produces for the same spec — shed-retry loops,
-//     evictions, and injected faults must never surface a corrupted
-//     result,
+//     workspace produces for the same spec — shed-retry loops and
+//     injected faults must never surface a corrupted result,
 //  3. attach Retry-After to every 429,
-//  4. drain cleanly afterwards, spilling resident artifacts to the
-//     disk tier.
+//  4. drain cleanly afterwards, with resident artifacts persisted to
+//     the disk tier.
 //
 // Run with -race via `make soak`: the injector schedule and the
 // admission interleavings make this the concurrency soak for the whole
@@ -55,16 +54,12 @@ func TestServerChaosSoak(t *testing.T) {
 	}
 	wantProfile := make(map[string][]byte)
 	for _, bench := range core.SuiteNames() {
-		var ps ProfileStats
-		err := clean.WithProfile(bench, func(p *core.ProfileResult) error {
-			ps = ProfileStats{Bench: bench, Budget: budget, Summary: p.Summary,
-				Locality: p.Locality, DeadFraction: p.Summary.DeadFraction()}
-			return nil
-		})
+		p, err := clean.ProfileOf(bench)
 		if err != nil {
 			t.Fatalf("clean profile %s: %v", bench, err)
 		}
-		b, _ := json.Marshal(ps)
+		b, _ := json.Marshal(ProfileStats{Bench: bench, Budget: budget, Summary: p.Summary,
+			Locality: p.Locality, DeadFraction: p.Summary.DeadFraction()})
 		wantProfile[bench] = b
 	}
 	cfiSpec := dip.Spec{Flavor: dip.FlavorCFI, Config: dip.DefaultConfig()}
@@ -90,11 +85,10 @@ func TestServerChaosSoak(t *testing.T) {
 	defer faults.Set(nil)
 
 	// --- the daemon under test: shed-prone queue, disk tier for the
-	// drain spill ---
+	// drain's persistence ---
 	w := core.NewWorkspaceWorkers(budget, 2)
 	w.KeepGoing = true
 	w.Metrics = mc
-	w.CacheBudget = 16 << 20
 	if err := w.OpenDiskCache(t.TempDir(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +186,7 @@ func TestServerChaosSoak(t *testing.T) {
 		t.Error("no fault fired at the server's own sites")
 	}
 
-	// 4. Clean drain; resident artifacts spill to the disk tier.
+	// 4. Clean drain; resident artifacts are persisted to the disk tier.
 	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer dcancel()
 	if err := s.Drain(dctx); err != nil {
@@ -206,7 +200,7 @@ func TestServerChaosSoak(t *testing.T) {
 		diskWrites += ks.DiskWrites
 	}
 	if diskWrites == 0 {
-		t.Error("no artifact spilled to the disk tier across the run and drain")
+		t.Error("no artifact written to the disk tier across the run and drain")
 	}
 
 	// The admission gauge must balance: nothing left queued.

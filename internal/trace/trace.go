@@ -326,9 +326,9 @@ func (t *Trace) NumChunks() int {
 func (t *Trace) Chunk(i int) *Chunk { return t.chunks[i] }
 
 // SizeBytes estimates the memory the trace retains: the capacity of every
-// column arena across its chunks. Cache layers use it to account resident
-// artifacts against a byte budget, so it reflects what Release would give
-// back (plus what the GC could reclaim for unpooled chunks).
+// column arena across its chunks. Cache layers use it to report resident
+// artifact bytes, so it reflects what Release would give back (plus what
+// the GC could reclaim for unpooled chunks).
 func (t *Trace) SizeBytes() int64 {
 	var n int64
 	for _, c := range t.chunks {

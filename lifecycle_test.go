@@ -196,14 +196,11 @@ func TestProfileAdoptionUnderCancellation(t *testing.T) {
 	bench := workload.Suite()[0].Name
 
 	// Fault-free reference.
-	clean := core.NewWorkspace(budget)
-	var want deadness.Summary
-	if err := clean.WithProfile(bench, func(p *core.ProfileResult) error {
-		want = p.Summary
-		return nil
-	}); err != nil {
+	clean, err := core.NewWorkspace(budget).ProfileOf(bench)
+	if err != nil {
 		t.Fatal(err)
 	}
+	want := clean.Summary
 
 	// Hold the build's start open so the second request reliably joins
 	// while the first one's build is in flight.
@@ -217,15 +214,17 @@ func TestProfileAdoptionUnderCancellation(t *testing.T) {
 	defer ocancel()
 	ownerErr := make(chan error, 1)
 	go func() {
-		ownerErr <- w.WithProfileCtx(octx, bench, func(*core.ProfileResult) error { return nil })
+		_, err := w.ProfileOfCtx(octx, bench)
+		ownerErr <- err
 	}()
 	var got deadness.Summary
 	waiterErr := make(chan error, 1)
 	go func() {
-		waiterErr <- w.WithProfileCtx(context.Background(), bench, func(p *core.ProfileResult) error {
+		p, err := w.ProfileOfCtx(context.Background(), bench)
+		if err == nil {
 			got = p.Summary
-			return nil
-		})
+		}
+		waiterErr <- err
 	}()
 
 	// Both requests share one in-flight build once a waiter is counted;

@@ -8,7 +8,7 @@
 # hits recorded, no profile built), (3) a zero exit after graceful
 # drain, and (4) a
 # non-zero artifact disk-write count in the final metrics dump — proving
-# the drain-time spill to the disk tier ran.
+# the artifacts reached the disk tier, by write-through or at drain.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -96,7 +96,7 @@ if [ "$status" != 0 ]; then
 fi
 
 # The final dump must record artifact disk writes (write-through during
-# the run plus the drain-time spill).
+# the run, plus any the drain retried).
 if ! grep -Eq '"disk_writes": *[1-9]' "$WORK/deadd.out"; then
     echo "daemon_smoke: no artifact disk writes in the final metrics dump:" >&2
     cat "$WORK/deadd.out" >&2
