@@ -67,9 +67,9 @@ soak:
 cancel-window:
 	$(GO) test -race -count=20 -run '^(TestAbandonedBuildNotJoined|TestLastWaiterCancelsBuild|TestAdoptionSurvivesOriginatorCancel|TestClientDisconnectRecovery|TestAdoptionAcrossRequests)$$' ./internal/artifact ./internal/server
 
-# smoke starts a real deadd with a temp persistent cache, drives it with
-# deadload, SIGTERMs it, and asserts a clean drain (exit 0) with
-# artifacts written to disk.
+# smoke starts a real deadd with a temp persistent cache and one injected
+# artifact.disk write fault, drives it with deadload, SIGTERMs it, and
+# asserts a clean drain (exit 0) that wrote the dropped artifact to disk.
 smoke:
 	./scripts/daemon_smoke.sh
 

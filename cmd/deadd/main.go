@@ -11,16 +11,17 @@
 //
 // Endpoints: GET /healthz, /readyz, /metricz; POST /v1/experiment,
 // /v1/experiments, /v1/predeval, /v1/profile — all POST endpoints accept
-// ?timeout= per-request deadlines and ?stream=1 chunked NDJSON progress.
+// ?timeout= per-request deadlines and answer with one JSON body.
 // GET /v1/artifact/{kind}/{digest} exports encoded artifacts
 // (CRC-framed, read-only), so a peer workspace started with
 // -remote-cache pointed here warm-starts from this daemon's cache
 // instead of rebuilding. Requests beyond the worker and queue capacity
-// are shed with 429 + Retry-After; queued requests are granted
-// round-robin across client tokens (X-Client-Token header); identical
-// concurrent requests each take a slot and share one build in the
-// artifact store. Each request executes once: a transient failure is a
-// 503 with a "transient" error kind, and the client may ask again.
+// are shed with 429 + Retry-After; queued requests are granted in
+// arrival order; identical concurrent requests each take a slot and
+// share one build in the artifact store. Each request executes once: a
+// transient failure is a 503 with a "transient" error kind, and the
+// client may ask again. -v prints one line per completed engine span to
+// stderr.
 //
 // Every artifact the daemon completes stays in memory until it exits.
 // That stays bounded: the daemon serves one budget, so it holds at most
@@ -69,7 +70,7 @@ func run() int {
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "clamp on client-requested ?timeout= deadlines (0 = no clamp)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long graceful drain waits for in-flight work before cancelling it")
 	wsFlags := cliflags.RegisterWorkspace(flag.CommandLine, "deadd")
-	verbose := flag.Bool("v", false, "tee per-phase engine progress lines to stderr")
+	verbose := flag.Bool("v", false, "print per-phase engine progress lines to stderr")
 	flag.Parse()
 
 	w, err := wsFlags.Open()
@@ -82,23 +83,22 @@ func run() int {
 	w.KeepGoing = true
 	mc := metrics.New()
 	w.Metrics = mc
+	if *verbose {
+		mc.SetVerbose(os.Stderr)
+	}
 
 	if _, err := cliflags.ArmFaults(mc, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 
-	cfg := server.Config{
+	s := server.New(server.Config{
 		Workspace:      w,
 		QueueDepth:     *queue,
 		DefaultTimeout: *reqTimeout,
 		MaxTimeout:     *maxTimeout,
 		Metrics:        mc,
-	}
-	if *verbose {
-		cfg.Verbose = os.Stderr
-	}
-	s := server.New(cfg)
+	})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

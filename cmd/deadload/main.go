@@ -1,15 +1,15 @@
 // Command deadload is the deterministic load generator for deadd: it
 // fires a seeded mix of profile, predictor-evaluation, and experiment
-// requests at a running daemon, spreads them over client tokens so the
-// fair queue has something to arbitrate, honors 429 Retry-After
-// backpressure, and prints a JSON report. A nonzero exit means the run
-// saw invalid responses (or, with -strict, any failed request).
+// requests at a running daemon over -c closed-loop connections, honors
+// 429 Retry-After backpressure, and prints a JSON report. -timeout bounds
+// each request on the client side and is passed to the daemon as its
+// deadline. A nonzero exit means the run saw invalid responses (or, with
+// -strict, any failed request).
 //
 // Usage:
 //
-//	deadload [-addr url] [-n requests] [-c concurrency] [-clients n]
-//	         [-mix kinds] [-burst n] [-stream] [-timeout d] [-seed n]
-//	         [-strict]
+//	deadload [-addr url] [-n requests] [-c concurrency] [-mix kinds]
+//	         [-burst n] [-timeout d] [-seed n] [-strict]
 package main
 
 import (
@@ -29,11 +29,9 @@ func main() {
 	addr := flag.String("addr", "http://127.0.0.1:7311", "deadd base URL")
 	n := flag.Int("n", 30, "total requests")
 	c := flag.Int("c", 4, "concurrent requests")
-	clients := flag.Int("clients", 0, "distinct client tokens (0 = one per concurrency slot)")
 	mix := flag.String("mix", "", "comma-separated request kinds: profile,predeval,experiment (empty = all)")
 	burst := flag.Int("burst", 1, "repeat each planned request this many consecutive times (duplicates overlap and share one build in the daemon's artifact store)")
-	stream := flag.Bool("stream", false, "request ?stream=1 chunked progress responses")
-	timeout := flag.Duration("timeout", time.Minute, "per-request timeout, passed as ?timeout= (0 = none)")
+	timeout := flag.Duration("timeout", time.Minute, "per-request client-side timeout, also passed as ?timeout= (0 = none)")
 	seed := flag.Uint64("seed", 1, "seed for the deterministic request sequence")
 	strict := flag.Bool("strict", false, "exit nonzero if any request failed, not just on invalid responses")
 	flag.Parse()
@@ -53,10 +51,8 @@ func main() {
 	rep, err := server.RunLoad(ctx, *addr, server.LoadConfig{
 		Requests:    *n,
 		Concurrency: *c,
-		Clients:     *clients,
 		Mix:         kinds,
 		Burst:       *burst,
-		Stream:      *stream,
 		Timeout:     *timeout,
 		Seed:        *seed,
 	})

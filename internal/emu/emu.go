@@ -308,27 +308,9 @@ func widthMask(w int) uint64 {
 // Run executes until HALT or until budget instructions have committed,
 // passing each record to sink (which may be nil; the record is only valid
 // for the duration of the call). It returns ErrBudget when the budget
-// expires first. When a fault injector is installed, the run goes through
-// RunCtx, where every committed instruction is a firing opportunity at
-// faults.SiteEmuStep; the injector is sampled once at entry so the clean
-// path stays branch-free.
+// expires first. It is RunCtx under a context that never ends.
 func (m *Machine) Run(budget int, sink func(*trace.Record)) error {
-	if faults.Active() != nil {
-		return m.RunCtx(context.Background(), budget, sink)
-	}
-	var rec trace.Record
-	for !m.Halted {
-		if m.Steps >= budget {
-			return ErrBudget
-		}
-		if err := m.step(&rec); err != nil {
-			return err
-		}
-		if sink != nil {
-			sink(&rec)
-		}
-	}
-	return nil
+	return m.RunCtx(context.Background(), budget, sink)
 }
 
 // CtxCheckInterval is the cancellation poll interval of RunCtx: the
@@ -345,19 +327,14 @@ const ctxCheckMask = CtxCheckInterval - 1
 
 // RunCtx is Run with cooperative cancellation: it polls ctx every few
 // thousand committed instructions and returns ctx.Err() when the context
-// ends mid-run. It is the one instrumented loop: Run delegates here when
-// a fault injector is armed, and RunCtx falls back to Run's bare loop
-// only when ctx can never end and no injector is armed. A run that
-// completes under RunCtx is therefore bit-identical to the same run
-// under Run, fault-opportunity sequence included.
+// ends mid-run. It is the emulator's one loop. When a fault injector is
+// installed, every committed instruction is a firing opportunity at
+// faults.SiteEmuStep; the injector is sampled once at entry.
 func (m *Machine) RunCtx(ctx context.Context, budget int, sink func(*trace.Record)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	inj := faults.Active()
-	if inj == nil && ctx.Done() == nil {
-		return m.Run(budget, sink)
-	}
 	var rec trace.Record
 	for !m.Halted {
 		if m.Steps >= budget {

@@ -39,15 +39,13 @@ const (
 // (internal/server): admitted requests, requests shed by the bounded
 // admission queue (429 backpressure), the live queue depth (incremented
 // on enqueue, decremented on dequeue or abandonment — a gauge carried on
-// the counter substrate), completed and failed requests, and streaming
-// progress subscriptions.
+// the counter substrate), and completed and failed requests.
 const (
 	CounterServerAdmitted   = "server_admitted"
 	CounterServerShed       = "server_shed"
 	CounterServerQueueDepth = "server_queue_depth"
 	CounterServerCompleted  = "server_completed"
 	CounterServerFailed     = "server_failed"
-	CounterServerStreams    = "server_streams"
 	// CounterServerRetries is never incremented: the daemon runs each
 	// request once. The name stays declared because benchmark/daemon.go
 	// still reports it.

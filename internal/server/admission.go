@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,33 +27,17 @@ func (e *ShedError) Error() string {
 	return fmt.Sprintf("server: admission queue full, retry after %s", e.RetryAfter)
 }
 
-// ticket is one waiter in the admission queue.
-type ticket struct {
-	ready     chan struct{} // closed on grant
-	granted   bool
-	abandoned bool // waiter gave up (context ended) before grant
-}
-
-// admission is a bounded admission queue with per-client fairness:
-// at most workers requests execute concurrently, at most depth more may
-// wait, and waiting requests are granted round-robin across client
-// tokens — a client flooding the queue gets its requests interleaved
-// with everyone else's, not served as a burst. Requests beyond the
-// queue bound are shed immediately (the HTTP layer turns that into
-// 429 + Retry-After).
+// admission is a bounded FIFO admission queue: at most workers requests
+// execute concurrently, at most depth more wait, and waiters are granted
+// in arrival order. Requests beyond the queue bound are shed immediately
+// (the HTTP layer turns that into 429 + Retry-After).
 type admission struct {
 	mu       sync.Mutex
 	workers  int
 	depth    int
 	active   int
-	queued   int // live (non-abandoned) queued tickets
+	waiting  []chan struct{} // in arrival order; a grant closes the head
 	draining bool
-
-	// rotation holds the client tokens that currently have queued
-	// tickets, in round-robin grant order; next is the rotation cursor.
-	rotation []string
-	next     int
-	byClient map[string][]*ticket
 
 	mc *metrics.Collector
 }
@@ -64,70 +49,63 @@ func newAdmission(workers, depth int, mc *metrics.Collector) *admission {
 	if depth < 0 {
 		depth = 0
 	}
-	return &admission{
-		workers:  workers,
-		depth:    depth,
-		byClient: make(map[string][]*ticket),
-		mc:       mc,
-	}
+	return &admission{workers: workers, depth: depth, mc: mc}
 }
 
-// acquire admits one request for the given client token, blocking in the
-// fair queue when all workers are busy. It returns ErrDraining during
-// shutdown, a *ShedError when the queue is full, or the context's error
-// if the caller gives up while queued. On nil return the caller holds a
-// worker slot and must call release exactly once.
-func (a *admission) acquire(ctx context.Context, client string) error {
+// acquire admits one request, blocking in the queue when all workers are
+// busy. It returns ErrDraining during shutdown, a *ShedError when the
+// queue is full, or the context's error if the caller gives up while
+// queued. On nil return the caller holds a worker slot and must call
+// release exactly once.
+func (a *admission) acquire(ctx context.Context) error {
 	a.mu.Lock()
 	if a.draining {
 		a.mu.Unlock()
 		return ErrDraining
 	}
-	// Admit inline only when a worker is free AND nobody is queued:
+	// Admit inline only when a worker is free AND nobody is waiting:
 	// arrivals must not overtake waiters.
-	if a.active < a.workers && a.queued == 0 {
+	if a.active < a.workers && len(a.waiting) == 0 {
 		a.active++
 		a.mu.Unlock()
 		a.mc.Add(metrics.CounterServerAdmitted, 1)
 		return nil
 	}
-	if a.queued >= a.depth {
-		retry := a.retryAfterLocked()
+	if len(a.waiting) >= a.depth {
+		// One second per round of work ahead: the running round plus
+		// the waiters spread over the workers.
+		retry := time.Duration(1+len(a.waiting)/a.workers) * time.Second
 		a.mu.Unlock()
 		a.mc.Add(metrics.CounterServerShed, 1)
 		return &ShedError{RetryAfter: retry}
 	}
-	t := &ticket{ready: make(chan struct{})}
-	if len(a.byClient[client]) == 0 {
-		a.rotation = append(a.rotation, client)
-	}
-	a.byClient[client] = append(a.byClient[client], t)
-	a.queued++
+	ready := make(chan struct{})
+	a.waiting = append(a.waiting, ready)
 	a.mu.Unlock()
 	a.mc.Add(metrics.CounterServerQueueDepth, 1)
 
 	select {
-	case <-t.ready:
+	case <-ready:
 		a.mc.Add(metrics.CounterServerAdmitted, 1)
 		return nil
 	case <-ctx.Done():
 		a.mu.Lock()
-		if t.granted {
-			// Grant raced the cancellation: the slot is ours, hand it on.
+		i := slices.Index(a.waiting, ready)
+		if i < 0 {
+			// The grant raced the cancellation: the slot is ours, hand it on.
 			a.releaseLocked()
 			a.mu.Unlock()
 			return ctx.Err()
 		}
-		t.abandoned = true
-		a.queued--
+		a.waiting = slices.Delete(a.waiting, i, i+1)
 		a.mu.Unlock()
 		a.mc.Add(metrics.CounterServerQueueDepth, -1)
 		return ctx.Err()
 	}
 }
 
-// release returns a worker slot and grants the next queued ticket, if
-// any, round-robin across clients.
+// release returns a worker slot and grants it to the longest waiter, if
+// any.
 func (a *admission) release() {
 	a.mu.Lock()
 	a.releaseLocked()
@@ -136,60 +114,17 @@ func (a *admission) release() {
 
 func (a *admission) releaseLocked() {
 	a.active--
-	a.grantLocked()
-}
-
-// grantLocked hands a free worker slot to the next queued ticket in
-// round-robin client order, skipping abandoned tickets. Clients whose
-// queues empty leave the rotation.
-func (a *admission) grantLocked() {
-	for a.active < a.workers && len(a.rotation) > 0 {
-		if a.next >= len(a.rotation) {
-			a.next = 0
-		}
-		client := a.rotation[a.next]
-		q := a.byClient[client]
-		// Pop the client's head ticket; drop abandoned ones on the floor.
-		var t *ticket
-		for len(q) > 0 && t == nil {
-			if q[0].abandoned {
-				q = q[1:]
-				continue
-			}
-			t = q[0]
-			q = q[1:]
-		}
-		if len(q) == 0 {
-			delete(a.byClient, client)
-			a.rotation = append(a.rotation[:a.next], a.rotation[a.next+1:]...)
-			// next now points at the following client; no advance needed.
-		} else {
-			a.byClient[client] = q
-			a.next++ // move on so the next grant serves another client
-		}
-		if t != nil {
-			t.granted = true
-			a.active++
-			a.queued--
-			close(t.ready)
-			a.mc.Add(metrics.CounterServerQueueDepth, -1)
-		}
+	if len(a.waiting) == 0 {
+		return
 	}
-}
-
-// retryAfterLocked estimates when a shed client should retry: one
-// scheduling quantum per queued-requests-per-worker, floored at one
-// second so Retry-After headers stay meaningful.
-func (a *admission) retryAfterLocked() time.Duration {
-	d := time.Duration(1+a.queued/a.workers) * time.Second
-	if d < time.Second {
-		d = time.Second
-	}
-	return d
+	close(a.waiting[0])
+	a.waiting = slices.Delete(a.waiting, 0, 1)
+	a.active++
+	a.mc.Add(metrics.CounterServerQueueDepth, -1)
 }
 
 // drain switches the queue into shutdown mode: new acquires fail with
-// ErrDraining; already-queued tickets still get granted as workers free
+// ErrDraining; already-queued waiters still get granted as workers free
 // up, so accepted work completes.
 func (a *admission) drain() {
 	a.mu.Lock()
@@ -201,5 +136,5 @@ func (a *admission) drain() {
 func (a *admission) snapshot() (active, queued int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.active, a.queued
+	return a.active, len(a.waiting)
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,14 +14,14 @@ func TestAdmissionInlineShedRelease(t *testing.T) {
 	a := newAdmission(2, 0, mc)
 	ctx := context.Background()
 
-	if err := a.acquire(ctx, "a"); err != nil {
+	if err := a.acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.acquire(ctx, "b"); err != nil {
+	if err := a.acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// Both workers busy, zero queue depth: the third arrival sheds.
-	err := a.acquire(ctx, "c")
+	err := a.acquire(ctx)
 	var shed *ShedError
 	if !errors.As(err, &shed) {
 		t.Fatalf("err = %v, want *ShedError", err)
@@ -35,7 +34,7 @@ func TestAdmissionInlineShedRelease(t *testing.T) {
 	}
 
 	a.release()
-	if err := a.acquire(ctx, "c"); err != nil {
+	if err := a.acquire(ctx); err != nil {
 		t.Fatalf("acquire after release: %v", err)
 	}
 	if got := mc.Counter(metrics.CounterServerAdmitted); got != 3 {
@@ -43,98 +42,56 @@ func TestAdmissionInlineShedRelease(t *testing.T) {
 	}
 }
 
-// enqueueWaiter parks one acquire in the queue and returns a channel
-// that yields its grant; it blocks until the ticket is actually queued.
-func enqueueWaiter(t *testing.T, a *admission, client string, record func(string)) {
-	t.Helper()
-	_, before := a.snapshot()
-	go func() {
-		if err := a.acquire(context.Background(), client); err != nil {
-			t.Errorf("%s: acquire: %v", client, err)
-			return
-		}
-		record(client)
-		a.release()
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, q := a.snapshot(); q > before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: ticket never queued", client)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestAdmissionFairness pins the round-robin grant order: a greedy
-// client that floods the queue cannot starve a light client — grants
-// interleave across client tokens.
-func TestAdmissionFairness(t *testing.T) {
+// TestAdmissionFIFO pins the grant order: with the single worker held,
+// waiters queued one at a time are granted in the order they arrived.
+func TestAdmissionFIFO(t *testing.T) {
 	mc := metrics.New()
 	a := newAdmission(1, 16, mc)
-
-	// Occupy the single worker so everything below queues.
-	if err := a.acquire(context.Background(), "holder"); err != nil {
+	if err := a.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	var mu sync.Mutex
-	var grants []string
-	done := make(chan struct{})
-	record := func(c string) {
-		mu.Lock()
-		grants = append(grants, c)
-		n := len(grants)
-		mu.Unlock()
-		if n == 8 {
-			close(done)
-		}
-	}
-
-	// Greedy client queues six requests, then the light client queues
-	// two. Strict FIFO would serve all six greedy requests first.
-	for i := 0; i < 6; i++ {
-		enqueueWaiter(t, a, "greedy", record)
-	}
-	for i := 0; i < 2; i++ {
-		enqueueWaiter(t, a, "light", record)
+	const waiters = 8
+	grants := make(chan int, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			if err := a.acquire(context.Background()); err != nil {
+				t.Errorf("waiter %d: acquire: %v", i, err)
+				return
+			}
+			grants <- i
+			a.release()
+		}()
+		// Queue the next waiter only once this one is in line.
+		waitQueued(t, a, i+1)
 	}
 
 	a.release() // free the worker; grants chain through each release
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("grants never completed")
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	// Round-robin across {greedy, light}: light's two requests must land
-	// within the first four grants, not after greedy's six.
-	lightSeen := 0
-	for i, c := range grants[:4] {
-		_ = i
-		if c == "light" {
-			lightSeen++
+	for want := 0; want < waiters; want++ {
+		select {
+		case got := <-grants:
+			if got != want {
+				t.Fatalf("grant %d went to waiter %d, want arrival order", want, got)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("grant %d never came", want)
 		}
 	}
-	if lightSeen != 2 {
-		t.Errorf("grant order %v: light client served %d of first 4 grants, want 2 (starved by greedy)", grants, lightSeen)
+	if got := mc.Counter(metrics.CounterServerAdmitted); got != waiters+1 {
+		t.Errorf("admitted counter = %d, want %d", got, waiters+1)
 	}
 }
 
 func TestAdmissionCancelWhileQueued(t *testing.T) {
 	mc := metrics.New()
 	a := newAdmission(1, 4, mc)
-	if err := a.acquire(context.Background(), "holder"); err != nil {
+	if err := a.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	go func() { errc <- a.acquire(ctx, "w") }()
+	go func() { errc <- a.acquire(ctx) }()
 	waitQueued(t, a, 1)
 
 	cancel()
@@ -150,7 +107,7 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 
 	// The abandoned ticket must not absorb the next grant.
 	a.release()
-	if err := a.acquire(context.Background(), "x"); err != nil {
+	if err := a.acquire(context.Background()); err != nil {
 		t.Fatalf("acquire after abandoned ticket: %v", err)
 	}
 }
@@ -158,19 +115,19 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 func TestAdmissionDrain(t *testing.T) {
 	mc := metrics.New()
 	a := newAdmission(1, 4, mc)
-	if err := a.acquire(context.Background(), "holder"); err != nil {
+	if err := a.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	// A request queued before the drain still gets served...
 	granted := make(chan error, 1)
-	go func() { granted <- a.acquire(context.Background(), "early") }()
+	go func() { granted <- a.acquire(context.Background()) }()
 	waitQueued(t, a, 1)
 
 	a.drain()
 
 	// ...while new arrivals are rejected outright.
-	if err := a.acquire(context.Background(), "late"); !errors.Is(err, ErrDraining) {
+	if err := a.acquire(context.Background()); !errors.Is(err, ErrDraining) {
 		t.Fatalf("acquire during drain = %v, want ErrDraining", err)
 	}
 

@@ -21,11 +21,9 @@ import (
 // cmd/deadload and the daemon smoke test.
 type LoadConfig struct {
 	// Requests is the total request count; Concurrency how many run at
-	// once; Clients how many distinct client tokens the requests spread
-	// over (fair-queue keys).
+	// once.
 	Requests    int
 	Concurrency int
-	Clients     int
 	// Mix selects the request kinds to cycle through; empty means
 	// profile, predeval, and experiment. Valid kinds: "profile",
 	// "predeval", "experiment".
@@ -36,8 +34,6 @@ type LoadConfig struct {
 	// artifact store's single-flight builds; Requests stays the total
 	// count.
 	Burst int
-	// Stream requests ?stream=1 chunked progress responses.
-	Stream bool
 	// Timeout is the per-request client-side timeout (0 = none) and is
 	// also passed to the server as ?timeout=.
 	Timeout time.Duration
@@ -55,12 +51,11 @@ type LoadConfig struct {
 type LoadReport struct {
 	Sent     int            `json:"sent"`
 	OK       int            `json:"ok"`
-	Shed     int            `json:"shed"`          // 429 responses observed (before any retry succeeded)
-	Failed   int            `json:"failed"`        // requests that never got a 200
-	Invalid  int            `json:"invalid"`       // 200 responses Verify rejected
-	ByStatus map[int]int    `json:"by_status"`     // final status per request
-	ByKind   map[string]int `json:"by_kind"`       // requests sent per kind
-	Events   int            `json:"stream_events"` // NDJSON events seen across streamed responses
+	Shed     int            `json:"shed"`      // 429 responses observed (before any retry succeeded)
+	Failed   int            `json:"failed"`    // requests that never got a 200
+	Invalid  int            `json:"invalid"`   // 200 responses Verify rejected
+	ByStatus map[int]int    `json:"by_status"` // final status per request
+	ByKind   map[string]int `json:"by_kind"`   // requests sent per kind
 	// ShedNoHint counts 429 responses that arrived without a
 	// Retry-After header — always zero against a conforming server.
 	ShedNoHint int `json:"shed_no_hint,omitempty"`
@@ -137,9 +132,6 @@ func RunLoad(ctx context.Context, baseURL string, cfg LoadConfig) (*LoadReport, 
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 4
 	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = cfg.Concurrency
-	}
 	if cfg.MaxShedRetries <= 0 {
 		cfg.MaxShedRetries = 3
 	}
@@ -156,27 +148,25 @@ func RunLoad(ctx context.Context, baseURL string, cfg LoadConfig) (*LoadReport, 
 	rep := &LoadReport{ByStatus: make(map[int]int), ByKind: make(map[string]int)}
 	var mu sync.Mutex
 	var nextIdx atomic.Int64
-	client := &http.Client{}
+	client := &http.Client{Timeout: cfg.Timeout}
 
 	var wg sync.WaitGroup
-	for wkr := 0; wkr < cfg.Concurrency; wkr++ {
+	for range cfg.Concurrency {
 		wg.Add(1)
-		go func(wkr int) {
+		go func() {
 			defer wg.Done()
-			token := "client-" + strconv.Itoa(wkr%cfg.Clients)
 			for {
 				i := int(nextIdx.Add(1)) - 1
 				if i >= len(reqs) || ctx.Err() != nil {
 					return
 				}
-				status, body, sheds, noHint, events := issue(ctx, client, baseURL, token, reqs[i], cfg)
+				status, body, sheds, noHint := issue(ctx, client, baseURL, reqs[i], cfg)
 				mu.Lock()
 				rep.Sent++
 				rep.ByKind[reqs[i].kind]++
 				rep.ByStatus[status]++
 				rep.Shed += sheds
 				rep.ShedNoHint += noHint
-				rep.Events += events
 				switch {
 				case status == http.StatusOK:
 					rep.OK++
@@ -190,39 +180,30 @@ func RunLoad(ctx context.Context, baseURL string, cfg LoadConfig) (*LoadReport, 
 				}
 				mu.Unlock()
 			}
-		}(wkr)
+		}()
 	}
 	wg.Wait()
 	return rep, ctx.Err()
 }
 
 // issue sends one request, retrying sheds per the server's Retry-After.
-// It returns the final status, the response body (for streamed
-// responses, the final result event's data), how many 429s it absorbed,
-// and how many stream events it saw.
-func issue(ctx context.Context, client *http.Client, baseURL, token string, lr loadRequest, cfg LoadConfig) (status int, body []byte, sheds, noHint, events int) {
+// It returns the final status (0 when no response arrived), the response
+// body, how many 429s it absorbed, and how many of those lacked a
+// Retry-After header.
+func issue(ctx context.Context, client *http.Client, baseURL string, lr loadRequest, cfg LoadConfig) (status int, body []byte, sheds, noHint int) {
 	url := baseURL + lr.path
-	q := ""
-	if cfg.Stream {
-		q = "?stream=1"
-	}
 	if cfg.Timeout > 0 {
-		sep := "?"
-		if q != "" {
-			sep = "&"
-		}
-		q += sep + "timeout=" + cfg.Timeout.String()
+		url += "?timeout=" + cfg.Timeout.String()
 	}
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+q, bytes.NewReader(lr.body))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(lr.body))
 		if err != nil {
-			return 0, nil, sheds, noHint, events
+			return 0, nil, sheds, noHint
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Client-Token", token)
 		resp, err := client.Do(req)
 		if err != nil {
-			return 0, nil, sheds, noHint, events
+			return 0, nil, sheds, noHint
 		}
 		if resp.StatusCode == http.StatusTooManyRequests {
 			hint := resp.Header.Get("Retry-After")
@@ -232,7 +213,7 @@ func issue(ctx context.Context, client *http.Client, baseURL, token string, lr l
 				noHint++
 			}
 			if attempt >= cfg.MaxShedRetries {
-				return resp.StatusCode, nil, sheds, noHint, events
+				return resp.StatusCode, nil, sheds, noHint
 			}
 			wait := time.Second
 			if ra, err := strconv.Atoi(hint); err == nil && ra > 0 {
@@ -244,44 +225,17 @@ func issue(ctx context.Context, client *http.Client, baseURL, token string, lr l
 			}
 			select {
 			case <-ctx.Done():
-				return resp.StatusCode, nil, sheds, noHint, events
+				return resp.StatusCode, nil, sheds, noHint
 			case <-time.After(wait):
 			}
 			continue
 		}
-		if cfg.Stream && resp.StatusCode == http.StatusOK {
-			st, b, n := drainStream(resp.Body)
-			resp.Body.Close()
-			return st, b, sheds, noHint, events + n
-		}
-		b, _ := io.ReadAll(resp.Body)
+		b, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		return resp.StatusCode, b, sheds, noHint, events
+		if err != nil {
+			// The client timeout can also fire mid-body.
+			return 0, nil, sheds, noHint
+		}
+		return resp.StatusCode, b, sheds, noHint
 	}
-}
-
-// drainStream consumes an NDJSON progress stream, returning the
-// effective status (200 only if a result event arrived), the result
-// event's data, and the total event count.
-func drainStream(r io.Reader) (status int, result []byte, events int) {
-	dec := json.NewDecoder(r)
-	status = http.StatusInternalServerError
-	for {
-		var e struct {
-			Event string          `json:"event"`
-			Data  json.RawMessage `json:"data"`
-			Error string          `json:"error"`
-		}
-		if err := dec.Decode(&e); err != nil {
-			break
-		}
-		events++
-		switch e.Event {
-		case "result":
-			status, result = http.StatusOK, e.Data
-		case "error":
-			status = http.StatusInternalServerError
-		}
-	}
-	return status, result, events
 }

@@ -1,12 +1,12 @@
 // Package server is the experiment service daemon behind cmd/deadd: an
 // HTTP+JSON front end over a shared core.Workspace, serving experiment,
 // predictor-evaluation, and profile queries with the robustness
-// machinery a long-lived service needs — a bounded admission queue with
-// load-shedding backpressure (429 + Retry-After), per-client round-robin
-// fairness, per-request deadlines, streaming progress over chunked
-// responses, health/readiness probes, and graceful drain on shutdown.
-// Each request executes once: a transient failure is answered with 503
-// and the client decides whether to ask again.
+// machinery a long-lived service needs — a bounded FIFO admission queue
+// with load-shedding backpressure (429 + Retry-After), per-request
+// deadlines, health/readiness probes, and graceful drain on shutdown.
+// Every request takes one path: admission, one execution, one JSON body.
+// A transient failure is answered with 503 and the client decides
+// whether to ask again.
 //
 // Every result the daemon serves derives through the workspace's
 // content-addressed artifact store, so responses are bit-identical to
@@ -62,13 +62,9 @@ type Config struct {
 	// MaxTimeout clamps client-requested deadlines (0 = no clamp).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Metrics receives the daemon's counters and, when its verbose
-	// stream is routed through the server (see New), the progress lines
-	// streamed to subscribers. Nil is ignored in the usual nil-safe way.
+	// Metrics receives the daemon's counters and histograms. Nil is
+	// ignored in the usual nil-safe way.
 	Metrics *metrics.Collector
-	// Verbose, when set, additionally tees engine progress lines to this
-	// writer (the daemon's -v).
-	Verbose io.Writer
 }
 
 // Server is the HTTP service; build one with New, expose Handler, and
@@ -78,7 +74,6 @@ type Server struct {
 	w   *core.Workspace
 	mc  *metrics.Collector
 	adm *admission
-	bc  *broadcaster
 	mux *http.ServeMux
 
 	// baseCtx parents every request execution; baseCancel is the drain
@@ -90,9 +85,7 @@ type Server struct {
 	inflight sync.WaitGroup
 }
 
-// New builds a Server over the given config. The workspace's metrics
-// collector is routed through the server's progress broadcaster so
-// streaming clients see per-span engine events.
+// New builds a Server over the given config.
 func New(cfg Config) *Server {
 	if cfg.Workspace == nil {
 		panic("server: Config.Workspace is required")
@@ -106,13 +99,9 @@ func New(cfg Config) *Server {
 		w:   cfg.Workspace,
 		mc:  cfg.Metrics,
 		adm: newAdmission(workers, cfg.QueueDepth, cfg.Metrics),
-		bc:  newBroadcaster(cfg.Verbose),
 		mux: http.NewServeMux(),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	// Route engine progress lines through the broadcaster so ?stream=1
-	// subscribers receive them.
-	cfg.Metrics.SetVerbose(s.bc)
 
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -216,16 +205,6 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error(), Kind: kind})
 }
 
-// clientToken identifies the requester for fair queueing: an explicit
-// X-Client-Token header when the client sets one, the remote address
-// otherwise.
-func clientToken(r *http.Request) string {
-	if tok := r.Header.Get("X-Client-Token"); tok != "" {
-		return tok
-	}
-	return r.RemoteAddr
-}
-
 // requestTimeout resolves the request's execution deadline: ?timeout=
 // parsed as a Go duration, clamped to MaxTimeout, defaulting to
 // DefaultTimeout. An unparsable value is a usage error.
@@ -245,12 +224,12 @@ func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
 }
 
 // execute runs fn under the daemon's full request discipline: the
-// server.accept fault site, drain checks, fair admission with
+// server.accept fault site, drain checks, FIFO admission with
 // load-shedding, the per-request deadline (which starts at admission, so
 // queue wait does not count against it), and the server.handle fault
-// site, then fn, once. The context passed to fn dies when the client
-// disconnects, the deadline passes, or a drain deadline forces
-// cancellation.
+// site, then fn, once, and writes its result or error as one JSON body.
+// The context passed to fn dies when the client disconnects, the
+// deadline passes, or a drain deadline forces cancellation.
 //
 // Identical concurrent requests each take their own admission slot; the
 // work they share collapses one layer down, in the artifact store, which
@@ -284,7 +263,7 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string
 	defer stop()
 
 	qstart := time.Now()
-	err = s.adm.acquire(ctx, clientToken(r))
+	err = s.adm.acquire(ctx)
 	s.mc.Observe(metrics.HistServerQueueWait+"."+endpoint, time.Since(qstart))
 	if err != nil {
 		// Never executed: a shed, a drain rejection, or a client that gave
@@ -304,13 +283,6 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string
 	}
 	defer s.adm.release()
 
-	// The stream opens only now, so a request that sheds or drains before
-	// executing still gets a plain 429/503 rather than a committed 200.
-	var fw *streamWriter
-	if r.URL.Query().Get("stream") == "1" {
-		fw = newStreamWriter(w, s.bc, s.mc)
-		defer fw.close()
-	}
 	if timeout > 0 {
 		var tcancel context.CancelFunc
 		ctx, tcancel = context.WithTimeout(ctx, timeout)
@@ -326,10 +298,6 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string
 
 	if err != nil {
 		s.mc.Add(metrics.CounterServerFailed, 1)
-		if fw != nil {
-			fw.event(streamEvent{Event: "error", Error: err.Error()})
-			return
-		}
 		status := http.StatusInternalServerError
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -344,10 +312,6 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string
 		return
 	}
 	s.mc.Add(metrics.CounterServerCompleted, 1)
-	if fw != nil {
-		fw.event(streamEvent{Event: "result", Data: res})
-		return
-	}
 	writeJSON(w, http.StatusOK, res)
 }
 
@@ -356,69 +320,6 @@ func statusForContext(ctx context.Context) int {
 		return http.StatusGatewayTimeout
 	}
 	return http.StatusServiceUnavailable
-}
-
-// --- streaming ---
-
-// streamEvent is one NDJSON line of a ?stream=1 response: progress
-// events carry an engine progress line; the final event is result or
-// error.
-type streamEvent struct {
-	Event string `json:"event"`
-	Line  string `json:"line,omitempty"`
-	Data  any    `json:"data,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
-// streamWriter subscribes to the progress broadcaster and relays lines
-// to one chunked NDJSON response while the request executes.
-type streamWriter struct {
-	mu     sync.Mutex
-	w      http.ResponseWriter
-	fl     http.Flusher
-	cancel func()
-	wg     sync.WaitGroup
-}
-
-func newStreamWriter(w http.ResponseWriter, bc *broadcaster, mc *metrics.Collector) *streamWriter {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	sw := &streamWriter{w: w, fl: fl}
-	ch, cancel := bc.subscribe()
-	sw.cancel = cancel
-	mc.Add(metrics.CounterServerStreams, 1)
-	sw.wg.Add(1)
-	go func() {
-		defer sw.wg.Done()
-		// Drain until the subscription closes: lines published before
-		// close() are buffered in ch and must all reach the response,
-		// even if this goroutine is first scheduled after the request
-		// has already finished.
-		for line := range ch {
-			sw.event(streamEvent{Event: "progress", Line: line})
-		}
-	}()
-	return sw
-}
-
-func (sw *streamWriter) event(e streamEvent) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	b, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	sw.w.Write(append(b, '\n'))
-	if sw.fl != nil {
-		sw.fl.Flush()
-	}
-}
-
-func (sw *streamWriter) close() {
-	sw.cancel()
-	sw.wg.Wait()
 }
 
 // --- endpoints ---

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -184,55 +183,6 @@ func TestMaxTimeoutClamp(t *testing.T) {
 	}
 	if d != time.Second {
 		t.Errorf("timeout = %v, want clamped to 1s", d)
-	}
-}
-
-func TestStreamingProgress(t *testing.T) {
-	_, ts, mc := newTestServer(t, nil)
-	bench := core.SuiteNames()[0]
-
-	resp, err := http.Post(ts.URL+"/v1/profile?stream=1", "application/json",
-		strings.NewReader(`{"bench":"`+bench+`"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-
-	var progress, results int
-	var final streamEvent
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var e streamEvent
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-		}
-		switch e.Event {
-		case "progress":
-			progress++
-		case "result":
-			results++
-			final = e
-		case "error":
-			t.Fatalf("stream error: %s", e.Error)
-		}
-	}
-	if results != 1 {
-		t.Fatalf("result events = %d, want 1", results)
-	}
-	// A cold profile build emits compile/emulate/analyze spans, all of
-	// which flow through the broadcaster.
-	if progress == 0 {
-		t.Error("no progress events on a cold build")
-	}
-	if final.Data == nil {
-		t.Error("result event carries no data")
-	}
-	if got := mc.Counter(metrics.CounterServerStreams); got != 1 {
-		t.Errorf("stream counter = %d, want 1", got)
 	}
 }
 

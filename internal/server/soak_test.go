@@ -29,8 +29,8 @@ import (
 //     workspace produces for the same spec — shed-retry loops and
 //     injected faults must never surface a corrupted result,
 //  3. attach Retry-After to every 429,
-//  4. drain cleanly afterwards, with resident artifacts persisted to
-//     the disk tier.
+//  4. drain cleanly afterwards, persisting the one resident artifact
+//     whose write-through an injected artifact.disk fault dropped.
 //
 // Run with -race via `make soak`: the injector schedule and the
 // admission interleavings make this the concurrency soak for the whole
@@ -78,7 +78,10 @@ func TestServerChaosSoak(t *testing.T) {
 		Arm(SiteHandle, faults.Rule{Kind: faults.Transient, Rate: 0.15, Max: 10}).
 		Arm(faults.SitePoolTask, faults.Rule{Kind: faults.Transient, Rate: 0.05, Max: 8}).
 		Arm(faults.SiteWorkspaceMemo, faults.Rule{Kind: faults.Transient, Rate: 0.1, Max: 8}).
-		Arm(faults.SiteSimulate, faults.Rule{Kind: faults.Transient, Rate: 0.05, Max: 4})
+		Arm(faults.SiteSimulate, faults.Rule{Kind: faults.Transient, Rate: 0.05, Max: 4}).
+		// The run's first disk write fails, leaving one resident artifact
+		// that only the drain can persist.
+		Arm(faults.SiteArtifactDisk, faults.Rule{Kind: faults.Transient, Rate: 1, Max: 1})
 	mc := metrics.New()
 	in.Metrics = mc
 	faults.Set(in)
@@ -140,7 +143,6 @@ func TestServerChaosSoak(t *testing.T) {
 	rep, err := RunLoad(ctx, ts.URL, LoadConfig{
 		Requests:       36,
 		Concurrency:    6,
-		Clients:        3,
 		Burst:          3,
 		Seed:           11,
 		Timeout:        time.Minute,
@@ -186,7 +188,18 @@ func TestServerChaosSoak(t *testing.T) {
 		t.Error("no fault fired at the server's own sites")
 	}
 
-	// 4. Clean drain; resident artifacts are persisted to the disk tier.
+	// 4. Clean drain, which writes exactly the artifact whose
+	// write-through the injected disk fault dropped.
+	if n := in.Fired(faults.SiteArtifactDisk); n != 1 {
+		t.Fatalf("artifact.disk fault fired %d times, want 1", n)
+	}
+	diskWrites := func() (n int64) {
+		for _, ks := range w.ArtifactStats().Kinds {
+			n += ks.DiskWrites
+		}
+		return n
+	}
+	before := diskWrites()
 	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer dcancel()
 	if err := s.Drain(dctx); err != nil {
@@ -195,12 +208,8 @@ func TestServerChaosSoak(t *testing.T) {
 	if !s.Draining() {
 		t.Error("server not draining after Drain")
 	}
-	var diskWrites int64
-	for _, ks := range w.ArtifactStats().Kinds {
-		diskWrites += ks.DiskWrites
-	}
-	if diskWrites == 0 {
-		t.Error("no artifact written to the disk tier across the run and drain")
+	if got := diskWrites() - before; got != 1 {
+		t.Errorf("drain wrote %d artifacts to the disk tier, want 1 (the dropped write-through)", got)
 	}
 
 	// The admission gauge must balance: nothing left queued.

@@ -6,9 +6,11 @@
 # and assert (1) E19 dispatches and returns a non-error result, (2) a
 # remote warm start that rebuilt nothing (facts-kind misses == 0, remote
 # hits recorded, no profile built), (3) a zero exit after graceful
-# drain, and (4) a
-# non-zero artifact disk-write count in the final metrics dump — proving
-# the artifacts reached the disk tier, by write-through or at drain.
+# drain, and (4) that the drain persisted exactly the one artifact whose
+# write-through an injected artifact.disk fault dropped: the daemon runs
+# with FAULTS=artifact.disk:transient:1:1, so its first disk write fails,
+# and the final metrics dump must read one injected fault and one more
+# disk write than /metricz read just before SIGTERM.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,7 +26,8 @@ go build -o "$WORK/deadd" ./cmd/deadd
 go build -o "$WORK/deadload" ./cmd/deadload
 go build -o "$WORK/deadprof" ./cmd/deadprof
 
-"$WORK/deadd" -addr "$ADDR" -n "$BUDGET" -cache-dir "$WORK/cache" \
+FAULTS=artifact.disk:transient:1:1 \
+    "$WORK/deadd" -addr "$ADDR" -n "$BUDGET" -cache-dir "$WORK/cache" \
     >"$WORK/deadd.out" 2>"$WORK/deadd.err" &
 DEADD_PID=$!
 
@@ -86,6 +89,13 @@ if sed -n '/"profile": {/,/}/p' "$WORK/deadprof.err" | grep -Eq '"misses": [1-9]
     exit 1
 fi
 
+# disk_writes sums the per-kind "disk_writes" fields of a metrics JSON
+# document (a kind with none omits the field).
+disk_writes() {
+    grep -Eo '"disk_writes": *[0-9]+' | awk -F: '{n += $2} END {print n + 0}'
+}
+before="$(curl -fsS "http://$ADDR/metricz" | disk_writes)"
+
 kill -TERM "$DEADD_PID"
 status=0
 wait "$DEADD_PID" || status=$?
@@ -95,12 +105,18 @@ if [ "$status" != 0 ]; then
     exit 1
 fi
 
-# The final dump must record artifact disk writes (write-through during
-# the run, plus any the drain retried).
-if ! grep -Eq '"disk_writes": *[1-9]' "$WORK/deadd.out"; then
-    echo "daemon_smoke: no artifact disk writes in the final metrics dump:" >&2
+# The one injected disk fault dropped one write-through; the drain must
+# have written exactly that artifact.
+if ! grep -Eq '"faults_injected\.artifact\.disk\.transient": *1,?$' "$WORK/deadd.out"; then
+    echo "daemon_smoke: want exactly one injected artifact.disk fault in the final metrics dump:" >&2
+    cat "$WORK/deadd.out" >&2
+    exit 1
+fi
+after="$(disk_writes <"$WORK/deadd.out")"
+if [ "$after" != $((before + 1)) ]; then
+    echo "daemon_smoke: drain raised disk writes from $before to $after, want $((before + 1)):" >&2
     cat "$WORK/deadd.out" >&2
     exit 1
 fi
 
-echo "daemon_smoke: OK (E19 via daemon, remote warm start, exit 0 after drain, disk writes recorded)"
+echo "daemon_smoke: OK (E19 via daemon, remote warm start, exit 0 after drain, drain persisted the dropped write-through)"
