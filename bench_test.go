@@ -192,8 +192,8 @@ func BenchmarkEmulator(b *testing.B) {
 // BenchmarkEmulatorRecord is BenchmarkEmulator with every committed
 // instruction recorded into a columnar trace through trace.Push, the
 // collect path's sink, so the gap between the two is the cost of trace
-// recording alone. Each iteration releases its trace, so chunk arenas
-// recycle through the pool as they do for a real caller.
+// recording alone. Each iteration allocates its trace's chunks afresh,
+// as a profile build does.
 func BenchmarkEmulatorRecord(b *testing.B) {
 	prog, err := asm.Assemble("bench", benchProgramSrc)
 	if err != nil {
@@ -208,7 +208,6 @@ func BenchmarkEmulatorRecord(b *testing.B) {
 			b.Fatal(err)
 		}
 		insts = t.Len()
-		t.Release()
 	}
 	b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
@@ -238,8 +237,8 @@ func BenchmarkDeadnessOracle(b *testing.B) {
 
 // BenchmarkCollectAnalyzed measures the streaming emulate→analyze path
 // end to end: completed chunks feed the fused oracle in-line as the
-// emulator produces them. Each iteration releases the trace, the real caller lifecycle, so
-// chunk arenas recycle through the pool instead of piling onto the GC.
+// emulator produces them. Each iteration allocates its trace and writer
+// map afresh, as a profile build does.
 func BenchmarkCollectAnalyzed(b *testing.B) {
 	prog, err := asm.Assemble("bench", benchProgramSrc)
 	if err != nil {
@@ -253,7 +252,6 @@ func BenchmarkCollectAnalyzed(b *testing.B) {
 			b.Fatal(err)
 		}
 		insts = tr.Len()
-		tr.Release()
 	}
 	b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
@@ -472,11 +470,9 @@ func BenchmarkTraceSaveLoad(b *testing.B) {
 			if err := tr.SaveLinked(&buf); err != nil {
 				b.Fatal(err)
 			}
-			back, err := trace.LoadBytes(buf.Bytes(), 0)
-			if err != nil {
+			if _, err := trace.LoadBytes(buf.Bytes(), 0); err != nil {
 				b.Fatal(err)
 			}
-			back.Release()
 		}
 	})
 }
@@ -622,13 +618,12 @@ func BenchmarkCoalescedLoad(b *testing.B) {
 	b.Run("serial8", func(b *testing.B) { run(b, 8, false) })
 }
 
-// BenchmarkEngineAllExperiments runs the full 18-experiment engine on a
+// BenchmarkEngineAllExperiments runs the full 21-experiment engine on a
 // shared concurrent workspace, reporting how many machine simulations ran
 // versus how many were served from the (benchmark, config) memo — the
 // dedup the engine exists to provide. It runs after the substrate
-// micro-benchmarks (Go executes benchmarks in source order): its heap
-// footprint dwarfs theirs, and running it first leaves enough retained
-// pool memory behind to depress every later measurement by 10-20%.
+// micro-benchmarks (Go executes benchmarks in source order), because its
+// heap footprint dwarfs theirs.
 func BenchmarkEngineAllExperiments(b *testing.B) {
 	ids := core.ExperimentIDs()
 	for i := 0; i < b.N; i++ {

@@ -37,14 +37,12 @@ func analyzeSharded(recs []trace.Record, lag int) (*trace.Trace, *deadness.Analy
 		tr.Push(&recs[i])
 		if tr.Len()>>trace.ChunkBits-sent >= lag {
 			if err := feed(); err != nil {
-				st.Close()
 				return nil, nil, err
 			}
 		}
 	}
 	for sent < tr.NumChunks() {
 		if err := feed(); err != nil {
-			st.Close()
 			return nil, nil, err
 		}
 	}

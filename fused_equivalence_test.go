@@ -75,7 +75,6 @@ func refLink(recs []trace.Record) error {
 		regWriter[i] = trace.NoProducer
 	}
 	memWriter := trace.NewWriterMap()
-	defer memWriter.Reset()
 
 	for seq := range recs {
 		r := &recs[seq]
@@ -139,7 +138,6 @@ func refAnalyze(recs []trace.Record) *refAnalysis {
 		lastRegWriter[i] = trace.NoProducer
 	}
 	memWriter := trace.NewWriterMap()
-	defer memWriter.Reset()
 	var prevBuf []int32
 	for seq := range recs {
 		r := &recs[seq]
@@ -296,7 +294,6 @@ func TestColumnarAnalysisMatchesReference(t *testing.T) {
 			if fs != ss {
 				t.Errorf("summaries differ: fused %+v, stream %+v", fs, ss)
 			}
-			streamTr.Release()
 		})
 	}
 }
@@ -329,7 +326,6 @@ func TestFusedPipelineStatsMatchStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer streamTr.Release()
 
 			for _, cfg := range []pipeline.Config{cfgElim, cfgOracle} {
 				fs, err := pipeline.Run(fusedTr, fused, cfg)
@@ -595,7 +591,6 @@ func TestAppendRangeAcrossChunks(t *testing.T) {
 	}
 
 	sub := trace.NewWithCapacity(cs + 7)
-	defer sub.Release()
 	windows := [][2]int{{0, 5}, {cs - 3, cs + 4}, {cs, 2 * cs}, {2*cs - 1, n}, {0, n}}
 	for _, w := range windows {
 		start, end := w[0], w[1]

@@ -80,15 +80,6 @@ func Digest(spec any) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Releaser is implemented by artifact values that recycle pooled
-// resources (e.g. a profile's columnar trace chunks). The store calls
-// ReleaseArtifact only on the late value of a build whose last waiter
-// left (see GetCtx): nobody can read that value, so implementations may
-// return arenas to a sync.Pool. A resident artifact is never released.
-type Releaser interface {
-	ReleaseArtifact()
-}
-
 // KindStats is the per-kind counter snapshot carried by Stats.
 type KindStats struct {
 	// Hits counts requests served from an existing artifact, including
@@ -143,8 +134,6 @@ type RemoteTier interface {
 // Stats is a snapshot of the store.
 type Stats struct {
 	Kinds map[Kind]KindStats `json:"kinds"`
-	// ResidentBytes is the total size of completed artifacts held.
-	ResidentBytes int64 `json:"resident_bytes"`
 	// DiskUsedBytes/DiskBudgetBytes describe the persistent tier when one
 	// is attached (see SetDisk).
 	DiskUsedBytes   int64 `json:"disk_used_bytes,omitempty"`
@@ -159,7 +148,6 @@ type entry struct {
 
 	// Written by the builder before done closes, read-only after.
 	val        any
-	size       int64
 	err        error
 	panicked   bool
 	fromDisk   bool // loaded from the persistent tier, already on disk
@@ -172,7 +160,7 @@ type entry struct {
 	// Guarded by the store lock.
 	waiters  int  // requesters blocked on the in-flight build
 	adopted  bool // a requester left while others stayed (counted once)
-	resident bool // completed and indexed, counted in used
+	resident bool // completed and indexed
 }
 
 // Store is a content-addressed artifact cache with single-flight
@@ -187,7 +175,6 @@ type Store struct {
 	mu    sync.Mutex
 	mc    *metrics.Collector
 	items map[Key]*entry
-	used  int64
 	stats map[Kind]*KindStats
 	// Persistent tier (nil = memory only), remote tier (nil = none), and
 	// the per-kind codec registry deciding which kinds they carry.
@@ -257,14 +244,12 @@ func (s *Store) SetMetrics(mc *metrics.Collector) {
 	s.mu.Unlock()
 }
 
-// Stats snapshots the per-kind counters and resident size.
+// Stats snapshots the per-kind counters and, with a disk tier attached,
+// its used and budget bytes.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := Stats{
-		Kinds:         make(map[Kind]KindStats, len(s.stats)),
-		ResidentBytes: s.used,
-	}
+	out := Stats{Kinds: make(map[Kind]KindStats, len(s.stats))}
 	for k, ks := range s.stats {
 		out.Kinds[k] = *ks
 	}
@@ -310,8 +295,8 @@ func (s *Store) kindStats(k Kind) *KindStats {
 // no matter how many goroutines ask concurrently. It is GetCtx with a
 // background context: the requester never disconnects, so it always
 // waits the build out.
-func Get[T any](s *Store, key Key, build func() (T, int64, error)) (T, error) {
-	return GetCtx(s, context.Background(), key, func(context.Context) (T, int64, error) {
+func Get[T any](s *Store, key Key, build func() (T, error)) (T, error) {
+	return GetCtx(s, context.Background(), key, func(context.Context) (T, error) {
 		return build()
 	})
 }
@@ -328,14 +313,13 @@ func Get[T any](s *Store, key Key, build func() (T, int64, error)) (T, error) {
 // artifact_adoptions) and the build keeps running for them; GetCtx then
 // returns ctx.Err() to the departed requester. Once the last requester
 // has left, the next one starts a fresh build; a late success of the
-// abandoned build is released (see Releaser), not cached. The build
-// callback receives that detached context, not ctx.
+// abandoned build is dropped, not cached. The build callback receives
+// that detached context, not ctx.
 //
-// build returns the value and its resident size in bytes. A build error
-// is propagated to every concurrent requester; whether it stays memoized
-// is decided by the store's MemoErr. A panicking build is converted to an
-// error (never memoized) so waiters are not deadlocked.
-func GetCtx[T any](s *Store, ctx context.Context, key Key, build func(context.Context) (T, int64, error)) (T, error) {
+// A build error is propagated to every concurrent requester; whether it
+// stays memoized is decided by the store's MemoErr. A panicking build is
+// converted to an error (never memoized) so waiters are not deadlocked.
+func GetCtx[T any](s *Store, ctx context.Context, key Key, build func(context.Context) (T, error)) (T, error) {
 	s.mu.Lock()
 	e, ok := s.items[key]
 	if ok {
@@ -372,7 +356,7 @@ func GetCtx[T any](s *Store, ctx context.Context, key Key, build func(context.Co
 	remote := s.remote
 	s.mu.Unlock()
 
-	go s.runBuild(e, bctx, disk, remote, codec, func(bctx context.Context) (any, int64, error) {
+	go s.runBuild(e, bctx, disk, remote, codec, func(bctx context.Context) (any, error) {
 		return build(bctx)
 	})
 
@@ -386,28 +370,28 @@ func GetCtx[T any](s *Store, ctx context.Context, key Key, build func(context.Co
 // runBuild executes one detached single-flight build: disk tier, then
 // remote tier, then the build callback. It is the only writer of the
 // entry's value fields until done closes.
-func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote RemoteTier, codec Codec, build func(context.Context) (any, int64, error)) {
+func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote RemoteTier, codec Codec, build func(context.Context) (any, error)) {
 	key := e.key
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				// Never memoize a panic; surface it as an error so every
 				// waiter unblocks instead of deadlocking on done.
-				e.val, e.size = nil, 0
+				e.val = nil
 				e.err = fmt.Errorf("artifact: building %s panicked: %v", key, r)
 				e.panicked = true
 			}
 		}()
 		if disk != nil && codec != nil {
-			if v, size, ok := s.diskLoad(key, disk, codec); ok {
-				e.val, e.size, e.fromDisk = v, size, true
+			if v, ok := s.diskLoad(key, disk, codec); ok {
+				e.val, e.fromDisk = v, true
 				return
 			}
 			s.bump("artifact_disk_misses", key.Kind, func(ks *KindStats) *int64 { return &ks.DiskMisses })
 		}
 		if remote != nil && codec != nil {
-			if v, size, ok := s.remoteLoad(key, remote, codec, disk); ok {
-				e.val, e.size, e.fromRemote = v, size, true
+			if v, ok := s.remoteLoad(key, remote, codec, disk); ok {
+				e.val, e.fromRemote = v, true
 				return
 			}
 		}
@@ -415,7 +399,7 @@ func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote Remo
 		// above does not register one: "zero misses" on a warm run means
 		// zero rebuilds.
 		s.bump("artifact_misses", key.Kind, func(ks *KindStats) *int64 { return &ks.Misses })
-		e.val, e.size, e.err = build(bctx)
+		e.val, e.err = build(bctx)
 	}()
 	e.buildCancel()
 
@@ -431,7 +415,6 @@ func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote Remo
 		}
 	} else if indexed {
 		e.resident = true
-		s.used += e.size
 	}
 	s.mu.Unlock()
 	// Write through before done closes, so a requester that sees the value
@@ -441,9 +424,6 @@ func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote Remo
 		s.persist(key, e.val, disk, codec)
 	}
 	close(e.done)
-	if r, ok := e.val.(Releaser); ok && !indexed && e.err == nil {
-		r.ReleaseArtifact()
-	}
 }
 
 // waitBuild blocks until e's in-flight build completes (returning nil)
@@ -495,26 +475,26 @@ func (s *Store) waitBuild(ctx context.Context, e *entry) error {
 // reports ok only for an entry that passed integrity verification and
 // decoded cleanly; any failure (including a corrupt entry, which Read has
 // already deleted) degrades to a rebuild.
-func (s *Store) diskLoad(key Key, d *Disk, c Codec) (v any, size int64, ok bool) {
+func (s *Store) diskLoad(key Key, d *Disk, c Codec) (v any, ok bool) {
 	payload, err := d.Read(key)
 	if err != nil {
 		var ce *CorruptError
 		if errors.As(err, &ce) {
 			s.bump("artifact_disk_verify_failures", key.Kind, func(ks *KindStats) *int64 { return &ks.VerifyFailures })
 		}
-		return nil, 0, false
+		return nil, false
 	}
-	v, size, err = c.Decode(payload)
+	v, err = c.Decode(payload)
 	if err != nil {
 		// The bytes were intact (digest verified) but the codec rejected
 		// them — a stale format from another build of the code. Delete so
 		// the rebuild's write-through replaces it.
 		d.remove(key)
 		s.bump("artifact_disk_verify_failures", key.Kind, func(ks *KindStats) *int64 { return &ks.VerifyFailures })
-		return nil, 0, false
+		return nil, false
 	}
 	s.bump("artifact_disk_hits", key.Kind, func(ks *KindStats) *int64 { return &ks.DiskHits })
-	return v, size, true
+	return v, true
 }
 
 // persist writes an artifact through to the disk tier (if not already
@@ -542,20 +522,20 @@ func (s *Store) persist(key Key, v any, d *Disk, c Codec) {
 // as a disk write), so the next cold start in this process needs no
 // network at all. Any failure — transport, verification, codec — is a
 // degraded lookup that falls back to a local build.
-func (s *Store) remoteLoad(key Key, r RemoteTier, c Codec, d *Disk) (v any, size int64, ok bool) {
+func (s *Store) remoteLoad(key Key, r RemoteTier, c Codec, d *Disk) (v any, ok bool) {
 	payload, found, err := r.Fetch(key)
 	if err != nil {
 		s.bump("artifact_remote_failures", key.Kind, func(ks *KindStats) *int64 { return &ks.RemoteFailures })
-		return nil, 0, false
+		return nil, false
 	}
 	if !found {
 		s.bump("artifact_remote_misses", key.Kind, func(ks *KindStats) *int64 { return &ks.RemoteMisses })
-		return nil, 0, false
+		return nil, false
 	}
-	v, size, err = c.Decode(payload)
+	v, err = c.Decode(payload)
 	if err != nil {
 		s.bump("artifact_remote_failures", key.Kind, func(ks *KindStats) *int64 { return &ks.RemoteFailures })
-		return nil, 0, false
+		return nil, false
 	}
 	s.bump("artifact_remote_hits", key.Kind, func(ks *KindStats) *int64 { return &ks.RemoteHits })
 	if d != nil && !d.Has(key) {
@@ -566,7 +546,7 @@ func (s *Store) remoteLoad(key Key, r RemoteTier, c Codec, d *Disk) (v any, size
 			}
 		}
 	}
-	return v, size, true
+	return v, true
 }
 
 // EncodedFrame returns the CRC-framed wire image for key. A resident

@@ -46,10 +46,10 @@ func TestGetSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			v, err := Get(s, k, func() (int, int64, error) {
+			v, err := Get(s, k, func() (int, error) {
 				builds.Add(1)
 				time.Sleep(20 * time.Millisecond) // widen the in-flight window
-				return 42, 8, nil
+				return 42, nil
 			})
 			vals[i], errs[i] = v, err
 		}(i)
@@ -82,9 +82,9 @@ func TestErrorMemoizationPolicy(t *testing.T) {
 	s.MemoErr = func(err error) bool { return errors.Is(err, errPerm) }
 	builds := map[string]int{}
 	get := func(name string, fail error) error {
-		_, err := Get(s, key("run", name), func() (int, int64, error) {
+		_, err := Get(s, key("run", name), func() (int, error) {
 			builds[name]++
-			return 0, 1, fail
+			return 0, fail
 		})
 		return err
 	}
@@ -117,12 +117,12 @@ func TestPanicNeverMemoized(t *testing.T) {
 	s.MemoErr = func(error) bool { return true } // even an always-memoize policy
 	calls := 0
 	get := func() (int, error) {
-		v, err := Get(s, key("run", "x"), func() (int, int64, error) {
+		v, err := Get(s, key("run", "x"), func() (int, error) {
 			calls++
 			if calls == 1 {
 				panic("boom")
 			}
-			return 7, 1, nil
+			return 7, nil
 		})
 		return v, err
 	}
@@ -137,11 +137,11 @@ func TestPanicNeverMemoized(t *testing.T) {
 func TestTypeMismatchFailsLoudly(t *testing.T) {
 	s := New()
 	k := key("run", "x")
-	_, err := Get(s, k, func() (int, int64, error) { return 1, 1, nil })
+	_, err := Get(s, k, func() (int, error) { return 1, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Get(s, k, func() (string, int64, error) { return "", 1, nil })
+	_, err = Get(s, k, func() (string, error) { return "", nil })
 	if err == nil || !strings.Contains(err.Error(), "holds") {
 		t.Fatalf("type mismatch err = %v, want a loud failure", err)
 	}
@@ -162,8 +162,8 @@ func TestConcurrentChurn(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				name := fmt.Sprintf("it-%d", (g+i)%7)
 				requests.Add(1)
-				v, err := Get(s, key("churn", name), func() (string, int64, error) {
-					return name + name, 4, nil
+				v, err := Get(s, key("churn", name), func() (string, error) {
+					return name + name, nil
 				})
 				if err != nil || v != name+name {
 					t.Errorf("get %s: v=%q err=%v", name, v, err)
@@ -196,15 +196,15 @@ func TestAdoptionSurvivesOriginatorCancel(t *testing.T) {
 	ownerDone := make(chan error, 1)
 	started := make(chan struct{})
 	go func() {
-		_, err := GetCtx(s, ownerCtx, k, func(bctx context.Context) (int, int64, error) {
+		_, err := GetCtx(s, ownerCtx, k, func(bctx context.Context) (int, error) {
 			builds.Add(1)
 			close(started)
 			select {
 			case <-buildGate:
-				return 99, 8, nil
+				return 99, nil
 			case <-bctx.Done():
 				close(buildDied)
-				return 0, 0, bctx.Err()
+				return 0, bctx.Err()
 			}
 		})
 		ownerDone <- err
@@ -214,9 +214,9 @@ func TestAdoptionSurvivesOriginatorCancel(t *testing.T) {
 	// Second requester attaches to the in-flight build.
 	waiterDone := make(chan int, 1)
 	go func() {
-		v, err := GetCtx(s, context.Background(), k, func(context.Context) (int, int64, error) {
+		v, err := GetCtx(s, context.Background(), k, func(context.Context) (int, error) {
 			builds.Add(1)
-			return -1, 8, nil
+			return -1, nil
 		})
 		if err != nil {
 			t.Errorf("adopting waiter: %v", err)
@@ -264,11 +264,11 @@ func TestLastWaiterCancelsBuild(t *testing.T) {
 	started := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := GetCtx(s, ctx, k, func(bctx context.Context) (int, int64, error) {
+		_, err := GetCtx(s, ctx, k, func(bctx context.Context) (int, error) {
 			builds.Add(1)
 			close(started)
 			<-bctx.Done() // must fire: the sole waiter leaves
-			return 0, 0, bctx.Err()
+			return 0, bctx.Err()
 		})
 		done <- err
 	}()
@@ -280,9 +280,9 @@ func TestLastWaiterCancelsBuild(t *testing.T) {
 
 	// The cancelled build is neither joined nor memoized: the very next
 	// request rebuilds, even if the detached builder is still unwinding.
-	v, err := Get(s, k, func() (int, int64, error) {
+	v, err := Get(s, k, func() (int, error) {
 		builds.Add(1)
-		return 7, 8, nil
+		return 7, nil
 	})
 	if err != nil {
 		t.Fatalf("rebuild after the last waiter left: %v", err)
@@ -295,16 +295,6 @@ func TestLastWaiterCancelsBuild(t *testing.T) {
 	}
 }
 
-// releaseCounter is an artifact value that reports each ReleaseArtifact
-// call on a channel, so a test can wait for a release made on the
-// store's detached build goroutine.
-type releaseCounter struct {
-	name     string
-	released chan string
-}
-
-func (v *releaseCounter) ReleaseArtifact() { v.released <- v.name }
-
 // TestAbandonedBuildNotJoined pins the window between the last waiter
 // leaving a build and that build returning. The abandoned build is held
 // open on a gate; a request arriving in the window must start a fresh
@@ -312,14 +302,15 @@ func (v *releaseCounter) ReleaseArtifact() { v.released <- v.name }
 func TestAbandonedBuildNotJoined(t *testing.T) {
 	// abandon starts a build through a requester that cancels at once.
 	// The build waits for its detached context to die, then for gate,
-	// then returns late(bctx).
-	abandon := func(t *testing.T, s *Store, k Key, gate chan struct{}, late func(context.Context) (any, int64, error)) {
+	// then returns late(bctx). abandon returns the build's entry, read
+	// from the index before the requester cancels.
+	abandon := func(t *testing.T, s *Store, k Key, gate chan struct{}, late func(context.Context) (any, error)) *entry {
 		t.Helper()
 		ctx, cancel := context.WithCancel(context.Background())
 		started := make(chan struct{})
 		done := make(chan error, 1)
 		go func() {
-			_, err := GetCtx(s, ctx, k, func(bctx context.Context) (any, int64, error) {
+			_, err := GetCtx(s, ctx, k, func(bctx context.Context) (any, error) {
 				close(started)
 				<-bctx.Done()
 				<-gate
@@ -328,10 +319,14 @@ func TestAbandonedBuildNotJoined(t *testing.T) {
 			done <- err
 		}()
 		<-started
+		s.mu.Lock()
+		orphan := s.items[k]
+		s.mu.Unlock()
 		cancel()
 		if err := <-done; !errors.Is(err, context.Canceled) {
 			t.Fatalf("sole requester got %v, want context.Canceled", err)
 		}
+		return orphan
 	}
 	// fresh issues the second request while the abandoned build is still
 	// held open. If the request joins that build instead of starting its
@@ -344,7 +339,7 @@ func TestAbandonedBuildNotJoined(t *testing.T) {
 		}
 		got := make(chan result, 1)
 		go func() {
-			v, err := Get(s, k, func() (any, int64, error) { return val, 8, nil })
+			v, err := Get(s, k, func() (any, error) { return val, nil })
 			got <- result{v, err}
 		}()
 		deadline := time.Now().Add(10 * time.Second)
@@ -373,7 +368,7 @@ func TestAbandonedBuildNotJoined(t *testing.T) {
 		s.MemoErr = func(err error) bool { return !errors.Is(err, context.Canceled) }
 		k := key("profile", "abandoned-fails")
 		gate := make(chan struct{})
-		abandon(t, s, k, gate, func(bctx context.Context) (any, int64, error) { return nil, 0, bctx.Err() })
+		abandon(t, s, k, gate, func(bctx context.Context) (any, error) { return nil, bctx.Err() })
 		v := fresh(t, s, k, gate, 7)
 		close(gate)
 		ks := s.Stats().Kinds["profile"]
@@ -386,44 +381,28 @@ func TestAbandonedBuildNotJoined(t *testing.T) {
 		s := New()
 		k := key("profile", "abandoned-succeeds")
 		gate := make(chan struct{})
-		// Room beyond the one release expected, so an extra one shows up
-		// in the drain below instead of blocking the store.
-		released := make(chan string, 4)
-		abandon(t, s, k, gate, func(context.Context) (any, int64, error) {
-			return &releaseCounter{"orphan", released}, 8, nil
-		})
-		v := fresh(t, s, k, gate, &releaseCounter{"fresh", released})
-		if rc, _ := v.(*releaseCounter); rc == nil || rc.name != "fresh" {
+		orphan := abandon(t, s, k, gate, func(context.Context) (any, error) { return "orphan", nil })
+		if v := fresh(t, s, k, gate, "fresh"); v != "fresh" {
 			t.Fatalf("got %v, want the fresh build's value", v)
 		}
 		// The fresh build has finished; now let the orphan succeed.
 		close(gate)
 		select {
-		case name := <-released:
-			if name != "orphan" {
-				t.Fatalf("released %q, want the orphan's value", name)
-			}
+		case <-orphan.done:
 		case <-time.After(10 * time.Second):
-			t.Fatal("the orphan's late value was never released")
+			t.Fatal("the orphan's build never finished")
 		}
-		if st := s.Stats(); st.ResidentBytes != 8 {
-			t.Errorf("resident bytes = %d, want 8 (one copy)", st.ResidentBytes)
-		}
-		// The orphan's release is the last thing its build goroutine does.
-		// Another hit must be served the cached fresh value, and nothing
-		// may be released after the orphan: the fresh value never is, and
-		// the orphan is released exactly once.
-		again, err := Get(s, k, func() (any, int64, error) { return nil, 0, errors.New("rebuilt") })
-		if rc, _ := again.(*releaseCounter); err != nil || rc == nil || rc.name != "fresh" {
+		// Its late value is dropped, not cached: a hit is served the
+		// fresh value, and the orphan never became resident.
+		again, err := Get(s, k, func() (any, error) { return nil, errors.New("rebuilt") })
+		if err != nil || again != "fresh" {
 			t.Errorf("hit after the orphan finished: v=%v err=%v, want the fresh value", again, err)
 		}
-		close(released)
-		var names []string
-		for name := range released {
-			names = append(names, name)
-		}
-		if len(names) != 0 {
-			t.Errorf("released %v after the orphan, want nothing (orphan once, fresh never)", names)
+		s.mu.Lock()
+		resident := orphan.resident
+		s.mu.Unlock()
+		if resident {
+			t.Error("the orphan's late value became resident")
 		}
 	})
 }
@@ -461,12 +440,12 @@ func (r *fakeRemote) put(key Key, payload []byte) {
 func TestRemoteTierRoundTrip(t *testing.T) {
 	remote := newFakeRemote()
 	k := key("run", "shared")
-	codec := JSONCodec[string]{Size: 8}
+	codec := JSONCodec[string]{}
 
 	s1 := New()
 	s1.RegisterCodec("run", codec)
 	s1.SetRemote(remote)
-	v1, err := Get(s1, k, func() (string, int64, error) { return "payload", 8, nil })
+	v1, err := Get(s1, k, func() (string, error) { return "payload", nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,9 +465,9 @@ func TestRemoteTierRoundTrip(t *testing.T) {
 	s2 := New()
 	s2.RegisterCodec("run", codec)
 	s2.SetRemote(remote)
-	v2, err := Get(s2, k, func() (string, int64, error) {
+	v2, err := Get(s2, k, func() (string, error) {
 		t.Error("consumer rebuilt despite a remote hit")
-		return "", 8, nil
+		return "", nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +485,7 @@ func TestRemoteTierRoundTrip(t *testing.T) {
 	s3 := New()
 	s3.RegisterCodec("run", codec)
 	s3.SetRemote(remote)
-	v3, err := Get(s3, k, func() (string, int64, error) { return "payload", 8, nil })
+	v3, err := Get(s3, k, func() (string, error) { return "payload", nil })
 	if err != nil || v3 != "payload" {
 		t.Fatalf("degraded get: v=%q err=%v", v3, err)
 	}
@@ -520,7 +499,7 @@ func TestRemoteTierRoundTrip(t *testing.T) {
 func TestRemoteHitWarmsDisk(t *testing.T) {
 	remote := newFakeRemote()
 	k := key("run", "warm")
-	codec := JSONCodec[int]{Size: 4}
+	codec := JSONCodec[int]{}
 	payload, err := encodeToBytes(codec, 41)
 	if err != nil {
 		t.Fatal(err)
@@ -535,9 +514,9 @@ func TestRemoteHitWarmsDisk(t *testing.T) {
 	s.RegisterCodec("run", codec)
 	s.SetDisk(disk)
 	s.SetRemote(remote)
-	v, err := Get(s, k, func() (int, int64, error) {
+	v, err := Get(s, k, func() (int, error) {
 		t.Error("rebuilt despite remote entry")
-		return 0, 4, nil
+		return 0, nil
 	})
 	if err != nil || v != 41 {
 		t.Fatalf("remote get: v=%d err=%v", v, err)
@@ -557,7 +536,7 @@ func TestRemoteHitWarmsDisk(t *testing.T) {
 // GetCtx's remote lookup. A payload the codec rejects is a remote failure
 // answered by a local build, and a kind without a codec is never exported.
 func TestEncodedArtifactAndInstall(t *testing.T) {
-	codec := JSONCodec[string]{Size: 8}
+	codec := JSONCodec[string]{}
 	k := key("run", "enc")
 
 	s := New()
@@ -565,7 +544,7 @@ func TestEncodedArtifactAndInstall(t *testing.T) {
 	if _, _, err := s.EncodedFrame(k); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("empty store EncodedFrame err = %v, want ErrNotFound", err)
 	}
-	_, err := Get(s, k, func() (string, int64, error) { return "body", 8, nil })
+	_, err := Get(s, k, func() (string, error) { return "body", nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,15 +567,15 @@ func TestEncodedArtifactAndInstall(t *testing.T) {
 	s2 := New()
 	s2.RegisterCodec("run", codec)
 	s2.SetRemote(remote)
-	v, err := Get(s2, k, func() (string, int64, error) {
+	v, err := Get(s2, k, func() (string, error) {
 		t.Error("rebuilt despite an exported artifact on the remote")
-		return "", 8, nil
+		return "", nil
 	})
 	if err != nil || v != "body" {
 		t.Fatalf("installed get: v=%q err=%v", v, err)
 	}
 
-	v, err = Get(s2, bad, func() (string, int64, error) { return "rebuilt", 8, nil })
+	v, err = Get(s2, bad, func() (string, error) { return "rebuilt", nil })
 	if err != nil || v != "rebuilt" {
 		t.Fatalf("undecodable remote payload: v=%q err=%v, want a local rebuild", v, err)
 	}
@@ -605,7 +584,7 @@ func TestEncodedArtifactAndInstall(t *testing.T) {
 	}
 
 	nokind := key("nokind", "x")
-	_, err = Get(s, nokind, func() (string, int64, error) { return "v", 8, nil })
+	_, err = Get(s, nokind, func() (string, error) { return "v", nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,19 +17,14 @@ import (
 // sections in place instead of re-buffering a stream — but it must still
 // validate structure: a file written by a different build of the code is
 // untrusted input, so return an error rather than a malformed value.
-// The returned size is the resident footprint counted in
-// Stats.ResidentBytes, exactly as the builder would have reported it.
 type Codec interface {
 	Encode(w io.Writer, v any) error
-	Decode(payload []byte) (v any, size int64, err error)
+	Decode(payload []byte) (any, error)
 }
 
 // JSONCodec persists a flat result struct as canonical JSON — the same
-// encoding the spec digests use. Size is the fixed resident footprint the
-// kind charges per value (e.g. predEvalSize, machineStatsSize).
-type JSONCodec[T any] struct {
-	Size int64
-}
+// encoding the spec digests use.
+type JSONCodec[T any] struct{}
 
 // Encode writes v (which must be a T) as JSON.
 func (c JSONCodec[T]) Encode(w io.Writer, v any) error {
@@ -43,19 +38,19 @@ func (c JSONCodec[T]) Encode(w io.Writer, v any) error {
 // Decode reads one strict JSON document: unknown fields and trailing
 // garbage are rejected so a truncated or mismatched payload cannot decode
 // to a zero-filled "success".
-func (c JSONCodec[T]) Decode(payload []byte) (any, int64, error) {
+func (c JSONCodec[T]) Decode(payload []byte) (any, error) {
 	var t T
 	dec := json.NewDecoder(bytes.NewReader(payload))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&t); err != nil {
-		return nil, 0, fmt.Errorf("artifact: json codec: %w", err)
+		return nil, fmt.Errorf("artifact: json codec: %w", err)
 	}
 	// The payload must be exactly one document.
 	var extra json.RawMessage
 	if err := dec.Decode(&extra); err != io.EOF {
-		return nil, 0, fmt.Errorf("artifact: json codec: trailing data after document")
+		return nil, fmt.Errorf("artifact: json codec: trailing data after document")
 	}
-	return t, c.Size, nil
+	return t, nil
 }
 
 // EncodeSizeHinter is an optional Codec extension: a codec that can bound

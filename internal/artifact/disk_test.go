@@ -22,7 +22,7 @@ type payload struct {
 	N    int
 }
 
-func payloadCodec() Codec { return JSONCodec[payload]{Size: 64} }
+func payloadCodec() Codec { return JSONCodec[payload]{} }
 
 // diskStore builds a store backed by a disk tier at dir.
 func diskStore(t *testing.T, dir string, diskBudget int64) *Store {
@@ -39,11 +39,11 @@ func diskStore(t *testing.T, dir string, diskBudget int64) *Store {
 
 func getPayload(t *testing.T, s *Store, k Key, builds *atomic.Int64) payload {
 	t.Helper()
-	v, err := Get(s, k, func() (payload, int64, error) {
+	v, err := Get(s, k, func() (payload, error) {
 		if builds != nil {
 			builds.Add(1)
 		}
-		return payload{Name: k.Digest[:8], N: 42}, 64, nil
+		return payload{Name: k.Digest[:8], N: 42}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -412,8 +412,8 @@ func TestDiskConcurrentStores(t *testing.T) {
 			s := stores[g%2]
 			for i := 0; i < keysN; i++ {
 				k := key("profile", fmt.Sprint("bench", i))
-				v, err := Get(s, k, func() (payload, int64, error) {
-					return payload{Name: k.Digest[:8], N: 42}, 64, nil
+				v, err := Get(s, k, func() (payload, error) {
+					return payload{Name: k.Digest[:8], N: 42}, nil
 				})
 				if err != nil {
 					errs <- err
@@ -462,8 +462,8 @@ func TestDiskFaultInjection(t *testing.T) {
 				s := diskStore(t, dir, 0)
 				for i := 0; i < 5; i++ {
 					k := key("profile", fmt.Sprint("bench", i))
-					v, err := Get(s, k, func() (payload, int64, error) {
-						return payload{Name: k.Digest[:8], N: 42}, 64, nil
+					v, err := Get(s, k, func() (payload, error) {
+						return payload{Name: k.Digest[:8], N: 42}, nil
 					})
 					if err != nil {
 						t.Fatalf("round %d: Get under faults failed: %v", round, err)
@@ -524,8 +524,8 @@ func TestDiskCrossProcess(t *testing.T) {
 		s.SetDisk(d)
 		for i := 0; i < keysN; i++ {
 			k := key("profile", fmt.Sprint("bench", i))
-			v, err := Get(s, k, func() (payload, int64, error) {
-				return payload{Name: k.Digest[:8], N: 42}, 64, nil
+			v, err := Get(s, k, func() (payload, error) {
+				return payload{Name: k.Digest[:8], N: 42}, nil
 			})
 			if err != nil {
 				t.Fatal(err)

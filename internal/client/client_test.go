@@ -113,7 +113,7 @@ func TestCorruptFetchFallsBackToRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec := artifact.JSONCodec[string]{Size: 8}
+	codec := artifact.JSONCodec[string]{}
 	k := artifact.Key{Kind: "run", Digest: artifact.Digest("spec")}
 
 	// Seed the daemon with the intact artifact.
@@ -131,9 +131,9 @@ func TestCorruptFetchFallsBackToRebuild(t *testing.T) {
 	s.RegisterCodec("run", codec)
 	s.SetRemote(c)
 	rebuilds := 0
-	v, err := artifact.Get(s, k, func() (string, int64, error) {
+	v, err := artifact.Get(s, k, func() (string, error) {
 		rebuilds++
-		return "the value", 8, nil
+		return "the value", nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +154,9 @@ func TestCorruptFetchFallsBackToRebuild(t *testing.T) {
 	s2 := artifact.New()
 	s2.RegisterCodec("run", codec)
 	s2.SetRemote(c)
-	v2, err := artifact.Get(s2, k, func() (string, int64, error) {
+	v2, err := artifact.Get(s2, k, func() (string, error) {
 		t.Error("rebuilt despite intact remote entry")
-		return "", 8, nil
+		return "", nil
 	})
 	if err != nil || v2 != "the value" {
 		t.Fatalf("clean fetch: v=%q err=%v", v2, err)
@@ -180,9 +180,9 @@ func TestStoreSurfacesServerErrors(t *testing.T) {
 		t.Error("500 on fetch went unreported")
 	}
 	s := artifact.New()
-	s.RegisterCodec("run", artifact.JSONCodec[string]{Size: 8})
+	s.RegisterCodec("run", artifact.JSONCodec[string]{})
 	s.SetRemote(c)
-	v, err := artifact.Get(s, k, func() (string, int64, error) { return "local", 8, nil })
+	v, err := artifact.Get(s, k, func() (string, error) { return "local", nil })
 	if err != nil || v != "local" {
 		t.Fatalf("get over a failing daemon: v=%q err=%v, want a local build", v, err)
 	}

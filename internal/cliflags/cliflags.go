@@ -45,12 +45,19 @@ func RegisterWorkspace(fs *flag.FlagSet, tool string) *WorkspaceFlags {
 }
 
 // Open validates the flag values and builds the workspace they describe:
+// a budget of at least one instruction and a worker count of at least 0,
 // the disk budget parsed with binary suffixes, the disk tier attached when
 // -cache-dir is set, and a warm deadd daemon attached as the read-only
 // remote artifact tier when -remote-cache is set (lookup order: memory,
 // disk, remote, build). Errors carry the tool name so they read as usage
 // errors when printed bare.
 func (f *WorkspaceFlags) Open() (*core.Workspace, error) {
+	if f.Budget < 1 {
+		return nil, fmt.Errorf("%s: -n %d: must be at least 1", f.tool, f.Budget)
+	}
+	if f.Workers < 0 {
+		return nil, fmt.Errorf("%s: -j %d: must be at least 0 (0 = GOMAXPROCS)", f.tool, f.Workers)
+	}
 	diskBytes, err := bytesize.Parse(f.DiskBudget)
 	if err != nil {
 		return nil, fmt.Errorf("%s: -disk-budget: %w", f.tool, err)

@@ -62,6 +62,9 @@ func TestOpenRemoteTier(t *testing.T) {
 
 func TestOpenErrorsCarryToolName(t *testing.T) {
 	cases := [][]string{
+		{"-n", "-5"},
+		{"-n", "0"},
+		{"-j", "-1"},
 		{"-disk-budget", "12zz"},
 		{"-disk-budget", "1MiB"}, // without -cache-dir
 		{"-remote-cache", "ftp://nope"},

@@ -185,58 +185,58 @@ func (c profileCodec) EncodeSizeHint(v any) int {
 	return int(res.Trace.LinkedSize()) + 8*res.Trace.Len() + 4096
 }
 
-func (c profileCodec) Decode(payload []byte) (any, int64, error) {
+func (c profileCodec) Decode(payload []byte) (any, error) {
 	hlen, hn := uvarint(payload)
 	if hn <= 0 {
-		return nil, 0, fmt.Errorf("core: profile decode: header length: %w", io.ErrUnexpectedEOF)
+		return nil, fmt.Errorf("core: profile decode: header length: %w", io.ErrUnexpectedEOF)
 	}
 	if hlen > maxProfileHeaderBytes {
-		return nil, 0, fmt.Errorf("core: profile decode: header claims %d bytes", hlen)
+		return nil, fmt.Errorf("core: profile decode: header claims %d bytes", hlen)
 	}
 	off := hn
 	if uint64(len(payload)-off) < hlen {
-		return nil, 0, fmt.Errorf("core: profile decode: header: %w", io.ErrUnexpectedEOF)
+		return nil, fmt.Errorf("core: profile decode: header: %w", io.ErrUnexpectedEOF)
 	}
 	var h profileHeader
 	hdr := payload[off : off+int(hlen)]
 	dec := json.NewDecoder(bytes.NewReader(hdr))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&h); err != nil {
-		return nil, 0, fmt.Errorf("core: profile decode: header: %w", err)
+		return nil, fmt.Errorf("core: profile decode: header: %w", err)
 	}
 	if canon, err := json.Marshal(h); err != nil || !bytes.Equal(canon, hdr) {
-		return nil, 0, fmt.Errorf("core: profile decode: header is not in canonical form")
+		return nil, fmt.Errorf("core: profile decode: header is not in canonical form")
 	}
 	off += int(hlen)
 	if h.Version != profileCodecVersion {
 		// A different format generation (including pre-versioning entries,
 		// which decode with Version 0) is stale, not corrupt: the caller
 		// deletes the entry and rebuilds through the ordinary build path.
-		return nil, 0, fmt.Errorf("core: profile decode: stale codec version %d, want %d",
+		return nil, fmt.Errorf("core: profile decode: stale codec version %d, want %d",
 			h.Version, profileCodecVersion)
 	}
 	if _, err := workload.ByName(h.Bench); err != nil {
-		return nil, 0, fmt.Errorf("core: profile decode: %w", err)
+		return nil, fmt.Errorf("core: profile decode: %w", err)
 	}
 	if h.Budget != c.budget {
-		return nil, 0, fmt.Errorf("core: profile decode: entry budget %d, workspace budget %d", h.Budget, c.budget)
+		return nil, fmt.Errorf("core: profile decode: entry budget %d, workspace budget %d", h.Budget, c.budget)
 	}
 	tlen, tn := uvarint(payload[off:])
 	if tn <= 0 {
-		return nil, 0, fmt.Errorf("core: profile decode: trace length: %w", io.ErrUnexpectedEOF)
+		return nil, fmt.Errorf("core: profile decode: trace length: %w", io.ErrUnexpectedEOF)
 	}
 	off += tn
 	if tlen > uint64(len(payload)-off) {
-		return nil, 0, fmt.Errorf("core: profile decode: trace section claims %d bytes, have %d", tlen, len(payload)-off)
+		return nil, fmt.Errorf("core: profile decode: trace section claims %d bytes, have %d", tlen, len(payload)-off)
 	}
 	tr, err := trace.LoadBytes(payload[off:off+int(tlen)], 0)
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: profile decode: %w", err)
+		return nil, fmt.Errorf("core: profile decode: %w", err)
 	}
 	off += int(tlen)
 	n := tr.Len()
 	if len(payload)-off != 4*n+4*n {
-		return nil, 0, fmt.Errorf("core: profile decode: analysis section is %d bytes, want %d", len(payload)-off, 8*n)
+		return nil, fmt.Errorf("core: profile decode: analysis section is %d bytes, want %d", len(payload)-off, 8*n)
 	}
 	kind := make([]deadness.Kind, n)
 	bools := [2][]bool{make([]bool, n), make([]bool, n)}
@@ -247,7 +247,7 @@ func (c profileCodec) Decode(payload []byte) (any, int64, error) {
 		off += n
 		for ci, col := range bools {
 			if i := firstNonBool(payload[off : off+n]); i >= 0 {
-				return nil, 0, fmt.Errorf("core: profile decode: bool column %d: byte %d", ci, payload[off+i])
+				return nil, fmt.Errorf("core: profile decode: bool column %d: byte %d", ci, payload[off+i])
 			}
 			copy(lebytes.Bool(col), payload[off:off+n])
 			off += n
@@ -263,7 +263,7 @@ func (c profileCodec) Decode(payload []byte) (any, int64, error) {
 		for ci, col := range bools {
 			for i, b := range payload[off : off+n] {
 				if b > 1 {
-					return nil, 0, fmt.Errorf("core: profile decode: bool column %d: byte %d", ci, b)
+					return nil, fmt.Errorf("core: profile decode: bool column %d: byte %d", ci, b)
 				}
 				col[i] = b == 1
 			}
@@ -279,15 +279,14 @@ func (c profileCodec) Decode(payload []byte) (any, int64, error) {
 	}
 	a, err := deadness.Restore(n, kind, bools[0], bools[1], resolve, ineff)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	res := &ProfileResult{
+	return &ProfileResult{
 		Bench:     h.Bench,
 		Trace:     tr,
 		Analysis:  a,
 		Summary:   h.Summary,
 		Locality:  h.Locality,
 		PassStats: h.PassStats,
-	}
-	return res, res.SizeBytes(), nil
+	}, nil
 }

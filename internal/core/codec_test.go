@@ -49,7 +49,7 @@ func FuzzProfileDecode(f *testing.F) {
 	const budget = 3_000
 	codec := profileCodec{budget}
 	valid := encode(f, codec, smallProfile(f, budget))
-	if _, _, err := codec.Decode(valid); err != nil {
+	if _, err := codec.Decode(valid); err != nil {
 		f.Fatalf("the valid seed is refused: %v", err)
 	}
 	f.Add(valid)
@@ -63,11 +63,10 @@ func FuzzProfileDecode(f *testing.F) {
 		f.Add(bytes.Replace(valid, []byte(patch[0]), []byte(patch[1]), 1))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		v, _, err := codec.Decode(payload)
+		v, err := codec.Decode(payload)
 		if err != nil {
 			return
 		}
-		defer v.(*ProfileResult).ReleaseArtifact()
 		if again := encode(t, codec, v); !bytes.Equal(again, payload) {
 			t.Fatalf("accepted %d-byte payload re-encodes to %d different bytes", len(payload), len(again))
 		}
@@ -127,7 +126,7 @@ func TestScalarCodecPaths(t *testing.T) {
 		t.Error("trace: scalar decode differs")
 	}
 	for i, c := range cases {
-		got, _, err := c.codec.Decode(bulk[i+1])
+		got, err := c.codec.Decode(bulk[i+1])
 		if err != nil {
 			t.Fatalf("%s: scalar decode: %v", c.name, err)
 		}

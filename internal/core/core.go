@@ -30,31 +30,6 @@ type ProfileResult struct {
 	PassStats compiler.PassStats
 }
 
-// SizeBytes estimates the resident footprint the artifact store reports
-// (Stats.ResidentBytes): the columnar trace dominates, with the
-// per-record analysis arrays second.
-func (r *ProfileResult) SizeBytes() int64 {
-	var n int64 = 4096 // summaries, locality, headers
-	if r.Trace != nil {
-		n += r.Trace.SizeBytes()
-	}
-	if r.Analysis != nil {
-		n += r.Analysis.SizeBytes()
-	}
-	return n
-}
-
-// ReleaseArtifact returns the profile's pooled trace chunks to the chunk
-// pool when a facts build is done with the compile-option variant it
-// built for itself, or when the artifact store drops the late result of
-// a build every requester abandoned. No reader can still hold the trace
-// in either case; a profile the store keeps is never released.
-func (r *ProfileResult) ReleaseArtifact() {
-	if r.Trace != nil {
-		r.Trace.Release()
-	}
-}
-
 // Profile builds a benchmark (optionally overriding its compile options),
 // runs it for at most budget instructions, and runs the deadness oracle
 // in-line with emulation (emu.CollectAnalyzed).
@@ -76,8 +51,7 @@ func profileWith(ctx context.Context, p workload.Profile, opts *compiler.Options
 	// The streaming path runs the fused link+analyze pass one chunk behind
 	// the emulator; the spans it records keep emulation and the analysis
 	// tail separate. A ctx cancellation aborts the emulation within a few
-	// thousand instructions and releases every pooled resource the partial
-	// run held (trace chunk arenas, writer-map pages).
+	// thousand instructions.
 	tr, a, _, err := emu.CollectAnalyzedCtx(ctx, prog, budget, mc, p.Name)
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling %s: %w", p.Name, err)

@@ -73,16 +73,15 @@ func (w *Workspace) E18(ctx context.Context) (*Experiment, error) {
 //
 // The input trace is shared by every reader of the resident profile, so
 // its chunks must stay untouched; each window's records are block-copied
-// into one reusable scratch trace (Reset keeps the chunk storage between
-// windows, Release returns the pooled arenas at the end), so the call
-// allocates one window's worth of columns instead of a whole-trace copy.
+// into one scratch trace (Reset keeps the chunk storage between windows),
+// so the call allocates one window's worth of columns instead of a
+// whole-trace copy.
 func windowedDeadFraction(t *trace.Trace, window int) (float64, error) {
 	if window <= 0 {
 		return 0, fmt.Errorf("core: window size %d must be positive", window)
 	}
 	n := t.Len()
 	sub := trace.NewWithCapacity(min(window, n))
-	defer sub.Release()
 	dead, total := 0, 0
 	for start := 0; start < n; start += window {
 		end := min(start+window, n)

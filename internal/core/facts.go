@@ -49,11 +49,8 @@ type ProfileFacts struct {
 	WindowDead []float64
 }
 
-// factsSize is the flat resident footprint reported per facts value.
-const factsSize = int64(4096)
-
 // factsCodec persists KindFacts artifacts as strict JSON.
-var factsCodec = artifact.JSONCodec[ProfileFacts]{Size: factsSize}
+var factsCodec = artifact.JSONCodec[ProfileFacts]{}
 
 // Facts returns the profile facts of a suite benchmark compiled with opts
 // (nil means the workload's own options). Only a build reads a profile;
@@ -65,28 +62,25 @@ func (w *Workspace) Facts(ctx context.Context, name string, opts *compiler.Optio
 // facts is Facts with E18's window sizes, which are part of the key.
 func (w *Workspace) facts(ctx context.Context, name string, opts *compiler.Options, windows []int) (ProfileFacts, error) {
 	key := artifact.Key{Kind: KindFacts, Digest: artifact.Digest(factsSpec{factsVersion, name, w.Budget, opts, windows})}
-	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (ProfileFacts, int64, error) {
+	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (ProfileFacts, error) {
 		return w.buildFacts(bctx, name, opts, windows)
 	})
 }
 
 // buildFacts derives the facts from the profile, with the same panic
 // containment and fault site as buildPredEval.
-func (w *Workspace) buildFacts(ctx context.Context, name string, opts *compiler.Options, windows []int) (f ProfileFacts, size int64, err error) {
+func (w *Workspace) buildFacts(ctx context.Context, name string, opts *compiler.Options, windows []int) (f ProfileFacts, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			f, size, err = ProfileFacts{}, 0, recoveredError(fmt.Sprintf("core: summarizing %s panicked", name), r)
+			f, err = ProfileFacts{}, recoveredError(fmt.Sprintf("core: summarizing %s panicked", name), r)
 		}
 	}()
 	if err := faults.Fire(faults.SiteWorkspaceMemo); err != nil {
-		return ProfileFacts{}, 0, fmt.Errorf("core: summarizing %s: %w", name, err)
+		return ProfileFacts{}, fmt.Errorf("core: summarizing %s: %w", name, err)
 	}
 	res, err := w.factsProfile(ctx, name, opts)
 	if err != nil {
-		return ProfileFacts{}, 0, err
-	}
-	if opts != nil {
-		defer res.ReleaseArtifact()
+		return ProfileFacts{}, err
 	}
 	f = ProfileFacts{
 		Summary:     res.Summary,
@@ -98,19 +92,18 @@ func (w *Workspace) buildFacts(ctx context.Context, name string, opts *compiler.
 	for _, win := range windows {
 		d, err := windowedDeadFraction(res.Trace, win)
 		if err != nil {
-			return ProfileFacts{}, 0, err
+			return ProfileFacts{}, err
 		}
 		f.WindowDead = append(f.WindowDead, d)
 	}
-	return f, factsSize, nil
+	return f, nil
 }
 
 // factsProfile returns the profile a facts build reads. The
 // default-option profile comes from the store, because predictor
 // evaluations and machine runs share it. A compile-option variant (E3's
 // no-hoist, E12's with-DCE) has no other reader, so it is built here,
-// outside the store, and buildFacts returns its trace chunks to the pool
-// once the facts are computed.
+// outside the store, and becomes garbage once the facts are computed.
 func (w *Workspace) factsProfile(ctx context.Context, name string, opts *compiler.Options) (*ProfileResult, error) {
 	if opts == nil {
 		return w.ProfileOfCtx(ctx, name)

@@ -228,7 +228,7 @@ func FuzzFactsDecode(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		v, _, err := factsCodec.Decode(payload)
+		v, err := factsCodec.Decode(payload)
 		if err != nil {
 			return
 		}
@@ -236,7 +236,7 @@ func FuzzFactsDecode(f *testing.F) {
 		if err := factsCodec.Encode(&buf, v); err != nil {
 			t.Fatalf("accepted payload does not re-encode: %v", err)
 		}
-		again, _, err := factsCodec.Decode(buf.Bytes())
+		again, err := factsCodec.Decode(buf.Bytes())
 		if err != nil {
 			t.Fatalf("re-encoded payload is refused: %v\n%s", err, buf.Bytes())
 		}

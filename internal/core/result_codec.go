@@ -113,19 +113,19 @@ func (predEvalCodec) Encode(w io.Writer, v any) error {
 	return sealResult(w, body)
 }
 
-func (predEvalCodec) Decode(payload []byte) (any, int64, error) {
+func (predEvalCodec) Decode(payload []byte) (any, error) {
 	body, err := openResult(payload, "predeval")
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	nlen, nn := uvarint(body)
 	if nn <= 0 || uint64(len(body)-nn) < nlen {
-		return nil, 0, fmt.Errorf("core: predeval decode: name: %w", io.ErrUnexpectedEOF)
+		return nil, fmt.Errorf("core: predeval decode: name: %w", io.ErrUnexpectedEOF)
 	}
 	name := string(body[nn : nn+int(nlen)])
 	rest := body[nn+int(nlen):]
 	if len(rest) != 8*predEvalFields {
-		return nil, 0, fmt.Errorf("core: predeval decode: column is %d bytes, want %d", len(rest), 8*predEvalFields)
+		return nil, fmt.Errorf("core: predeval decode: column is %d bytes, want %d", len(rest), 8*predEvalFields)
 	}
 	var col [predEvalFields]uint64
 	getU64Column(col[:], rest)
@@ -138,7 +138,7 @@ func (predEvalCodec) Decode(payload []byte) (any, int64, error) {
 		StateBits:      int(int64(col[4])),
 		BranchAccuracy: math.Float64frombits(col[5]),
 	}
-	return r, predEvalSize, nil
+	return r, nil
 }
 
 // machineCodec persists pipeline.Stats as a fixed 31-field u64 column.
@@ -207,15 +207,15 @@ func (machineCodec) Encode(w io.Writer, v any) error {
 	return sealResult(w, body)
 }
 
-func (machineCodec) Decode(payload []byte) (any, int64, error) {
+func (machineCodec) Decode(payload []byte) (any, error) {
 	body, err := openResult(payload, "machine")
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if len(body) != 8*machineFields {
-		return nil, 0, fmt.Errorf("core: machine decode: column is %d bytes, want %d", len(body), 8*machineFields)
+		return nil, fmt.Errorf("core: machine decode: column is %d bytes, want %d", len(body), 8*machineFields)
 	}
 	var col [machineFields]uint64
 	getU64Column(col[:], body)
-	return machineStatsFromColumn(col), machineStatsSize, nil
+	return machineStatsFromColumn(col), nil
 }

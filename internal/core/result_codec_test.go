@@ -57,12 +57,9 @@ func TestResultCodecsCoverEveryField(t *testing.T) {
 	if err := (predEvalCodec{}).Encode(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	got, size, err := predEvalCodec{}.Decode(buf.Bytes())
+	got, err := predEvalCodec{}.Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if size != predEvalSize {
-		t.Errorf("predeval size = %d, want %d", size, predEvalSize)
 	}
 	if !reflect.DeepEqual(got, r) {
 		t.Errorf("predeval round trip:\n got %+v\nwant %+v", got, r)
@@ -75,12 +72,9 @@ func TestResultCodecsCoverEveryField(t *testing.T) {
 	if err := (machineCodec{}).Encode(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	got2, size2, err := machineCodec{}.Decode(buf.Bytes())
+	got2, err := machineCodec{}.Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if size2 != machineStatsSize {
-		t.Errorf("machine size = %d, want %d", size2, machineStatsSize)
 	}
 	if !reflect.DeepEqual(got2, st) {
 		t.Errorf("machine round trip:\n got %+v\nwant %+v", got2, st)
@@ -111,10 +105,10 @@ func TestResultCodecsRejectDamage(t *testing.T) {
 	cases["corrupt body"] = flipped
 
 	for name, payload := range cases {
-		if _, _, err := (predEvalCodec{}).Decode(payload); err == nil {
+		if _, err := (predEvalCodec{}).Decode(payload); err == nil {
 			t.Errorf("predeval decode accepted %s payload", name)
 		}
-		if _, _, err := (machineCodec{}).Decode(payload); err == nil {
+		if _, err := (machineCodec{}).Decode(payload); err == nil {
 			t.Errorf("machine decode accepted %s payload", name)
 		}
 	}
@@ -180,7 +174,7 @@ func FuzzResultDecode(f *testing.F) {
 			v = st
 		}
 		valid := encode(f, codecOf(machine), v)
-		if _, _, err := codecOf(machine).Decode(valid); err != nil {
+		if _, err := codecOf(machine).Decode(valid); err != nil {
 			f.Fatalf("the valid seed is refused: %v", err)
 		}
 		f.Add(machine, valid)
@@ -195,7 +189,7 @@ func FuzzResultDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, machine bool, payload []byte) {
 		c := codecOf(machine)
-		v, _, err := c.Decode(payload)
+		v, err := c.Decode(payload)
 		if err != nil {
 			return
 		}

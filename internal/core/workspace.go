@@ -234,12 +234,11 @@ func (w *Workspace) ProfileOf(name string) (*ProfileResult, error) {
 // owned by every requester currently waiting on them. Cancelling ctx
 // while other requesters wait hands the in-flight build to the survivors
 // (artifact_adoptions); only when the last interested requester
-// disconnects is the emulation aborted and its pooled resources
-// released. A cancelled build is forgotten (see evictable), so the next
-// request rebuilds deterministically.
+// disconnects is the emulation aborted. A cancelled build is forgotten
+// (see evictable), so the next request rebuilds deterministically.
 func (w *Workspace) ProfileOfCtx(ctx context.Context, name string) (*ProfileResult, error) {
 	key := artifact.Key{Kind: KindProfile, Digest: artifact.Digest(profileSpec{name, w.Budget})}
-	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (*ProfileResult, int64, error) {
+	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (*ProfileResult, error) {
 		return w.buildProfile(bctx, name)
 	})
 }
@@ -247,24 +246,20 @@ func (w *Workspace) ProfileOfCtx(ctx context.Context, name string) (*ProfileResu
 // buildProfile runs one profile build with panic containment. The panic
 // is converted to an error here, inside the build, so the store memoizes
 // it like any other deterministic failure.
-func (w *Workspace) buildProfile(ctx context.Context, name string) (res *ProfileResult, size int64, err error) {
+func (w *Workspace) buildProfile(ctx context.Context, name string) (res *ProfileResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, size, err = nil, 0, recoveredError(fmt.Sprintf("core: profiling %s panicked", name), r)
+			res, err = nil, recoveredError(fmt.Sprintf("core: profiling %s panicked", name), r)
 		}
 	}()
 	if err := faults.Fire(faults.SiteWorkspaceMemo); err != nil {
-		return nil, 0, fmt.Errorf("core: profiling %s: %w", name, err)
+		return nil, fmt.Errorf("core: profiling %s: %w", name, err)
 	}
 	p, err := workload.ByName(name)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	res, err = profileWith(ctx, p, nil, w.Budget, w.Metrics)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, res.SizeBytes(), nil
+	return profileWith(ctx, p, nil, w.Budget, w.Metrics)
 }
 
 // evictable reports whether an artifact's failure should be forgotten so
@@ -294,39 +289,36 @@ func (w *Workspace) EvalPredictorCtx(ctx context.Context, name string, spec dip.
 		return dip.Result{}, err
 	}
 	key := artifact.Key{Kind: KindPredEval, Digest: artifact.Digest(predEvalSpec{name, w.Budget, spec.Digest()})}
-	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (dip.Result, int64, error) {
+	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (dip.Result, error) {
 		return w.buildPredEval(bctx, name, spec)
 	})
 }
 
-// predEvalSize is the flat resident footprint reported per evaluation result.
-const predEvalSize = int64(128)
-
-func (w *Workspace) buildPredEval(ctx context.Context, name string, spec dip.Spec) (res dip.Result, size int64, err error) {
+func (w *Workspace) buildPredEval(ctx context.Context, name string, spec dip.Spec) (res dip.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, size, err = dip.Result{}, 0,
+			res, err = dip.Result{},
 				recoveredError(fmt.Sprintf("core: evaluating %s on %s panicked", spec.Label(), name), r)
 		}
 	}()
 	if err := faults.Fire(faults.SiteWorkspaceMemo); err != nil {
-		return dip.Result{}, 0, fmt.Errorf("core: evaluating %s on %s: %w", spec.Label(), name, err)
+		return dip.Result{}, fmt.Errorf("core: evaluating %s on %s: %w", spec.Label(), name, err)
 	}
 	pred, err := spec.New()
 	if err != nil {
-		return dip.Result{}, 0, err
+		return dip.Result{}, err
 	}
 	p, err := w.ProfileOfCtx(ctx, name)
 	if err != nil {
-		return dip.Result{}, 0, err
+		return dip.Result{}, err
 	}
 	sp := w.Metrics.Start("predict", name+" "+spec.Label())
 	res, err = pred.Evaluate(p.Trace, p.Analysis)
 	sp.End(int64(p.Trace.Len()))
 	if err != nil {
-		return dip.Result{}, 0, err
+		return dip.Result{}, err
 	}
-	return res, predEvalSize, nil
+	return res, nil
 }
 
 // RunMachine simulates one benchmark on one machine configuration,
@@ -346,35 +338,32 @@ func (w *Workspace) RunMachine(name string, cfg pipeline.Config) (pipeline.Stats
 // dominates a cold request's wall time.
 func (w *Workspace) RunMachineCtx(ctx context.Context, name string, cfg pipeline.Config) (pipeline.Stats, error) {
 	key := artifact.Key{Kind: KindMachine, Digest: artifact.Digest(machineSpec{name, w.Budget, cfg.Digest()})}
-	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (pipeline.Stats, int64, error) {
+	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (pipeline.Stats, error) {
 		return w.simulate(bctx, name, cfg)
 	})
 }
 
-// machineStatsSize is the flat resident footprint reported per simulation result.
-const machineStatsSize = int64(512)
-
-func (w *Workspace) simulate(ctx context.Context, name string, cfg pipeline.Config) (st pipeline.Stats, size int64, err error) {
+func (w *Workspace) simulate(ctx context.Context, name string, cfg pipeline.Config) (st pipeline.Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			st, size, err = pipeline.Stats{}, 0,
+			st, err = pipeline.Stats{},
 				recoveredError(fmt.Sprintf("core: simulating %s panicked", name), r)
 		}
 	}()
 	if err := faults.Fire(faults.SiteSimulate); err != nil {
-		return pipeline.Stats{}, 0, fmt.Errorf("core: simulating %s %s: %w", name, cfg.Label(), err)
+		return pipeline.Stats{}, fmt.Errorf("core: simulating %s %s: %w", name, cfg.Label(), err)
 	}
 	res, err := w.ProfileOfCtx(ctx, name)
 	if err != nil {
-		return pipeline.Stats{}, 0, err
+		return pipeline.Stats{}, err
 	}
 	sp := w.Metrics.Start(metrics.PhaseSimulate, fmt.Sprintf("%s %s", name, cfg.Label()))
 	st, err = pipeline.Run(res.Trace, res.Analysis, cfg)
 	sp.End(int64(res.Trace.Len()))
 	if err != nil {
-		return pipeline.Stats{}, 0, fmt.Errorf("core: simulating %s: %w", name, err)
+		return pipeline.Stats{}, fmt.Errorf("core: simulating %s: %w", name, err)
 	}
-	return st, machineStatsSize, nil
+	return st, nil
 }
 
 // SuiteNames returns the benchmark names in suite order.

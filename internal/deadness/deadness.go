@@ -160,12 +160,6 @@ type Analysis struct {
 // Candidates counts the records with defined deadness.
 func (a *Analysis) Candidates() int { return a.candidates }
 
-// SizeBytes estimates the memory the analysis retains (its per-record
-// fact arrays), for artifact-cache byte accounting.
-func (a *Analysis) SizeBytes() int64 {
-	return int64(cap(a.Kind) + cap(a.Candidate) + cap(a.EverRead) + cap(a.Resolve)*4 + cap(a.Ineff))
-}
-
 // Restore reconstructs a finished Analysis from its serialized fact
 // arrays (a persisted profile artifact) for a trace of n records. The
 // arrays are untrusted input, so the post-finish invariants are checked:
@@ -262,10 +256,8 @@ func (s *Stream) Chunk(c *trace.Chunk) error {
 	if cap(a.Resolve) < end {
 		// Grow every fact column together, at least doubling and by no
 		// less than four chunks: a streaming pass (final length unknown)
-		// then reallocates O(log n) times with little discarded churn,
-		// which keeps the GC quiet enough that the trace chunk pool
-		// survives between collections. An exact NewStream hint never
-		// takes this branch.
+		// then reallocates O(log n) times with little discarded churn.
+		// An exact NewStream hint never takes this branch.
 		newCap := max(end, 2*cap(a.Resolve), 4*trace.ChunkSize)
 		a.Kind = append(make([]Kind, 0, newCap), a.Kind...)
 		a.Candidate = append(make([]bool, 0, newCap), a.Candidate...)
@@ -363,22 +355,12 @@ func (s *Stream) Chunk(c *trace.Chunk) error {
 }
 
 // Finish completes the pass over the fully collected trace (whose chunks
-// must all have been fed through Chunk): it releases the writer map,
-// marks the trace linked, and runs the reverse usefulness pass and
-// classification. The stream must not be used afterwards.
+// must all have been fed through Chunk): it marks the trace linked and
+// runs the reverse usefulness pass and classification. The stream must
+// not be used afterwards.
 func (s *Stream) Finish(t *trace.Trace) *Analysis {
-	s.Close()
 	t.Linked = true
 	return s.a.finish(t)
-}
-
-// Close releases the stream's writer-map pages back to the shared pool.
-// It is idempotent and safe after an aborted pass; Finish calls it.
-func (s *Stream) Close() {
-	if s.memWriter != nil {
-		s.memWriter.Reset()
-		s.memWriter = nil
-	}
 }
 
 // LinkAndAnalyze links the trace and runs the oracle's forward pass in one
@@ -390,7 +372,6 @@ func LinkAndAnalyze(t *trace.Trace) (*Analysis, error) {
 	s := NewStream(t.Len())
 	for ci := 0; ci < t.NumChunks(); ci++ {
 		if err := s.Chunk(t.Chunk(ci)); err != nil {
-			s.Close()
 			return nil, err
 		}
 	}

@@ -205,11 +205,10 @@ loop:
 		t.Errorf("instances: silent=%d trivial=%d, want %d/%d", silent, trivial, iters, 3*iters)
 	}
 
-	streamTr, stream, _, err := emu.CollectAnalyzed(p, 20_000)
+	_, stream, _, err := emu.CollectAnalyzed(p, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer streamTr.Release()
 	if !reflect.DeepEqual(stream.Ineff, fused.Ineff) {
 		t.Error("streamed Ineff column diverges from the after-collection pass")
 	}

@@ -381,10 +381,8 @@ func CollectAnalyzed(p *program.Program, budget int) (*trace.Trace, *deadness.An
 // the emulator run with the forward pass fused in-line, and PhaseAnalyze
 // spans the tail — the last partial chunk plus the reverse usefulness
 // pass. When ctx ends mid-collection the emulation aborts within a few
-// thousand instructions, every pooled resource the partial run holds — the
-// trace's chunk arenas and the analyzer's writer-map pages — is released,
-// and ctx.Err() is returned with nil results. A run that completes is
-// bit-identical to an uncancellable one.
+// thousand instructions and ctx.Err() is returned with nil results. A run
+// that completes is bit-identical to an uncancellable one.
 //
 // The stream's fact arrays grow with the actual trace (roughly doubling
 // per growth step), not the budget hint — a budget-sized hint
@@ -413,8 +411,6 @@ func CollectAnalyzedCtx(ctx context.Context, p *program.Program, budget int, mc 
 		aErr = runErr
 	}
 	if aErr != nil {
-		st.Close()
-		t.Release()
 		sp.End(0)
 		return nil, nil, nil, aErr
 	}

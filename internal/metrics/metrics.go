@@ -206,9 +206,10 @@ type MemStats struct {
 }
 
 // RecordMemStats snapshots process memory into the collector via
-// runtime.ReadMemStats. The read stops the world, so call it once at the
-// end of a run, not per phase (phase-level allocation deltas come from the
-// stop-the-world-free runtime/metrics counter instead).
+// runtime.ReadMemStats. The read stops the world, so call it at the end
+// of a run or per introspection request (the daemon's /metricz), not per
+// phase (phase-level allocation deltas come from the stop-the-world-free
+// runtime/metrics counter instead).
 func (c *Collector) RecordMemStats() {
 	if c == nil {
 		return

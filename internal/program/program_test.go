@@ -94,63 +94,6 @@ func TestProvenanceNames(t *testing.T) {
 	}
 }
 
-func TestCFGStructure(t *testing.T) {
-	p := buildProg()
-	g, err := BuildCFG(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Blocks) != 5 {
-		t.Fatalf("got %d blocks, want 5: %+v", len(g.Blocks), g.Blocks)
-	}
-	type want struct {
-		start, end int
-		succs      []int
-	}
-	wants := []want{
-		{0, 1, []int{1, 2}}, // B0: fallthrough B1, branch B2
-		{2, 3, []int{3}},    // B1: jal to 5
-		{4, 4, []int{3}},    // B2: fallthrough to 5
-		{5, 6, []int{4, 3}}, // B3: fallthrough halt, branch self
-		{7, 7, nil},         // B4: halt
-	}
-	for i, w := range wants {
-		b := g.Blocks[i]
-		if b.Start != w.start || b.End != w.end {
-			t.Errorf("block %d = [%d,%d], want [%d,%d]", i, b.Start, b.End, w.start, w.end)
-		}
-		if len(b.Succs) != len(w.succs) {
-			t.Errorf("block %d succs = %v, want %v", i, b.Succs, w.succs)
-			continue
-		}
-		for j := range w.succs {
-			if b.Succs[j] != w.succs[j] {
-				t.Errorf("block %d succs = %v, want %v", i, b.Succs, w.succs)
-			}
-		}
-	}
-	// Preds are the reverse of succs.
-	if len(g.Blocks[3].Preds) != 3 { // from B1, B2, and itself
-		t.Errorf("block 3 preds = %v, want 3 preds", g.Blocks[3].Preds)
-	}
-	// Every PC maps into its containing block.
-	for pc := range p.Insts {
-		b := g.Blocks[g.BlockOf(pc)]
-		if pc < b.Start || pc > b.End {
-			t.Errorf("BlockOf(%d) = block [%d,%d]", pc, b.Start, b.End)
-		}
-	}
-	if g.Blocks[0].Len() != 2 {
-		t.Errorf("block 0 len = %d, want 2", g.Blocks[0].Len())
-	}
-}
-
-func TestCFGEmptyProgram(t *testing.T) {
-	if _, err := BuildCFG(&Program{Name: "empty"}); err == nil {
-		t.Error("empty program accepted")
-	}
-}
-
 func TestLabelAtAndDisassemble(t *testing.T) {
 	p := buildProg()
 	if name, ok := p.LabelAt(5); !ok || name != "loop" {

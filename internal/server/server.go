@@ -164,8 +164,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ready\n")
 }
 
+// handleMetricz reports the run summary, with the heap measured now
+// under run.mem, the artifact store snapshot and the admission state.
 func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	active, queued := s.adm.snapshot()
+	s.mc.RecordMemStats()
 	writeJSON(w, http.StatusOK, struct {
 		Run       metrics.Summary `json:"run"`
 		Artifacts artifact.Stats  `json:"artifacts"`

@@ -188,9 +188,9 @@ func TestMaxTimeoutClamp(t *testing.T) {
 
 // TestClientDisconnectRecovery is the server half of the stream/chunk
 // lifecycle fix: a client that disconnects mid-request cancels the
-// request context, which aborts any build it initiated and releases its
-// pooled trace chunks and writer-map pages; an identical request
-// afterwards must succeed and match a clean workspace bit for bit.
+// request context, which aborts any build it initiated; an identical
+// request afterwards must succeed and match a clean workspace bit for
+// bit.
 func TestClientDisconnectRecovery(t *testing.T) {
 	_, ts, _ := newTestServer(t, nil)
 	bench := core.SuiteNames()[0]
@@ -321,6 +321,9 @@ func TestMetricz(t *testing.T) {
 	}
 	if m.Run.Counters[metrics.CounterServerCompleted] < 1 {
 		t.Errorf("completed counter = %d, want >= 1", m.Run.Counters[metrics.CounterServerCompleted])
+	}
+	if m.Run.Mem == nil || m.Run.Mem.HeapInuseBytes == 0 {
+		t.Errorf("run.mem = %+v, want a measured heap (heap_inuse_bytes > 0)", m.Run.Mem)
 	}
 	if m.Draining {
 		t.Error("draining reported on a live server")

@@ -258,16 +258,6 @@ func LoadBytes(data []byte, limit int) (*Trace, error) {
 	return loadColumnar(body, n, inj)
 }
 
-// extend returns s resized to n elements, reusing its arena when the
-// capacity allows (the pooled-chunk fast path) and reallocating otherwise.
-// Contents are unspecified; the caller overwrites every element.
-func extend[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
-}
-
 // loadColumnar decodes the version-3 body: the chunk size table, then one
 // columnar section per chunk, each sliced straight out of body with no
 // intermediate copy. Sections are independent, so on multi-core hosts they
@@ -320,7 +310,7 @@ func loadColumnar(body []byte, n int, inj *faults.Injector) (*Trace, error) {
 			}
 			inj.Mangle(faults.SiteTraceLoad, sec)
 		}
-		c := newChunk(min(cn, ChunkSize))
+		c := &Chunk{}
 		t.chunks = append(t.chunks, c)
 		base := k << ChunkBits
 		if parallel {
@@ -448,14 +438,15 @@ func validateRegsTaken(rdb, rs1b, rs2b, takenb []byte, base, cn int) error {
 	return nil
 }
 
-// decodeSection fills the chunk from one version-3 columnar section whose
-// first record is trace sequence number base. Every field is validated:
-// opcodes, registers, taken flags, producer links strictly preceding
-// their consumer, load producer lists bounded by the access width and
-// distinct, and the section consumed exactly. On little-endian hosts the
-// columns transfer as single copies (their wire image is their memory
-// image) with the validation running as word-at-a-time scans; other hosts
-// take the scalar loops.
+// decodeSection fills an empty chunk from one version-3 columnar section
+// whose first record is trace sequence number base, making each column at
+// its decoded length. Every field is validated: opcodes, registers, taken
+// flags, producer links strictly preceding their consumer, load producer
+// lists bounded by the access width and distinct, and the section
+// consumed exactly. On little-endian hosts the columns transfer as
+// single copies (their wire image is their memory image) with the
+// validation running as word-at-a-time scans; other hosts take the scalar
+// loops.
 func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 	// Section size was validated >= cn*hotColumnBytes by the caller.
 	pcb := b[:4*cn]
@@ -470,17 +461,17 @@ func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 	ineffb := b[21*cn : 22*cn]
 	rest := b[22*cn:]
 
-	c.PC = extend(c.PC, cn)
-	c.Op = extend(c.Op, cn)
-	c.Rd = extend(c.Rd, cn)
-	c.Rs1 = extend(c.Rs1, cn)
-	c.Rs2 = extend(c.Rs2, cn)
-	c.Taken = extend(c.Taken, cn)
-	c.NextPC = extend(c.NextPC, cn)
-	c.Src1 = extend(c.Src1, cn)
-	c.Src2 = extend(c.Src2, cn)
-	c.MemIdx = extend(c.MemIdx, cn)
-	c.Ineff = extend(c.Ineff, cn)
+	c.PC = make([]int32, cn)
+	c.Op = make([]isa.Op, cn)
+	c.Rd = make([]isa.Reg, cn)
+	c.Rs1 = make([]isa.Reg, cn)
+	c.Rs2 = make([]isa.Reg, cn)
+	c.Taken = make([]bool, cn)
+	c.NextPC = make([]int32, cn)
+	c.Src1 = make([]int32, cn)
+	c.Src2 = make([]int32, cn)
+	c.MemIdx = make([]int32, cn)
+	c.Ineff = make([]uint8, cn)
 
 	memCnt := 0
 	for i := 0; i < cn; i++ {
@@ -543,10 +534,10 @@ func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 	}
 	addrb := rest[:8*memCnt]
 	prod := rest[8*memCnt:]
-	c.Addr = extend(c.Addr, memCnt)
-	c.Width = extend(c.Width, memCnt)
-	c.srcOff = extend(c.srcOff, memCnt)
-	c.srcLen = extend(c.srcLen, memCnt)
+	c.Addr = make([]uint64, memCnt)
+	c.Width = make([]uint8, memCnt)
+	c.srcOff = make([]int32, memCnt)
+	c.srcLen = make([]uint8, memCnt)
 	if lebytes.Little {
 		copy(lebytes.U64(c.Addr[:memCnt]), addrb)
 	} else {
@@ -558,7 +549,6 @@ func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 	// each load's producer list. Widths are not stored: SaveLinked requires
 	// a linked trace, and the linker proved every memory record's width
 	// equals its opcode's MemWidth.
-	c.memSrcs = c.memSrcs[:0]
 	mi := 0
 	for i := 0; i < cn; i++ {
 		if c.MemIdx[i] < 0 {
@@ -567,7 +557,6 @@ func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 		inf := opInfo[opb[i]]
 		width := inf >> 4
 		c.Width[mi] = width
-		c.srcOff[mi], c.srcLen[mi] = 0, 0
 		if inf&opInfoLoad != 0 {
 			if len(prod) < 1 {
 				return fmt.Errorf("trace: record %d: producer count: unexpected EOF", base+i)

@@ -46,11 +46,9 @@ func BenchmarkLoadBytes(b *testing.B) {
 		b.SetBytes(int64(buf.Len()))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			back, err := trace.LoadBytes(buf.Bytes(), 0)
-			if err != nil {
+			if _, err := trace.LoadBytes(buf.Bytes(), 0); err != nil {
 				b.Fatal(err)
 			}
-			back.Release()
 		}
 	})
 }

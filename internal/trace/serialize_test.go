@@ -56,7 +56,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer orig.Release()
 	if orig.NumChunks() != 2 {
 		t.Fatalf("trace has %d chunks, want 2", orig.NumChunks())
 	}

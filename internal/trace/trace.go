@@ -13,16 +13,12 @@
 // A multi-million-record trace therefore costs ~25-30 bytes per record in
 // steady state instead of the ~80 of an array-of-structs layout, and
 // sequential scans (the fused oracle, predictor evaluation, the pipeline)
-// stream through cache-friendly columns. Full-size chunk arenas are
-// recycled through a sync.Pool (see Release), so repeated collections in
-// one process reuse storage instead of reallocating it.
+// stream through cache-friendly columns. Chunk storage belongs to the
+// garbage collector: a trace nobody references is reclaimed like any other
+// value.
 package trace
 
-import (
-	"sync"
-
-	"repro/internal/isa"
-)
+import "repro/internal/isa"
 
 // NoProducer marks an operand with no dynamic producer in the trace: the
 // register or memory byte still held its initial (pre-trace) value.
@@ -153,8 +149,6 @@ type Chunk struct {
 	srcOff  []int32
 	srcLen  []uint8
 	memSrcs []int32
-
-	pooled bool // full-capacity arena owned by the chunk pool
 }
 
 // Len returns the number of records in the chunk.
@@ -261,24 +255,6 @@ func allocChunk(capacity int) *Chunk {
 	}
 }
 
-// chunkPool recycles full-capacity chunk arenas across traces (Release
-// feeds it). Pooled chunks come back reset.
-var chunkPool = sync.Pool{
-	New: func() any { return allocChunk(ChunkSize) },
-}
-
-// newChunk returns a chunk able to hold capacity records. Full-size
-// requests draw recycled arenas from the pool; smaller hints allocate
-// exactly-sized columns (which still grow by append if the hint was low).
-func newChunk(capacity int) *Chunk {
-	if capacity >= ChunkSize {
-		c := chunkPool.Get().(*Chunk)
-		c.pooled = true
-		return c
-	}
-	return allocChunk(capacity)
-}
-
 // Trace is a chunked columnar dynamic instruction trace.
 type Trace struct {
 	chunks []*Chunk
@@ -289,13 +265,12 @@ type Trace struct {
 
 // NewWithCapacity returns an empty trace pre-sized for hint records: the
 // first chunk's columns are allocated up front (clamped to one chunk), so
-// collection does not grow from zero. Hints of a full chunk or more draw
-// recycled arenas from the chunk pool; pass the emulation budget (or a
+// collection does not grow from zero. Pass the emulation budget (or a
 // validated header count) as the hint.
 func NewWithCapacity(hint int) *Trace {
 	t := &Trace{}
 	if hint > 0 {
-		t.chunks = append(t.chunks, newChunk(min(hint, ChunkSize)))
+		t.chunks = append(t.chunks, allocChunk(min(hint, ChunkSize)))
 	}
 	return t
 }
@@ -325,27 +300,6 @@ func (t *Trace) NumChunks() int {
 // Chunk returns chunk i for sequential column scans.
 func (t *Trace) Chunk(i int) *Chunk { return t.chunks[i] }
 
-// SizeBytes estimates the memory the trace retains: the capacity of every
-// column arena across its chunks. Cache layers use it to report resident
-// artifact bytes, so it reflects what Release would give back (plus what
-// the GC could reclaim for unpooled chunks).
-func (t *Trace) SizeBytes() int64 {
-	var n int64
-	for _, c := range t.chunks {
-		n += c.sizeBytes()
-	}
-	return n
-}
-
-// sizeBytes is the capacity footprint of one chunk's column arenas.
-func (c *Chunk) sizeBytes() int64 {
-	hot := cap(c.PC)*4 + cap(c.Op) + cap(c.Rd) + cap(c.Rs1) + cap(c.Rs2) +
-		cap(c.Taken) + cap(c.NextPC)*4 + cap(c.Src1)*4 + cap(c.Src2)*4 +
-		cap(c.Ineff) + cap(c.MemIdx)*4
-	side := cap(c.Addr)*8 + cap(c.Width) + cap(c.srcOff)*4 + cap(c.srcLen) + cap(c.memSrcs)*4
-	return int64(hot + side)
-}
-
 // Append adds a record (unlinked).
 func (t *Trace) Append(r Record) { t.append(&r) }
 
@@ -361,11 +315,11 @@ func (t *Trace) append(r *Record) {
 	} else {
 		if t.n == 0 {
 			// A zero-value trace starts with a growable chunk rather
-			// than claiming a full pooled arena for what is usually a
-			// handful of hand-built records.
+			// than a full-size one for what is usually a handful of
+			// hand-built records.
 			c = allocChunk(0)
 		} else {
-			c = newChunk(ChunkSize)
+			c = allocChunk(ChunkSize)
 		}
 		t.chunks = append(t.chunks, c)
 	}
@@ -473,17 +427,9 @@ func (t *Trace) Reset() {
 	t.Linked = false
 }
 
-// Release empties the trace and returns its pooled chunk arenas for
-// reuse. The trace (and every Ref or column view into it) must not be
-// used afterwards.
+// Release empties the trace, dropping its chunks. The trace (and every
+// Ref or column view into it) must not be used afterwards.
 func (t *Trace) Release() {
-	for _, c := range t.chunks {
-		if c.pooled {
-			c.pooled = false
-			c.reset()
-			chunkPool.Put(c)
-		}
-	}
 	t.chunks = nil
 	t.n = 0
 	t.Linked = false
@@ -502,9 +448,9 @@ func (t *Trace) AppendRange(src *Trace, start, end int) {
 		ci := t.n >> ChunkBits
 		if ci >= len(t.chunks) {
 			if t.n == 0 {
-				t.chunks = append(t.chunks, newChunk(min(run, ChunkSize)))
+				t.chunks = append(t.chunks, allocChunk(min(run, ChunkSize)))
 			} else {
-				t.chunks = append(t.chunks, newChunk(ChunkSize))
+				t.chunks = append(t.chunks, allocChunk(ChunkSize))
 			}
 		}
 		c := t.chunks[ci]

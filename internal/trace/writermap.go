@@ -1,7 +1,5 @@
 package trace
 
-import "sync"
-
 // WriterMap tracks the most recent dynamic writer (a sequence number) of
 // every memory byte, using page-grained storage so the per-byte bookkeeping
 // of the linker and the deadness oracle stays fast on multi-million-
@@ -12,9 +10,7 @@ import "sync"
 // that writer owns. The common case — an aligned doubleword store later
 // read by an aligned load — touches one slot instead of eight. Bytes
 // claimed by partial or unaligned stores spill into a per-byte overflow
-// array allocated on first use. Pages are recycled through a sync.Pool
-// (see Reset), so repeated link/analyze runs in one process reuse pages
-// instead of reallocating and re-initializing them.
+// array allocated on first use.
 type WriterMap struct {
 	pages map[uint64]*writerPage
 	// One-entry lookup cache: traces are strongly page-local, so most
@@ -33,9 +29,7 @@ const fullMask = 0xff
 type writerPage struct {
 	// word[w] wrote the bytes of word w whose bit in mask[w] is set; a
 	// byte with a clear bit reads from the overflow array instead. A
-	// fresh (or scrubbed) page has every mask full and every word writer
-	// NoProducer, so the overflow array never needs scrubbing: its stale
-	// entries are unreachable until a partial store re-claims the byte.
+	// fresh page has every mask full and every word writer NoProducer.
 	word [wpageWords]int32
 	mask [wpageWords]uint8
 	// bytes holds per-byte writers for partially-claimed words; nil until
@@ -43,38 +37,9 @@ type writerPage struct {
 	bytes *[wpageSize]int32
 }
 
-// scrub restores the page to the empty state (every byte NoProducer).
-func (p *writerPage) scrub() {
-	for i := range p.word {
-		p.word[i] = NoProducer
-	}
-	for i := range p.mask {
-		p.mask[i] = fullMask
-	}
-}
-
-var pagePool = sync.Pool{
-	New: func() any {
-		p := new(writerPage)
-		p.scrub()
-		return p
-	},
-}
-
 // NewWriterMap creates an empty map; every byte reads NoProducer.
 func NewWriterMap() *WriterMap {
 	return &WriterMap{pages: make(map[uint64]*writerPage, 64)}
-}
-
-// Reset empties the map and returns its pages to the shared pool so a
-// later link or analysis run (this map or another) can reuse them.
-func (w *WriterMap) Reset() {
-	for key, pg := range w.pages {
-		pg.scrub()
-		pagePool.Put(pg)
-		delete(w.pages, key)
-	}
-	w.lastPg = nil
 }
 
 // lookup returns the page for key, or nil without creating it.
@@ -93,7 +58,13 @@ func (w *WriterMap) page(key uint64) *writerPage {
 	if pg := w.lookup(key); pg != nil {
 		return pg
 	}
-	pg := pagePool.Get().(*writerPage)
+	pg := new(writerPage) // empty: every byte reads NoProducer
+	for i := range pg.word {
+		pg.word[i] = NoProducer
+	}
+	for i := range pg.mask {
+		pg.mask[i] = fullMask
+	}
 	w.pages[key] = pg
 	w.lastKey, w.lastPg = key, pg
 	return pg

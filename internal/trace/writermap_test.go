@@ -99,23 +99,6 @@ func TestWriterMapRandomizedVsReference(t *testing.T) {
 				t.Fatalf("trial %d seq %d: Get(%#x) = %d, want %d", trial, seq, b, got, want)
 			}
 		}
-		wm.Reset()
-	}
-}
-
-func TestWriterMapResetReusesCleanPages(t *testing.T) {
-	wm := trace.NewWriterMap()
-	wm.Claim(0x40, 8, 7)
-	wm.Claim(0x9, 1, 9) // sub-word: spills into the overflow array
-	wm.Reset()
-	if got := wm.Get(0x40); got != trace.NoProducer {
-		t.Errorf("after Reset, Get(0x40) = %d, want NoProducer", got)
-	}
-	// A recycled page must read empty even where the overflow array held
-	// stale entries.
-	wm.Claim(0x100, 8, 1)
-	if got := wm.Get(0x9); got != trace.NoProducer {
-		t.Errorf("recycled page leaks stale writer %d at 0x9", got)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Lifecycle guards for the streamed analysis: every way a collection can
 // die early — an injected emulator fault, a cancelled context, a
-// malformed record — must surface as an error with nil results and give
-// back every pooled resource the partial run held, so a clean run
-// afterwards still matches the fault-free analysis bit for bit.
+// malformed record — must surface as an error with nil results and leave
+// no state behind, so a clean run afterwards still matches the
+// fault-free analysis bit for bit.
 package repro_test
 
 import (
@@ -30,7 +30,6 @@ func requireSameAnalysis(t *testing.T, tag string, prog *program.Program, budget
 	if err != nil {
 		t.Fatalf("%s: clean run: %v", tag, err)
 	}
-	defer tr.Release()
 	if tr.Len() != len(clean.Kind) {
 		t.Fatalf("%s: clean run has %d records, reference %d", tag, tr.Len(), len(clean.Kind))
 	}
@@ -44,10 +43,9 @@ func requireSameAnalysis(t *testing.T, tag string, prog *program.Program, budget
 
 // TestCollectAnalyzedLifecycleUnderFaults is the chaos regression for the
 // stream teardown path: with per-instruction faults injected at emu.step,
-// every aborted collection must return nil results and release its pooled
-// resources (writer-map pages, chunk arenas), a collection the injector
-// let finish must match the fault-free one, and a clean run afterwards
-// must still match the fault-free analysis bit for bit.
+// every aborted collection must return nil results, a collection the
+// injector let finish must match the fault-free one, and a clean run
+// afterwards must still match the fault-free analysis bit for bit.
 func TestCollectAnalyzedLifecycleUnderFaults(t *testing.T) {
 	prof := workload.Suite()[0]
 	prog, _, err := prof.Compile(nil)
@@ -60,7 +58,6 @@ func TestCollectAnalyzedLifecycleUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanTr.Release()
 
 	aborted := 0
 	for seed := uint64(1); seed <= 12; seed++ {
@@ -79,7 +76,6 @@ func TestCollectAnalyzedLifecycleUnderFaults(t *testing.T) {
 		if a.Candidates() != clean.Candidates() || tr.Len() != cleanTr.Len() {
 			t.Fatalf("seed=%d: clean run diverged after faults", seed)
 		}
-		tr.Release()
 	}
 	if aborted == 0 {
 		t.Fatal("injector never fired; chaos test is vacuous")
@@ -90,8 +86,8 @@ func TestCollectAnalyzedLifecycleUnderFaults(t *testing.T) {
 // TestCollectAnalyzedLifecycleUnderCancellation is the companion
 // regression for the other way a stream dies early: the caller's context
 // is cancelled mid-collection (a daemon client disconnecting). The abort
-// must surface context.Canceled with nil results, release every pooled
-// resource the partial run held, and leave the pools intact.
+// must surface context.Canceled with nil results, and a clean run
+// afterwards must still match the reference.
 func TestCollectAnalyzedLifecycleUnderCancellation(t *testing.T) {
 	prof := workload.Suite()[0]
 	prog, _, err := prof.Compile(nil)
@@ -104,7 +100,6 @@ func TestCollectAnalyzedLifecycleUnderCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanTr.Release()
 
 	// Sweep cancellation points from "before the first instruction" up
 	// through mid-emulation; wall-clock delays make individual trials
@@ -141,7 +136,6 @@ func TestCollectAnalyzedLifecycleUnderCancellation(t *testing.T) {
 		if a.Candidates() != clean.Candidates() || tr.Len() != cleanTr.Len() {
 			t.Fatalf("delay=%v: completed run diverged from reference", d)
 		}
-		tr.Release()
 	}
 	if aborted == 0 {
 		t.Fatal("no trial was cancelled mid-collection; test is vacuous")
@@ -189,8 +183,7 @@ func TestLinkAndAnalyzeRejectsMalformedWidth(t *testing.T) {
 // cancelled mid-build must not doom the build when another request is
 // waiting on it — the survivor adopts the in-flight work (one build
 // total, counted in artifact_adoptions) and receives a result
-// bit-identical to a clean run, with the cancelled requester's pooled
-// resources released.
+// bit-identical to a clean run.
 func TestProfileAdoptionUnderCancellation(t *testing.T) {
 	const budget = 60_000
 	bench := workload.Suite()[0].Name
