@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-compare bench-all check fuzz chaos soak smoke cancel-window
+.PHONY: build test vet race bench bench-compare bench-all check fuzz chaos soak smoke cancel-window cli-smoke
 
 build:
 	$(GO) build ./...
@@ -72,6 +72,12 @@ cancel-window:
 # asserts a clean drain (exit 0) that wrote the dropped artifact to disk.
 smoke:
 	./scripts/daemon_smoke.sh
+
+# cli-smoke builds the command-line tools and checks their exit codes:
+# 2 for a usage error in every tool, and 3 for an experiments run in
+# which one experiment fails and another still reports its results.
+cli-smoke:
+	./scripts/cli_smoke.sh
 
 # SUBSTRATE_BENCHES are the per-substrate throughput benchmarks tracked in
 # the committed BENCH_*.json reports: emulator (bare, and recording its

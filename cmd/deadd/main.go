@@ -78,9 +78,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	// Partial-results mode: a multi-experiment request reports failures
-	// per experiment instead of failing the whole request.
-	w.KeepGoing = true
 	mc := metrics.New()
 	w.Metrics = mc
 	if *verbose {

@@ -57,7 +57,7 @@ func main() {
 		Seed:        *seed,
 	})
 	if err != nil && rep == nil {
-		fmt.Fprintln(os.Stderr, "deadload:", err)
+		fmt.Fprintln(os.Stderr, err) // a usage error, which names the tool
 		os.Exit(2)
 	}
 	enc := json.NewEncoder(os.Stdout)

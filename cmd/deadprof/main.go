@@ -18,6 +18,9 @@
 //	deadprof [-bench name] [-n budget] [-hoist n] [-licm n] [-regs n]
 //	         [-locality] [-mix] [-j workers] [-cache-dir dir]
 //	         [-disk-budget bytes] [-remote-cache url] [-artifacts]
+//
+// Exit codes: 0 success, 1 failed run, 2 bad usage or environment (a
+// flag value, $FAULTS, or a -cpuprofile file that cannot be created).
 package main
 
 import (
@@ -54,7 +57,7 @@ func main() {
 		p, err := workload.ByName(*bench)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			os.Exit(2)
 		}
 		profiles = []workload.Profile{p}
 	}
@@ -62,17 +65,17 @@ func main() {
 	w, err := wsFlags.Open()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	if _, err := cliflags.ArmFaults(nil, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 
 	stopCPU, err := metrics.StartCPUProfile(*cpuprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 
 	ctx := context.Background()

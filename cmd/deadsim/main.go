@@ -23,6 +23,10 @@
 // order: memory, disk, remote, build), so repeated invocations load
 // artifacts instead of recomputing them. The -v run summary includes the per-kind cache, disk-tier, and
 // remote-tier counters.
+//
+// Exit codes: 0 success, 1 failed run, 2 bad usage or environment (a
+// flag value or the machine it builds, $FAULTS, or a -cpuprofile file
+// that cannot be created).
 package main
 
 import (
@@ -62,7 +66,7 @@ func main() {
 		cfg = pipeline.DeepMemoryConfig()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown machine %q\n", *machine)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	if *regs > 0 {
 		cfg.PhysRegs = *regs
@@ -78,35 +82,20 @@ func main() {
 		} else {
 			fmt.Fprintln(os.Stderr, "-steer requires -clusters 2")
 		}
-		os.Exit(1)
+		os.Exit(2)
 	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 
 	names := core.SuiteNames()
 	if *bench != "" {
 		if _, err := workload.ByName(*bench); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			os.Exit(2)
 		}
 		names = []string{*bench}
-	}
-
-	w, err := wsFlags.Open()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	mc := metrics.New()
-	if *verbose {
-		mc.SetVerbose(os.Stderr)
-	}
-	w.Metrics = mc
-	if _, err := cliflags.ArmFaults(mc, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
 	}
 
 	// One task per (benchmark, elim-mode) pair, fanned through the pool;
@@ -129,13 +118,28 @@ func main() {
 	}
 	if len(tasks) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown elim mode %q\n", *elim)
-		os.Exit(1)
+		os.Exit(2)
+	}
+
+	w, err := wsFlags.Open()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	mc := metrics.New()
+	if *verbose {
+		mc.SetVerbose(os.Stderr)
+	}
+	w.Metrics = mc
+	if _, err := cliflags.ArmFaults(mc, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	stopCPU, err := metrics.StartCPUProfile(*cpuprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 
 	results := make([]pipeline.Stats, len(tasks))

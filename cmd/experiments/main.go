@@ -9,7 +9,7 @@
 //
 //	experiments [-only id[,id...]] [-skip id[,id...]] [-n budget] [-j workers]
 //	            [-cache-dir dir] [-disk-budget bytes] [-remote-cache url]
-//	            [-v] [-md | -json] [-keep-going] [-timeout d]
+//	            [-v] [-md | -json] [-timeout d]
 //
 // Experiment selection: -only restricts the run to the listed ids, -skip
 // excludes ids from whatever -only selected (default: all); both validate
@@ -31,9 +31,12 @@
 // summary and the -json "artifacts" section.
 //
 // Failure handling: each experiment runs once, bounded by -timeout, and
-// -keep-going switches to partial-results mode — every experiment runs,
-// failures are reported per experiment, and the exit code is 3 instead
-// of 1 when at least one experiment succeeded.
+// to its own end, so one failure never cancels or drops another
+// experiment's results. A failed experiment is reported in its place
+// (FAILED in the text and markdown output, an "error" field in -json),
+// and the exit code says how the run went: 0 when every experiment
+// succeeded, 3 when some failed, 1 when all failed. An interrupt (SIGINT)
+// fails the experiments still running and keeps those that finished.
 // The FAULTS / FAULTS_SEED environment variables arm the deterministic
 // fault injector for resilience testing.
 package main
@@ -53,8 +56,8 @@ import (
 	"repro/internal/metrics"
 )
 
-// Exit codes: 0 all experiments succeeded, 1 run failed, 2 bad usage or
-// environment, 3 partial success under -keep-going.
+// Exit codes: 0 all experiments succeeded, 1 all failed, 2 bad usage or
+// environment, 3 partial success (some failed).
 const (
 	exitOK      = 0
 	exitFailed  = 1
@@ -73,7 +76,6 @@ func run() int {
 	md := flag.Bool("md", false, "emit markdown sections (EXPERIMENTS.md body)")
 	asJSON := flag.Bool("json", false, "emit machine-readable metrics")
 	verbose := flag.Bool("v", false, "print per-phase progress lines and a run summary to stderr")
-	keepGoing := flag.Bool("keep-going", false, "run every experiment even after failures; report failures per experiment")
 	timeout := flag.Duration("timeout", 0, "deadline per experiment (0 = none)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -107,7 +109,6 @@ func run() int {
 		mc.SetVerbose(os.Stderr)
 	}
 	w.Metrics = mc
-	w.KeepGoing = *keepGoing
 	w.Timeout = *timeout
 
 	if _, err := cliflags.ArmFaults(mc, os.Stderr); err != nil {
@@ -118,28 +119,25 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	exps, err := w.RunExperiments(ctx, list)
+	// Each failed entry carries its own error, which the output reports
+	// in its place; the joined error repeats them.
+	exps, _ := w.RunExperiments(ctx, list)
 	mc.RecordMemStats()
-	if err != nil && !*keepGoing {
-		fmt.Fprintln(os.Stderr, err)
-		return exitFailed
+	failed := 0
+	for _, e := range exps {
+		if e.Err != nil {
+			failed++
+		}
 	}
 
-	failed := 0
 	switch {
 	case *asJSON:
 		if !printJSON(exps, w.ArtifactStats(), mc) {
 			return exitFailed
 		}
-		for _, e := range exps {
-			if e.Err != nil {
-				failed++
-			}
-		}
 	case *md:
 		for _, e := range exps {
 			if e.Err != nil {
-				failed++
 				fmt.Printf("## %s — FAILED\n\n```\n%v\n```\n\n", strings.ToUpper(e.ID), e.Err)
 				continue
 			}
@@ -152,7 +150,6 @@ func run() int {
 	default:
 		for _, e := range exps {
 			if e.Err != nil {
-				failed++
 				fmt.Printf("=== %s: FAILED\n%v\n\n", strings.ToUpper(e.ID), e.Err)
 				continue
 			}
@@ -234,8 +231,7 @@ func selectExperiments(only, skip string) ([]string, error) {
 // wall-clock phase report and counters of this particular run, and the
 // artifacts section the per-kind cache hit/miss statistics and
 // residency.
-// Failed experiments (partial-results mode) carry an error in place of
-// metrics.
+// Failed experiments carry an error in place of metrics.
 func printJSON(exps []*core.Experiment, arts artifact.Stats, mc *metrics.Collector) bool {
 	type jsonExp struct {
 		ID      string             `json:"id"`

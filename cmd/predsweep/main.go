@@ -22,6 +22,9 @@
 // third tier, so a sweep re-invoked after a warm run loads its profiles
 // instead of re-emulating. The FAULTS / FAULTS_SEED environment variables
 // arm the deterministic fault injector; malformed rules abort at startup.
+//
+// Exit codes: 0 success, 1 failed run, 2 bad usage or environment (a
+// flag value or $FAULTS).
 package main
 
 import (
@@ -57,36 +60,38 @@ func main() {
 	if *bench != "" {
 		if _, err := workload.ByName(*bench); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			os.Exit(2)
 		}
 		names = []string{*bench}
+	}
+	run, ok := map[string]func(*core.Workspace, []string) error{
+		"point": point,
+		"cfi":   cfi,
+		"sweep": sweep,
+		"assoc": assoc,
+		"steer": func(w *core.Workspace, names []string) error { return steerSweep(w, names, *steerDir) },
+	}[*mode]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+		os.Exit(2)
+	}
+	if *steerDir != "" {
+		if err := (dip.Spec{Flavor: dip.FlavorSteer, Dir: *steerDir}).Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 
 	w, err := wsFlags.Open()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	if _, err := cliflags.ArmFaults(nil, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(2)
 	}
-
-	switch *mode {
-	case "point":
-		err = point(w, names)
-	case "cfi":
-		err = cfi(w, names)
-	case "sweep":
-		err = sweep(w, names)
-	case "assoc":
-		err = assoc(w, names)
-	case "steer":
-		err = steerSweep(w, names, *steerDir)
-	default:
-		err = fmt.Errorf("unknown mode %q", *mode)
-	}
-	if err != nil {
+	if err := run(w, names); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -207,11 +212,7 @@ func steerSweep(w *core.Workspace, names []string, only string) error {
 	}
 	tb := stats.NewTable("steer predictor", "ineff", "steered", "cov%", "acc%", "state-KB")
 	for _, dir := range dirs {
-		spec := dip.Spec{Flavor: dip.FlavorSteer, Dir: dir}
-		if err := spec.Validate(); err != nil {
-			return err
-		}
-		results, err := evalAll(w, names, spec)
+		results, err := evalAll(w, names, dip.Spec{Flavor: dip.FlavorSteer, Dir: dir})
 		if err != nil {
 			return err
 		}

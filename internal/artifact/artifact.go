@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/faults"
 	"repro/internal/metrics"
 )
 
@@ -87,7 +88,7 @@ type KindStats struct {
 	// schedule-independent; InflightWaits breaks out the waiters).
 	Hits int64 `json:"hits"`
 	// Misses counts builds actually executed (including rebuilds after
-	// a forgotten transient failure).
+	// a forgotten failure).
 	Misses int64 `json:"misses"`
 	// InflightWaits counts requesters that blocked on another goroutine's
 	// in-flight build of the same artifact.
@@ -166,12 +167,6 @@ type entry struct {
 // Store is a content-addressed artifact cache with single-flight
 // computation. The zero value is unusable; create with New.
 type Store struct {
-	// MemoErr, when non-nil, reports whether a build error should stay
-	// memoized (rebuilding a deterministic failure would just fail again).
-	// Errors it rejects — and all errors when nil — are forgotten, so the
-	// next request rebuilds. Set before first use.
-	MemoErr func(error) bool
-
 	mu    sync.Mutex
 	mc    *metrics.Collector
 	items map[Key]*entry
@@ -316,9 +311,12 @@ func Get[T any](s *Store, key Key, build func() (T, error)) (T, error) {
 // abandoned build is dropped, not cached. The build callback receives
 // that detached context, not ctx.
 //
-// A build error is propagated to every concurrent requester; whether it
-// stays memoized is decided by the store's MemoErr. A panicking build is
-// converted to an error (never memoized) so waiters are not deadlocked.
+// A build error is propagated to every concurrent requester. It stays
+// memoized only if it is deterministic, since a rebuild would fail again:
+// a transient fault (faults.IsTransient), a cancelled or expired build,
+// and a panic are forgotten, so the next request rebuilds. A panicking
+// build is converted to an error, so waiters are not deadlocked; its
+// chain reaches an error panic value (see faults.Recovered).
 func GetCtx[T any](s *Store, ctx context.Context, key Key, build func(context.Context) (T, error)) (T, error) {
 	s.mu.Lock()
 	e, ok := s.items[key]
@@ -375,10 +373,11 @@ func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote Remo
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				// Never memoize a panic; surface it as an error so every
-				// waiter unblocks instead of deadlocking on done.
+				// The one panic boundary for builds. Surface the panic as an
+				// error so every waiter unblocks instead of deadlocking on
+				// done; it is never memoized.
 				e.val = nil
-				e.err = fmt.Errorf("artifact: building %s panicked: %v", key, r)
+				e.err = faults.Recovered(fmt.Sprintf("artifact: building %s panicked", key), r)
 				e.panicked = true
 			}
 		}()
@@ -409,8 +408,9 @@ func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote Remo
 	// nor resident.
 	indexed := s.items[key] == e
 	if e.err != nil {
-		memo := !e.panicked && s.MemoErr != nil && s.MemoErr(e.err)
-		if !memo && indexed {
+		forget := e.panicked || faults.IsTransient(e.err) ||
+			errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)
+		if forget && indexed {
 			delete(s.items, key)
 		}
 	} else if indexed {

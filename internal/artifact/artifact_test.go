@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/faults"
 )
 
 func key(kind Kind, spec string) Key {
@@ -76,10 +78,9 @@ func TestGetSingleFlight(t *testing.T) {
 
 func TestErrorMemoizationPolicy(t *testing.T) {
 	errPerm := errors.New("permanent")
-	errTransient := errors.New("transient")
+	errTransient := &faults.Error{Site: faults.SiteWorkspaceMemo, Kind: faults.Transient}
 
 	s := New()
-	s.MemoErr = func(err error) bool { return errors.Is(err, errPerm) }
 	builds := map[string]int{}
 	get := func(name string, fail error) error {
 		_, err := Get(s, key("run", name), func() (int, error) {
@@ -89,15 +90,20 @@ func TestErrorMemoizationPolicy(t *testing.T) {
 		return err
 	}
 
-	// Transient failures are forgotten: every request rebuilds.
-	if err := get("t", errTransient); !errors.Is(err, errTransient) {
-		t.Fatalf("first transient get: %v", err)
-	}
-	if err := get("t", errTransient); !errors.Is(err, errTransient) {
-		t.Fatalf("second transient get: %v", err)
-	}
-	if builds["t"] != 2 {
-		t.Errorf("transient failure built %d times, want 2 (not memoized)", builds["t"])
+	// A transient fault and an expired build are forgotten: every
+	// request rebuilds.
+	for name, fail := range map[string]error{
+		"transient": errTransient,
+		"deadline":  fmt.Errorf("build: %w", context.DeadlineExceeded),
+	} {
+		for i := 0; i < 2; i++ {
+			if err := get(name, fail); !errors.Is(err, fail) {
+				t.Fatalf("%s get %d: %v", name, i, err)
+			}
+		}
+		if builds[name] != 2 {
+			t.Errorf("%s failure built %d times, want 2 (not memoized)", name, builds[name])
+		}
 	}
 
 	// Permanent failures stay memoized: one build, repeated error.
@@ -114,7 +120,6 @@ func TestErrorMemoizationPolicy(t *testing.T) {
 
 func TestPanicNeverMemoized(t *testing.T) {
 	s := New()
-	s.MemoErr = func(error) bool { return true } // even an always-memoize policy
 	calls := 0
 	get := func() (int, error) {
 		v, err := Get(s, key("run", "x"), func() (int, error) {
@@ -252,11 +257,10 @@ func TestAdoptionSurvivesOriginatorCancel(t *testing.T) {
 }
 
 // TestLastWaiterCancelsBuild: with no surviving waiters the detached
-// build must be cancelled promptly, its error forgotten (per MemoErr),
-// and the next request rebuilds cleanly.
+// build must be cancelled promptly, its error forgotten, and the next
+// request rebuilds cleanly.
 func TestLastWaiterCancelsBuild(t *testing.T) {
 	s := New()
-	s.MemoErr = func(err error) bool { return !errors.Is(err, context.Canceled) }
 	var builds atomic.Int64
 	k := key("profile", "lone")
 
@@ -365,7 +369,6 @@ func TestAbandonedBuildNotJoined(t *testing.T) {
 
 	t.Run("abandoned_build_fails", func(t *testing.T) {
 		s := New()
-		s.MemoErr = func(err error) bool { return !errors.Is(err, context.Canceled) }
 		k := key("profile", "abandoned-fails")
 		gate := make(chan struct{})
 		abandon(t, s, k, gate, func(bctx context.Context) (any, error) { return nil, bctx.Err() })

@@ -65,7 +65,6 @@ func TestChaosSoak(t *testing.T) {
 
 	w := NewWorkspaceWorkers(budget, 0)
 	w.Metrics = mc
-	w.KeepGoing = true
 
 	type result struct {
 		res []*Experiment
@@ -86,7 +85,7 @@ func TestChaosSoak(t *testing.T) {
 	faults.Set(nil)
 
 	if len(chaotic.res) != len(ids) {
-		t.Fatalf("partial-results mode returned %d entries, want %d", len(chaotic.res), len(ids))
+		t.Fatalf("RunExperiments returned %d entries, want %d", len(chaotic.res), len(ids))
 	}
 	var injected uint64
 	for _, site := range in.Sites() {
@@ -103,7 +102,7 @@ func TestChaosSoak(t *testing.T) {
 	succeeded, failed := 0, 0
 	for i, e := range chaotic.res {
 		if e == nil {
-			t.Fatalf("entry %d is nil under KeepGoing", i)
+			t.Fatalf("entry %d is nil", i)
 		}
 		if e.ID != ids[i] {
 			t.Fatalf("order broken at %d: got %s want %s", i, e.ID, ids[i])
@@ -122,7 +121,10 @@ func TestChaosSoak(t *testing.T) {
 			t.Errorf("%s failed without an injected fault in its chain: %v", e.ID, e.Err)
 		}
 		if errors.Is(e.Err, context.Canceled) {
-			t.Errorf("%s reports cancellation under KeepGoing: %v", e.ID, e.Err)
+			t.Errorf("%s reports cancellation, as if another failure had cancelled it: %v", e.ID, e.Err)
+		}
+		if !errors.Is(chaotic.err, e.Err) {
+			t.Errorf("%s's error is not reachable from the run error", e.ID)
 		}
 	}
 	t.Logf("chaos soak: %d injections, %d/%d experiments succeeded", injected, succeeded, len(ids))
@@ -134,16 +136,6 @@ func TestChaosSoak(t *testing.T) {
 	}
 	if failed > 0 != (chaotic.err != nil) {
 		t.Errorf("error/failure mismatch: %d failures but err = %v", failed, chaotic.err)
-	}
-	if chaotic.err != nil {
-		var re *RunError
-		if !errors.As(chaotic.err, &re) {
-			t.Fatalf("error is %T, want *RunError", chaotic.err)
-		}
-		if len(re.Failures)+len(re.Completed) != len(ids) {
-			t.Errorf("RunError accounts for %d+%d experiments, want %d",
-				len(re.Completed), len(re.Failures), len(ids))
-		}
 	}
 
 	// Leak check: give coordinator goroutines a moment to unwind, then
@@ -159,53 +151,31 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestRunExperimentsPartialResultsWithoutInjection checks KeepGoing
-// semantics with a plain bad ID mixed into good ones: completed work is
-// returned, the failure is structured, and the error unwraps to it.
+// TestRunExperimentsPartialResultsWithoutInjection checks that a plain
+// bad ID mixed into good ones fails only its own entry: the finished
+// experiments come back in place, and the run error reaches the failed
+// entry's error.
 func TestRunExperimentsPartialResultsWithoutInjection(t *testing.T) {
 	w := NewWorkspaceWorkers(testBudget, 0)
-	w.KeepGoing = true
-	res, err := w.RunExperiments(context.Background(), []string{"e1", "nope", "e6"})
-	if err == nil {
-		t.Fatal("bad ID must surface an error")
+	ids := []string{"e1", "nope", "e6"}
+	res, err := w.RunExperiments(context.Background(), ids)
+	if len(res) != len(ids) {
+		t.Fatalf("got %d entries, want one per requested ID (%d); err = %v", len(res), len(ids), err)
 	}
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("error is %T, want *RunError", err)
-	}
-	if len(res) != 3 || res[0].Err != nil || res[2].Err != nil || res[1].Err == nil {
-		t.Fatalf("partial results wrong: %+v", res)
-	}
-	if len(re.Completed) != 2 || len(re.Failures) != 1 || re.Failures[0].ID != "nope" {
-		t.Errorf("RunError bookkeeping wrong: completed=%d failures=%+v", len(re.Completed), re.Failures)
-	}
-}
-
-// TestRunExperimentsFailFastKeepsCompleted checks the default mode's
-// contract: the first failure aborts the run, but the *RunError still
-// carries whatever finished so callers never lose completed work.
-func TestRunExperimentsFailFastKeepsCompleted(t *testing.T) {
-	w := NewWorkspaceWorkers(testBudget, 1)
-	res, err := w.RunExperiments(context.Background(), []string{"e1", "nope"})
-	if res != nil || err == nil {
-		t.Fatalf("fail-fast returned res=%v err=%v", res, err)
-	}
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("error is %T, want *RunError", err)
-	}
-	for _, e := range re.Completed {
-		if e.Err != nil || e.ID == "" {
-			t.Errorf("completed entry is not a finished experiment: %+v", e)
+	for i, e := range res {
+		if e.ID != ids[i] {
+			t.Fatalf("entry %d is %s, want %s", i, e.ID, ids[i])
 		}
 	}
-	found := false
-	for _, f := range re.Failures {
-		if f.ID == "nope" && f.Err != nil {
-			found = true
+	for _, e := range []*Experiment{res[0], res[2]} {
+		if e.Err != nil || e.Table == nil {
+			t.Errorf("%s did not complete beside the failure: err = %v", e.ID, e.Err)
 		}
 	}
-	if !found {
-		t.Errorf("the bad ID is missing from failures: %+v", re.Failures)
+	if res[1].Err == nil {
+		t.Fatal("the bad ID must fail its entry")
+	}
+	if !errors.Is(err, res[1].Err) {
+		t.Errorf("run error %v does not reach the failed entry's error %v", err, res[1].Err)
 	}
 }

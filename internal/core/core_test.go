@@ -152,7 +152,7 @@ func TestE9ElimPairConsistency(t *testing.T) {
 		t.Skip("short mode")
 	}
 	w := NewWorkspace(testBudget)
-	base, elim, err := w.elimPair("crafty", pipeline.ContendedConfig())
+	base, elim, err := w.elimPair(context.Background(), "crafty", pipeline.ContendedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,53 +10,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/metrics"
 )
-
-// Failure is one experiment's structured failure.
-type Failure struct {
-	ID string
-	// Err is the experiment's error; injected faults remain reachable
-	// through its chain (errors.As(*faults.Error)).
-	Err error
-}
-
-// RunError reports a partially failed run. It always carries the
-// experiments that completed before (or despite) the failure, so callers
-// never lose finished work to an unrelated error — the chaos soak relies
-// on this to compare survivors against a clean run.
-type RunError struct {
-	// Completed holds the successfully finished experiments in input
-	// order.
-	Completed []*Experiment
-	// Failures holds the failed experiments in input order. Experiments
-	// cancelled because a sibling failed first appear with a
-	// context.Canceled error.
-	Failures []Failure
-}
-
-// Error summarizes the run: the failure count and the first failure that
-// is not a cancellation casualty.
-func (e *RunError) Error() string {
-	primary := e.Failures[0].Err
-	for _, f := range e.Failures {
-		if !errors.Is(f.Err, context.Canceled) {
-			primary = f.Err
-			break
-		}
-	}
-	return fmt.Sprintf("core: %d of %d experiments failed (%d completed): %v",
-		len(e.Failures), len(e.Failures)+len(e.Completed), len(e.Completed), primary)
-}
-
-// Unwrap exposes every failure's error to errors.Is / errors.As.
-func (e *RunError) Unwrap() []error {
-	errs := make([]error, len(e.Failures))
-	for i, f := range e.Failures {
-		errs[i] = f.Err
-	}
-	return errs
-}
 
 // Render serializes everything deterministic about a completed
 // experiment — id, title, claim, table, figure, and metrics with floats
@@ -93,20 +49,15 @@ func (e *Experiment) Render() string {
 // workspace's bounded pool, so total parallelism stays at the pool's
 // bound even with experiments × suite fan-out.
 //
-// Failure semantics follow the workspace's knobs: each experiment runs
-// once, bounded by Timeout, and the run degrades per KeepGoing. With
-// KeepGoing false (the default) the first failure cancels the work still
-// pending and RunExperiments returns (nil, *RunError) carrying the
-// experiments that had already completed. With KeepGoing true every
-// experiment runs to completion; the returned slice has one entry per
-// requested ID — failed entries carry Err and no Table — and the error
-// is a *RunError describing the failures (nil if none).
+// Each experiment runs once, bounded by Timeout, and to its own end: a
+// failure never cancels or drops another experiment. The returned slice
+// has one entry per requested ID; a failed entry carries Err and no
+// Table. The error joins the failed entries' errors, in input order, so
+// an injected fault stays reachable through errors.As; it is nil when
+// every experiment succeeded.
 func (w *Workspace) RunExperiments(ctx context.Context, ids []string) ([]*Experiment, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	out := make([]*Experiment, len(ids))
-	failures := make([]*Failure, len(ids))
+	errs := make([]error, len(ids))
 	var wg sync.WaitGroup
 	for i, id := range ids {
 		wg.Add(1)
@@ -114,40 +65,15 @@ func (w *Workspace) RunExperiments(ctx context.Context, ids []string) ([]*Experi
 			defer wg.Done()
 			e, err := w.runOne(ctx, id)
 			if err != nil {
-				failures[i] = &Failure{ID: id, Err: fmt.Errorf("experiment %s: %w", id, err)}
+				errs[i] = fmt.Errorf("experiment %s: %w", id, err)
+				e = &Experiment{ID: id, Err: errs[i]}
 				w.Metrics.Add(metrics.CounterExperimentFailures, 1)
-				if !w.KeepGoing {
-					cancel()
-				}
-				return
 			}
 			out[i] = e
 		}(i, id)
 	}
 	wg.Wait()
-
-	runErr := &RunError{}
-	for i, f := range failures {
-		if f != nil {
-			runErr.Failures = append(runErr.Failures, *f)
-		} else if out[i] != nil {
-			runErr.Completed = append(runErr.Completed, out[i])
-		}
-	}
-	if len(runErr.Failures) == 0 {
-		return out, nil
-	}
-	if !w.KeepGoing {
-		return nil, runErr
-	}
-	// Partial-results mode: every requested ID gets an entry; failed ones
-	// carry their error in place of tables and metrics.
-	for i, f := range failures {
-		if f != nil {
-			out[i] = &Experiment{ID: f.ID, Err: f.Err}
-		}
-	}
-	return out, runErr
+	return out, errors.Join(errs...) // nil entries are skipped
 }
 
 // runOne runs one experiment under the workspace's Timeout deadline.
@@ -168,13 +94,13 @@ func (w *Workspace) runOne(ctx context.Context, id string) (*Experiment, error) 
 	return e, nil
 }
 
-// dispatchSafe is dispatch with panic containment: a panicking experiment
-// (or an injected panic that escaped deeper recovery layers) becomes an
-// error whose chain still reaches the panic value.
+// dispatchSafe is dispatch with panic containment: a panic on the
+// experiment's own goroutine, outside any pool task or artifact build,
+// becomes an error whose chain still reaches the panic value.
 func (w *Workspace) dispatchSafe(ctx context.Context, id string) (e *Experiment, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			e, err = nil, recoveredError(fmt.Sprintf("core: experiment %s panicked", id), r)
+			e, err = nil, faults.Recovered(fmt.Sprintf("core: experiment %s panicked", id), r)
 		}
 	}()
 	if err := ctx.Err(); err != nil {

@@ -29,9 +29,9 @@ type Experiment struct {
 	// Wall is how long the experiment took; it reflects scheduling and
 	// memoization, so it is excluded from deterministic comparisons.
 	Wall time.Duration
-	// Err is the structured failure of an experiment that did not
-	// complete; set only in RunExperiments' partial-results (KeepGoing)
-	// mode, where such entries carry no Table, Figure, or Metrics.
+	// Err is the failure of an experiment that did not complete, as
+	// RunExperiments reports it; such an entry carries no Table, Figure,
+	// or Metrics.
 	Err error
 }
 
@@ -214,7 +214,7 @@ func (w *Workspace) E5(ctx context.Context) (*Experiment, error) {
 		Metrics: map[string]float64{},
 	}
 	results, err := overSuite(ctx, w, func(name string) (dip.Result, error) {
-		return w.EvalPredictor(name, dip.Spec{Flavor: dip.FlavorCFI, Config: cfg})
+		return w.EvalPredictorCtx(ctx, name, dip.Spec{Flavor: dip.FlavorCFI, Config: cfg})
 	})
 	if err != nil {
 		return nil, err
@@ -252,15 +252,15 @@ func (w *Workspace) E6(ctx context.Context) (*Experiment, error) {
 	}
 	type trio struct{ a, b, o dip.Result }
 	results, err := overSuite(ctx, w, func(name string) (trio, error) {
-		a, err := w.EvalPredictor(name, dip.Spec{Flavor: dip.FlavorCFI, Config: withCFI})
+		a, err := w.EvalPredictorCtx(ctx, name, dip.Spec{Flavor: dip.FlavorCFI, Config: withCFI})
 		if err != nil {
 			return trio{}, err
 		}
-		b, err := w.EvalPredictor(name, dip.Spec{Flavor: dip.FlavorCounter, Config: noCFI})
+		b, err := w.EvalPredictorCtx(ctx, name, dip.Spec{Flavor: dip.FlavorCounter, Config: noCFI})
 		if err != nil {
 			return trio{}, err
 		}
-		o, err := w.EvalPredictor(name, dip.Spec{Flavor: dip.FlavorOracle, Config: withCFI})
+		o, err := w.EvalPredictorCtx(ctx, name, dip.Spec{Flavor: dip.FlavorOracle, Config: withCFI})
 		if err != nil {
 			return trio{}, err
 		}
@@ -303,7 +303,7 @@ func (w *Workspace) E7(ctx context.Context) (*Experiment, error) {
 	for _, cfg := range dip.SweepConfigs() {
 		cfg := cfg
 		results, err := overSuite(ctx, w, func(name string) (dip.Result, error) {
-			return w.EvalPredictor(name, dip.Spec{Flavor: dip.FlavorCFI, Config: cfg})
+			return w.EvalPredictorCtx(ctx, name, dip.Spec{Flavor: dip.FlavorCFI, Config: cfg})
 		})
 		if err != nil {
 			return nil, err
@@ -328,13 +328,13 @@ func (w *Workspace) E7(ctx context.Context) (*Experiment, error) {
 
 // elimPair runs one benchmark with elimination off and on. Both runs are
 // memoized, so experiments sharing a configuration reuse the simulations.
-func (w *Workspace) elimPair(name string, cfg pipeline.Config) (base, elim pipeline.Stats, err error) {
-	base, err = w.RunMachine(name, cfg)
+func (w *Workspace) elimPair(ctx context.Context, name string, cfg pipeline.Config) (base, elim pipeline.Stats, err error) {
+	base, err = w.RunMachineCtx(ctx, name, cfg)
 	if err != nil {
 		return
 	}
 	cfg.Elim = true
-	elim, err = w.RunMachine(name, cfg)
+	elim, err = w.RunMachineCtx(ctx, name, cfg)
 	return
 }
 
@@ -351,7 +351,7 @@ func (w *Workspace) E8(ctx context.Context) (*Experiment, error) {
 	cfg := pipeline.BaselineConfig()
 	type pair struct{ base, elim pipeline.Stats }
 	results, err := overSuite(ctx, w, func(name string) (pair, error) {
-		base, elim, err := w.elimPair(name, cfg)
+		base, elim, err := w.elimPair(ctx, name, cfg)
 		return pair{base, elim}, err
 	})
 	if err != nil {
@@ -411,7 +411,7 @@ func (w *Workspace) E9(ctx context.Context) (*Experiment, error) {
 	cfg := pipeline.ContendedConfig()
 	type pair struct{ base, elim pipeline.Stats }
 	results, err := overSuite(ctx, w, func(name string) (pair, error) {
-		base, elim, err := w.elimPair(name, cfg)
+		base, elim, err := w.elimPair(ctx, name, cfg)
 		return pair{base, elim}, err
 	})
 	if err != nil {
@@ -456,7 +456,7 @@ func (w *Workspace) E10(ctx context.Context) (*Experiment, error) {
 		cfg.PhysRegs = regs
 		type pair struct{ base, elim pipeline.Stats }
 		results, err := overSuite(ctx, w, func(name string) (pair, error) {
-			base, elim, err := w.elimPair(name, cfg)
+			base, elim, err := w.elimPair(ctx, name, cfg)
 			return pair{base, elim}, err
 		})
 		if err != nil {

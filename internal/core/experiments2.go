@@ -34,7 +34,7 @@ func (w *Workspace) E11(ctx context.Context) (*Experiment, error) {
 	for _, dir := range dirs {
 		dir := dir
 		results, err := overSuite(ctx, w, func(name string) (dip.Result, error) {
-			return w.EvalPredictor(name, dip.Spec{Flavor: dip.FlavorCFI, Config: cfg, Dir: dir})
+			return w.EvalPredictorCtx(ctx, name, dip.Spec{Flavor: dip.FlavorCFI, Config: cfg, Dir: dir})
 		})
 		if err != nil {
 			return nil, err
@@ -56,7 +56,7 @@ func (w *Workspace) E11(ctx context.Context) (*Experiment, error) {
 	}
 	// Oracle future directions as the upper bound.
 	oracle, err := overSuite(ctx, w, func(name string) (dip.Result, error) {
-		return w.EvalPredictor(name, dip.Spec{Flavor: dip.FlavorOracle, Config: cfg})
+		return w.EvalPredictorCtx(ctx, name, dip.Spec{Flavor: dip.FlavorOracle, Config: cfg})
 	})
 	if err != nil {
 		return nil, err
@@ -140,20 +140,20 @@ func (w *Workspace) E13(ctx context.Context) (*Experiment, error) {
 	cfg := pipeline.ContendedConfig()
 	type triple struct{ base, dip, ora pipeline.Stats }
 	results, err := overSuite(ctx, w, func(name string) (triple, error) {
-		base, err := w.RunMachine(name, cfg)
+		base, err := w.RunMachineCtx(ctx, name, cfg)
 		if err != nil {
 			return triple{}, err
 		}
 		dcfg := cfg
 		dcfg.Elim = true
-		dipSt, err := w.RunMachine(name, dcfg)
+		dipSt, err := w.RunMachineCtx(ctx, name, dcfg)
 		if err != nil {
 			return triple{}, err
 		}
 		ocfg := cfg
 		ocfg.Elim = true
 		ocfg.OracleElim = true
-		oraSt, err := w.RunMachine(name, ocfg)
+		oraSt, err := w.RunMachineCtx(ctx, name, ocfg)
 		if err != nil {
 			return triple{}, err
 		}
@@ -215,11 +215,11 @@ func (w *Workspace) E15(ctx context.Context) (*Experiment, error) {
 		l1MissRate, l2MissRate float64
 	}
 	results, err := overSuite(ctx, w, func(name string) (row, error) {
-		fb, fe, err := w.elimPair(name, flatCfg)
+		fb, fe, err := w.elimPair(ctx, name, flatCfg)
 		if err != nil {
 			return row{}, err
 		}
-		db, de, err := w.elimPair(name, deepCfg)
+		db, de, err := w.elimPair(ctx, name, deepCfg)
 		if err != nil {
 			return row{}, err
 		}
@@ -274,7 +274,7 @@ func (w *Workspace) E14(ctx context.Context) (*Experiment, error) {
 		cfg.CounterBits = pt.bits
 		cfg.Threshold = pt.thr
 		results, err := overSuite(ctx, w, func(name string) (dip.Result, error) {
-			return w.EvalPredictor(name, dip.Spec{Flavor: dip.FlavorCFI, Config: cfg})
+			return w.EvalPredictorCtx(ctx, name, dip.Spec{Flavor: dip.FlavorCFI, Config: cfg})
 		})
 		if err != nil {
 			return nil, err

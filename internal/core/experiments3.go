@@ -55,17 +55,17 @@ func (w *Workspace) E17(ctx context.Context) (*Experiment, error) {
 	cfg := dip.DefaultConfig()
 	type trio struct{ strict, loose, dyn dip.Result }
 	results, err := overSuite(ctx, w, func(name string) (trio, error) {
-		strict, err := w.EvalPredictor(name,
+		strict, err := w.EvalPredictorCtx(ctx, name,
 			dip.Spec{Flavor: dip.FlavorStaticHint, TrainFrac: 0.5, HintThreshold: 0.9})
 		if err != nil {
 			return trio{}, err
 		}
-		loose, err := w.EvalPredictor(name,
+		loose, err := w.EvalPredictorCtx(ctx, name,
 			dip.Spec{Flavor: dip.FlavorStaticHint, TrainFrac: 0.5, HintThreshold: 0.5})
 		if err != nil {
 			return trio{}, err
 		}
-		dyn, err := w.EvalPredictor(name, dip.Spec{Flavor: dip.FlavorCFI, Config: cfg})
+		dyn, err := w.EvalPredictorCtx(ctx, name, dip.Spec{Flavor: dip.FlavorCFI, Config: cfg})
 		if err != nil {
 			return trio{}, err
 		}

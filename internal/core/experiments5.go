@@ -146,7 +146,7 @@ func (w *Workspace) E21(ctx context.Context) (*Experiment, error) {
 	results, err := overSuite(ctx, w, func(name string) (quad, error) {
 		var q quad
 		var err error
-		if q.base, q.elim, err = w.elimPair(name, contended); err != nil {
+		if q.base, q.elim, err = w.elimPair(ctx, name, contended); err != nil {
 			return q, err
 		}
 		if q.steer, err = w.RunMachineCtx(ctx, name, clustered); err != nil {

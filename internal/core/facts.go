@@ -67,14 +67,9 @@ func (w *Workspace) facts(ctx context.Context, name string, opts *compiler.Optio
 	})
 }
 
-// buildFacts derives the facts from the profile, with the same panic
-// containment and fault site as buildPredEval.
-func (w *Workspace) buildFacts(ctx context.Context, name string, opts *compiler.Options, windows []int) (f ProfileFacts, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			f, err = ProfileFacts{}, recoveredError(fmt.Sprintf("core: summarizing %s panicked", name), r)
-		}
-	}()
+// buildFacts derives the facts from the profile, with the same fault
+// site as buildPredEval.
+func (w *Workspace) buildFacts(ctx context.Context, name string, opts *compiler.Options, windows []int) (ProfileFacts, error) {
 	if err := faults.Fire(faults.SiteWorkspaceMemo); err != nil {
 		return ProfileFacts{}, fmt.Errorf("core: summarizing %s: %w", name, err)
 	}
@@ -82,7 +77,7 @@ func (w *Workspace) buildFacts(ctx context.Context, name string, opts *compiler.
 	if err != nil {
 		return ProfileFacts{}, err
 	}
-	f = ProfileFacts{
+	f := ProfileFacts{
 		Summary:     res.Summary,
 		Locality:    res.Locality,
 		PassStats:   res.PassStats,

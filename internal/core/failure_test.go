@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
 	"repro/internal/metrics"
+	"repro/internal/pipeline"
 )
 
 // TestDeadlinePropagatesThroughNestedFanOut drives the real nesting used
@@ -65,6 +67,66 @@ func TestWorkspaceTimeoutBoundsAttempts(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("timeout did not bound the experiment")
+	}
+}
+
+// TestExperimentDeadlineAbandonsInflightBuild checks that an
+// experiment's deadline reaches the builds it waits on: with one
+// simulation held in a 3 s injected delay, E9 gives up at its 200 ms
+// Timeout instead of waiting the build out.
+func TestExperimentDeadlineAbandonsInflightBuild(t *testing.T) {
+	w := NewWorkspaceWorkers(20_000, 1)
+	for _, name := range SuiteNames() {
+		if _, err := w.ProfileOf(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := faults.NewInjector(1).
+		Arm(faults.SiteSimulate, faults.Rule{Kind: faults.Delay, Rate: 1, Max: 1, Delay: 3 * time.Second})
+	faults.Set(in)
+	defer faults.Set(nil)
+	w.Timeout = 200 * time.Millisecond
+
+	start := time.Now()
+	_, err := w.runOne(context.Background(), "e9")
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want deadline exceeded", err)
+	}
+	if elapsed > 2*time.Second {
+		t.Errorf("E9 returned after %v: its deadline did not reach the in-flight build", elapsed)
+	}
+}
+
+// TestPanickingBuildRebuilds checks the store's one panic policy for
+// workspace builds: a panicking simulation fails its request with the
+// injected fault still in the error chain, and is forgotten, so the next
+// request simulates again instead of replaying the panic.
+func TestPanickingBuildRebuilds(t *testing.T) {
+	w := NewWorkspaceWorkers(20_000, 1)
+	name := SuiteNames()[0]
+	if _, err := w.ProfileOf(name); err != nil {
+		t.Fatal(err)
+	}
+	in := faults.NewInjector(1).
+		Arm(faults.SiteSimulate, faults.Rule{Kind: faults.Panic, Rate: 1, Max: 1})
+	faults.Set(in)
+	defer faults.Set(nil)
+
+	cfg := pipeline.ContendedConfig()
+	_, err := w.RunMachine(name, cfg)
+	var fe *faults.Error
+	if !errors.As(err, &fe) || fe.Kind != faults.Panic {
+		t.Fatalf("first request: err = %v, want the injected panic in its chain", err)
+	}
+	if !strings.HasPrefix(err.Error(), "artifact: building machine:") {
+		t.Errorf("first request: err = %v, want the store's panic boundary to name the build", err)
+	}
+	if _, err := w.RunMachine(name, cfg); err != nil {
+		t.Fatalf("second request served the panic from memo: %v", err)
+	}
+	if misses := w.ArtifactStats().Kinds[KindMachine].Misses; misses != 2 {
+		t.Errorf("machine misses = %d, want 2", misses)
 	}
 }
 

@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 
 	"repro/internal/faults"
@@ -52,23 +50,13 @@ func (p *Pool) Do(ctx context.Context, fn func() error) (err error) {
 	defer func() { <-p.sem }()
 	defer func() {
 		if r := recover(); r != nil {
-			err = recoveredError("core: task panic", r)
+			err = faults.Recovered("core: task panic", r)
 		}
 	}()
 	if err := faults.Fire(faults.SitePoolTask); err != nil {
 		return err
 	}
 	return fn()
-}
-
-// recoveredError converts a recovered panic value into an error. Error
-// panic values are wrapped (not stringified) so errors.Is/As still see
-// the chain — the fault injector's panics carry their site this way.
-func recoveredError(prefix string, r any) error {
-	if e, ok := r.(error); ok {
-		return fmt.Errorf("%s: %w\n%s", prefix, e, debug.Stack())
-	}
-	return fmt.Errorf("%s: %v\n%s", prefix, r, debug.Stack())
 }
 
 // ForEach runs fn(i) for every i in [0, n) with the pool's concurrency

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -76,12 +75,8 @@ type Workspace struct {
 	Metrics *metrics.Collector
 
 	// Timeout bounds each experiment with a deadline that propagates
-	// through the pool fan-out (0 = none).
+	// through the pool fan-out and into the builds it waits on (0 = none).
 	Timeout time.Duration
-	// KeepGoing switches RunExperiments to partial-results mode: every
-	// experiment runs to completion and failures are reported per
-	// experiment instead of cancelling the whole run.
-	KeepGoing bool
 
 	mu    sync.Mutex
 	store *artifact.Store
@@ -151,11 +146,6 @@ func (w *Workspace) artifacts() *artifact.Store {
 	defer w.mu.Unlock()
 	if w.store == nil {
 		w.store = artifact.New()
-		// Only successes and deterministic (permanent) failures are
-		// memoized: an artifact that fails transiently — an injected
-		// fault, a cancelled context — is forgotten so the next request
-		// rebuilds it.
-		w.store.MemoErr = func(err error) bool { return !evictable(err) }
 		// Register the persistable kinds.
 		w.store.RegisterCodec(KindProfile, profileCodec{w.Budget})
 		w.store.RegisterCodec(KindFacts, factsCodec)
@@ -234,8 +224,8 @@ func (w *Workspace) ProfileOf(name string) (*ProfileResult, error) {
 // owned by every requester currently waiting on them. Cancelling ctx
 // while other requesters wait hands the in-flight build to the survivors
 // (artifact_adoptions); only when the last interested requester
-// disconnects is the emulation aborted. A cancelled build is forgotten
-// (see evictable), so the next request rebuilds deterministically.
+// disconnects is the emulation aborted. The store forgets a cancelled
+// build, so the next request rebuilds deterministically.
 func (w *Workspace) ProfileOfCtx(ctx context.Context, name string) (*ProfileResult, error) {
 	key := artifact.Key{Kind: KindProfile, Digest: artifact.Digest(profileSpec{name, w.Budget})}
 	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (*ProfileResult, error) {
@@ -243,15 +233,9 @@ func (w *Workspace) ProfileOfCtx(ctx context.Context, name string) (*ProfileResu
 	})
 }
 
-// buildProfile runs one profile build with panic containment. The panic
-// is converted to an error here, inside the build, so the store memoizes
-// it like any other deterministic failure.
-func (w *Workspace) buildProfile(ctx context.Context, name string) (res *ProfileResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, recoveredError(fmt.Sprintf("core: profiling %s panicked", name), r)
-		}
-	}()
+// buildProfile runs one profile build. A panic in it is contained by
+// the artifact store, which never memoizes one.
+func (w *Workspace) buildProfile(ctx context.Context, name string) (*ProfileResult, error) {
 	if err := faults.Fire(faults.SiteWorkspaceMemo); err != nil {
 		return nil, fmt.Errorf("core: profiling %s: %w", name, err)
 	}
@@ -262,15 +246,6 @@ func (w *Workspace) buildProfile(ctx context.Context, name string) (res *Profile
 	return profileWith(ctx, p, nil, w.Budget, w.Metrics)
 }
 
-// evictable reports whether an artifact's failure should be forgotten so
-// the next request rebuilds it: transient faults and context cancellation
-// or expiry (a run aborted mid-build must not poison the next run).
-// Deterministic failures stay memoized — rebuilding would just fail again.
-func evictable(err error) bool {
-	return faults.IsTransient(err) ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // EvalPredictor runs one predictor evaluation — any registered flavor —
 // over a benchmark's trace, served from the predictor-evaluation
 // artifact: specs canonicalize before digesting, so e.g. the default
@@ -279,10 +254,10 @@ func (w *Workspace) EvalPredictor(name string, spec dip.Spec) (dip.Result, error
 	return w.EvalPredictorCtx(context.Background(), name, spec)
 }
 
-// EvalPredictorCtx is EvalPredictor with cooperative cancellation of any
-// profile build the evaluation initiates (see ProfileOfCtx). An invalid
-// spec fails before any artifact entry exists; only a build constructs
-// the predictor, so a cache hit allocates no predictor state.
+// EvalPredictorCtx is EvalPredictor for a requester that can stop
+// waiting, as RunMachineCtx is. An invalid spec fails before any artifact
+// entry exists; only a build constructs the predictor, so a cache hit
+// allocates no predictor state.
 func (w *Workspace) EvalPredictorCtx(ctx context.Context, name string, spec dip.Spec) (dip.Result, error) {
 	spec = spec.Canonical()
 	if err := spec.Validate(); err != nil {
@@ -294,13 +269,7 @@ func (w *Workspace) EvalPredictorCtx(ctx context.Context, name string, spec dip.
 	})
 }
 
-func (w *Workspace) buildPredEval(ctx context.Context, name string, spec dip.Spec) (res dip.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = dip.Result{},
-				recoveredError(fmt.Sprintf("core: evaluating %s on %s panicked", spec.Label(), name), r)
-		}
-	}()
+func (w *Workspace) buildPredEval(ctx context.Context, name string, spec dip.Spec) (dip.Result, error) {
 	if err := faults.Fire(faults.SiteWorkspaceMemo); err != nil {
 		return dip.Result{}, fmt.Errorf("core: evaluating %s on %s: %w", spec.Label(), name, err)
 	}
@@ -313,7 +282,7 @@ func (w *Workspace) buildPredEval(ctx context.Context, name string, spec dip.Spe
 		return dip.Result{}, err
 	}
 	sp := w.Metrics.Start("predict", name+" "+spec.Label())
-	res, err = pred.Evaluate(p.Trace, p.Analysis)
+	res, err := pred.Evaluate(p.Trace, p.Analysis)
 	sp.End(int64(p.Trace.Len()))
 	if err != nil {
 		return dip.Result{}, err
@@ -325,17 +294,19 @@ func (w *Workspace) buildPredEval(ctx context.Context, name string, spec dip.Spe
 // served from the machine-run artifact keyed by (benchmark, canonical
 // configuration digest): sweeps and elim-off/on pairs shared across
 // experiments simulate exactly once, and repeats are served from the
-// store (counted by CounterMachineMemoHits). The simulation itself runs
-// on the calling goroutine — callers fanning out should do so through
-// the workspace pool.
+// store (counted by CounterMachineMemoHits). The caller waits while the
+// store's build goroutine simulates — callers fanning out should do so
+// through the workspace pool.
 func (w *Workspace) RunMachine(name string, cfg pipeline.Config) (pipeline.Stats, error) {
 	return w.RunMachineCtx(context.Background(), name, cfg)
 }
 
-// RunMachineCtx is RunMachine with cooperative cancellation of any
-// profile build the simulation initiates (see ProfileOfCtx). The
-// pipeline simulation itself is not interruptible; the profile build
-// dominates a cold request's wall time.
+// RunMachineCtx is RunMachine for a requester that can stop waiting:
+// when ctx ends it returns ctx.Err() at once, and the build, with any
+// profile build it started, is cancelled unless another requester still
+// waits on it (see ProfileOfCtx). A running pipeline simulation does not
+// check its context: an abandoned one runs out on its own goroutine, and
+// its result is dropped.
 func (w *Workspace) RunMachineCtx(ctx context.Context, name string, cfg pipeline.Config) (pipeline.Stats, error) {
 	key := artifact.Key{Kind: KindMachine, Digest: artifact.Digest(machineSpec{name, w.Budget, cfg.Digest()})}
 	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (pipeline.Stats, error) {
@@ -343,13 +314,7 @@ func (w *Workspace) RunMachineCtx(ctx context.Context, name string, cfg pipeline
 	})
 }
 
-func (w *Workspace) simulate(ctx context.Context, name string, cfg pipeline.Config) (st pipeline.Stats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			st, err = pipeline.Stats{},
-				recoveredError(fmt.Sprintf("core: simulating %s panicked", name), r)
-		}
-	}()
+func (w *Workspace) simulate(ctx context.Context, name string, cfg pipeline.Config) (pipeline.Stats, error) {
 	if err := faults.Fire(faults.SiteSimulate); err != nil {
 		return pipeline.Stats{}, fmt.Errorf("core: simulating %s %s: %w", name, cfg.Label(), err)
 	}
@@ -358,7 +323,7 @@ func (w *Workspace) simulate(ctx context.Context, name string, cfg pipeline.Conf
 		return pipeline.Stats{}, err
 	}
 	sp := w.Metrics.Start(metrics.PhaseSimulate, fmt.Sprintf("%s %s", name, cfg.Label()))
-	st, err = pipeline.Run(res.Trace, res.Analysis, cfg)
+	st, err := pipeline.Run(res.Trace, res.Analysis, cfg)
 	sp.End(int64(res.Trace.Len()))
 	if err != nil {
 		return pipeline.Stats{}, fmt.Errorf("core: simulating %s: %w", name, err)

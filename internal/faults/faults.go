@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -151,16 +152,27 @@ func (e *Error) Error() string {
 func (e *Error) Transient() bool { return e.Kind == Transient || e.Kind == Delay }
 
 // IsTransient reports whether err is transient: it or any error in its
-// chain exposes `Transient() bool` returning true. The workspace's
-// artifact memo forgets a transient failure, so the next request
-// rebuilds instead of replaying it, and the daemon answers one with 503.
-// Context cancellation and deadline expiry are never transient.
+// chain exposes `Transient() bool` returning true. The artifact store
+// forgets a transient failure, so the next request rebuilds instead of
+// replaying it, and the daemon answers one with 503. Context
+// cancellation and deadline expiry are never transient.
 func IsTransient(err error) bool {
 	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
 	var tr interface{ Transient() bool }
 	return errors.As(err, &tr) && tr.Transient()
+}
+
+// Recovered converts a recovered panic value into an error carrying
+// prefix and the panicking goroutine's stack. An error panic value is
+// wrapped, not stringified, so errors.Is and errors.As still reach it:
+// a Panic-kind fault stays attributable to its site.
+func Recovered(prefix string, r any) error {
+	if e, ok := r.(error); ok {
+		return fmt.Errorf("%s: %w\n%s", prefix, e, debug.Stack())
+	}
+	return fmt.Errorf("%s: %v\n%s", prefix, r, debug.Stack())
 }
 
 // Rule arms one failure mode at a site.

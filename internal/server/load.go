@@ -21,7 +21,7 @@ import (
 // cmd/deadload and the daemon smoke test.
 type LoadConfig struct {
 	// Requests is the total request count; Concurrency how many run at
-	// once.
+	// once. Both must be at least 1.
 	Requests    int
 	Concurrency int
 	// Mix selects the request kinds to cycle through; empty means
@@ -129,8 +129,8 @@ func RunLoad(ctx context.Context, baseURL string, cfg LoadConfig) (*LoadReport, 
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("deadload: -n must be positive")
 	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 4
+	if cfg.Concurrency < 1 {
+		return nil, fmt.Errorf("deadload: -c %d: must be at least 1", cfg.Concurrency)
 	}
 	if cfg.MaxShedRetries <= 0 {
 		cfg.MaxShedRetries = 3

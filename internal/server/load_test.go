@@ -4,9 +4,33 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
+
+// TestRunLoadRejectsBadConfig checks that a config no run can honour is
+// refused before any request is sent, with an error naming the flag.
+func TestRunLoadRejectsBadConfig(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("request sent for a rejected config: %s", r.URL)
+	}))
+	defer ts.Close()
+	for _, tc := range []struct {
+		cfg  LoadConfig
+		want string
+	}{
+		{LoadConfig{Requests: 0, Concurrency: 2}, "-n"},
+		{LoadConfig{Requests: 4, Concurrency: 0}, "-c 0: must be at least 1"},
+		{LoadConfig{Requests: 4, Concurrency: -3}, "-c -3: must be at least 1"},
+		{LoadConfig{Requests: 4, Concurrency: 2, Mix: []string{"nope"}}, "unknown mix kind"},
+	} {
+		rep, err := RunLoad(context.Background(), ts.URL, tc.cfg)
+		if err == nil || rep != nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: rep=%v err=%v, want no report and an error containing %q", tc.cfg, rep, err, tc.want)
+		}
+	}
+}
 
 // TestRunLoadClientTimeout pins LoadConfig.Timeout as a client-side
 // bound: against a daemon that never answers, every request fails once

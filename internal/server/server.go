@@ -49,12 +49,9 @@ func init() { faults.RegisterSite(SiteAccept, SiteHandle) }
 
 // Config assembles a Server.
 type Config struct {
-	// Workspace executes all queries; the daemon sets KeepGoing so
-	// multi-experiment requests return partial results.
+	// Workspace executes all queries. Its pool's worker count also
+	// bounds concurrently executing requests.
 	Workspace *core.Workspace
-	// Workers bounds concurrently executing requests (0 = the
-	// workspace pool's worker count).
-	Workers int
 	// QueueDepth bounds requests waiting for a worker; arrivals beyond
 	// it are shed with 429 (0 = no waiting, shed when all workers busy).
 	QueueDepth int
@@ -90,15 +87,11 @@ func New(cfg Config) *Server {
 	if cfg.Workspace == nil {
 		panic("server: Config.Workspace is required")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = cfg.Workspace.Pool().Workers()
-	}
 	s := &Server{
 		cfg: cfg,
 		w:   cfg.Workspace,
 		mc:  cfg.Metrics,
-		adm: newAdmission(workers, cfg.QueueDepth, cfg.Metrics),
+		adm: newAdmission(cfg.Workspace.Pool().Workers(), cfg.QueueDepth, cfg.Metrics),
 		mux: http.NewServeMux(),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -423,11 +416,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	s.execute(w, r, "experiment", func(ctx context.Context) (any, error) {
 		exps, err := s.w.RunExperiments(ctx, []string{req.ID})
 		if err != nil {
-			// KeepGoing surfaces single-experiment failures as both a
-			// RunError and an entry with Err; prefer the concrete error.
-			if len(exps) == 1 && exps[0].Err != nil {
-				return nil, exps[0].Err
-			}
 			return nil, err
 		}
 		return experimentResult(exps[0]), nil
@@ -447,19 +435,11 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.execute(w, r, "experiments", func(ctx context.Context) (any, error) {
-		// Partial results: under the workspace's KeepGoing mode every
-		// requested experiment gets an entry, failed ones carrying their
-		// error; the response reports partial=true rather than failing
-		// the whole request. Without KeepGoing a failure fails the
-		// request (and the completed survivors are dropped).
-		exps, err := s.w.RunExperiments(ctx, req.IDs)
-		var runErr *core.RunError
-		if err != nil && !errors.As(err, &runErr) {
-			return nil, err
-		}
-		if err != nil && !s.w.KeepGoing {
-			return nil, err
-		}
+		// Partial results: every requested experiment gets an entry,
+		// failed ones carrying their error, so the joined error adds
+		// nothing; the response reports partial=true rather than failing
+		// the whole request.
+		exps, _ := s.w.RunExperiments(ctx, req.IDs)
 		out := struct {
 			Experiments []ExperimentResult `json:"experiments"`
 			Partial     bool               `json:"partial,omitempty"`

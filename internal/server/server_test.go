@@ -25,12 +25,10 @@ const testBudget = 50_000
 func newTestServer(t *testing.T, tune func(*Config)) (*Server, *httptest.Server, *metrics.Collector) {
 	t.Helper()
 	w := core.NewWorkspaceWorkers(testBudget, 2)
-	w.KeepGoing = true
 	mc := metrics.New()
 	w.Metrics = mc
 	cfg := Config{
 		Workspace:      w,
-		Workers:        2,
 		QueueDepth:     8,
 		DefaultTimeout: time.Minute,
 		Metrics:        mc,
@@ -245,7 +243,9 @@ type deadnessSummaryProbe struct{ total, dead int }
 
 func TestShedUnderBurst(t *testing.T) {
 	_, ts, mc := newTestServer(t, func(c *Config) {
-		c.Workers = 1
+		// One pool worker admits one request at a time.
+		c.Workspace = core.NewWorkspaceWorkers(testBudget, 1)
+		c.Workspace.Metrics = c.Metrics
 		c.QueueDepth = 0
 	})
 	benches := core.SuiteNames()

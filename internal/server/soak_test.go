@@ -90,14 +90,12 @@ func TestServerChaosSoak(t *testing.T) {
 	// --- the daemon under test: shed-prone queue, disk tier for the
 	// drain's persistence ---
 	w := core.NewWorkspaceWorkers(budget, 2)
-	w.KeepGoing = true
 	w.Metrics = mc
 	if err := w.OpenDiskCache(t.TempDir(), 0); err != nil {
 		t.Fatal(err)
 	}
 	s := New(Config{
 		Workspace:      w,
-		Workers:        2,
 		QueueDepth:     2,
 		DefaultTimeout: time.Minute,
 		Metrics:        mc,
