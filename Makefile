@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-compare bench-all check fuzz chaos soak smoke cancel-window cli-smoke
+.PHONY: build test vet race bench-all check fuzz chaos soak smoke cancel-window cli-smoke
 
 build:
 	$(GO) build ./...
@@ -79,37 +79,10 @@ smoke:
 cli-smoke:
 	./scripts/cli_smoke.sh
 
-# SUBSTRATE_BENCHES are the per-substrate throughput benchmarks tracked in
-# the committed BENCH_*.json reports: emulator (bare, and recording its
-# trace through trace.Push, so the gap is the recording cost), the streamed
-# emulate→analyze path, fused oracle (plus the ineffectuality-dense
-# variant), pipeline timing model (single-cluster and two-cluster
-# steered), compile, predictor evaluation, the linked trace format's round
-# trip, the persistent artifact tier's cold/warm comparison, the service
-# tier's identical-request burst comparison (one build per burst, through
-# the artifact store's single-flight), and the full experiment engine.
-SUBSTRATE_BENCHES = ^(BenchmarkEmulator|BenchmarkEmulatorRecord|BenchmarkCollectAnalyzed|BenchmarkDeadnessOracle|BenchmarkIneffAnalysis|BenchmarkPipeline|BenchmarkClusteredPipeline|BenchmarkWorkloadCompile|BenchmarkPredictorEvaluate|BenchmarkTraceSaveLoad|BenchmarkProfileDiskCache|BenchmarkCoalescedLoad|BenchmarkEngineAllExperiments)$$
-
-# BENCH_BASELINE is the committed report that bench-compare diffs against;
-# BENCH_TOL is the relative regression tolerance (benchmarks vary with
-# host hardware, so keep it loose).
-BENCH_BASELINE ?= BENCH_17.json
-BENCH_TOL ?= 0.25
-
-# bench regenerates $(BENCH_BASELINE) from the substrate benchmarks (with
-# -benchmem, so allocation counts are tracked alongside throughput).
-bench:
-	$(GO) test -run '^$$' -bench '$(SUBSTRATE_BENCHES)' -benchmem . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o $(BENCH_BASELINE)
-
-# bench-compare reruns the substrate benchmarks and diffs them against the
-# committed baseline without overwriting it: every shared metric prints
-# old/new/delta, and a metric more than $(BENCH_TOL) worse flags a
-# regression (nonzero exit). CI runs this non-gating.
-bench-compare:
-	$(GO) test -run '^$$' -bench '$(SUBSTRATE_BENCHES)' -benchmem . \
-		| $(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) -tol $(BENCH_TOL)
-
-# bench-all runs every benchmark once, as a smoke test.
+# bench-all runs every Go benchmark once, as a gating smoke test: each
+# benchmark's own checks (a warm ProfileDiskCache iteration that rebuilt,
+# facts builds that opened profile builds, an experiment missing a
+# metric) fail it. It compares no numbers; `bash benchmark/run.sh
+# -against <checkout>` makes paired end-to-end comparisons.
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -628,15 +628,14 @@ func BenchmarkEngineAllExperiments(b *testing.B) {
 	ids := core.ExperimentIDs()
 	for i := 0; i < b.N; i++ {
 		w := core.NewWorkspace(benchBudget)
-		mc := metrics.New()
-		w.Metrics = mc
 		if _, err := w.RunExperiments(context.Background(), ids); err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			b.ReportMetric(float64(mc.Counter(core.CounterMachineSims)), "sims")
-			b.ReportMetric(float64(mc.Counter(core.CounterMachineMemoHits)), "memo-hits")
-			b.ReportMetric(float64(mc.Counter(core.CounterProfileBuilds)), "profiles")
+			ks := w.ArtifactStats().Kinds
+			b.ReportMetric(float64(ks[core.KindMachine].Misses), "sims")
+			b.ReportMetric(float64(ks[core.KindMachine].Hits), "memo-hits")
+			b.ReportMetric(float64(ks[core.KindProfile].Misses), "profiles")
 		}
 	}
 }

@@ -9,9 +9,9 @@
 //	      [-drain-timeout d] [-n budget] [-j workers] [-cache-dir dir]
 //	      [-disk-budget bytes] [-remote-cache url] [-v]
 //
-// Endpoints: GET /healthz, /readyz, /metricz; POST /v1/experiment,
-// /v1/experiments, /v1/predeval, /v1/profile — all POST endpoints accept
-// ?timeout= per-request deadlines and answer with one JSON body.
+// Endpoints: GET /healthz, /readyz, /metricz; POST /v1/experiment (one
+// experiment per request), /v1/predeval, /v1/profile — all POST endpoints
+// accept ?timeout= per-request deadlines and answer with one JSON body.
 // GET /v1/artifact/{kind}/{digest} exports encoded artifacts
 // (CRC-framed, read-only), so a peer workspace started with
 // -remote-cache pointed here warm-starts from this daemon's cache
@@ -37,7 +37,12 @@
 // metrics dump ({"run": ..., "artifacts": ...}) goes to stdout before a
 // zero exit. The FAULTS / FAULTS_SEED environment variables arm the
 // fault injector (sites server.accept and server.handle belong to the
-// daemon); malformed rules abort startup.
+// daemon).
+//
+// Exit codes: 0 after a drain, 1 when serving fails, 2 on a usage error
+// before anything is served: a bad workspace flag, a negative -queue,
+// -request-timeout, -max-timeout or -drain-timeout, a malformed FAULTS
+// rule, or an address it cannot listen on.
 package main
 
 import (
@@ -73,6 +78,19 @@ func run() int {
 	verbose := flag.Bool("v", false, "print per-phase engine progress lines to stderr")
 	flag.Parse()
 
+	if *queue < 0 {
+		fmt.Fprintf(os.Stderr, "deadd: -queue %d: must not be negative\n", *queue)
+		return 2
+	}
+	for _, d := range []struct {
+		flag string
+		v    time.Duration
+	}{{"request-timeout", *reqTimeout}, {"max-timeout", *maxTimeout}, {"drain-timeout", *drainTimeout}} {
+		if d.v < 0 {
+			fmt.Fprintf(os.Stderr, "deadd: -%s %s: must not be negative\n", d.flag, d.v)
+			return 2
+		}
+	}
 	w, err := wsFlags.Open()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

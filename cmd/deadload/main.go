@@ -3,8 +3,12 @@
 // requests at a running daemon over -c closed-loop connections, honors
 // 429 Retry-After backpressure, and prints a JSON report. -timeout bounds
 // each request on the client side and is passed to the daemon as its
-// deadline. A nonzero exit means the run saw invalid responses (or, with
-// -strict, any failed request).
+// deadline.
+//
+// Exit codes: 0 success; 1 when the run saw invalid responses (or, with
+// -strict, any failed request); 2 on a usage error before any request
+// is sent: -n or -c below 1, a negative -burst or -timeout, or an
+// unknown -mix kind.
 //
 // Usage:
 //

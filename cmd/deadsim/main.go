@@ -21,8 +21,9 @@
 // tier shared across runs and processes (bounded by -disk-budget), and
 // -remote-cache attaches a warm deadd daemon as a third tier (lookup
 // order: memory, disk, remote, build), so repeated invocations load
-// artifacts instead of recomputing them. The -v run summary includes the per-kind cache, disk-tier, and
-// remote-tier counters.
+// artifacts instead of recomputing them. The -v run summary ends with
+// the artifact store's per-kind counts as JSON (hits, misses,
+// disk_hits, remote_hits, ...), the snapshot deadprof -artifacts prints.
 //
 // Exit codes: 0 success, 1 failed run, 2 bad usage or environment (a
 // flag value or the machine it builds, $FAULTS, or a -cpuprofile file
@@ -31,6 +32,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -179,6 +181,9 @@ func main() {
 		mc.RecordMemStats()
 		fmt.Fprintf(os.Stderr, "\n--- run summary (%d workers) ---\n", w.Pool().Workers())
 		mc.WriteText(os.Stderr)
+		enc := json.NewEncoder(os.Stderr)
+		enc.SetIndent("", "  ")
+		enc.Encode(w.ArtifactStats())
 	}
 	if err := metrics.WriteHeapProfile(*memprofile); err != nil {
 		fmt.Fprintln(os.Stderr, err)

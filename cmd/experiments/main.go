@@ -25,10 +25,10 @@
 // garbage-collected beyond it. -remote-cache attaches a warm deadd daemon
 // as a third tier behind memory and disk (lookup order: memory, disk,
 // remote, build): verified remote hits also warm the local disk tier, and
-// the tier is read-only, so freshly built artifacts stay local. Per-kind
-// hit/miss counters — and the disk and remote tiers'
-// hit/miss/write/verify-failure/GC counters — appear in the -v run
-// summary and the -json "artifacts" section.
+// the tier is read-only, so freshly built artifacts stay local. The
+// artifact store's per-kind counts (hits, misses, inflight_waits, and the
+// disk and remote tiers' disk_hits, disk_writes, remote_hits, ...) end
+// the -v run summary and form the -json "artifacts" section.
 //
 // Failure handling: each experiment runs once, bounded by -timeout, and
 // to its own end, so one failure never cancels or drops another
@@ -163,6 +163,9 @@ func run() int {
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "\n--- run summary (%d workers) ---\n", w.Pool().Workers())
 		mc.WriteText(os.Stderr)
+		enc := json.NewEncoder(os.Stderr)
+		enc.SetIndent("", "  ")
+		enc.Encode(w.ArtifactStats())
 	}
 	switch {
 	case failed == 0:

@@ -30,7 +30,7 @@
 //
 // Builds run on a detached context owned by the set of requesters
 // currently waiting on them: when one requester disconnects, surviving
-// waiters adopt the in-flight build (counted as artifact_adoptions)
+// waiters adopt the in-flight build (counted in KindStats.Adoptions)
 // instead of watching it die with its originator and re-running it; only
 // when the last waiter leaves is the build cancelled, and a requester
 // that arrives after that starts a fresh build rather than joining the
@@ -47,16 +47,13 @@ import (
 	"sync"
 
 	"repro/internal/faults"
-	"repro/internal/metrics"
 )
 
 // ErrNotFound reports that no artifact (resident or on disk) exists under
 // a key, from EncodedFrame.
 var ErrNotFound = errors.New("artifact: not found")
 
-// Kind names one artifact type. Per-kind counters are reported as
-// "artifact_hits.<kind>", "artifact_misses.<kind>", and
-// "artifact_inflight_waits.<kind>".
+// Kind names one artifact type; Stats counts per kind.
 type Kind string
 
 // Key is an artifact's content address: its kind plus the canonical
@@ -168,7 +165,6 @@ type entry struct {
 // computation. The zero value is unusable; create with New.
 type Store struct {
 	mu    sync.Mutex
-	mc    *metrics.Collector
 	items map[Key]*entry
 	stats map[Kind]*KindStats
 	// Persistent tier (nil = memory only), remote tier (nil = none), and
@@ -231,14 +227,6 @@ func (s *Store) RemoteTierAttached() bool {
 	return s.remote != nil
 }
 
-// SetMetrics directs per-kind counters to mc as well (nil disables).
-// Safe to call between operations.
-func (s *Store) SetMetrics(mc *metrics.Collector) {
-	s.mu.Lock()
-	s.mc = mc
-	s.mu.Unlock()
-}
-
 // Stats snapshots the per-kind counters and, with a disk tier attached,
 // its used and budget bytes.
 func (s *Store) Stats() Stats {
@@ -257,23 +245,11 @@ func (s *Store) Stats() Stats {
 	return out
 }
 
-// bump increments one per-kind disk counter without the store lock held
-// on entry.
-func (s *Store) bump(prefix string, k Kind, sel func(*KindStats) *int64) {
+// bump applies one update to kind k's counters; call without s.mu held.
+func (s *Store) bump(k Kind, inc func(*KindStats)) {
 	s.mu.Lock()
-	s.count(prefix, k, sel(s.kindStats(k)))
+	inc(s.kindStats(k))
 	s.mu.Unlock()
-}
-
-// count bumps one per-kind counter pair (snapshot + collector). Call with
-// s.mu held; the collector add happens outside the critical section via
-// the returned func when non-trivial contention matters — counters are
-// low-rate, so we just add inline (Collector has its own lock).
-func (s *Store) count(prefix string, k Kind, slot *int64) {
-	*slot++
-	if s.mc != nil {
-		s.mc.Add(prefix+"."+string(k), 1)
-	}
 }
 
 // kindStats returns the mutable per-kind counters; call with s.mu held.
@@ -304,8 +280,8 @@ func Get[T any](s *Store, key Key, build func() (T, error)) (T, error) {
 // The build runs on a goroutine of its own under a detached context that
 // is cancelled only when the last interested requester has disconnected:
 // if ctx is cancelled while other requesters still wait on the same
-// in-flight build, they adopt it (counted once per build as
-// artifact_adoptions) and the build keeps running for them; GetCtx then
+// in-flight build, they adopt it (counted once per build in
+// KindStats.Adoptions) and the build keeps running for them; GetCtx then
 // returns ctx.Err() to the departed requester. Once the last requester
 // has left, the next one starts a fresh build; a late success of the
 // abandoned build is dropped, not cached. The build callback receives
@@ -328,9 +304,9 @@ func GetCtx[T any](s *Store, ctx context.Context, key Key, build func(context.Co
 			building = true
 		}
 		ks := s.kindStats(key.Kind)
-		s.count("artifact_hits", key.Kind, &ks.Hits)
+		ks.Hits++
 		if building {
-			s.count("artifact_inflight_waits", key.Kind, &ks.InflightWaits)
+			ks.InflightWaits++
 			e.waiters++
 		}
 		s.mu.Unlock()
@@ -386,7 +362,7 @@ func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote Remo
 				e.val, e.fromDisk = v, true
 				return
 			}
-			s.bump("artifact_disk_misses", key.Kind, func(ks *KindStats) *int64 { return &ks.DiskMisses })
+			s.bump(key.Kind, func(ks *KindStats) { ks.DiskMisses++ })
 		}
 		if remote != nil && codec != nil {
 			if v, ok := s.remoteLoad(key, remote, codec, disk); ok {
@@ -397,7 +373,7 @@ func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote Remo
 		// Misses counts builds actually executed, so a disk or remote hit
 		// above does not register one: "zero misses" on a warm run means
 		// zero rebuilds.
-		s.bump("artifact_misses", key.Kind, func(ks *KindStats) *int64 { return &ks.Misses })
+		s.bump(key.Kind, func(ks *KindStats) { ks.Misses++ })
 		e.val, e.err = build(bctx)
 	}()
 	e.buildCancel()
@@ -461,8 +437,7 @@ func (s *Store) waitBuild(ctx context.Context, e *entry) error {
 	}
 	if !last && !e.adopted {
 		e.adopted = true
-		ks := s.kindStats(e.key.Kind)
-		s.count("artifact_adoptions", e.key.Kind, &ks.Adoptions)
+		s.kindStats(e.key.Kind).Adoptions++
 	}
 	s.mu.Unlock()
 	if last {
@@ -480,7 +455,7 @@ func (s *Store) diskLoad(key Key, d *Disk, c Codec) (v any, ok bool) {
 	if err != nil {
 		var ce *CorruptError
 		if errors.As(err, &ce) {
-			s.bump("artifact_disk_verify_failures", key.Kind, func(ks *KindStats) *int64 { return &ks.VerifyFailures })
+			s.bump(key.Kind, func(ks *KindStats) { ks.VerifyFailures++ })
 		}
 		return nil, false
 	}
@@ -490,10 +465,10 @@ func (s *Store) diskLoad(key Key, d *Disk, c Codec) (v any, ok bool) {
 		// them — a stale format from another build of the code. Delete so
 		// the rebuild's write-through replaces it.
 		d.remove(key)
-		s.bump("artifact_disk_verify_failures", key.Kind, func(ks *KindStats) *int64 { return &ks.VerifyFailures })
+		s.bump(key.Kind, func(ks *KindStats) { ks.VerifyFailures++ })
 		return nil, false
 	}
-	s.bump("artifact_disk_hits", key.Kind, func(ks *KindStats) *int64 { return &ks.DiskHits })
+	s.bump(key.Kind, func(ks *KindStats) { ks.DiskHits++ })
 	return v, true
 }
 
@@ -511,9 +486,9 @@ func (s *Store) persist(key Key, v any, d *Disk, c Codec) {
 	if err := d.Write(key, payload); err != nil {
 		return
 	}
-	s.bump("artifact_disk_writes", key.Kind, func(ks *KindStats) *int64 { return &ks.DiskWrites })
+	s.bump(key.Kind, func(ks *KindStats) { ks.DiskWrites++ })
 	for _, k := range d.GC() {
-		s.bump("artifact_disk_gc_evictions", k.Kind, func(ks *KindStats) *int64 { return &ks.DiskGCEvictions })
+		s.bump(k.Kind, func(ks *KindStats) { ks.DiskGCEvictions++ })
 	}
 }
 
@@ -525,24 +500,24 @@ func (s *Store) persist(key Key, v any, d *Disk, c Codec) {
 func (s *Store) remoteLoad(key Key, r RemoteTier, c Codec, d *Disk) (v any, ok bool) {
 	payload, found, err := r.Fetch(key)
 	if err != nil {
-		s.bump("artifact_remote_failures", key.Kind, func(ks *KindStats) *int64 { return &ks.RemoteFailures })
+		s.bump(key.Kind, func(ks *KindStats) { ks.RemoteFailures++ })
 		return nil, false
 	}
 	if !found {
-		s.bump("artifact_remote_misses", key.Kind, func(ks *KindStats) *int64 { return &ks.RemoteMisses })
+		s.bump(key.Kind, func(ks *KindStats) { ks.RemoteMisses++ })
 		return nil, false
 	}
 	v, err = c.Decode(payload)
 	if err != nil {
-		s.bump("artifact_remote_failures", key.Kind, func(ks *KindStats) *int64 { return &ks.RemoteFailures })
+		s.bump(key.Kind, func(ks *KindStats) { ks.RemoteFailures++ })
 		return nil, false
 	}
-	s.bump("artifact_remote_hits", key.Kind, func(ks *KindStats) *int64 { return &ks.RemoteHits })
+	s.bump(key.Kind, func(ks *KindStats) { ks.RemoteHits++ })
 	if d != nil && !d.Has(key) {
 		if err := d.Write(key, payload); err == nil {
-			s.bump("artifact_disk_writes", key.Kind, func(ks *KindStats) *int64 { return &ks.DiskWrites })
+			s.bump(key.Kind, func(ks *KindStats) { ks.DiskWrites++ })
 			for _, k := range d.GC() {
-				s.bump("artifact_disk_gc_evictions", k.Kind, func(ks *KindStats) *int64 { return &ks.DiskGCEvictions })
+				s.bump(k.Kind, func(ks *KindStats) { ks.DiskGCEvictions++ })
 			}
 		}
 	}

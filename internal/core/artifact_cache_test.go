@@ -3,9 +3,9 @@ package core
 import (
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/dip"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 )
 
 // TestPredEvalArtifactSharedAcrossSpecs checks that canonicalization
@@ -14,8 +14,7 @@ import (
 // the same computation.
 func TestPredEvalArtifactSharedAcrossSpecs(t *testing.T) {
 	w := NewWorkspace(testBudget)
-	mc := metrics.New()
-	w.Metrics = mc
+	predEval := func() artifact.KindStats { return w.ArtifactStats().Kinds[KindPredEval] }
 
 	cfg := dip.DefaultConfig()
 	a, err := w.EvalPredictor("gzip", dip.Spec{Flavor: dip.FlavorCFI, Config: cfg})
@@ -29,29 +28,26 @@ func TestPredEvalArtifactSharedAcrossSpecs(t *testing.T) {
 	if a != b {
 		t.Error("equivalent specs returned different results")
 	}
-	if hits := mc.Counter("artifact_hits." + string(KindPredEval)); hits != 1 {
-		t.Errorf("predeval hits = %d, want 1 (second request served from the store)", hits)
-	}
-	if misses := mc.Counter("artifact_misses." + string(KindPredEval)); misses != 1 {
-		t.Errorf("predeval misses = %d, want 1", misses)
+	if st := predEval(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("predeval hits/misses = %d/%d, want 1/1 (second request served from the store)", st.Hits, st.Misses)
 	}
 
 	// A genuinely different spec is a different artifact.
 	if _, err := w.EvalPredictor("gzip", dip.Spec{Flavor: dip.FlavorOracle, Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
-	if misses := mc.Counter("artifact_misses." + string(KindPredEval)); misses != 2 {
+	if misses := predEval().Misses; misses != 2 {
 		t.Errorf("predeval misses = %d after an oracle request, want 2", misses)
 	}
 
 	// An invalid spec is rejected before touching the store.
-	hits := mc.Counter("artifact_hits." + string(KindPredEval))
+	before := predEval()
 	for _, bad := range []dip.Spec{{Flavor: "nope"}, {Flavor: dip.FlavorCFI, Config: cfg, Dir: "no-such-dir"}} {
 		if _, err := w.EvalPredictor("gzip", bad); err == nil {
 			t.Errorf("invalid spec %+v accepted", bad)
 		}
 	}
-	if mc.Counter("artifact_misses."+string(KindPredEval)) != 2 || mc.Counter("artifact_hits."+string(KindPredEval)) != hits {
+	if predEval() != before {
 		t.Error("an invalid spec reached the store")
 	}
 }
@@ -80,8 +76,8 @@ func TestTransientFaultEvictsOnlyPoisonedArtifact(t *testing.T) {
 		t.Fatalf("poisoned build returned %v, want the injected transient", err)
 	}
 
-	mc := metrics.New()
-	w.Metrics = mc
+	// Count from here: the first two requests above built the survivors.
+	before := w.ArtifactStats().Kinds[KindProfile]
 	a2, err := w.ProfileOf("gzip")
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +89,7 @@ func TestTransientFaultEvictsOnlyPoisonedArtifact(t *testing.T) {
 	if a2 != a1 || b2 != b1 {
 		t.Error("survivor artifacts were rebuilt; the fault must evict only the poisoned one")
 	}
-	if hits := mc.Counter(CounterProfileMemoHits); hits != 2 {
+	if hits := w.ArtifactStats().Kinds[KindProfile].Hits - before.Hits; hits != 2 {
 		t.Errorf("survivor hits = %d, want 2", hits)
 	}
 
@@ -103,7 +99,7 @@ func TestTransientFaultEvictsOnlyPoisonedArtifact(t *testing.T) {
 	if err != nil || c == nil {
 		t.Fatalf("post-fault rebuild: res=%v err=%v", c, err)
 	}
-	if builds := mc.Counter(CounterProfileBuilds); builds != 1 {
+	if builds := w.ArtifactStats().Kinds[KindProfile].Misses - before.Misses; builds != 1 {
 		t.Errorf("rebuild count = %d, want 1 (only the poisoned artifact)", builds)
 	}
 }

@@ -51,16 +51,17 @@ func TestRunExperimentsConcurrentMatchesSequential(t *testing.T) {
 	// The shared workspace must have deduplicated cross-experiment machine
 	// runs: E9, E13, and E15 share the contended pair, E10's 128-reg point
 	// is E8's baseline pair, and so on.
-	if hits := mc.Counter(CounterMachineMemoHits); hits == 0 {
+	arts := conc.ArtifactStats().Kinds
+	if hits := arts[KindMachine].Hits; hits == 0 {
 		t.Error("no machine-run memoization hits across the 18 experiments")
 	}
-	if sims, hits := mc.Counter(CounterMachineSims), mc.Counter(CounterMachineMemoHits); sims == 0 || hits+sims == 0 {
-		t.Errorf("implausible counters: sims=%d hits=%d", sims, hits)
+	if sims := arts[KindMachine].Misses; sims == 0 {
+		t.Errorf("implausible counters: sims=%d", sims)
 	}
 	// Three compiles per benchmark, each exactly once: the default, E3's
 	// no-hoist variant and E12's with-DCE variant. Only the default is a
 	// profile artifact; each variant is built inside its facts build.
-	if builds := mc.Counter(CounterProfileBuilds); builds != int64(len(SuiteNames())) {
+	if builds := arts[KindProfile].Misses; builds != int64(len(SuiteNames())) {
 		t.Errorf("profile builds = %d, want %d (one per benchmark, the default)",
 			builds, len(SuiteNames()))
 	}
@@ -72,8 +73,10 @@ func TestRunExperimentsConcurrentMatchesSequential(t *testing.T) {
 
 func TestRunMachineMemoized(t *testing.T) {
 	w := NewWorkspace(testBudget)
-	mc := metrics.New()
-	w.Metrics = mc
+	machine := func() (sims, hits int64) {
+		st := w.ArtifactStats().Kinds[KindMachine]
+		return st.Misses, st.Hits
+	}
 
 	cfg := pipeline.ContendedConfig()
 	a, err := w.RunMachine("gzip", cfg)
@@ -87,7 +90,7 @@ func TestRunMachineMemoized(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Error("memoized run differs from original")
 	}
-	if sims, hits := mc.Counter(CounterMachineSims), mc.Counter(CounterMachineMemoHits); sims != 1 || hits != 1 {
+	if sims, hits := machine(); sims != 1 || hits != 1 {
 		t.Errorf("sims=%d hits=%d, want 1 and 1", sims, hits)
 	}
 
@@ -96,7 +99,7 @@ func TestRunMachineMemoized(t *testing.T) {
 	if _, err := w.RunMachine("gzip", cfg); err != nil {
 		t.Fatal(err)
 	}
-	if sims := mc.Counter(CounterMachineSims); sims != 2 {
+	if sims, _ := machine(); sims != 2 {
 		t.Errorf("sims=%d after config change, want 2", sims)
 	}
 	// ...and an equal configuration built independently must not.
@@ -105,7 +108,7 @@ func TestRunMachineMemoized(t *testing.T) {
 	if _, err := w.RunMachine("gzip", cfg2); err != nil {
 		t.Fatal(err)
 	}
-	if sims, hits := mc.Counter(CounterMachineSims), mc.Counter(CounterMachineMemoHits); sims != 2 || hits != 2 {
+	if sims, hits := machine(); sims != 2 || hits != 2 {
 		t.Errorf("sims=%d hits=%d, want 2 and 2", sims, hits)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/pipeline"
 )
 
@@ -152,12 +151,11 @@ func TestMemoEvictsTransientFailures(t *testing.T) {
 		t.Fatalf("rebuild after transient failure: %v", err)
 	}
 	// And the success is memoized: a third call is a memo hit.
-	mc := metrics.New()
-	w.Metrics = mc
+	before := w.ArtifactStats().Kinds[KindProfile]
 	if _, err := w.ProfileOf(name); err != nil {
 		t.Fatal(err)
 	}
-	if mc.Counter(CounterProfileMemoHits) != 1 {
+	if w.ArtifactStats().Kinds[KindProfile].Hits-before.Hits != 1 {
 		t.Error("successful profile was not memoized")
 	}
 }
@@ -170,12 +168,11 @@ func TestMemoKeepsPermanentFailures(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown benchmark must fail")
 	}
-	mc := metrics.New()
-	w.Metrics = mc
+	before := w.ArtifactStats().Kinds[KindProfile]
 	if _, err2 := w.ProfileOf("no-such-benchmark"); err2 == nil {
 		t.Fatal("memoized failure must still fail")
 	}
-	if mc.Counter(CounterProfileMemoHits) != 1 {
+	if w.ArtifactStats().Kinds[KindProfile].Hits-before.Hits != 1 {
 		t.Error("permanent failure was rebuilt instead of served from memo")
 	}
 }

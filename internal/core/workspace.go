@@ -41,25 +41,6 @@ const (
 	KindMachine artifact.Kind = "machine"
 )
 
-// Counter names the workspace reports through its metrics collector.
-// They alias the artifact store's per-kind counters: a "build" is a
-// cache miss, a "memo hit" is a cache hit (including waiting on an
-// in-flight build, so hits+misses is schedule-independent).
-const (
-	// CounterProfileBuilds counts profile artifacts built from scratch
-	// (emulate + link + analyze): default-option profiles only, since a
-	// compile-option variant is built inside its facts build.
-	CounterProfileBuilds = "artifact_misses." + string(KindProfile)
-	// CounterProfileMemoHits counts profile requests served from the
-	// artifact store.
-	CounterProfileMemoHits = "artifact_hits." + string(KindProfile)
-	// CounterMachineSims counts pipeline simulations actually executed.
-	CounterMachineSims = "artifact_misses." + string(KindMachine)
-	// CounterMachineMemoHits counts machine runs served from the store: a
-	// (benchmark, config-digest) pair another experiment already simulated.
-	CounterMachineMemoHits = "artifact_hits." + string(KindMachine)
-)
-
 // Workspace derives per-benchmark traces, oracle analyses, profile facts,
 // predictor evaluations, and machine simulations through a
 // content-addressed artifact store, so the experiment drivers can run
@@ -69,9 +50,9 @@ const (
 // the workspace pool.
 type Workspace struct {
 	Budget int
-	// Metrics, when non-nil, receives phase timings and artifact-cache
-	// counters. Set it before first use; a nil collector disables
-	// collection at zero cost.
+	// Metrics, when non-nil, receives phase timings and the engine's
+	// counters; the artifact store's counts are in ArtifactStats. Set it
+	// before first use; a nil collector disables collection at zero cost.
 	Metrics *metrics.Collector
 
 	// Timeout bounds each experiment with a deadline that propagates
@@ -138,9 +119,7 @@ func (w *Workspace) Pool() *Pool {
 }
 
 // artifacts returns the workspace's artifact store, creating it on first
-// use. The collector reference is refreshed on every access so a
-// Metrics field assigned after construction still receives the store's
-// counters.
+// use.
 func (w *Workspace) artifacts() *artifact.Store {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -152,7 +131,6 @@ func (w *Workspace) artifacts() *artifact.Store {
 		w.store.RegisterCodec(KindPredEval, predEvalCodec{})
 		w.store.RegisterCodec(KindMachine, machineCodec{})
 	}
-	w.store.SetMetrics(w.Metrics)
 	return w.store
 }
 
@@ -223,7 +201,7 @@ func (w *Workspace) ProfileOf(name string) (*ProfileResult, error) {
 // requester, not the build itself: builds run on a detached context
 // owned by every requester currently waiting on them. Cancelling ctx
 // while other requesters wait hands the in-flight build to the survivors
-// (artifact_adoptions); only when the last interested requester
+// (KindStats.Adoptions); only when the last interested requester
 // disconnects is the emulation aborted. The store forgets a cancelled
 // build, so the next request rebuilds deterministically.
 func (w *Workspace) ProfileOfCtx(ctx context.Context, name string) (*ProfileResult, error) {
@@ -294,7 +272,7 @@ func (w *Workspace) buildPredEval(ctx context.Context, name string, spec dip.Spe
 // served from the machine-run artifact keyed by (benchmark, canonical
 // configuration digest): sweeps and elim-off/on pairs shared across
 // experiments simulate exactly once, and repeats are served from the
-// store (counted by CounterMachineMemoHits). The caller waits while the
+// store (machine hits in ArtifactStats). The caller waits while the
 // store's build goroutine simulates — callers fanning out should do so
 // through the workspace pool.
 func (w *Workspace) RunMachine(name string, cfg pipeline.Config) (pipeline.Stats, error) {

@@ -18,10 +18,9 @@ import (
 // strict decode of the same bytes gives. Seeds live in
 // testdata/fuzz/FuzzDecodeBody; the oversized one is built here.
 func FuzzDecodeBody(f *testing.F) {
-	f.Add([]byte(`{"ids":[` + strings.Repeat(`"e1",`, maxBodyBytes/5) + `"e1"]}`))
+	f.Add([]byte(`{"bench":"` + strings.Repeat("x", maxBodyBytes) + `"}`))
 	shapes := []func() any{
 		func() any { return new(experimentRequest) },
-		func() any { return new(experimentsRequest) },
 		func() any { return new(predEvalRequest) },
 		func() any { return new(profileRequest) },
 	}

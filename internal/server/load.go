@@ -29,13 +29,13 @@ type LoadConfig struct {
 	// "predeval", "experiment".
 	Mix []string
 	// Burst repeats each planned spec this many consecutive times
-	// (default 1). Bursts of identical requests land on the daemon
+	// (0 = 1; negative is an error). Bursts of identical requests land on the daemon
 	// near-simultaneously through adjacent workers, so they meet in the
 	// artifact store's single-flight builds; Requests stays the total
 	// count.
 	Burst int
-	// Timeout is the per-request client-side timeout (0 = none) and is
-	// also passed to the server as ?timeout=.
+	// Timeout is the per-request client-side timeout (0 = none; negative
+	// is an error) and is also passed to the server as ?timeout=.
 	Timeout time.Duration
 	// Seed drives the deterministic request sequence.
 	Seed uint64
@@ -93,7 +93,7 @@ func planRequests(cfg LoadConfig) []loadRequest {
 	// service machinery, not for regenerating every table.
 	expIDs := []string{"e1", "e2", "e5"}
 	burst := cfg.Burst
-	if burst <= 0 {
+	if burst == 0 {
 		burst = 1
 	}
 	rng := &loadRNG{state: cfg.Seed ^ 0xdeadd}
@@ -131,6 +131,12 @@ func RunLoad(ctx context.Context, baseURL string, cfg LoadConfig) (*LoadReport, 
 	}
 	if cfg.Concurrency < 1 {
 		return nil, fmt.Errorf("deadload: -c %d: must be at least 1", cfg.Concurrency)
+	}
+	if cfg.Burst < 0 {
+		return nil, fmt.Errorf("deadload: -burst %d: must not be negative", cfg.Burst)
+	}
+	if cfg.Timeout < 0 {
+		return nil, fmt.Errorf("deadload: -timeout %s: must not be negative", cfg.Timeout)
 	}
 	if cfg.MaxShedRetries <= 0 {
 		cfg.MaxShedRetries = 3

@@ -24,6 +24,8 @@ func TestRunLoadRejectsBadConfig(t *testing.T) {
 		{LoadConfig{Requests: 4, Concurrency: 0}, "-c 0: must be at least 1"},
 		{LoadConfig{Requests: 4, Concurrency: -3}, "-c -3: must be at least 1"},
 		{LoadConfig{Requests: 4, Concurrency: 2, Mix: []string{"nope"}}, "unknown mix kind"},
+		{LoadConfig{Requests: 4, Concurrency: 2, Burst: -1}, "-burst -1: must not be negative"},
+		{LoadConfig{Requests: 4, Concurrency: 2, Timeout: -time.Second}, "-timeout -1s: must not be negative"},
 	} {
 		rep, err := RunLoad(context.Background(), ts.URL, tc.cfg)
 		if err == nil || rep != nil || !strings.Contains(err.Error(), tc.want) {

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -100,7 +101,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metricz", s.handleMetricz)
 	s.mux.HandleFunc("POST /v1/experiment", s.handleExperiment)
-	s.mux.HandleFunc("POST /v1/experiments", s.handleExperiments)
 	s.mux.HandleFunc("POST /v1/predeval", s.handlePredEval)
 	s.mux.HandleFunc("POST /v1/profile", s.handleProfile)
 	s.mux.HandleFunc("GET /v1/artifact/{kind}/{digest}", s.handleArtifactGet)
@@ -324,7 +324,8 @@ func statusForContext(ctx context.Context) int {
 // is the deterministic serialization (Experiment.Render) — the server's
 // bit-identity contract with the CLI: for the same id and workspace
 // configuration it is byte-for-byte what `experiments` would print from
-// its tables.
+// its tables. A failed experiment answers with an error status and an
+// error body instead, whose message decodes into Error.
 type ExperimentResult struct {
 	ID      string             `json:"id"`
 	Title   string             `json:"title,omitempty"`
@@ -334,27 +335,15 @@ type ExperimentResult struct {
 	Error   string             `json:"error,omitempty"`
 }
 
-func experimentResult(e *core.Experiment) ExperimentResult {
-	if e.Err != nil {
-		return ExperimentResult{ID: e.ID, Error: e.Err.Error()}
-	}
-	return ExperimentResult{
-		ID: e.ID, Title: e.Title, Claim: e.Claim,
-		Metrics: e.Metrics, Render: e.Render(),
-	}
-}
-
-// maxBodyBytes bounds a request body. The largest legitimate one, an
-// experiments request naming every id, is a few hundred bytes.
+// maxBodyBytes bounds a request body. The largest legitimate one, a
+// /v1/predeval request with a full predictor geometry, is a few hundred
+// bytes.
 const maxBodyBytes = 64 << 10
 
 // Request bodies, one per query endpoint.
 type (
 	experimentRequest struct {
 		ID string `json:"id"`
-	}
-	experimentsRequest struct {
-		IDs []string `json:"ids"`
 	}
 	predEvalRequest struct {
 		Bench  string      `json:"bench"`
@@ -391,26 +380,13 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
-func validExperimentIDs(ids []string) error {
-	known := make(map[string]bool)
-	for _, id := range core.ExperimentIDs() {
-		known[id] = true
-	}
-	for _, id := range ids {
-		if !known[id] {
-			return fmt.Errorf("server: unknown experiment %q", id)
-		}
-	}
-	return nil
-}
-
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var req experimentRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if err := validExperimentIDs([]string{req.ID}); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !slices.Contains(core.ExperimentIDs(), req.ID) {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("server: unknown experiment %q", req.ID))
 		return
 	}
 	s.execute(w, r, "experiment", func(ctx context.Context) (any, error) {
@@ -418,41 +394,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return experimentResult(exps[0]), nil
-	})
-}
-
-func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	var req experimentsRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.IDs) == 0 {
-		req.IDs = core.ExperimentIDs()
-	}
-	if err := validExperimentIDs(req.IDs); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.execute(w, r, "experiments", func(ctx context.Context) (any, error) {
-		// Partial results: every requested experiment gets an entry,
-		// failed ones carrying their error, so the joined error adds
-		// nothing; the response reports partial=true rather than failing
-		// the whole request.
-		exps, _ := s.w.RunExperiments(ctx, req.IDs)
-		out := struct {
-			Experiments []ExperimentResult `json:"experiments"`
-			Partial     bool               `json:"partial,omitempty"`
-			Failed      int                `json:"failed,omitempty"`
-		}{}
-		for _, e := range exps {
-			out.Experiments = append(out.Experiments, experimentResult(e))
-			if e.Err != nil {
-				out.Failed++
-			}
-		}
-		out.Partial = out.Failed > 0
-		return out, nil
+		e := exps[0]
+		return ExperimentResult{
+			ID: e.ID, Title: e.Title, Claim: e.Claim,
+			Metrics: e.Metrics, Render: e.Render(),
+		}, nil
 	})
 }
 

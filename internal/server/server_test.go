@@ -97,7 +97,6 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"/v1/experiment", `{"id":"e999"}`, http.StatusBadRequest},
 		{"/v1/experiment", `{oops`, http.StatusBadRequest},
-		{"/v1/experiments", `{"ids":["e1","nope"]}`, http.StatusBadRequest},
 		{"/v1/profile", `{"bench":"nonesuch"}`, http.StatusBadRequest},
 		{"/v1/predeval", `{"bench":"nonesuch"}`, http.StatusBadRequest},
 		{"/v1/predeval", `{"bench":"` + bench + `","flavor":"alien"}`, http.StatusBadRequest},
@@ -108,8 +107,10 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/profile", `{"bench":"` + bench + `"}garbage`, http.StatusBadRequest},
 		{"/v1/experiment", `{"id":"e1"} {"id":"e2"}`, http.StatusBadRequest},
 		// A body past maxBodyBytes is refused before it is decoded whole.
-		{"/v1/experiments", `{"ids":[` + strings.Repeat(`"e1",`, maxBodyBytes/5) + `"e1"]}`,
+		{"/v1/profile", `{"bench":"` + strings.Repeat("x", maxBodyBytes) + `"}`,
 			http.StatusRequestEntityTooLarge},
+		// Experiments run one per request, through /v1/experiment only.
+		{"/v1/experiments", `{"ids":["e1"]}`, http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts.URL+tc.path, tc.body)

@@ -14,17 +14,19 @@ trap 'rm -rf "$WORK"' EXIT
 for tool in experiments deadsim deadprof predsweep deadd deadload; do
     go build -o "$WORK/$tool" "./cmd/$tool"
 done
+export PATH="$WORK:$PATH"
 
 failures=0
 
-# expect WANT TOOL ARGS...: run TOOL with ARGS and compare its exit code
-# with WANT; its stdout and stderr land in $WORK/out and $WORK/err.
+# expect WANT CMD ARGS...: run CMD (a tool built above, or a wrapper such
+# as timeout) with ARGS and compare its exit code with WANT; its stdout
+# and stderr land in $WORK/out and $WORK/err.
 expect() {
-    local want="$1" tool="$2" got=0
+    local want="$1" cmd="$2" got=0
     shift 2
-    "$WORK/$tool" "$@" >"$WORK/out" 2>"$WORK/err" || got=$?
+    "$cmd" "$@" >"$WORK/out" 2>"$WORK/err" || got=$?
     if [ "$got" != "$want" ]; then
-        echo "cli_smoke: $tool $* exited $got, want $want" >&2
+        echo "cli_smoke: $cmd $* exited $got, want $want" >&2
         cat "$WORK/err" >&2
         failures=$((failures + 1))
     fi
@@ -39,8 +41,18 @@ for tool in deadsim deadprof predsweep; do
     expect 2 "$tool" -bench nonesuch
 done
 expect 2 predsweep -mode nonesuch
-# The load generator needs at least one connection.
+# The load generator needs at least one connection, and a burst or a
+# timeout below zero means nothing.
 expect 2 deadload -c 0
+expect 2 deadload -burst -1
+expect 2 deadload -timeout -1s
+# So does a negative daemon queue or deadline. A daemon that accepted one
+# would serve until timeout killed it (exit 124), so the check fails
+# instead of hanging.
+for args in "-queue -1" "-request-timeout -1s" "-max-timeout -1s" "-drain-timeout -1s"; do
+    # shellcheck disable=SC2086 # split "-flag value" into two words
+    expect 2 timeout 5 deadd -addr 127.0.0.1:0 $args
+done
 
 # One failed experiment drops no other: the first simulation fails, so
 # E9 fails, while E1, which simulates nothing, prints its table, and the
