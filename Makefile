@@ -61,11 +61,14 @@ soak:
 # cancel-window repeats the tests of the artifact store's cancellation
 # window under the race detector: a build whose last waiter left is never
 # joined, a surviving waiter adopts a build its originator abandoned, and
-# the request after a client disconnect gets a fresh build. Nothing
-# retries a request that inherits a cancelled build's error, so these
-# tests alone hold that contract.
+# the request after a client disconnect gets a fresh build. Experiments
+# are artifacts, so the window covers them too: concurrent requests for
+# one experiment share its build, and an experiment's deadline ends its
+# wait and cancels the build it alone waited on. Nothing retries a
+# request that inherits a cancelled build's error, so these tests alone
+# hold that contract.
 cancel-window:
-	$(GO) test -race -count=20 -run '^(TestAbandonedBuildNotJoined|TestLastWaiterCancelsBuild|TestAdoptionSurvivesOriginatorCancel|TestClientDisconnectRecovery|TestAdoptionAcrossRequests)$$' ./internal/artifact ./internal/server
+	$(GO) test -race -count=20 -run '^(TestAbandonedBuildNotJoined|TestLastWaiterCancelsBuild|TestAdoptionSurvivesOriginatorCancel|TestClientDisconnectRecovery|TestAdoptionAcrossRequests|TestConcurrentExperimentsShareOneBuild|TestExperimentDeadlineAbandonsInflightBuild|TestWorkspaceTimeoutBoundsAttempts)$$' ./internal/artifact ./internal/core ./internal/server
 
 # smoke starts a real deadd with a temp persistent cache and one injected
 # artifact.disk write fault, drives it with deadload, SIGTERMs it, and

@@ -11,22 +11,25 @@
 //
 // Endpoints: GET /healthz, /readyz, /metricz; POST /v1/experiment (one
 // experiment per request), /v1/predeval, /v1/profile — all POST endpoints
-// accept ?timeout= per-request deadlines and answer with one JSON body.
+// accept ?timeout= per-request deadlines and answer with one compact JSON
+// body.
 // GET /v1/artifact/{kind}/{digest} exports encoded artifacts
 // (CRC-framed, read-only), so a peer workspace started with
 // -remote-cache pointed here warm-starts from this daemon's cache
 // instead of rebuilding. Requests beyond the worker and queue capacity
 // are shed with 429 + Retry-After; queued requests are granted in
 // arrival order; identical concurrent requests each take a slot and
-// share one build in the artifact store. Each request executes once: a
+// share one build in the artifact store, and a repeated experiment is
+// read from it, not run again. Each request executes once: a
 // transient failure is a 503 with a "transient" error kind, and the
 // client may ask again. -v prints one line per completed engine span to
 // stderr.
 //
 // Every artifact the daemon completes stays in memory until it exits.
 // That stays bounded: the daemon serves one budget, so it holds at most
-// the 11 suite profiles and the fixed set of facts and machine results
-// its endpoints reach. Only /v1/predeval results grow, one per distinct
+// the 11 suite profiles, the fixed set of facts and machine results its
+// endpoints reach, and one entry per experiment id (never written to
+// -cache-dir). Only /v1/predeval results grow, one per distinct
 // predictor spec a client sends, each at the cost of a full evaluation.
 // -cache-dir with -disk-budget is the bounded tier.
 //

@@ -147,7 +147,6 @@ type entry struct {
 	// Written by the builder before done closes, read-only after.
 	val        any
 	err        error
-	panicked   bool
 	fromDisk   bool // loaded from the persistent tier, already on disk
 	fromRemote bool // fetched from the remote tier (disk copy warmed on the way in)
 
@@ -290,9 +289,10 @@ func Get[T any](s *Store, key Key, build func() (T, error)) (T, error) {
 // A build error is propagated to every concurrent requester. It stays
 // memoized only if it is deterministic, since a rebuild would fail again:
 // a transient fault (faults.IsTransient), a cancelled or expired build,
-// and a panic are forgotten, so the next request rebuilds. A panicking
-// build is converted to an error, so waiters are not deadlocked; its
-// chain reaches an error panic value (see faults.Recovered).
+// and a panic anywhere in the error's chain (faults.IsPanic) are
+// forgotten, so the next request rebuilds. A panicking build is
+// converted to an error, so waiters are not deadlocked; its chain
+// reaches an error panic value (see faults.Recovered).
 func GetCtx[T any](s *Store, ctx context.Context, key Key, build func(context.Context) (T, error)) (T, error) {
 	s.mu.Lock()
 	e, ok := s.items[key]
@@ -354,7 +354,6 @@ func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote Remo
 				// done; it is never memoized.
 				e.val = nil
 				e.err = faults.Recovered(fmt.Sprintf("artifact: building %s panicked", key), r)
-				e.panicked = true
 			}
 		}()
 		if disk != nil && codec != nil {
@@ -384,7 +383,7 @@ func (s *Store) runBuild(e *entry, bctx context.Context, disk *Disk, remote Remo
 	// nor resident.
 	indexed := s.items[key] == e
 	if e.err != nil {
-		forget := e.panicked || faults.IsTransient(e.err) ||
+		forget := faults.IsPanic(e.err) || faults.IsTransient(e.err) ||
 			errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)
 		if forget && indexed {
 			delete(s.items, key)

@@ -90,11 +90,13 @@ func TestErrorMemoizationPolicy(t *testing.T) {
 		return err
 	}
 
-	// A transient fault and an expired build are forgotten: every
-	// request rebuilds.
+	// A transient fault, an expired build and a panic anywhere in the
+	// chain (here a dependency's, which the store did not catch itself)
+	// are forgotten: every request rebuilds.
 	for name, fail := range map[string]error{
 		"transient": errTransient,
 		"deadline":  fmt.Errorf("build: %w", context.DeadlineExceeded),
+		"dep-panic": fmt.Errorf("build: %w", faults.Recovered("dependency", "boom")),
 	} {
 		for i := 0; i < 2; i++ {
 			if err := get(name, fail); !errors.Is(err, fail) {

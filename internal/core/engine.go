@@ -10,7 +10,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/faults"
+	"repro/internal/artifact"
 	"repro/internal/metrics"
 )
 
@@ -43,18 +43,23 @@ func (e *Experiment) Render() string {
 
 // RunExperiments runs the requested experiments concurrently over the
 // workspace and returns them in input order, so output stays
-// deterministic no matter how the work was scheduled. Each experiment
-// gets a lightweight coordinator goroutine (with panic recovery); all
-// heavy per-benchmark work inside the experiments funnels through the
+// deterministic no matter how the work was scheduled. Each experiment is
+// an artifact (KindExperiment, keyed by ID and budget), built once per
+// workspace on the artifact store's build goroutine, which is also its
+// panic boundary: a repeated request reads the stored experiment, and
+// identical concurrent requests wait on one build. All heavy
+// per-benchmark work inside the experiments funnels through the
 // workspace's bounded pool, so total parallelism stays at the pool's
 // bound even with experiments × suite fan-out.
 //
-// Each experiment runs once, bounded by Timeout, and to its own end: a
-// failure never cancels or drops another experiment. The returned slice
-// has one entry per requested ID; a failed entry carries Err and no
-// Table. The error joins the failed entries' errors, in input order, so
-// an injected fault stays reachable through errors.As; it is nil when
-// every experiment succeeded.
+// Each experiment is waited on once, bounded by Timeout, and to its own
+// end: a failure never cancels or drops another experiment. The returned
+// slice has one entry per requested ID; a failed entry carries Err and
+// no Table. A completed entry is the stored experiment, shared with
+// every other caller, so it must not be modified. The error joins the
+// failed entries' errors, in input order, so an injected fault stays
+// reachable through errors.As; it is nil when every experiment
+// succeeded.
 func (w *Workspace) RunExperiments(ctx context.Context, ids []string) ([]*Experiment, error) {
 	out := make([]*Experiment, len(ids))
 	errs := make([]error, len(ids))
@@ -76,83 +81,45 @@ func (w *Workspace) RunExperiments(ctx context.Context, ids []string) ([]*Experi
 	return out, errors.Join(errs...) // nil entries are skipped
 }
 
-// runOne runs one experiment under the workspace's Timeout deadline.
+// runOne returns one experiment from the artifact store, building it on
+// a miss. Timeout bounds this caller's wait; the build runs on the
+// store's detached context, cancelled when its last waiter leaves, and
+// a build that fails transiently, is cancelled or panics is forgotten,
+// so the next request builds again.
 func (w *Workspace) runOne(ctx context.Context, id string) (*Experiment, error) {
 	sp := w.Metrics.Start("experiment", id)
-	start := time.Now()
+	defer sp.End(0)
+	driver, ok := experimentDrivers[id]
+	if !ok {
+		return nil, fmt.Errorf("core: unknown experiment %q", id)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if w.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, w.Timeout)
 		defer cancel()
 	}
-	e, err := w.dispatchSafe(ctx, id)
-	sp.End(0)
-	if err != nil {
-		return nil, err
-	}
-	e.Wall = time.Since(start)
-	return e, nil
-}
-
-// dispatchSafe is dispatch with panic containment: a panic on the
-// experiment's own goroutine, outside any pool task or artifact build,
-// becomes an error whose chain still reaches the panic value.
-func (w *Workspace) dispatchSafe(ctx context.Context, id string) (e *Experiment, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			e, err = nil, faults.Recovered(fmt.Sprintf("core: experiment %s panicked", id), r)
+	key := artifact.Key{Kind: KindExperiment, Digest: artifact.Digest(experimentSpec{id, w.Budget})}
+	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (*Experiment, error) {
+		start := time.Now()
+		e, err := driver(w, bctx)
+		if err != nil {
+			return nil, err
 		}
-	}()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return w.dispatch(ctx, id)
+		e.Wall = time.Since(start)
+		return e, nil
+	})
 }
 
-func (w *Workspace) dispatch(ctx context.Context, id string) (*Experiment, error) {
-	switch id {
-	case "e1":
-		return w.E1(ctx)
-	case "e2":
-		return w.E2(ctx)
-	case "e3":
-		return w.E3(ctx)
-	case "e4":
-		return w.E4(ctx)
-	case "e5":
-		return w.E5(ctx)
-	case "e6":
-		return w.E6(ctx)
-	case "e7":
-		return w.E7(ctx)
-	case "e8":
-		return w.E8(ctx)
-	case "e9":
-		return w.E9(ctx)
-	case "e10":
-		return w.E10(ctx)
-	case "e11":
-		return w.E11(ctx)
-	case "e12":
-		return w.E12(ctx)
-	case "e13":
-		return w.E13(ctx)
-	case "e14":
-		return w.E14(ctx)
-	case "e15":
-		return w.E15(ctx)
-	case "e16":
-		return w.E16(ctx)
-	case "e17":
-		return w.E17(ctx)
-	case "e18":
-		return w.E18(ctx)
-	case "e19":
-		return w.E19(ctx)
-	case "e20":
-		return w.E20(ctx)
-	case "e21":
-		return w.E21(ctx)
-	}
-	return nil, fmt.Errorf("core: unknown experiment %q", id)
+// experimentDrivers maps each experiment ID to its driver.
+var experimentDrivers = map[string]func(*Workspace, context.Context) (*Experiment, error){
+	"e1": (*Workspace).E1, "e2": (*Workspace).E2, "e3": (*Workspace).E3,
+	"e4": (*Workspace).E4, "e5": (*Workspace).E5, "e6": (*Workspace).E6,
+	"e7": (*Workspace).E7, "e8": (*Workspace).E8, "e9": (*Workspace).E9,
+	"e10": (*Workspace).E10, "e11": (*Workspace).E11, "e12": (*Workspace).E12,
+	"e13": (*Workspace).E13, "e14": (*Workspace).E14, "e15": (*Workspace).E15,
+	"e16": (*Workspace).E16, "e17": (*Workspace).E17, "e18": (*Workspace).E18,
+	"e19": (*Workspace).E19, "e20": (*Workspace).E20, "e21": (*Workspace).E21,
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 )
@@ -126,5 +129,107 @@ func TestRunExperimentsCancelledContext(t *testing.T) {
 	cancel()
 	if _, err := w.RunExperiments(ctx, []string{"e1"}); err == nil {
 		t.Error("cancelled context produced results")
+	}
+}
+
+// TestRepeatedExperimentsBuildNothing checks that an experiment is an
+// artifact: asking a workspace again for experiments it has run reads
+// the stored experiments, building nothing of any kind.
+func TestRepeatedExperimentsBuildNothing(t *testing.T) {
+	w := NewWorkspaceWorkers(20_000, 2)
+	ids := []string{"e1", "e5"}
+	first, err := w.RunExperiments(context.Background(), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := w.ArtifactStats().Kinds
+	second, err := w.RunExperiments(context.Background(), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := w.ArtifactStats().Kinds
+	for i, e := range second {
+		if e != first[i] || e.Render() != first[i].Render() {
+			t.Errorf("%s: the repeat is not the stored experiment", e.ID)
+		}
+	}
+	for k, st := range after {
+		if d := st.Misses - before[k].Misses; d != 0 {
+			t.Errorf("the repeat built %d %s artifacts, want 0", d, k)
+		}
+	}
+	if d := after[KindExperiment].Hits - before[KindExperiment].Hits; d != 2 {
+		t.Errorf("experiment hits rose by %d, want 2", d)
+	}
+}
+
+// TestConcurrentExperimentsShareOneBuild checks that identical
+// concurrent requests wait on one experiment build (run with -race: the
+// callers share the stored experiment and must only read it).
+func TestConcurrentExperimentsShareOneBuild(t *testing.T) {
+	const callers = 4
+	w := NewWorkspaceWorkers(20_000, 2)
+	got := make([]*Experiment, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			res, err := w.RunExperiments(context.Background(), []string{"e5"})
+			got[i], errs[i] = res[0], err
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range callers {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if got[i] != got[0] || got[i].Render() != got[0].Render() {
+			t.Errorf("caller %d got another experiment than caller 0", i)
+		}
+	}
+	ks := w.ArtifactStats().Kinds
+	if st := ks[KindExperiment]; st.Misses != 1 || st.Hits != callers-1 {
+		t.Errorf("experiment builds/hits = %d/%d, want 1/%d", st.Misses, st.Hits, callers-1)
+	}
+	if st := ks[KindPredEval]; st.Misses != int64(len(SuiteNames())) {
+		t.Errorf("predeval builds = %d, want %d (one per benchmark)", st.Misses, len(SuiteNames()))
+	}
+}
+
+// TestFailedExperimentBuildsAgain checks the memo rule for experiments:
+// a build that failed on a transient fault, or on a panic inside one of
+// its pool tasks, is forgotten, so the next request builds the
+// experiment again and succeeds.
+func TestFailedExperimentBuildsAgain(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		site faults.Site
+		kind faults.Kind
+	}{
+		{"transient facts build", faults.SiteWorkspaceMemo, faults.Transient},
+		{"panicking pool task", faults.SitePoolTask, faults.Panic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWorkspaceWorkers(20_000, 1)
+			faults.Set(faults.NewInjector(1).Arm(tc.site, faults.Rule{Kind: tc.kind, Rate: 1, Max: 1}))
+			defer faults.Set(nil)
+			res, err := w.RunExperiments(context.Background(), []string{"e1"})
+			var fe *faults.Error
+			if !errors.As(err, &fe) || fe.Kind != tc.kind || res[0].Err == nil {
+				t.Fatalf("first request: err = %v, want the injected %s fault", err, tc.kind)
+			}
+			res, err = w.RunExperiments(context.Background(), []string{"e1"})
+			if err != nil || res[0].Table == nil {
+				t.Fatalf("second request served the failure from memo: %v", err)
+			}
+			if st := w.ArtifactStats().Kinds[KindExperiment]; st.Misses != 2 || st.Hits != 0 {
+				t.Errorf("experiment builds/hits = %d/%d, want 2/0", st.Misses, st.Hits)
+			}
+		})
 	}
 }

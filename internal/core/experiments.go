@@ -26,7 +26,9 @@ type Experiment struct {
 	// Metrics carries the headline numbers (percentages as fractions)
 	// checked by the benchmark harness and recorded in EXPERIMENTS.md.
 	Metrics map[string]float64
-	// Wall is how long the experiment took; it reflects scheduling and
+	// Wall is how long the experiment's build took. It is measured
+	// inside the build, so an experiment served again from the artifact
+	// store reports its one build's time. It reflects scheduling and
 	// memoization, so it is excluded from deterministic comparisons.
 	Wall time.Duration
 	// Err is the failure of an experiment that did not complete, as

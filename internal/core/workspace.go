@@ -16,12 +16,12 @@ import (
 
 // Artifact kinds the workspace derives. They form a small DAG: a profile
 // (compiled, emulated, linked and analyzed trace) feeds its facts (the
-// small summaries), predictor evaluations and machine runs. Only
-// default-option profiles are artifacts: a facts build under other compile
-// options builds its profile privately and keeps none. Every kind
-// is addressed by a canonical digest of its full input spec, so two
-// experiments asking for the same computation share one artifact
-// regardless of which asked first.
+// small summaries), predictor evaluations and machine runs, and those
+// feed experiments. Only default-option profiles are artifacts: a facts
+// build under other compile options builds its profile privately and
+// keeps none. Every kind is addressed by a canonical digest of its full
+// input spec, so two experiments asking for the same computation share
+// one artifact regardless of which asked first.
 const (
 	// KindProgram names no artifact: a profile build compiles its own
 	// program. It stays declared only because benchmark/layers.go reads
@@ -39,6 +39,11 @@ const (
 	// KindMachine is one pipeline simulation: (benchmark, budget,
 	// canonical pipeline.Config digest).
 	KindMachine artifact.Kind = "machine"
+	// KindExperiment is one completed experiment: (ID, budget). It has
+	// no codec, so it stays resident only: its key names no model
+	// version, and a rendering persisted by one build of the code could
+	// be served by another.
+	KindExperiment artifact.Kind = "experiment"
 )
 
 // Workspace derives per-benchmark traces, oracle analyses, profile facts,
@@ -88,6 +93,12 @@ type machineSpec struct {
 	Bench        string
 	Budget       int
 	ConfigDigest string
+}
+
+// experimentSpec keys an experiment artifact.
+type experimentSpec struct {
+	ID     string
+	Budget int
 }
 
 // NewWorkspace creates a workspace with the given per-benchmark dynamic

@@ -164,15 +164,32 @@ func IsTransient(err error) bool {
 	return errors.As(err, &tr) && tr.Transient()
 }
 
+// panicError is a recovered panic: the message Recovered formats, and
+// the panic value when that was an error.
+type panicError struct {
+	msg   string
+	cause error
+}
+
+func (e *panicError) Error() string { return e.msg }
+func (e *panicError) Unwrap() error { return e.cause }
+
 // Recovered converts a recovered panic value into an error carrying
 // prefix and the panicking goroutine's stack. An error panic value is
 // wrapped, not stringified, so errors.Is and errors.As still reach it:
 // a Panic-kind fault stays attributable to its site.
 func Recovered(prefix string, r any) error {
-	if e, ok := r.(error); ok {
-		return fmt.Errorf("%s: %w\n%s", prefix, e, debug.Stack())
-	}
-	return fmt.Errorf("%s: %v\n%s", prefix, r, debug.Stack())
+	cause, _ := r.(error)
+	return &panicError{msg: fmt.Sprintf("%s: %v\n%s", prefix, r, debug.Stack()), cause: cause}
+}
+
+// IsPanic reports whether err's chain holds a panic that Recovered
+// converted. The artifact store forgets such a failure, like a
+// transient one: a build that panicked, or that failed because a build
+// or pool task it waited on panicked, is rebuilt by the next request.
+func IsPanic(err error) bool {
+	var p *panicError
+	return errors.As(err, &p)
 }
 
 // Rule arms one failure mode at a site.

@@ -131,6 +131,23 @@ func TestPanicKindCarriesTypedValue(t *testing.T) {
 	t.Fatal("panic rule did not panic")
 }
 
+func TestRecoveredIsPanic(t *testing.T) {
+	fe := &Error{Site: SiteSimulate, Kind: Panic}
+	err := fmt.Errorf("experiment e9: %w", Recovered("core: task panic", fe))
+	if !IsPanic(err) {
+		t.Errorf("IsPanic(%v) = false through a wrapped recovered panic", err)
+	}
+	if !errors.Is(err, fe) || !strings.HasPrefix(err.Error(), "experiment e9: core: task panic: faults: injected panic") {
+		t.Errorf("recovered error %q lost its panic value", err)
+	}
+	if !IsPanic(Recovered("core: task panic", "boom")) {
+		t.Error("a non-error panic value is not reported as a panic")
+	}
+	if IsPanic(nil) || IsPanic(fe) {
+		t.Error("IsPanic reports a panic that was never recovered")
+	}
+}
+
 func TestDelayKindSleepsAndSucceeds(t *testing.T) {
 	in := NewInjector(1).Arm(SitePoolTask, Rule{Kind: Delay, Rate: 1, Delay: 20 * time.Millisecond})
 	start := time.Now()

@@ -12,7 +12,9 @@
 // content-addressed artifact store, so responses are bit-identical to
 // what the CLI tools produce for the same spec: an experiment response
 // carries exactly Experiment.Render(), and the chaos soak holds the
-// daemon to that contract under injected faults.
+// daemon to that contract under injected faults. Experiments are
+// artifacts too, so a repeated experiment request is a store lookup, not
+// a rerun. Response bodies are compact JSON, one value and a newline.
 package server
 
 import (
@@ -119,7 +121,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // deadline-cancel whatever is still running and wait for it to unwind.
 // Finally every resident artifact missing from the disk tier is written
 // to it, so a warm restart reloads it instead of recomputing. Returns
-// ctx's error if the deadline forced cancellation, nil on a clean drain.
+// ctx's error if the deadline forced cancellation of a request still
+// admitted or queued, nil on a clean drain.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.adm.drain()
@@ -132,8 +135,13 @@ func (s *Server) Drain(ctx context.Context) error {
 	select {
 	case <-done:
 	case <-ctx.Done():
-		forced = ctx.Err()
-		s.baseCancel()
+		// The deadline may be seen before done closes on an idle server.
+		// Once admission is draining, a request that holds no slot and
+		// waits for none is only being turned away, so nothing is forced.
+		if active, queued := s.adm.snapshot(); active+queued > 0 {
+			forced = ctx.Err()
+			s.baseCancel()
+		}
 		<-done // in-flight work observes cancellation and unwinds
 	}
 	s.w.PersistResident()
@@ -183,9 +191,7 @@ type errorBody struct {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

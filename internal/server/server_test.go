@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -642,5 +643,124 @@ func TestAdoptionAcrossRequests(t *testing.T) {
 	}
 	if st := ks[core.KindProfile]; st.Misses != 1 {
 		t.Errorf("profile builds = %d, want 1 (the adopted facts build's)", st.Misses)
+	}
+}
+
+// TestRepeatedExperimentServedFromStore checks that /v1/experiment
+// serves an experiment from the artifact store: eight requests for one
+// ID, the first four concurrent, build it once and get byte-identical
+// bodies.
+func TestRepeatedExperimentServedFromStore(t *testing.T) {
+	const concurrent, serial = 4, 4
+	_, ts, _ := newTestServer(t, nil)
+	bodies := make([][]byte, concurrent+serial)
+	statuses := make([]int, concurrent+serial)
+	postE5 := func(i int) {
+		resp, err := http.Post(ts.URL+"/v1/experiment", "application/json", strings.NewReader(`{"id":"e5"}`))
+		if err != nil {
+			return
+		}
+		bodies[i], _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		statuses[i] = resp.StatusCode
+	}
+	var wg sync.WaitGroup
+	for i := range concurrent {
+		wg.Add(1)
+		go func() { defer wg.Done(); postE5(i) }()
+	}
+	wg.Wait()
+	for i := concurrent; i < concurrent+serial; i++ {
+		postE5(i)
+	}
+	for i, b := range bodies {
+		if statuses[i] != http.StatusOK {
+			t.Fatalf("request %d: status %d (body %s)", i, statuses[i], b)
+		}
+		if !bytes.Equal(b, bodies[0]) {
+			t.Errorf("request %d body diverges from request 0:\n%s\nvs\n%s", i, b, bodies[0])
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metricz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m struct {
+		Artifacts artifact.Stats `json:"artifacts"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	ks := m.Artifacts.Kinds
+	if st := ks[core.KindExperiment]; st.Misses != 1 || st.Hits != concurrent+serial-1 {
+		t.Errorf("experiment builds/hits = %d/%d, want 1/%d", st.Misses, st.Hits, concurrent+serial-1)
+	}
+	if st := ks[core.KindPredEval]; st.Misses != int64(len(core.SuiteNames())) {
+		t.Errorf("predeval builds = %d, want %d (one build of E5)", st.Misses, len(core.SuiteNames()))
+	}
+}
+
+// TestIdleDrainPastDeadlineIsClean checks that a drain whose deadline
+// has already passed reports no forced cancellation when nothing is in
+// flight.
+func TestIdleDrainPastDeadlineIsClean(t *testing.T) {
+	for i := range 50 {
+		s := New(Config{Workspace: core.NewWorkspaceWorkers(testBudget, 1)})
+		ctx, cancel := context.WithTimeout(context.Background(), 0)
+		err := s.Drain(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("idle drain %d: %v, want nil", i, err)
+		}
+	}
+}
+
+// TestDrainDeadlineCancelsInflightRequest holds an experiment request
+// in flight, its simulation asleep in an injected delay, through a drain
+// whose deadline has passed: the drain reports the forced cancellation,
+// and the request unwinds with a cancellation error instead of waiting
+// the delay out.
+func TestDrainDeadlineCancelsInflightRequest(t *testing.T) {
+	const delay = 5 * time.Second
+	s, ts, _ := newTestServer(t, nil)
+	in := faults.NewInjector(1).Arm(faults.SiteSimulate,
+		faults.Rule{Kind: faults.Delay, Rate: 1, Max: 1, Delay: delay})
+	faults.Set(in)
+	t.Cleanup(func() { faults.Set(nil) })
+
+	type reply struct {
+		status int
+		body   []byte
+	}
+	replied := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/experiment", "application/json", strings.NewReader(`{"id":"e9"}`))
+		if err != nil {
+			replied <- reply{}
+			return
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		replied <- reply{resp.StatusCode, b}
+	}()
+	for in.Fired(faults.SiteSimulate) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+	if err := s.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("drain with a request in flight: %v, want the forced deadline", err)
+	}
+	r := <-replied
+	if elapsed := time.Since(start); elapsed >= delay-time.Second {
+		t.Errorf("the request unwound after %v: the drain did not cancel it", elapsed)
+	}
+	var eb errorBody
+	if r.status != http.StatusServiceUnavailable || json.Unmarshal(r.body, &eb) != nil || eb.Kind != "cancelled" {
+		t.Errorf("in-flight request answered %d %s, want 503 with kind cancelled", r.status, r.body)
 	}
 }

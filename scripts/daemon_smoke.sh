@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Daemon smoke: build deadd + deadload + deadprof, start the daemon with
 # a temporary persistent cache, run a load burst against it, run one E19
-# ineffectuality experiment through the experiment endpoint, warm-start a
-# second process from the daemon's cache over HTTP, SIGTERM the daemon,
-# and assert (1) E19 dispatches and returns a non-error result, (2) a
-# remote warm start that rebuilt nothing (facts-kind misses == 0, remote
-# hits recorded, no profile built), (3) a zero exit after graceful
+# ineffectuality experiment through the experiment endpoint twice,
+# warm-start a second process from the daemon's cache over HTTP, SIGTERM
+# the daemon, and assert (1) E19 dispatches and returns a non-error
+# result, and its repeat returns the same bytes from the artifact store,
+# (2) a remote warm start that rebuilt nothing (facts-kind misses == 0,
+# remote hits recorded, no profile built), (3) a zero exit after graceful
 # drain, and (4) that the drain persisted exactly the one artifact whose
 # write-through an injected artifact.disk fault dropped: the daemon runs
 # with FAULTS=artifact.disk:transient:1:1, so its first disk write fails,
@@ -30,6 +31,9 @@ FAULTS=artifact.disk:transient:1:1 \
     "$WORK/deadd" -addr "$ADDR" -n "$BUDGET" -cache-dir "$WORK/cache" \
     >"$WORK/deadd.out" 2>"$WORK/deadd.err" &
 DEADD_PID=$!
+# A failed check exits with the daemon still running; stop it on the way
+# out (after the SIGTERM below it has already exited).
+trap 'kill "$DEADD_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 # Wait for readiness (the daemon binds before serving, so this is quick).
 ready=0
@@ -61,6 +65,32 @@ fi
 if echo "$e19" | grep -q '"error"'; then
     echo "daemon_smoke: E19 returned an error:" >&2
     echo "$e19" >&2
+    exit 1
+fi
+
+# A repeated experiment is served from the artifact store: the second E19
+# body equals the first byte for byte, and between the two requests the
+# store's "experiment" kind (resident only) reads one more hit and no
+# more misses. experiment_count reads one of its counters from a compact
+# /metricz body, skipping the run section's phase of the same name.
+experiment_count() {
+    sed 's/.*"artifacts":{"kinds"://' | grep -o '"experiment":{[^}]*}' | grep -o "\"$1\":[0-9]*" | cut -d: -f2 || true
+}
+m1="$(curl -fsS "http://$ADDR/metricz")"
+e19_again="$(curl -fsS -X POST -d '{"id":"e19"}' "http://$ADDR/v1/experiment")"
+m2="$(curl -fsS "http://$ADDR/metricz")"
+if [ "$e19_again" != "$e19" ]; then
+    echo "daemon_smoke: the repeated E19 body differs from the first:" >&2
+    printf '%s\n%s\n' "$e19" "$e19_again" >&2
+    exit 1
+fi
+hits1="$(echo "$m1" | experiment_count hits)"
+hits2="$(echo "$m2" | experiment_count hits)"
+misses1="$(echo "$m1" | experiment_count misses)"
+misses2="$(echo "$m2" | experiment_count misses)"
+if [ -z "$hits1" ] || [ -z "$misses1" ] || [ "$hits2" != $((hits1 + 1)) ] || [ "$misses2" != "$misses1" ]; then
+    echo "daemon_smoke: repeated E19 moved experiment hits '$hits1' -> '$hits2' and misses '$misses1' -> '$misses2', want one more hit and the same misses:" >&2
+    echo "$m2" >&2
     exit 1
 fi
 
@@ -119,4 +149,4 @@ if [ "$after" != $((before + 1)) ]; then
     exit 1
 fi
 
-echo "daemon_smoke: OK (E19 via daemon, remote warm start, exit 0 after drain, drain persisted the dropped write-through)"
+echo "daemon_smoke: OK (E19 via daemon, repeat served from the store, remote warm start, exit 0 after drain, drain persisted the dropped write-through)"
