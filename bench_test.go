@@ -573,7 +573,7 @@ func BenchmarkCoalescedLoad(b *testing.B) {
 			w := core.NewWorkspaceWorkers(benchBudget, 2)
 			mc := metrics.New()
 			w.Metrics = mc
-			s := server.New(server.Config{Workspace: w, QueueDepth: 32, Metrics: mc})
+			s := server.New(server.Config{Workspace: w, QueueDepth: 32})
 			ts := httptest.NewServer(s.Handler())
 			b.StartTimer()
 			if concurrent {

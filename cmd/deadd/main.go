@@ -115,7 +115,6 @@ func run() int {
 		QueueDepth:     *queue,
 		DefaultTimeout: *reqTimeout,
 		MaxTimeout:     *maxTimeout,
-		Metrics:        mc,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -202,13 +202,6 @@ func (s *Store) SetDisk(d *Disk) {
 	s.mu.Unlock()
 }
 
-// DiskTier returns the attached persistent tier, or nil.
-func (s *Store) DiskTier() *Disk {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.disk
-}
-
 // SetRemote attaches a read-only remote cache tier (nil detaches). With
 // a tier attached, kinds with a registered codec are fetched remotely
 // when both memory and disk miss (a verified fetch also warms the disk
@@ -478,7 +471,7 @@ func (s *Store) persist(key Key, v any, d *Disk, c Codec) {
 	if d.Has(key) {
 		return
 	}
-	payload, err := encodeToBytes(c, v)
+	payload, err := c.Encode(v)
 	if err != nil {
 		return
 	}
@@ -544,7 +537,7 @@ func (s *Store) EncodedFrame(key Key) (framed []byte, spilled bool, err error) {
 	}
 	if ok && codec != nil {
 		s.mu.Unlock()
-		payload, err := encodeToBytes(codec, e.val)
+		payload, err := codec.Encode(e.val)
 		if err != nil {
 			return nil, false, err
 		}

@@ -462,7 +462,7 @@ func TestRemoteTierRoundTrip(t *testing.T) {
 		t.Fatal("a local build reached the read-only remote tier")
 	}
 
-	payload, err := encodeToBytes(codec, v1)
+	payload, err := codec.Encode(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestRemoteHitWarmsDisk(t *testing.T) {
 	remote := newFakeRemote()
 	k := key("run", "warm")
 	codec := JSONCodec[int]{}
-	payload, err := encodeToBytes(codec, 41)
+	payload, err := codec.Encode(41)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,15 +10,18 @@ import (
 // Codec serializes one artifact kind for the persistent disk tier. A kind
 // with no registered codec is simply never persisted.
 //
-// Encode/Decode must round-trip bit-identically: a decoded artifact is
-// served in place of a rebuild, and the store's contract is that the two
-// are indistinguishable. Decode receives the full payload that already
-// passed content-digest verification — as bytes, so codecs can slice
-// sections in place instead of re-buffering a stream — but it must still
-// validate structure: a file written by a different build of the code is
-// untrusted input, so return an error rather than a malformed value.
+// Encode returns the whole payload in memory: the store frames and
+// checksums it before any byte reaches disk or the wire. Encode/Decode
+// must round-trip bit-identically: a decoded artifact is served in place
+// of a rebuild, and the store's contract is that the two are
+// indistinguishable. Decode is a pure function of the payload, which
+// already passed content-digest verification — as bytes, so codecs can
+// slice sections in place instead of re-buffering a stream. It must not
+// write the payload, and it must still validate structure: a file
+// written by a different build of the code is untrusted input, so return
+// an error rather than a malformed value.
 type Codec interface {
-	Encode(w io.Writer, v any) error
+	Encode(v any) ([]byte, error)
 	Decode(payload []byte) (any, error)
 }
 
@@ -26,13 +29,18 @@ type Codec interface {
 // encoding the spec digests use.
 type JSONCodec[T any] struct{}
 
-// Encode writes v (which must be a T) as JSON.
-func (c JSONCodec[T]) Encode(w io.Writer, v any) error {
+// Encode returns v (which must be a T) as JSON and a trailing newline,
+// the bytes a json.Encoder writes, which persisted entries already hold.
+func (c JSONCodec[T]) Encode(v any) ([]byte, error) {
 	t, ok := v.(T)
 	if !ok {
-		return fmt.Errorf("artifact: json codec holds %T, got %T", t, v)
+		return nil, fmt.Errorf("artifact: json codec holds %T, got %T", t, v)
 	}
-	return json.NewEncoder(w).Encode(t)
+	b, err := json.Marshal(t)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
 }
 
 // Decode reads one strict JSON document: unknown fields and trailing
@@ -51,29 +59,4 @@ func (c JSONCodec[T]) Decode(payload []byte) (any, error) {
 		return nil, fmt.Errorf("artifact: json codec: trailing data after document")
 	}
 	return t, nil
-}
-
-// EncodeSizeHinter is an optional Codec extension: a codec that can bound
-// its encoded size up front lets the write path allocate the encode
-// buffer once instead of growing (and re-zeroing) it through doublings —
-// for multi-megabyte artifacts the growth copies cost more than the
-// encode itself. The hint need not be exact; it is a capacity reservation.
-type EncodeSizeHinter interface {
-	EncodeSizeHint(v any) int
-}
-
-// encodeToBytes runs a codec into memory, for the write path (the payload
-// digest must be computed over the full encoding before any byte lands on
-// disk).
-func encodeToBytes(c Codec, v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if h, ok := c.(EncodeSizeHinter); ok {
-		if n := h.EncodeSizeHint(v); n > 0 {
-			buf.Grow(n)
-		}
-	}
-	if err := c.Encode(&buf, v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -98,9 +98,6 @@ func OpenDisk(dir string, budgetBytes int64) (*Disk, error) {
 	return d, nil
 }
 
-// Dir returns the cache directory.
-func (d *Disk) Dir() string { return d.dir }
-
 // Budget returns the configured disk byte budget (0 = unlimited).
 func (d *Disk) Budget() int64 { return d.budget }
 

@@ -25,7 +25,7 @@ type payload struct {
 func payloadCodec() Codec { return JSONCodec[payload]{} }
 
 // diskStore builds a store backed by a disk tier at dir.
-func diskStore(t *testing.T, dir string, diskBudget int64) *Store {
+func diskStore(t *testing.T, dir string, diskBudget int64) (*Store, *Disk) {
 	t.Helper()
 	s := New()
 	s.RegisterCodec("profile", payloadCodec())
@@ -34,7 +34,7 @@ func diskStore(t *testing.T, dir string, diskBudget int64) *Store {
 		t.Fatal(err)
 	}
 	s.SetDisk(d)
-	return s
+	return s, d
 }
 
 func getPayload(t *testing.T, s *Store, k Key, builds *atomic.Int64) payload {
@@ -52,7 +52,8 @@ func getPayload(t *testing.T, s *Store, k Key, builds *atomic.Int64) payload {
 }
 
 func TestDiskWriteReadRoundTrip(t *testing.T) {
-	d, err := OpenDisk(t.TempDir(), 0)
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestDiskWriteReadRoundTrip(t *testing.T) {
 	}
 	// A fresh Disk over the same directory sees the entry (cross-process
 	// warm start) and accounts its bytes from the scan.
-	d2, err := OpenDisk(d.Dir(), 0)
+	d2, err := OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestStoreWarmStartFromDisk(t *testing.T) {
 	k := key("profile", "gzip")
 
 	var builds atomic.Int64
-	cold := diskStore(t, dir, 0)
+	cold, _ := diskStore(t, dir, 0)
 	want := getPayload(t, cold, k, &builds)
 	if builds.Load() != 1 {
 		t.Fatalf("cold run built %d times", builds.Load())
@@ -249,7 +250,7 @@ func TestStoreWarmStartFromDisk(t *testing.T) {
 		t.Errorf("cold stats = %+v", cs)
 	}
 
-	warm := diskStore(t, dir, 0)
+	warm, _ := diskStore(t, dir, 0)
 	got := getPayload(t, warm, k, &builds)
 	if builds.Load() != 1 {
 		t.Fatalf("warm run rebuilt (%d builds total)", builds.Load())
@@ -273,10 +274,10 @@ func TestStoreRebuildsCorruptDiskEntry(t *testing.T) {
 	dir := t.TempDir()
 	k := key("profile", "gzip")
 	var builds atomic.Int64
-	cold := diskStore(t, dir, 0)
+	cold, disk := diskStore(t, dir, 0)
 	want := getPayload(t, cold, k, &builds)
 
-	path := cold.DiskTier().path(k)
+	path := disk.path(k)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +287,7 @@ func TestStoreRebuildsCorruptDiskEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm := diskStore(t, dir, 0)
+	warm, _ := diskStore(t, dir, 0)
 	got := getPayload(t, warm, k, &builds)
 	if got != want {
 		t.Errorf("rebuilt value %+v differs from original %+v", got, want)
@@ -299,7 +300,7 @@ func TestStoreRebuildsCorruptDiskEntry(t *testing.T) {
 		t.Errorf("rebuild stats = %+v", ws)
 	}
 	// Third store: the rebuilt write-through must serve a clean disk hit.
-	third := diskStore(t, dir, 0)
+	third, _ := diskStore(t, dir, 0)
 	if got := getPayload(t, third, k, &builds); got != want {
 		t.Error("third run differs")
 	}
@@ -323,7 +324,7 @@ func TestStoreRejectsUndecodablePayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	var builds atomic.Int64
-	s := diskStore(t, dir, 0)
+	s, _ := diskStore(t, dir, 0)
 	getPayload(t, s, k, &builds)
 	if builds.Load() != 1 {
 		t.Error("undecodable payload served without rebuild")
@@ -340,7 +341,7 @@ func TestStoreRejectsUndecodablePayload(t *testing.T) {
 // PersistResident writes it, once.
 func TestStorePersistResidentRetriesWriteThrough(t *testing.T) {
 	dir := t.TempDir()
-	s := diskStore(t, dir, 0)
+	s, disk := diskStore(t, dir, 0)
 	k := key("profile", "gzip")
 
 	in := faults.NewInjector(1).Arm(faults.SiteArtifactDisk, faults.Rule{Kind: faults.Transient, Rate: 1, Max: 1})
@@ -350,19 +351,19 @@ func TestStorePersistResidentRetriesWriteThrough(t *testing.T) {
 	if in.Fired(faults.SiteArtifactDisk) != 1 {
 		t.Fatalf("fault fired %d times, want 1 (the write-through)", in.Fired(faults.SiteArtifactDisk))
 	}
-	if s.DiskTier().Has(k) || s.Stats().Kinds["profile"].DiskWrites != 0 {
+	if disk.Has(k) || s.Stats().Kinds["profile"].DiskWrites != 0 {
 		t.Fatalf("write-through survived its injected fault: stats %+v", s.Stats().Kinds["profile"])
 	}
 
 	s.PersistResident()
-	if !s.DiskTier().Has(k) {
+	if !disk.Has(k) {
 		t.Fatal("PersistResident did not write the resident artifact")
 	}
 	if got := s.Stats().Kinds["profile"].DiskWrites; got != 1 {
 		t.Errorf("disk writes = %d after PersistResident, want 1", got)
 	}
 	var builds atomic.Int64
-	fresh := diskStore(t, dir, 0)
+	fresh, _ := diskStore(t, dir, 0)
 	getPayload(t, fresh, k, &builds)
 	if builds.Load() != 0 || fresh.Stats().Kinds["profile"].DiskHits != 1 {
 		t.Errorf("fresh store: %d builds, stats %+v, want a disk hit", builds.Load(), fresh.Stats().Kinds["profile"])
@@ -379,7 +380,7 @@ func TestStorePersistResidentRetriesWriteThrough(t *testing.T) {
 func TestStoreDiskGCCounters(t *testing.T) {
 	dir := t.TempDir()
 	// Each JSON payload entry is ~48+30 bytes; budget for ~one entry.
-	s := diskStore(t, dir, 100)
+	s, disk := diskStore(t, dir, 100)
 	for i := 0; i < 4; i++ {
 		k := key("profile", fmt.Sprint("bench", i))
 		getPayload(t, s, k, nil)
@@ -388,7 +389,7 @@ func TestStoreDiskGCCounters(t *testing.T) {
 	if ks.DiskGCEvictions == 0 {
 		t.Errorf("stats = %+v, want disk GC evictions", ks)
 	}
-	if used, budget := s.DiskTier().UsedBytes(), int64(100); used > budget {
+	if used, budget := disk.UsedBytes(), int64(100); used > budget {
 		t.Errorf("disk used %d over budget %d after GC", used, budget)
 	}
 }
@@ -399,7 +400,9 @@ func TestStoreDiskGCCounters(t *testing.T) {
 // consistent; run under -race this also proves the locking.
 func TestDiskConcurrentStores(t *testing.T) {
 	dir := t.TempDir()
-	stores := [2]*Store{diskStore(t, dir, 0), diskStore(t, dir, 0)}
+	s0, _ := diskStore(t, dir, 0)
+	s1, _ := diskStore(t, dir, 0)
+	stores := [2]*Store{s0, s1}
 
 	const goroutines = 8
 	const keysN = 6
@@ -459,7 +462,7 @@ func TestDiskFaultInjection(t *testing.T) {
 			defer faults.Set(nil)
 
 			for round := 0; round < 2; round++ {
-				s := diskStore(t, dir, 0)
+				s, _ := diskStore(t, dir, 0)
 				for i := 0; i < 5; i++ {
 					k := key("profile", fmt.Sprint("bench", i))
 					v, err := Get(s, k, func() (payload, error) {

@@ -113,9 +113,6 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Access performs a load (write=false) or store (write=true) of the given
 // byte span and returns the access latency in cycles. Accesses that span
 // two lines probe both and pay the worse latency.

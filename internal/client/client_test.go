@@ -117,7 +117,7 @@ func TestCorruptFetchFallsBackToRebuild(t *testing.T) {
 	k := artifact.Key{Kind: "run", Digest: artifact.Digest("spec")}
 
 	// Seed the daemon with the intact artifact.
-	seed, err := encodeVia(codec, "the value")
+	seed, err := codec.Encode("the value")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +189,4 @@ func TestStoreSurfacesServerErrors(t *testing.T) {
 	if ks := s.Stats().Kinds["run"]; ks.RemoteFailures != 1 || ks.Misses != 1 {
 		t.Errorf("counters: %+v, want remote_failures=1 misses=1", ks)
 	}
-}
-
-// encodeVia runs a codec to bytes the way the store's write path does.
-func encodeVia(c artifact.Codec, v any) ([]byte, error) {
-	var sb strings.Builder
-	if err := c.Encode(&sb, v); err != nil {
-		return nil, err
-	}
-	return []byte(sb.String()), nil
 }

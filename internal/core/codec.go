@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -15,24 +14,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// firstNonBool returns the index of the first byte in b that is neither 0
-// nor 1, or -1 if every byte is a valid bool image; it scans a word at a
-// time.
-func firstNonBool(b []byte) int {
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		if binary.LittleEndian.Uint64(b[i:])&^0x0101010101010101 != 0 {
-			break
-		}
-	}
-	for ; i < len(b); i++ {
-		if b[i] > 1 {
-			return i
-		}
-	}
-	return -1
-}
 
 // Profile persistence: a profile artifact serializes as a small JSON
 // header (identity, summaries and pass stats), the linked trace in the
@@ -89,19 +70,19 @@ func uvarint(b []byte) (uint64, int) {
 	return v, n
 }
 
-func (c profileCodec) Encode(w io.Writer, v any) error {
+func (c profileCodec) Encode(v any) ([]byte, error) {
 	res, ok := v.(*ProfileResult)
 	if !ok {
-		return fmt.Errorf("core: profile codec got %T", v)
+		return nil, fmt.Errorf("core: profile codec got %T", v)
 	}
 	if res.Trace == nil || !res.Trace.Linked {
-		return fmt.Errorf("core: profile codec requires a linked trace")
+		return nil, fmt.Errorf("core: profile codec requires a linked trace")
 	}
 	n := res.Trace.Len()
 	a := res.Analysis
 	if a == nil || len(a.Kind) != n || len(a.Candidate) != n || len(a.EverRead) != n ||
 		len(a.Resolve) != n || len(a.Ineff) != n {
-		return fmt.Errorf("core: profile codec: analysis does not match %d-record trace", n)
+		return nil, fmt.Errorf("core: profile codec: analysis does not match %d-record trace", n)
 	}
 	hdr, err := json.Marshal(profileHeader{
 		Version:   profileCodecVersion,
@@ -112,77 +93,25 @@ func (c profileCodec) Encode(w io.Writer, v any) error {
 		Locality:  res.Locality,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var lb [binary.MaxVarintLen64]byte
-	if _, err := bw.Write(lb[:binary.PutUvarint(lb[:], uint64(len(hdr)))]); err != nil {
-		return err
+	tlen := res.Trace.LinkedSize()
+	out := make([]byte, 0, 2*binary.MaxVarintLen64+len(hdr)+int(tlen)+8*n)
+	out = binary.AppendUvarint(out, uint64(len(hdr)))
+	out = append(out, hdr...)
+	out = binary.AppendUvarint(out, uint64(tlen))
+	buf := bytes.NewBuffer(out)
+	if err := res.Trace.SaveLinked(buf); err != nil {
+		return nil, err
 	}
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := bw.Write(lb[:binary.PutUvarint(lb[:], uint64(res.Trace.LinkedSize()))]); err != nil {
-		return err
-	}
-	if err := res.Trace.SaveLinked(bw); err != nil {
-		return err
-	}
-	if lebytes.Little {
-		// The analysis columns' memory images are their wire images.
-		for _, col := range [5][]byte{lebytes.U8(a.Kind), lebytes.Bool(a.Candidate),
-			lebytes.Bool(a.EverRead), lebytes.U8(a.Ineff), lebytes.I32(a.Resolve)} {
-			if _, err := bw.Write(col); err != nil {
-				return err
-			}
-		}
-		return bw.Flush()
-	}
-	buf := make([]byte, n)
-	for i, k := range a.Kind {
-		buf[i] = byte(k)
-	}
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
-	for _, col := range [2][]bool{a.Candidate, a.EverRead} {
-		for i, b := range col {
-			if b {
-				buf[i] = 1
-			} else {
-				buf[i] = 0
-			}
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	for i, k := range a.Ineff {
-		buf[i] = byte(k)
-	}
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
-	rbuf := make([]byte, 4*n)
-	for i, r := range a.Resolve {
-		binary.LittleEndian.PutUint32(rbuf[i*4:], uint32(r))
-	}
-	if _, err := bw.Write(rbuf); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// EncodeSizeHint bounds the encoded size of a profile so the write path
-// can allocate its buffer once: the trace section's exact length, the
-// analysis columns' 7 bytes per record, and slack for the JSON header and
-// length prefixes.
-func (c profileCodec) EncodeSizeHint(v any) int {
-	res, ok := v.(*ProfileResult)
-	if !ok || res.Trace == nil || !res.Trace.Linked {
-		return 0
-	}
-	return int(res.Trace.LinkedSize()) + 8*res.Trace.Len() + 4096
+	out = buf.Bytes()
+	out = append(out, lebytes.U8(a.Kind)...)
+	out = append(out, lebytes.Bool(a.Candidate)...)
+	out = append(out, lebytes.Bool(a.EverRead)...)
+	out = append(out, lebytes.U8(a.Ineff)...)
+	out = append(out, make([]byte, 4*n)...)
+	lebytes.PutI32s(out[len(out)-4*n:], a.Resolve)
+	return out, nil
 }
 
 func (c profileCodec) Decode(payload []byte) (any, error) {
@@ -242,41 +171,18 @@ func (c profileCodec) Decode(payload []byte) (any, error) {
 	bools := [2][]bool{make([]bool, n), make([]bool, n)}
 	ineff := make([]deadness.IneffKind, n)
 	resolve := make([]int32, n)
-	if lebytes.Little {
-		copy(lebytes.U8(kind), payload[off:off+n])
+	copy(lebytes.U8(kind), payload[off:off+n])
+	off += n
+	for ci, col := range bools {
+		if i := lebytes.FirstNonBool(payload[off : off+n]); i >= 0 {
+			return nil, fmt.Errorf("core: profile decode: bool column %d: byte %d", ci, payload[off+i])
+		}
+		copy(lebytes.Bool(col), payload[off:off+n])
 		off += n
-		for ci, col := range bools {
-			if i := firstNonBool(payload[off : off+n]); i >= 0 {
-				return nil, fmt.Errorf("core: profile decode: bool column %d: byte %d", ci, payload[off+i])
-			}
-			copy(lebytes.Bool(col), payload[off:off+n])
-			off += n
-		}
-		copy(lebytes.U8(ineff), payload[off:off+n])
-		off += n
-		copy(lebytes.I32(resolve), payload[off:off+4*n])
-	} else {
-		for i, b := range payload[off : off+n] {
-			kind[i] = deadness.Kind(b)
-		}
-		off += n
-		for ci, col := range bools {
-			for i, b := range payload[off : off+n] {
-				if b > 1 {
-					return nil, fmt.Errorf("core: profile decode: bool column %d: byte %d", ci, b)
-				}
-				col[i] = b == 1
-			}
-			off += n
-		}
-		for i, b := range payload[off : off+n] {
-			ineff[i] = deadness.IneffKind(b)
-		}
-		off += n
-		for i := range resolve {
-			resolve[i] = int32(binary.LittleEndian.Uint32(payload[off+i*4:]))
-		}
 	}
+	copy(lebytes.U8(ineff), payload[off:off+n])
+	off += n
+	lebytes.GetI32s(resolve, payload[off:])
 	a, err := deadness.Restore(n, kind, bools[0], bools[1], resolve, ineff)
 	if err != nil {
 		return nil, err

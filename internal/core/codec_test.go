@@ -29,14 +29,14 @@ func smallProfile(tb testing.TB, budget int) *ProfileResult {
 	return res
 }
 
-// encode runs a codec into memory.
+// encode runs a codec, failing the test on an error.
 func encode(tb testing.TB, c artifact.Codec, v any) []byte {
 	tb.Helper()
-	var buf bytes.Buffer
-	if err := c.Encode(&buf, v); err != nil {
+	b, err := c.Encode(v)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // FuzzProfileDecode throws arbitrary bytes at the profile codec, which
@@ -73,12 +73,12 @@ func FuzzProfileDecode(f *testing.F) {
 	})
 }
 
-// TestScalarCodecPaths runs the scalar branches that lebytes.Little gates
-// in the trace, profile and result codecs, which otherwise only a
-// big-endian host takes. With the bulk copies switched off, a trace, a
-// profile and both result kinds must encode to the bytes the bulk paths
-// wrote and decode those bytes to equal values. It flips a package
-// variable, so it must not run in parallel.
+// TestScalarCodecPaths runs the trace, profile and result codecs on the
+// encoding/binary branches of lebytes' column helpers, which otherwise
+// only a big-endian host takes. With the bulk copies switched off, a
+// trace, a profile and both result kinds must encode to the bytes the
+// bulk paths wrote and decode those bytes to equal values. It flips a
+// package variable, so it must not run in parallel.
 func TestScalarCodecPaths(t *testing.T) {
 	const budget = 10_000 // more than one trace chunk
 	prof := smallProfile(t, budget)

@@ -19,7 +19,7 @@ import (
 // binary records — a one-byte format version, a CRC-32C of the body
 // (belt-and-braces on top of the tier framing, so a record pulled out of
 // any future transport still self-verifies), and the numeric fields as
-// one little-endian u64 column bulk-reinterpreted via lebytes. Decode is
+// one little-endian u64 column moved by lebytes. Decode is
 // strict: version, CRC, and exact length all must match, so a payload
 // from a different build of the code rebuilds instead of mis-decoding.
 const (
@@ -31,39 +31,12 @@ const (
 
 var resultCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// putU64Column writes vals as little-endian u64s into dst (which must be
-// exactly 8*len(vals) bytes), bulk-reinterpreting on little-endian hosts.
-func putU64Column(dst []byte, vals []uint64) {
-	if lebytes.Little {
-		copy(dst, lebytes.U64(vals))
-		return
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(dst[i*8:], v)
-	}
-}
-
-// getU64Column reads 8*len(vals) bytes from src into vals.
-func getU64Column(vals []uint64, src []byte) {
-	if lebytes.Little {
-		copy(lebytes.U64(vals), src)
-		return
-	}
-	for i := range vals {
-		vals[i] = binary.LittleEndian.Uint64(src[i*8:])
-	}
-}
-
-// sealResult prefixes body with the version byte and body CRC.
-func sealResult(w io.Writer, body []byte) error {
-	var hdr [resultHeaderSize]byte
-	hdr[0] = resultCodecVersion
-	binary.LittleEndian.PutUint32(hdr[1:], crc32.Checksum(body, resultCRCTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
+// sealResult fills the header that prefixes payload: the version byte
+// and the CRC of the body after it.
+func sealResult(payload []byte) []byte {
+	payload[0] = resultCodecVersion
+	binary.LittleEndian.PutUint32(payload[1:], crc32.Checksum(payload[resultHeaderSize:], resultCRCTable))
+	return payload
 }
 
 // openResult verifies the header and returns the body.
@@ -98,19 +71,18 @@ func predEvalColumn(r dip.Result) [predEvalFields]uint64 {
 	}
 }
 
-func (predEvalCodec) Encode(w io.Writer, v any) error {
+func (predEvalCodec) Encode(v any) ([]byte, error) {
 	r, ok := v.(dip.Result)
 	if !ok {
-		return fmt.Errorf("core: predeval codec got %T", v)
+		return nil, fmt.Errorf("core: predeval codec got %T", v)
 	}
-	var lb [binary.MaxVarintLen64]byte
-	nn := binary.PutUvarint(lb[:], uint64(len(r.Name)))
-	body := make([]byte, nn+len(r.Name)+8*predEvalFields)
-	copy(body, lb[:nn])
-	copy(body[nn:], r.Name)
+	p := make([]byte, resultHeaderSize, resultHeaderSize+binary.MaxVarintLen64+len(r.Name)+8*predEvalFields)
+	p = binary.AppendUvarint(p, uint64(len(r.Name)))
+	p = append(p, r.Name...)
+	p = append(p, make([]byte, 8*predEvalFields)...)
 	col := predEvalColumn(r)
-	putU64Column(body[nn+len(r.Name):], col[:])
-	return sealResult(w, body)
+	lebytes.PutU64s(p[len(p)-8*predEvalFields:], col[:])
+	return sealResult(p), nil
 }
 
 func (predEvalCodec) Decode(payload []byte) (any, error) {
@@ -128,7 +100,7 @@ func (predEvalCodec) Decode(payload []byte) (any, error) {
 		return nil, fmt.Errorf("core: predeval decode: column is %d bytes, want %d", len(rest), 8*predEvalFields)
 	}
 	var col [predEvalFields]uint64
-	getU64Column(col[:], rest)
+	lebytes.GetU64s(col[:], rest)
 	r := dip.Result{
 		Name:           name,
 		Candidates:     int(int64(col[0])),
@@ -196,15 +168,15 @@ func machineStatsFromColumn(col [machineFields]uint64) pipeline.Stats {
 	}
 }
 
-func (machineCodec) Encode(w io.Writer, v any) error {
+func (machineCodec) Encode(v any) ([]byte, error) {
 	st, ok := v.(pipeline.Stats)
 	if !ok {
-		return fmt.Errorf("core: machine codec got %T", v)
+		return nil, fmt.Errorf("core: machine codec got %T", v)
 	}
-	body := make([]byte, 8*machineFields)
+	p := make([]byte, resultHeaderSize+8*machineFields)
 	col := machineStatsColumn(st)
-	putU64Column(body, col[:])
-	return sealResult(w, body)
+	lebytes.PutU64s(p[resultHeaderSize:], col[:])
+	return sealResult(p), nil
 }
 
 func (machineCodec) Decode(payload []byte) (any, error) {
@@ -216,6 +188,6 @@ func (machineCodec) Decode(payload []byte) (any, error) {
 		return nil, fmt.Errorf("core: machine decode: column is %d bytes, want %d", len(body), 8*machineFields)
 	}
 	var col [machineFields]uint64
-	getU64Column(col[:], body)
+	lebytes.GetU64s(col[:], body)
 	return machineStatsFromColumn(col), nil
 }

@@ -53,11 +53,7 @@ func TestResultCodecsCoverEveryField(t *testing.T) {
 	var r dip.Result
 	n := 0
 	fillDistinct(reflect.ValueOf(&r).Elem(), &n)
-	var buf bytes.Buffer
-	if err := (predEvalCodec{}).Encode(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	got, err := predEvalCodec{}.Decode(buf.Bytes())
+	got, err := predEvalCodec{}.Decode(encode(t, predEvalCodec{}, r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +64,7 @@ func TestResultCodecsCoverEveryField(t *testing.T) {
 	var st pipeline.Stats
 	n = 0
 	fillDistinct(reflect.ValueOf(&st).Elem(), &n)
-	buf.Reset()
-	if err := (machineCodec{}).Encode(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := machineCodec{}.Decode(buf.Bytes())
+	got2, err := machineCodec{}.Decode(encode(t, machineCodec{}, st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +77,8 @@ func TestResultCodecsCoverEveryField(t *testing.T) {
 // truncation, and trailing bytes must all fail decode — a rebuild beats
 // a wrong answer.
 func TestResultCodecsRejectDamage(t *testing.T) {
-	var buf bytes.Buffer
 	r := dip.Result{Name: "cfi", Candidates: 10, Dead: 5, Predicted: 4, TruePos: 4, StateBits: 4096, BranchAccuracy: 0.93}
-	if err := (predEvalCodec{}).Encode(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := encode(t, predEvalCodec{}, r)
 
 	cases := map[string][]byte{
 		"empty":     {},
@@ -113,10 +101,10 @@ func TestResultCodecsRejectDamage(t *testing.T) {
 		}
 	}
 
-	if err := (predEvalCodec{}).Encode(&buf, pipeline.Stats{}); err == nil {
+	if _, err := (predEvalCodec{}).Encode(pipeline.Stats{}); err == nil {
 		t.Error("predeval codec encoded a machine value")
 	}
-	if err := (machineCodec{}).Encode(&buf, dip.Result{}); err == nil {
+	if _, err := (machineCodec{}).Encode(dip.Result{}); err == nil {
 		t.Error("machine codec encoded a predeval value")
 	}
 }
@@ -125,23 +113,16 @@ func TestResultCodecsRejectDamage(t *testing.T) {
 // records are compact binary, not JSON, and far smaller than the JSON
 // they replaced.
 func TestResultCodecsAreBinary(t *testing.T) {
-	var buf bytes.Buffer
 	r := dip.Result{Name: "global", Candidates: 1 << 20, Dead: 1 << 19, Predicted: 1 << 18, TruePos: 1 << 17, StateBits: 40960, BranchAccuracy: 0.931}
-	if err := (predEvalCodec{}).Encode(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.HasPrefix(buf.Bytes()[resultHeaderSize:], []byte("{")) {
+	pe := encode(t, predEvalCodec{}, r)
+	if bytes.HasPrefix(pe[resultHeaderSize:], []byte("{")) {
 		t.Error("predeval encoding still looks like JSON")
 	}
 	wantMax := resultHeaderSize + 2 + len(r.Name) + 8*predEvalFields
-	if buf.Len() > wantMax {
-		t.Errorf("predeval encoding is %d bytes, want <= %d", buf.Len(), wantMax)
+	if len(pe) > wantMax {
+		t.Errorf("predeval encoding is %d bytes, want <= %d", len(pe), wantMax)
 	}
-	buf.Reset()
-	if err := (machineCodec{}).Encode(&buf, pipeline.Stats{Cycles: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := buf.Len(), resultHeaderSize+8*machineFields; got != want {
+	if got, want := len(encode(t, machineCodec{}, pipeline.Stats{Cycles: 1})), resultHeaderSize+8*machineFields; got != want {
 		t.Errorf("machine encoding is %d bytes, want exactly %d", got, want)
 	}
 }

@@ -225,9 +225,6 @@ func New(cfg Config) (*Table, error) {
 	return p, nil
 }
 
-// Config returns the predictor's configuration.
-func (p *Table) Config() Config { return p.cfg }
-
 func (p *Table) index(pc int) (set uint32, tag uint32) {
 	set = uint32(pc) & p.setMask
 	tag = (uint32(pc) >> p.cfg.LogSets) & (1<<p.cfg.TagBits - 1)

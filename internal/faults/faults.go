@@ -9,7 +9,9 @@
 // The injector distinguishes transient faults (forgotten by the artifact
 // memo and answered 503 by the daemon — see IsTransient) from permanent
 // ones, and can also panic, delay, or corrupt a byte buffer in flight,
-// which is how trace-record corruption is modeled. The chaos soak in
+// which is how a damaged payload on the artifact tier's disk and fetch
+// paths is modeled (decoders take bytes that already passed the tier's
+// integrity check, so they have no site of their own). The chaos soak in
 // internal/core drives the full experiment suite with an injector
 // installed at every site class.
 package faults
@@ -35,9 +37,6 @@ type Site string
 const (
 	// SitePoolTask fires inside core.Pool.Do once a task holds a slot.
 	SitePoolTask Site = "pool.task"
-	// SiteTraceLoad fires per record during trace deserialization; Corrupt
-	// rules at this site mangle the record bytes instead of erroring.
-	SiteTraceLoad Site = "trace.load"
 	// SiteEmuStep fires per committed instruction in emu.Run.
 	SiteEmuStep Site = "emu.step"
 	// SiteWorkspaceMemo fires when a workspace memo entry is built (profile
@@ -63,7 +62,6 @@ var (
 	knownMu    sync.Mutex
 	knownSites = map[Site]bool{
 		SitePoolTask:      true,
-		SiteTraceLoad:     true,
 		SiteEmuStep:       true,
 		SiteWorkspaceMemo: true,
 		SiteSimulate:      true,

@@ -80,10 +80,10 @@ func TestMaxCapsFirings(t *testing.T) {
 }
 
 func TestErrorAttributionAndTransience(t *testing.T) {
-	in := NewInjector(1).Arm(SiteTraceLoad, Rule{Kind: Transient, Rate: 1})
-	err := in.Fire(SiteTraceLoad)
+	in := NewInjector(1).Arm(SiteArtifactDisk, Rule{Kind: Transient, Rate: 1})
+	err := in.Fire(SiteArtifactDisk)
 	var fe *Error
-	if !errors.As(err, &fe) || fe.Site != SiteTraceLoad || fe.Seq != 0 {
+	if !errors.As(err, &fe) || fe.Site != SiteArtifactDisk || fe.Seq != 0 {
 		t.Fatalf("bad attribution: %v", err)
 	}
 	if !IsTransient(err) {
@@ -160,10 +160,10 @@ func TestDelayKindSleepsAndSucceeds(t *testing.T) {
 }
 
 func TestMangleFlipsExactlyOneBit(t *testing.T) {
-	in := NewInjector(9).Arm(SiteTraceLoad, Rule{Kind: Corrupt, Rate: 1})
+	in := NewInjector(9).Arm(SiteArtifactDisk, Rule{Kind: Corrupt, Rate: 1})
 	buf := make([]byte, 24)
 	orig := bytes.Clone(buf)
-	if !in.Mangle(SiteTraceLoad, buf) {
+	if !in.Mangle(SiteArtifactDisk, buf) {
 		t.Fatal("rate-1 corrupt rule did not mangle")
 	}
 	diff := 0
@@ -177,12 +177,12 @@ func TestMangleFlipsExactlyOneBit(t *testing.T) {
 	if diff != 1 {
 		t.Errorf("%d bits flipped, want exactly 1", diff)
 	}
-	if in.Mangle(SiteTraceLoad, nil) {
+	if in.Mangle(SiteArtifactDisk, nil) {
 		t.Error("empty buffer cannot be mangled")
 	}
 	// Fire-only rules must not mangle, and vice versa.
-	in = NewInjector(9).Arm(SiteTraceLoad, Rule{Kind: Transient, Rate: 1})
-	if in.Mangle(SiteTraceLoad, buf) {
+	in = NewInjector(9).Arm(SiteArtifactDisk, Rule{Kind: Transient, Rate: 1})
+	if in.Mangle(SiteArtifactDisk, buf) {
 		t.Error("transient rule mangled a buffer")
 	}
 }
@@ -210,7 +210,7 @@ func TestGlobalInstall(t *testing.T) {
 	if err := Fire(SitePoolTask); err != nil {
 		t.Fatal("disabled Fire must return nil")
 	}
-	if Mangle(SiteTraceLoad, []byte{0}) {
+	if Mangle(SiteArtifactDisk, []byte{0}) {
 		t.Fatal("disabled Mangle must report false")
 	}
 	in := NewInjector(1).Arm(SitePoolTask, Rule{Kind: Permanent, Rate: 1})
@@ -225,7 +225,7 @@ func TestGlobalInstall(t *testing.T) {
 }
 
 func TestFromSpec(t *testing.T) {
-	in, err := FromSpec("pool.task:transient:0.5:2, emu.step:delay:1:0:5ms ,trace.load:corrupt:0.25", 3)
+	in, err := FromSpec("pool.task:transient:0.5:2, emu.step:delay:1:0:5ms ,artifact.disk:corrupt:0.25", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestFromSpec(t *testing.T) {
 }
 
 func TestSiteRegistry(t *testing.T) {
-	for _, s := range []Site{SitePoolTask, SiteTraceLoad, SiteEmuStep,
+	for _, s := range []Site{SitePoolTask, SiteEmuStep,
 		SiteWorkspaceMemo, SiteSimulate, SiteArtifactDisk} {
 		if !IsKnownSite(s) {
 			t.Errorf("builtin site %q not registered", s)

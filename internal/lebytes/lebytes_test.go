@@ -1,7 +1,9 @@
 package lebytes
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -11,7 +13,7 @@ import (
 // binary.LittleEndian exactly when Little is true.
 func TestLittleAgreesWithEncodingBinary(t *testing.T) {
 	s := []int32{0x04030201}
-	b := I32(s)
+	b := i32(s)
 	little := binary.LittleEndian.Uint32(b) == 0x04030201
 	if little != Little {
 		t.Fatalf("Little = %v, but byte order probe says little-endian = %v", Little, little)
@@ -43,33 +45,116 @@ func TestViewsAliasAndSize(t *testing.T) {
 	}
 
 	is := []int32{-1, 7}
-	if b := I32(is); len(b) != 8 {
-		t.Fatalf("I32 len = %d", len(b))
+	if b := i32(is); len(b) != 8 {
+		t.Fatalf("i32 len = %d", len(b))
 	}
 
 	us := []uint64{1, 2, 3}
-	if b := U64(us); len(b) != 24 {
-		t.Fatalf("U64 len = %d", len(b))
+	if b := u64(us); len(b) != 24 {
+		t.Fatalf("u64 len = %d", len(b))
 	}
 
-	if b := I32(nil); len(b) != 0 {
-		t.Fatalf("nil I32 len = %d", len(b))
+	if b := i32(nil); len(b) != 0 {
+		t.Fatalf("nil i32 len = %d", len(b))
 	}
 }
 
-// TestRoundTrip copies a wire image into typed columns through the
-// views and checks the decoded values, the way the trace and profile
-// codecs use the package.
+// TestRoundTrip decodes a wire image written by encoding/binary into a
+// typed column, the way the trace and profile codecs use the package.
 func TestRoundTrip(t *testing.T) {
-	if !Little {
-		t.Skip("views are only used as wire images on little-endian hosts")
-	}
 	wire := make([]byte, 8)
 	binary.LittleEndian.PutUint32(wire[0:], 0xFFFFFFFE) // -2
 	binary.LittleEndian.PutUint32(wire[4:], 41)
 	got := make([]int32, 2)
-	copy(I32(got), wire)
+	GetI32s(got, wire)
 	if got[0] != -2 || got[1] != 41 {
 		t.Fatalf("decoded %v", got)
+	}
+}
+
+// TestColumnHelpers runs every column helper on both byte-order branches
+// and compares each against encoding/binary: negative int32s, the
+// extreme uint64s and empty columns. It flips the package's Little, so
+// it must not run in parallel.
+func TestColumnHelpers(t *testing.T) {
+	i32s := [][]int32{nil, {}, {-1}, {math.MinInt32, -2, 0, 1, math.MaxInt32, 0x01020304}}
+	u64s := [][]uint64{nil, {}, {math.MaxUint64}, {0, 1, math.MaxUint64, 0x0102030405060708, 1 << 63}}
+
+	host := Little
+	t.Cleanup(func() { Little = host })
+	for _, little := range []bool{true, false} {
+		Little = little
+		for _, s := range i32s {
+			want := make([]byte, 4*len(s))
+			for i, v := range s {
+				binary.LittleEndian.PutUint32(want[4*i:], uint32(v))
+			}
+			got := make([]byte, 4*len(s))
+			PutI32s(got, s)
+			if !bytes.Equal(got, want) {
+				t.Errorf("Little=%v: PutI32s(%v) = %x, want %x", little, s, got, want)
+			}
+			back := make([]int32, len(s))
+			GetI32s(back, want)
+			for i := range s {
+				if back[i] != s[i] {
+					t.Errorf("Little=%v: GetI32s(%x) = %v, want %v", little, want, back, s)
+					break
+				}
+			}
+		}
+		for _, s := range u64s {
+			want := make([]byte, 8*len(s))
+			for i, v := range s {
+				binary.LittleEndian.PutUint64(want[8*i:], v)
+			}
+			got := make([]byte, 8*len(s))
+			PutU64s(got, s)
+			if !bytes.Equal(got, want) {
+				t.Errorf("Little=%v: PutU64s(%v) = %x, want %x", little, s, got, want)
+			}
+			back := make([]uint64, len(s))
+			GetU64s(back, want)
+			for i := range s {
+				if back[i] != s[i] {
+					t.Errorf("Little=%v: GetU64s(%x) = %v, want %v", little, want, back, s)
+					break
+				}
+			}
+		}
+	}
+}
+
+// TestFirstNonBool pins the word-at-a-time scan at its word boundaries:
+// a bad byte in the first word, at its last byte, at the first byte of
+// the next word and at the input's last index (past the last whole
+// word), plus empty and all-valid inputs.
+func TestFirstNonBool(t *testing.T) {
+	const n = 21 // two whole words and a 5-byte tail
+	valid := make([]byte, n)
+	for i := range valid {
+		valid[i] = byte(i % 2)
+	}
+	if got := FirstNonBool(nil); got != -1 {
+		t.Errorf("empty: got %d, want -1", got)
+	}
+	if got := FirstNonBool(valid); got != -1 {
+		t.Errorf("all valid: got %d, want -1", got)
+	}
+	for _, at := range []int{0, 7, 8, n - 1} {
+		for _, bad := range []byte{2, 0x80, 0xFF} {
+			b := bytes.Clone(valid)
+			b[at] = bad
+			if got := FirstNonBool(b); got != at {
+				t.Errorf("byte %#x at %d: got %d", bad, at, got)
+			}
+			// A second bad byte later must not move the answer.
+			if at+1 < n {
+				b[n-1] = 2
+				if got := FirstNonBool(b); got != at {
+					t.Errorf("byte %#x at %d with a later bad byte: got %d", bad, at, got)
+				}
+			}
+		}
 	}
 }

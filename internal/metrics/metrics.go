@@ -37,15 +37,14 @@ const (
 
 // Canonical counter names for the experiment service daemon
 // (internal/server): admitted requests, requests shed by the bounded
-// admission queue (429 backpressure), the live queue depth (incremented
-// on enqueue, decremented on dequeue or abandonment — a gauge carried on
-// the counter substrate), and completed and failed requests.
+// admission queue (429 backpressure), and completed and failed requests.
+// The live queue depth is not a counter: /metricz reports it as
+// queued_requests.
 const (
-	CounterServerAdmitted   = "server_admitted"
-	CounterServerShed       = "server_shed"
-	CounterServerQueueDepth = "server_queue_depth"
-	CounterServerCompleted  = "server_completed"
-	CounterServerFailed     = "server_failed"
+	CounterServerAdmitted  = "server_admitted"
+	CounterServerShed      = "server_shed"
+	CounterServerCompleted = "server_completed"
+	CounterServerFailed    = "server_failed"
 	// CounterServerRetries is never incremented: the daemon runs each
 	// request once. The name stays declared because benchmark/daemon.go
 	// still reports it.

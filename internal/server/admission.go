@@ -82,7 +82,6 @@ func (a *admission) acquire(ctx context.Context) error {
 	ready := make(chan struct{})
 	a.waiting = append(a.waiting, ready)
 	a.mu.Unlock()
-	a.mc.Add(metrics.CounterServerQueueDepth, 1)
 
 	select {
 	case <-ready:
@@ -99,7 +98,6 @@ func (a *admission) acquire(ctx context.Context) error {
 		}
 		a.waiting = slices.Delete(a.waiting, i, i+1)
 		a.mu.Unlock()
-		a.mc.Add(metrics.CounterServerQueueDepth, -1)
 		return ctx.Err()
 	}
 }
@@ -120,7 +118,6 @@ func (a *admission) releaseLocked() {
 	close(a.waiting[0])
 	a.waiting = slices.Delete(a.waiting, 0, 1)
 	a.active++
-	a.mc.Add(metrics.CounterServerQueueDepth, -1)
 }
 
 // drain switches the queue into shutdown mode: new acquires fail with

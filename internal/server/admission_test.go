@@ -101,9 +101,6 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 	if _, q := a.snapshot(); q != 0 {
 		t.Errorf("queued = %d after abandonment, want 0", q)
 	}
-	if got := mc.Counter(metrics.CounterServerQueueDepth); got != 0 {
-		t.Errorf("queue depth gauge = %d, want 0", got)
-	}
 
 	// The abandoned ticket must not absorb the next grant.
 	a.release()

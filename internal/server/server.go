@@ -53,7 +53,8 @@ func init() { faults.RegisterSite(SiteAccept, SiteHandle) }
 // Config assembles a Server.
 type Config struct {
 	// Workspace executes all queries. Its pool's worker count also
-	// bounds concurrently executing requests.
+	// bounds concurrently executing requests, and its Metrics collector
+	// (nil-safe) receives the daemon's counters and histograms.
 	Workspace *core.Workspace
 	// QueueDepth bounds requests waiting for a worker; arrivals beyond
 	// it are shed with 429 (0 = no waiting, shed when all workers busy).
@@ -62,9 +63,6 @@ type Config struct {
 	// MaxTimeout clamps client-requested deadlines (0 = no clamp).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Metrics receives the daemon's counters and histograms. Nil is
-	// ignored in the usual nil-safe way.
-	Metrics *metrics.Collector
 }
 
 // Server is the HTTP service; build one with New, expose Handler, and
@@ -93,8 +91,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg: cfg,
 		w:   cfg.Workspace,
-		mc:  cfg.Metrics,
-		adm: newAdmission(cfg.Workspace.Pool().Workers(), cfg.QueueDepth, cfg.Metrics),
+		mc:  cfg.Workspace.Metrics,
+		adm: newAdmission(cfg.Workspace.Pool().Workers(), cfg.QueueDepth, cfg.Workspace.Metrics),
 		mux: http.NewServeMux(),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())

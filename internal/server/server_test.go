@@ -32,7 +32,6 @@ func newTestServer(t *testing.T, tune func(*Config)) (*Server, *httptest.Server,
 		Workspace:      w,
 		QueueDepth:     8,
 		DefaultTimeout: time.Minute,
-		Metrics:        mc,
 	}
 	if tune != nil {
 		tune(&cfg)
@@ -246,8 +245,9 @@ type deadnessSummaryProbe struct{ total, dead int }
 func TestShedUnderBurst(t *testing.T) {
 	_, ts, mc := newTestServer(t, func(c *Config) {
 		// One pool worker admits one request at a time.
-		c.Workspace = core.NewWorkspaceWorkers(testBudget, 1)
-		c.Workspace.Metrics = c.Metrics
+		w := core.NewWorkspaceWorkers(testBudget, 1)
+		w.Metrics = c.Workspace.Metrics
+		c.Workspace = w
 		c.QueueDepth = 0
 	})
 	benches := core.SuiteNames()

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/faults"
 	"repro/internal/isa"
 	"repro/internal/lebytes"
 )
@@ -81,73 +80,21 @@ func (c *Chunk) sectionSize() int {
 // encodeSection fills b (sized by sectionSize) with the chunk's columnar
 // section. Access widths are not stored: the linker proved every memory
 // record's width equals its opcode's MemWidth, so the loader re-derives
-// them. On little-endian hosts each column is one copy (a Go bool is
-// stored as 0 or 1, so the Taken column's memory image is its wire image
-// too).
+// them.
 func (c *Chunk) encodeSection(b []byte) {
 	cn := c.Len()
-	var off int
-	if lebytes.Little {
-		copy(b[:4*cn], lebytes.I32(c.PC))
-		copy(b[4*cn:5*cn], lebytes.U8(c.Op))
-		copy(b[5*cn:6*cn], lebytes.U8(c.Rd))
-		copy(b[6*cn:7*cn], lebytes.U8(c.Rs1))
-		copy(b[7*cn:8*cn], lebytes.U8(c.Rs2))
-		copy(b[8*cn:9*cn], lebytes.Bool(c.Taken))
-		copy(b[9*cn:13*cn], lebytes.I32(c.NextPC))
-		copy(b[13*cn:17*cn], lebytes.I32(c.Src1))
-		copy(b[17*cn:21*cn], lebytes.I32(c.Src2))
-		copy(b[21*cn:22*cn], c.Ineff)
-		copy(b[22*cn:], lebytes.U64(c.Addr))
-		off = 22*cn + 8*len(c.Addr)
-	} else {
-		for i, v := range c.PC {
-			binary.LittleEndian.PutUint32(b[i*4:], uint32(v))
-		}
-		off = 4 * cn
-		for i, v := range c.Op {
-			b[off+i] = byte(v)
-		}
-		off += cn
-		for i, v := range c.Rd {
-			b[off+i] = byte(v)
-		}
-		off += cn
-		for i, v := range c.Rs1 {
-			b[off+i] = byte(v)
-		}
-		off += cn
-		for i, v := range c.Rs2 {
-			b[off+i] = byte(v)
-		}
-		off += cn
-		for i, v := range c.Taken {
-			if v {
-				b[off+i] = 1
-			} else {
-				b[off+i] = 0
-			}
-		}
-		off += cn
-		for i, v := range c.NextPC {
-			binary.LittleEndian.PutUint32(b[off+i*4:], uint32(v))
-		}
-		off += 4 * cn
-		for i, v := range c.Src1 {
-			binary.LittleEndian.PutUint32(b[off+i*4:], uint32(v))
-		}
-		off += 4 * cn
-		for i, v := range c.Src2 {
-			binary.LittleEndian.PutUint32(b[off+i*4:], uint32(v))
-		}
-		off += 4 * cn
-		copy(b[off:off+cn], c.Ineff)
-		off += cn
-		for i, v := range c.Addr {
-			binary.LittleEndian.PutUint64(b[off+i*8:], v)
-		}
-		off += 8 * len(c.Addr)
-	}
+	lebytes.PutI32s(b[:4*cn], c.PC)
+	copy(b[4*cn:5*cn], lebytes.U8(c.Op))
+	copy(b[5*cn:6*cn], lebytes.U8(c.Rd))
+	copy(b[6*cn:7*cn], lebytes.U8(c.Rs1))
+	copy(b[7*cn:8*cn], lebytes.U8(c.Rs2))
+	copy(b[8*cn:9*cn], lebytes.Bool(c.Taken))
+	lebytes.PutI32s(b[9*cn:13*cn], c.NextPC)
+	lebytes.PutI32s(b[13*cn:17*cn], c.Src1)
+	lebytes.PutI32s(b[17*cn:21*cn], c.Src2)
+	copy(b[21*cn:22*cn], c.Ineff)
+	lebytes.PutU64s(b[22*cn:], c.Addr)
+	off := 22*cn + 8*len(c.Addr)
 	// Loads' producer-store lists, in record order: one count byte per
 	// load followed by the producers. Stores carry no list.
 	for i := 0; i < cn; i++ {
@@ -233,7 +180,8 @@ func parseHeader(hdr []byte, limit int) (version uint32, n int, err error) {
 // consumer, truncation, and trailing garbage are errors. Columnar
 // sections decode straight out of data with no intermediate copy — the
 // persistent artifact tier's warm start reads a verified payload and
-// decodes it in place. No reference to data is retained.
+// decodes it in place. LoadBytes is a pure function of data: it never
+// writes data and retains no reference to it.
 func LoadBytes(data []byte, limit int) (*Trace, error) {
 	if limit <= 0 {
 		limit = DefaultLoadLimit
@@ -248,14 +196,7 @@ func LoadBytes(data []byte, limit int) (*Trace, error) {
 	if version != traceVersionLinked {
 		return nil, fmt.Errorf("trace: unsupported version %d", version)
 	}
-	body := data[12:]
-	inj := faults.Active()
-	if inj != nil {
-		// Fault injection mangles the body in place; never corrupt the
-		// caller's buffer.
-		body = append([]byte(nil), body...)
-	}
-	return loadColumnar(body, n, inj)
+	return loadColumnar(data[12:], n)
 }
 
 // loadColumnar decodes the version-3 body: the chunk size table, then one
@@ -263,7 +204,7 @@ func LoadBytes(data []byte, limit int) (*Trace, error) {
 // intermediate copy. Sections are independent, so on multi-core hosts they
 // decode in parallel — the warm-start path's wall clock is one chunk's
 // decode, not the sum over chunks.
-func loadColumnar(body []byte, n int, inj *faults.Injector) (*Trace, error) {
+func loadColumnar(body []byte, n int) (*Trace, error) {
 	t := &Trace{Linked: true}
 	if n == 0 {
 		if len(body) != 0 {
@@ -276,12 +217,6 @@ func loadColumnar(body []byte, n int, inj *faults.Injector) (*Trace, error) {
 		return nil, fmt.Errorf("trace: chunk size table: %w", io.ErrUnexpectedEOF)
 	}
 	tbl := body[:4*nc]
-	if inj != nil {
-		if err := inj.Fire(faults.SiteTraceLoad); err != nil {
-			return nil, fmt.Errorf("trace: chunk size table: %w", err)
-		}
-		inj.Mangle(faults.SiteTraceLoad, tbl)
-	}
 	sizes := make([]int, nc)
 	for k := range sizes {
 		cn := min(n-k<<ChunkBits, ChunkSize)
@@ -303,13 +238,6 @@ func loadColumnar(body []byte, n int, inj *faults.Injector) (*Trace, error) {
 		}
 		sec := body[off : off+sizes[k]]
 		off += sizes[k]
-		if inj != nil {
-			if err := inj.Fire(faults.SiteTraceLoad); err != nil {
-				wg.Wait()
-				return nil, fmt.Errorf("trace: chunk %d: %w", k, err)
-			}
-			inj.Mangle(faults.SiteTraceLoad, sec)
-		}
 		c := &Chunk{}
 		t.chunks = append(t.chunks, c)
 		base := k << ChunkBits
@@ -402,37 +330,29 @@ var opInfo = func() (t [256]uint8) {
 	return t
 }()
 
-// SWAR masks for word-at-a-time column validation. A register byte is
+// SWAR mask for word-at-a-time register validation: a register byte is
 // valid iff it carries no bit outside NumRegs-1 (NumRegs is a power of
-// two — enforced at compile time below); a taken byte must be 0 or 1.
-const (
-	swarSpread    = 0x0101010101010101
-	regHighBits   = 0xFF &^ (isa.NumRegs - 1)
-	regHighMask   = regHighBits * swarSpread
-	takenHighMask = 0xFE * swarSpread
-)
+// two — enforced at compile time below).
+const regHighMask = (0xFF &^ (isa.NumRegs - 1)) * 0x0101010101010101
 
 var _ = [1]struct{}{}[isa.NumRegs&(isa.NumRegs-1)] // NumRegs must be a power of two
 
-// validateRegsTaken checks the three register columns against NumRegs and
-// the taken column against {0,1}, eight records per step; a failing word
-// falls back to a scalar scan to attribute the exact record.
-func validateRegsTaken(rdb, rs1b, rs2b, takenb []byte, base, cn int) error {
+// validateRegs checks the three register columns against NumRegs, eight
+// records per step; a failing word falls back to a scalar scan to
+// attribute the exact record.
+func validateRegs(rdb, rs1b, rs2b []byte, base, cn int) error {
 	i := 0
 	for ; i+8 <= cn; i += 8 {
 		w := binary.LittleEndian.Uint64(rdb[i:]) |
 			binary.LittleEndian.Uint64(rs1b[i:]) |
 			binary.LittleEndian.Uint64(rs2b[i:])
-		if w&regHighMask != 0 || binary.LittleEndian.Uint64(takenb[i:])&takenHighMask != 0 {
+		if w&regHighMask != 0 {
 			break
 		}
 	}
 	for ; i < cn; i++ {
 		if rdb[i]|rs1b[i]|rs2b[i] >= isa.NumRegs {
 			return fmt.Errorf("trace: record %d: register out of range", base+i)
-		}
-		if takenb[i] > 1 {
-			return fmt.Errorf("trace: record %d: invalid taken flag %d", base+i, takenb[i])
 		}
 	}
 	return nil
@@ -443,10 +363,8 @@ func validateRegsTaken(rdb, rs1b, rs2b, takenb []byte, base, cn int) error {
 // its decoded length. Every field is validated: opcodes, registers, taken
 // flags, producer links strictly preceding their consumer, load producer
 // lists bounded by the access width and distinct, and the section
-// consumed exactly. On little-endian hosts the columns transfer as
-// single copies (their wire image is their memory image) with the
-// validation running as word-at-a-time scans; other hosts take the scalar
-// loops.
+// consumed exactly. The byte-sized columns are validated by
+// word-at-a-time scans and then copied whole.
 func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 	// Section size was validated >= cn*hotColumnBytes by the caller.
 	pcb := b[:4*cn]
@@ -486,8 +404,11 @@ func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 			c.MemIdx[i] = -1
 		}
 	}
-	if err := validateRegsTaken(rdb, rs1b, rs2b, takenb, base, cn); err != nil {
+	if err := validateRegs(rdb, rs1b, rs2b, base, cn); err != nil {
 		return err
+	}
+	if i := lebytes.FirstNonBool(takenb); i >= 0 {
+		return fmt.Errorf("trace: record %d: invalid taken flag %d", base+i, takenb[i])
 	}
 	for i, h := range ineffb {
 		if h != 0 && !validIneffHint(opb[i], isa.Reg(rdb[i]), h) {
@@ -495,29 +416,16 @@ func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 				base+i, h, isa.Op(opb[i]))
 		}
 	}
-	if lebytes.Little {
-		copy(lebytes.U8(c.Op[:cn]), opb)
-		copy(lebytes.U8(c.Rd[:cn]), rdb)
-		copy(lebytes.U8(c.Rs1[:cn]), rs1b)
-		copy(lebytes.U8(c.Rs2[:cn]), rs2b)
-		copy(lebytes.Bool(c.Taken[:cn]), takenb) // bytes proved 0/1 above
-		copy(lebytes.I32(c.PC[:cn]), pcb)
-		copy(lebytes.I32(c.NextPC[:cn]), nextb)
-		copy(lebytes.I32(c.Src1[:cn]), src1b)
-		copy(lebytes.I32(c.Src2[:cn]), src2b)
-		copy(c.Ineff[:cn], ineffb)
-	} else {
-		for i := 0; i < cn; i++ {
-			c.Op[i] = isa.Op(opb[i])
-			c.Rd[i], c.Rs1[i], c.Rs2[i] = isa.Reg(rdb[i]), isa.Reg(rs1b[i]), isa.Reg(rs2b[i])
-			c.Taken[i] = takenb[i] != 0
-			c.PC[i] = int32(binary.LittleEndian.Uint32(pcb[i*4:]))
-			c.NextPC[i] = int32(binary.LittleEndian.Uint32(nextb[i*4:]))
-			c.Src1[i] = int32(binary.LittleEndian.Uint32(src1b[i*4:]))
-			c.Src2[i] = int32(binary.LittleEndian.Uint32(src2b[i*4:]))
-		}
-		copy(c.Ineff[:cn], ineffb)
-	}
+	copy(lebytes.U8(c.Op), opb)
+	copy(lebytes.U8(c.Rd), rdb)
+	copy(lebytes.U8(c.Rs1), rs1b)
+	copy(lebytes.U8(c.Rs2), rs2b)
+	copy(lebytes.Bool(c.Taken), takenb) // bytes proved 0/1 above
+	lebytes.GetI32s(c.PC, pcb)
+	lebytes.GetI32s(c.NextPC, nextb)
+	lebytes.GetI32s(c.Src1, src1b)
+	lebytes.GetI32s(c.Src2, src2b)
+	copy(c.Ineff, ineffb)
 	for i, v := range c.Src1[:cn] {
 		if v != NoProducer && (v < 0 || v >= int32(base+i)) {
 			return fmt.Errorf("trace: record %d: src1 producer %d out of range", base+i, v)
@@ -538,13 +446,7 @@ func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 	c.Width = make([]uint8, memCnt)
 	c.srcOff = make([]int32, memCnt)
 	c.srcLen = make([]uint8, memCnt)
-	if lebytes.Little {
-		copy(lebytes.U64(c.Addr[:memCnt]), addrb)
-	} else {
-		for i := 0; i < memCnt; i++ {
-			c.Addr[i] = binary.LittleEndian.Uint64(addrb[i*8:])
-		}
-	}
+	lebytes.GetU64s(c.Addr, addrb)
 	// One pass over the memory records fills the side tables and decodes
 	// each load's producer list. Widths are not stored: SaveLinked requires
 	// a linked trace, and the linker proved every memory record's width

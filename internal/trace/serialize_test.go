@@ -3,13 +3,12 @@ package trace_test
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/emu"
-	"repro/internal/faults"
 	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -40,10 +39,9 @@ func linkedImage(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// TestSaveLoadRoundTrip round-trips an emulated trace that spans two
-// chunks, so the size table and per-chunk sections are exercised beyond
-// the single-chunk sample.
-func TestSaveLoadRoundTrip(t *testing.T) {
+// twoChunkTrace emulates gzip for a linked trace that spans two chunks.
+func twoChunkTrace(t *testing.T) *trace.Trace {
+	t.Helper()
 	p, err := workload.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +57,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if orig.NumChunks() != 2 {
 		t.Fatalf("trace has %d chunks, want 2", orig.NumChunks())
 	}
+	return orig
+}
+
+// TestSaveLoadRoundTrip round-trips an emulated trace that spans two
+// chunks, so the size table and per-chunk sections are exercised beyond
+// the single-chunk sample.
+func TestSaveLoadRoundTrip(t *testing.T) {
+	orig := twoChunkTrace(t)
 	var buf bytes.Buffer
 	if err := orig.SaveLinked(&buf); err != nil {
 		t.Fatal(err)
@@ -169,43 +175,31 @@ func TestLoadRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadUnderCorruptionInjection drives LoadBytes with the fault
-// injector's Corrupt rule mangling every section: each load must either
-// succeed (the flipped bit landed somewhere representable) or fail
-// cleanly — never panic — and injected read faults must surface with
-// attribution. The caller's buffer is never corrupted in place.
+// loadFlipped flips one bit of image b, loads it and flips the bit back.
+// The damaged load must fail cleanly or return want records — never
+// panic — and must not write b.
+func loadFlipped(t *testing.T, b []byte, i, bit, want int) {
+	t.Helper()
+	b[i] ^= 1 << bit
+	defer func() { b[i] ^= 1 << bit }()
+	orig := bytes.Clone(b)
+	tr, err := trace.LoadBytes(b, 0)
+	if err == nil && tr.Len() != want {
+		t.Errorf("byte %d bit %d: damaged load returned %d records, want %d", i, bit, tr.Len(), want)
+	}
+	if !bytes.Equal(b, orig) {
+		t.Fatalf("byte %d bit %d: LoadBytes wrote its input", i, bit)
+	}
+}
+
+// TestLoadUnderCorruptionInjection flips every bit of the sample image,
+// one at a time.
 func TestLoadUnderCorruptionInjection(t *testing.T) {
-	raw := linkedImage(t)
-	orig := bytes.Clone(raw)
-
-	for seed := uint64(0); seed < 20; seed++ {
-		in := faults.NewInjector(seed).
-			Arm(faults.SiteTraceLoad, faults.Rule{Kind: faults.Corrupt, Rate: 1})
-		faults.Set(in)
-		tr, err := trace.LoadBytes(raw, 0)
-		faults.Set(nil)
-		if err == nil && tr.Len() != 5 {
-			t.Errorf("seed %d: corrupted load returned %d records", seed, tr.Len())
+	b := linkedImage(t)
+	for i := range b {
+		for bit := 0; bit < 8; bit++ {
+			loadFlipped(t, b, i, bit, 5)
 		}
-		if in.Fired(faults.SiteTraceLoad) == 0 {
-			t.Errorf("seed %d: corrupt rule never fired", seed)
-		}
-	}
-	if !bytes.Equal(raw, orig) {
-		t.Error("fault injection corrupted the caller's buffer")
-	}
-
-	in := faults.NewInjector(1).
-		Arm(faults.SiteTraceLoad, faults.Rule{Kind: faults.Transient, Rate: 1, Max: 1})
-	faults.Set(in)
-	defer faults.Set(nil)
-	_, err := trace.LoadBytes(raw, 0)
-	var fe *faults.Error
-	if !errors.As(err, &fe) || fe.Site != faults.SiteTraceLoad {
-		t.Errorf("injected read fault not attributed: %v", err)
-	}
-	if !faults.IsTransient(err) {
-		t.Error("injected transient load fault lost its transient classification")
 	}
 }
 
@@ -303,16 +297,23 @@ func TestLoadRejectsCorruptLinks(t *testing.T) {
 	})
 }
 
+// TestLinkedLoadUnderCorruptionInjection flips seeded random bits of a
+// two-chunk image, whose sections decode in parallel on multi-core
+// hosts: every bit of the header and size table, then bits anywhere.
 func TestLinkedLoadUnderCorruptionInjection(t *testing.T) {
-	base, _, _ := linkedSample(t)
-	for seed := uint64(0); seed < 20; seed++ {
-		in := faults.NewInjector(seed).
-			Arm(faults.SiteTraceLoad, faults.Rule{Kind: faults.Corrupt, Rate: 1})
-		faults.Set(in)
-		tr, err := trace.LoadBytes(base, 0)
-		faults.Set(nil)
-		if err == nil && tr.Len() != 5 {
-			t.Errorf("seed %d: corrupted load returned %d records", seed, tr.Len())
+	tr := twoChunkTrace(t)
+	var buf bytes.Buffer
+	if err := tr.SaveLinked(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	for i := 0; i < 12+4*2; i++ {
+		for bit := 0; bit < 8; bit++ {
+			loadFlipped(t, b, i, bit, tr.Len())
 		}
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for k := 0; k < 200; k++ {
+		loadFlipped(t, b, rng.IntN(len(b)), rng.IntN(8), tr.Len())
 	}
 }

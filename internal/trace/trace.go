@@ -39,10 +39,6 @@ const (
 	HintSilentStore uint8 = 1 << iota
 	HintResultEqRs1
 	HintResultEqRs2
-
-	// HintMask covers every defined hint bit; bytes with bits outside it
-	// are rejected by the loader.
-	HintMask = HintSilentStore | HintResultEqRs1 | HintResultEqRs2
 )
 
 // MaxMemProducers bounds the producer stores of one load: a load reads at
@@ -379,9 +375,6 @@ func (r Ref) NextPC() int32 { return r.c.NextPC[r.i] }
 func (r Ref) Src1() int32   { return r.c.Src1[r.i] }
 func (r Ref) Src2() int32   { return r.c.Src2[r.i] }
 
-// Ineff returns the record's ineffectuality hint bits (Hint*).
-func (r Ref) Ineff() uint8 { return r.c.Ineff[r.i] }
-
 // Addr returns the memory address of a load or store (0 otherwise).
 func (r Ref) Addr() uint64 {
 	if mi := r.c.MemIdx[r.i]; mi >= 0 {
@@ -396,11 +389,6 @@ func (r Ref) Width() uint8 {
 		return r.c.Width[mi]
 	}
 	return 0
-}
-
-// HasResult reports whether the record produces a readable register value.
-func (r Ref) HasResult() bool {
-	return r.c.Op[r.i].HasDest() && r.c.Rd[r.i] != isa.RZero
 }
 
 // MemProducers returns the producer stores of a linked load (empty
