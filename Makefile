@@ -24,8 +24,10 @@ check: vet race
 # fuzz runs the untrusted-input fuzz targets for a short budget each:
 # the trace decoder (LoadBytes, which reads disk and remote payloads),
 # the artifact frame verifier (Unframe, which guards every remote fetch),
-# the profile, profile-facts and result (predeval and machine) decoders
-# (which read disk and remote entries), predictor geometry from the
+# the profile, profile-facts, result (predeval and machine) and
+# experiment decoders (which read disk and remote entries; the
+# experiment target also bounds what Render of an accepted payload
+# allocates), predictor geometry from the
 # daemon (Config.Validate), the daemon's request-body decoder
 # (decodeBody), and assembler parsing. CI runs this non-gating; raise
 # FUZZTIME for local soaking. -run '^$$' skips the package's unit tests,
@@ -44,6 +46,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzProfileDecode$$' $(FUZZFLAGS) ./internal/core
 	$(GO) test -fuzz '^FuzzFactsDecode$$' $(FUZZFLAGS) ./internal/core
 	$(GO) test -fuzz '^FuzzResultDecode$$' $(FUZZFLAGS) ./internal/core
+	$(GO) test -fuzz '^FuzzExperimentDecode$$' $(FUZZFLAGS) ./internal/core
 	$(GO) test -fuzz '^FuzzConfigValidate$$' $(FUZZFLAGS) ./internal/dip
 	$(GO) test -fuzz '^FuzzDecodeBody$$' $(FUZZFLAGS) ./internal/server
 	$(GO) test -fuzz '^FuzzAsmParse$$' $(FUZZFLAGS) ./internal/asm

@@ -28,10 +28,10 @@
 // Every artifact the daemon completes stays in memory until it exits.
 // That stays bounded: the daemon serves one budget, so it holds at most
 // the 11 suite profiles, the fixed set of facts and machine results its
-// endpoints reach, and one entry per experiment id (never written to
-// -cache-dir). Only /v1/predeval results grow, one per distinct
-// predictor spec a client sends, each at the cost of a full evaluation.
-// -cache-dir with -disk-budget is the bounded tier.
+// endpoints reach, and one entry per experiment id (each also written to
+// -cache-dir and exported whole). Only /v1/predeval results grow, one
+// per distinct predictor spec a client sends, each at the cost of a full
+// evaluation. -cache-dir with -disk-budget is the bounded tier.
 //
 // On SIGTERM/SIGINT the daemon drains: readiness flips to 503, new work
 // is rejected, in-flight work finishes (or is cancelled at

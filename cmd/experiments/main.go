@@ -15,20 +15,26 @@
 // excludes ids from whatever -only selected (default: all); both validate
 // against the known experiment ids up front.
 //
-// The workspace derives profiles, their facts, predictor evaluations, and
-// machine runs through a content-addressed artifact cache that keeps
-// every artifact it completes for the rest of the run. -cache-dir
-// attaches a persistent disk tier shared across runs (and safely across
-// concurrent processes): artifacts write through on build and cold misses
-// load from disk instead of rebuilding; -disk-budget bounds the directory
-// (suffixes KiB/MiB/GiB; 0 = unlimited), with the oldest entries
-// garbage-collected beyond it. -remote-cache attaches a warm deadd daemon
-// as a third tier behind memory and disk (lookup order: memory, disk,
-// remote, build): verified remote hits also warm the local disk tier, and
-// the tier is read-only, so freshly built artifacts stay local. The
+// The workspace derives profiles, their facts, predictor evaluations,
+// machine runs and the experiments themselves through a
+// content-addressed artifact cache that keeps every artifact it completes
+// for the rest of the run. -cache-dir attaches a persistent disk tier
+// shared across runs (and safely across concurrent processes): artifacts
+// write through on build and cold misses load from disk instead of
+// rebuilding, so a warm rerun reads one entry per experiment and prints
+// the cold run's output with 0.0s wall stamps; -disk-budget bounds the
+// directory (suffixes KiB/MiB/GiB; 0 = unlimited), with the oldest
+// entries garbage-collected beyond it. -remote-cache attaches a warm
+// deadd daemon as a third tier behind memory and disk (lookup order:
+// memory, disk, remote, build): verified remote hits also warm the local
+// disk tier, and the tier is read-only, so freshly built artifacts stay
+// local. The
 // artifact store's per-kind counts (hits, misses, inflight_waits, and the
 // disk and remote tiers' disk_hits, disk_writes, remote_hits, ...) end
-// the -v run summary and form the -json "artifacts" section.
+// the -v run summary and form the -json "artifacts" section. Every key
+// carries the model fingerprint, which -json reports as "model": a tier
+// or daemon written by a model with another fingerprint misses every
+// key.
 //
 // Failure handling: each experiment runs once, bounded by -timeout, and
 // to its own end, so one failure never cancels or drops another
@@ -229,7 +235,8 @@ func selectExperiments(only, skip string) ([]string, error) {
 	return list, nil
 }
 
-// printJSON emits the machine-readable form: the experiments array is
+// printJSON emits the machine-readable form: the model fingerprint every
+// artifact key carries, then the experiments array, which is
 // deterministic (identical for any -j), while the run section carries the
 // wall-clock phase report and counters of this particular run, and the
 // artifacts section the per-kind cache hit/miss statistics and
@@ -244,10 +251,11 @@ func printJSON(exps []*core.Experiment, arts artifact.Stats, mc *metrics.Collect
 		Error   string             `json:"error,omitempty"`
 	}
 	out := struct {
+		Model       string          `json:"model"`
 		Experiments []jsonExp       `json:"experiments"`
 		Artifacts   artifact.Stats  `json:"artifacts"`
 		Run         metrics.Summary `json:"run"`
-	}{Artifacts: arts, Run: mc.Summary()}
+	}{Model: core.ModelFingerprint, Artifacts: arts, Run: mc.Summary()}
 	for _, e := range exps {
 		je := jsonExp{ID: e.ID, Title: e.Title, Claim: e.Claim, Metrics: e.Metrics}
 		if e.Err != nil {

@@ -1,12 +1,12 @@
 // Package artifact is a typed, content-addressed derivation cache: every
 // value the experiment engine computes — emulated and analyzed trace
-// profiles, their facts, predictor evaluations, machine runs — is an
-// artifact addressed by its kind and a canonical digest of the full input
-// spec that produced it. The store provides single-flight computation
-// (concurrent requesters of one artifact block on one producer) and
-// per-kind hit/miss/in-flight counters, so sweep-heavy workloads reuse
-// work across experiments. A completed artifact stays resident for the
-// life of its store.
+// profiles, their facts, predictor evaluations, machine runs, whole
+// experiments — is an artifact addressed by its kind and a canonical
+// digest of the full input spec that produced it. The store provides
+// single-flight computation (concurrent requesters of one artifact block
+// on one producer) and per-kind hit/miss/in-flight counters, so
+// sweep-heavy workloads reuse work across experiments. A completed
+// artifact stays resident for the life of its store.
 //
 // Artifacts are pure functions of their spec: a rebuild in a fresh store
 // must be bit-identical to the original, which is what lets a disk or

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -219,18 +222,22 @@ func TestOptionVariantsPersistOnlyAsFacts(t *testing.T) {
 	}
 }
 
-// TestDefaultProfileKeyPinned pins the disk key of one default profile to
-// the digest it had when profileSpec also carried an omitempty
-// compile-options pointer, nil for every default profile. Disk tiers and
-// remote daemons populated under that spec keep serving default profiles.
+// TestDefaultProfileKeyPinned pins the disk key of one default profile:
+// the SHA-256 of the canonical JSON of ModelFingerprint and the profile
+// spec, which holds the benchmark and the budget alone. A change to that
+// layout would re-key every profile, so tiers and remote daemons of the
+// same model would stop serving them; only a ModelFingerprint update may
+// re-key them.
 func TestDefaultProfileKeyPinned(t *testing.T) {
-	const want = "8a768280103d6cb5d8e5b9be14b74c7c97a64c811ab77948e605e9a852ee4505"
+	canonical := fmt.Sprintf(`{"Model":%q,"Spec":{"Bench":"gzip","Budget":%d}}`, ModelFingerprint, testBudget)
+	sum := sha256.Sum256([]byte(canonical))
+	want := hex.EncodeToString(sum[:])
 	dir := t.TempDir()
 	if _, err := diskWorkspace(t, dir).ProfileOf("gzip"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, string(KindProfile), want)); err != nil {
 		files, _ := os.ReadDir(filepath.Join(dir, string(KindProfile)))
-		t.Errorf("gzip's profile at budget %d is not stored under %s: %v (entries %v)", testBudget, want, err, files)
+		t.Errorf("gzip's profile at budget %d is not stored under %s, the digest of %s: %v (entries %v)", testBudget, want, canonical, err, files)
 	}
 }

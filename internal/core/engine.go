@@ -44,10 +44,12 @@ func (e *Experiment) Render() string {
 // RunExperiments runs the requested experiments concurrently over the
 // workspace and returns them in input order, so output stays
 // deterministic no matter how the work was scheduled. Each experiment is
-// an artifact (KindExperiment, keyed by ID and budget), built once per
-// workspace on the artifact store's build goroutine, which is also its
-// panic boundary: a repeated request reads the stored experiment, and
-// identical concurrent requests wait on one build. All heavy
+// an artifact (KindExperiment, keyed by ID, budget and ModelFingerprint),
+// built once per workspace on the artifact store's build goroutine, which
+// is also its panic boundary: a repeated request reads the stored
+// experiment, and identical concurrent requests wait on one build. Over
+// a warm disk or remote tier an experiment is one entry read, and
+// nothing it was built from is looked up. All heavy
 // per-benchmark work inside the experiments funnels through the
 // workspace's bounded pool, so total parallelism stays at the pool's
 // bound even with experiments × suite fan-out.
@@ -81,11 +83,13 @@ func (w *Workspace) RunExperiments(ctx context.Context, ids []string) ([]*Experi
 	return out, errors.Join(errs...) // nil entries are skipped
 }
 
-// runOne returns one experiment from the artifact store, building it on
-// a miss. Timeout bounds this caller's wait; the build runs on the
-// store's detached context, cancelled when its last waiter leaves, and
-// a build that fails transiently, is cancelled or panics is forgotten,
-// so the next request builds again.
+// runOne returns one experiment from the artifact store: from memory,
+// else from the disk tier, else from the remote tier, else built. Timeout
+// bounds this caller's wait; the build runs on the store's detached
+// context, cancelled when its last waiter leaves, and a build that fails
+// transiently, is cancelled or panics is forgotten, so the next request
+// builds again. Only a build measures Wall, and only a success is
+// written through.
 func (w *Workspace) runOne(ctx context.Context, id string) (*Experiment, error) {
 	sp := w.Metrics.Start("experiment", id)
 	defer sp.End(0)
@@ -101,7 +105,7 @@ func (w *Workspace) runOne(ctx context.Context, id string) (*Experiment, error) 
 		ctx, cancel = context.WithTimeout(ctx, w.Timeout)
 		defer cancel()
 	}
-	key := artifact.Key{Kind: KindExperiment, Digest: artifact.Digest(experimentSpec{id, w.Budget})}
+	key := artifactKey(KindExperiment, experimentSpec{id, w.Budget})
 	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (*Experiment, error) {
 		start := time.Now()
 		e, err := driver(w, bctx)

@@ -27,9 +27,11 @@ type Experiment struct {
 	// checked by the benchmark harness and recorded in EXPERIMENTS.md.
 	Metrics map[string]float64
 	// Wall is how long the experiment's build took. It is measured
-	// inside the build, so an experiment served again from the artifact
-	// store reports its one build's time. It reflects scheduling and
-	// memoization, so it is excluded from deterministic comparisons.
+	// inside the build, so an experiment served again from memory
+	// reports its one build's time, and one read from the disk or remote
+	// tier reports 0: the codec does not store it. It reflects
+	// scheduling and memoization, so it is excluded from deterministic
+	// comparisons.
 	Wall time.Duration
 	// Err is the failure of an experiment that did not complete, as
 	// RunExperiments reports it; such an entry carries no Table, Figure,

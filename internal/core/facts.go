@@ -61,7 +61,7 @@ func (w *Workspace) Facts(ctx context.Context, name string, opts *compiler.Optio
 
 // facts is Facts with E18's window sizes, which are part of the key.
 func (w *Workspace) facts(ctx context.Context, name string, opts *compiler.Options, windows []int) (ProfileFacts, error) {
-	key := artifact.Key{Kind: KindFacts, Digest: artifact.Digest(factsSpec{factsVersion, name, w.Budget, opts, windows})}
+	key := artifactKey(KindFacts, factsSpec{factsVersion, name, w.Budget, opts, windows})
 	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (ProfileFacts, error) {
 		return w.buildFacts(bctx, name, opts, windows)
 	})

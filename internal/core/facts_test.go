@@ -74,14 +74,15 @@ func TestFactsVersionPinsLayout(t *testing.T) {
 }
 
 // TestWarmSuiteReadsNoTrace pins the warm path: a cold suite stores one
-// profile and four facts entries per benchmark, and over that disk tier
-// E1-E21 answer from facts, predictor evaluations and machine runs
-// alone, so no profile is opened, no trace decoded and nothing
-// compiled. The machine-only experiments touch neither profiles nor
-// facts.
+// profile and four facts entries per benchmark and one entry per
+// experiment, and over that disk tier E1-E21 read their 21 experiment
+// entries and nothing else. With the experiment entries removed, they
+// answer from facts, predictor evaluations and machine runs alone, so
+// no profile is opened, no trace decoded and nothing compiled; and the
+// machine-only experiments touch neither profiles nor facts.
 func TestWarmSuiteReadsNoTrace(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full suite twice")
+		t.Skip("runs the full suite three times")
 	}
 	const budget = 20_000
 	ctx := context.Background()
@@ -110,6 +111,7 @@ func TestWarmSuiteReadsNoTrace(t *testing.T) {
 	}{
 		{KindProfile, len(SuiteNames())},
 		{KindFacts, 4 * len(SuiteNames())},
+		{KindExperiment, len(ids)},
 	} {
 		files, err := os.ReadDir(filepath.Join(dir, string(c.kind)))
 		if err != nil {
@@ -128,6 +130,25 @@ func TestWarmSuiteReadsNoTrace(t *testing.T) {
 		}
 	}
 
+	full := open()
+	fullRes, err := full.RunExperiments(ctx, ids)
+	if err != nil {
+		t.Fatalf("warm run: %v", err)
+	}
+	same("warm", fullRes)
+	want21 := map[artifact.Kind]artifact.KindStats{KindExperiment: {DiskHits: int64(len(ids))}}
+	if ks := full.ArtifactStats().Kinds; !reflect.DeepEqual(ks, want21) {
+		t.Errorf("warm suite artifact stats = %+v, want only %d experiment disk hits", ks, len(ids))
+	}
+
+	// The halves below count lower-tier reads, so each runs over the
+	// tier without its experiment entries (the one before rewrites them).
+	dropExperiments := func() {
+		if err := os.RemoveAll(filepath.Join(dir, string(KindExperiment))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dropExperiments()
 	warm := open()
 	warm.Metrics = metrics.New()
 	warmRes, err := warm.RunExperiments(ctx, ids)
@@ -146,7 +167,13 @@ func TestWarmSuiteReadsNoTrace(t *testing.T) {
 		t.Errorf("warm facts stats = %+v, want %d disk hits (default, no-hoist, DCE and E18's windows per benchmark) and no builds",
 			f, 4*len(SuiteNames()))
 	}
+	for k, n := range map[artifact.Kind]int64{KindPredEval: 264, KindMachine: 209} {
+		if st := ks[k]; st.Misses != 0 || st.DiskHits != n {
+			t.Errorf("warm %s stats = %+v, want %d disk hits and no builds", k, st, n)
+		}
+	}
 
+	dropExperiments()
 	machines := open()
 	sub := []string{"e9", "e10", "e13"}
 	subRes, err := machines.RunExperiments(ctx, sub)

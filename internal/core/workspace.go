@@ -39,12 +39,38 @@ const (
 	// KindMachine is one pipeline simulation: (benchmark, budget,
 	// canonical pipeline.Config digest).
 	KindMachine artifact.Kind = "machine"
-	// KindExperiment is one completed experiment: (ID, budget). It has
-	// no codec, so it stays resident only: its key names no model
-	// version, and a rendering persisted by one build of the code could
-	// be served by another.
+	// KindExperiment is one completed experiment: (ID, budget). Its
+	// codec persists what Render reads, so a warm run reads one entry
+	// per experiment and none of the artifacts it was built from; the
+	// driver code that made it is named by ModelFingerprint, which every
+	// key carries.
 	KindExperiment artifact.Kind = "experiment"
 )
+
+// ModelFingerprint names the model and driver code that produce every
+// artifact value: it is a hash of what a canary run of E1-E21 renders and
+// persists, and every artifact key carries it (artifactKey). A change to
+// the emulator, the analysis, a predictor, the timing model, a driver or
+// a codec that alters any of those bytes fails TestModelFingerprint,
+// which prints the new value. Updating the constant re-keys every kind,
+// so every disk and remote cache written under the old value is never
+// read again, and a peer daemon built from other code misses every key.
+const ModelFingerprint = "7bb94f0886d7e4ca"
+
+// modelSpec is what an artifact key digests: the kind's spec under the
+// model that answers it.
+type modelSpec struct {
+	Model string
+	Spec  any
+}
+
+// artifactKey addresses the artifact of kind k built from spec. It is the
+// one place keys are made, so no kind can miss the fingerprint: a bump
+// that re-keyed only experiments would rebuild them from stale machine
+// and predictor-evaluation entries.
+func artifactKey(k artifact.Kind, spec any) artifact.Key {
+	return artifact.Key{Kind: k, Digest: artifact.Digest(modelSpec{ModelFingerprint, spec})}
+}
 
 // Workspace derives per-benchmark traces, oracle analyses, profile facts,
 // predictor evaluations, and machine simulations through a
@@ -141,14 +167,18 @@ func (w *Workspace) artifacts() *artifact.Store {
 		w.store.RegisterCodec(KindFacts, factsCodec)
 		w.store.RegisterCodec(KindPredEval, predEvalCodec{})
 		w.store.RegisterCodec(KindMachine, machineCodec{})
+		w.store.RegisterCodec(KindExperiment, experimentCodec{})
 	}
 	return w.store
 }
 
 // OpenDiskCache attaches a persistent disk tier rooted at dir to the
 // workspace's artifact store: profiles, their facts, predictor
-// evaluations, and machine runs write through to a content-addressed
-// on-disk cache, and cold misses load from disk instead of rebuilding.
+// evaluations, machine runs and experiments write through to a
+// content-addressed on-disk cache, and cold misses load from disk
+// instead of rebuilding, so a warm E1-E21 reads its 21 experiment
+// entries and nothing else. Every key carries ModelFingerprint, so a
+// tier written by another model is never read.
 // budgetBytes bounds the directory (0 = unlimited; the oldest entries are
 // garbage-collected beyond it). The directory may be shared with
 // concurrent processes. Call before the first artifact request.
@@ -216,7 +246,7 @@ func (w *Workspace) ProfileOf(name string) (*ProfileResult, error) {
 // disconnects is the emulation aborted. The store forgets a cancelled
 // build, so the next request rebuilds deterministically.
 func (w *Workspace) ProfileOfCtx(ctx context.Context, name string) (*ProfileResult, error) {
-	key := artifact.Key{Kind: KindProfile, Digest: artifact.Digest(profileSpec{name, w.Budget})}
+	key := artifactKey(KindProfile, profileSpec{name, w.Budget})
 	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (*ProfileResult, error) {
 		return w.buildProfile(bctx, name)
 	})
@@ -252,7 +282,7 @@ func (w *Workspace) EvalPredictorCtx(ctx context.Context, name string, spec dip.
 	if err := spec.Validate(); err != nil {
 		return dip.Result{}, err
 	}
-	key := artifact.Key{Kind: KindPredEval, Digest: artifact.Digest(predEvalSpec{name, w.Budget, spec.Digest()})}
+	key := artifactKey(KindPredEval, predEvalSpec{name, w.Budget, spec.Digest()})
 	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (dip.Result, error) {
 		return w.buildPredEval(bctx, name, spec)
 	})
@@ -297,7 +327,7 @@ func (w *Workspace) RunMachine(name string, cfg pipeline.Config) (pipeline.Stats
 // check its context: an abandoned one runs out on its own goroutine, and
 // its result is dropped.
 func (w *Workspace) RunMachineCtx(ctx context.Context, name string, cfg pipeline.Config) (pipeline.Stats, error) {
-	key := artifact.Key{Kind: KindMachine, Digest: artifact.Digest(machineSpec{name, w.Budget, cfg.Digest()})}
+	key := artifactKey(KindMachine, machineSpec{name, w.Budget, cfg.Digest()})
 	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (pipeline.Stats, error) {
 		return w.simulate(bctx, name, cfg)
 	})

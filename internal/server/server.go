@@ -163,18 +163,21 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ready\n")
 }
 
-// handleMetricz reports the run summary, with the heap measured now
-// under run.mem, the artifact store snapshot and the admission state.
+// handleMetricz reports the model fingerprint every artifact key
+// carries (a peer whose model differs misses every key), the run
+// summary, with the heap measured now under run.mem, the artifact store
+// snapshot and the admission state.
 func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	active, queued := s.adm.snapshot()
 	s.mc.RecordMemStats()
 	writeJSON(w, http.StatusOK, struct {
+		Model     string          `json:"model"`
 		Run       metrics.Summary `json:"run"`
 		Artifacts artifact.Stats  `json:"artifacts"`
 		Active    int             `json:"active_requests"`
 		Queued    int             `json:"queued_requests"`
 		Draining  bool            `json:"draining"`
-	}{s.mc.Summary(), s.w.ArtifactStats(), active, queued, s.draining.Load()})
+	}{core.ModelFingerprint, s.mc.Summary(), s.w.ArtifactStats(), active, queued, s.draining.Load()})
 }
 
 // --- request plumbing ---

@@ -315,11 +315,15 @@ func TestMetricz(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var m struct {
+		Model    string          `json:"model"`
 		Run      metrics.Summary `json:"run"`
 		Draining bool            `json:"draining"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
+	}
+	if m.Model != core.ModelFingerprint {
+		t.Errorf("model = %q, want the fingerprint every key carries, %q", m.Model, core.ModelFingerprint)
 	}
 	if m.Run.Counters[metrics.CounterServerCompleted] < 1 {
 		t.Errorf("completed counter = %d, want >= 1", m.Run.Counters[metrics.CounterServerCompleted])
@@ -699,6 +703,42 @@ func TestRepeatedExperimentServedFromStore(t *testing.T) {
 	}
 	if st := ks[core.KindPredEval]; st.Misses != int64(len(core.SuiteNames())) {
 		t.Errorf("predeval builds = %d, want %d (one build of E5)", st.Misses, len(core.SuiteNames()))
+	}
+}
+
+// TestRemoteExperimentReadsNoLowerTier checks that a workspace whose
+// remote tier is a daemon that has served E5 fetches E5 whole: one
+// experiment remote hit, no build, and no predictor evaluation looked up
+// anywhere.
+func TestRemoteExperimentReadsNoLowerTier(t *testing.T) {
+	_, ts, _ := newTestServer(t, nil)
+	resp, body := post(t, ts.URL+"/v1/experiment", `{"id":"e5"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("e5: status %d: %s", resp.StatusCode, body)
+	}
+	var served ExperimentResult
+	if err := json.Unmarshal(body, &served); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := client.New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := core.NewWorkspaceWorkers(testBudget, 2)
+	w.SetRemoteTier(rc)
+	exps, err := w.RunExperiments(context.Background(), []string{"e5"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := exps[0].Render(); got != served.Render {
+		t.Errorf("remote E5 renders differently from the daemon's:\n%s\nvs\n%s", got, served.Render)
+	}
+	ks := w.ArtifactStats().Kinds
+	if st := ks[core.KindExperiment]; st.RemoteHits != 1 || st.Misses != 0 {
+		t.Errorf("experiment stats = %+v, want one remote hit and no build", st)
+	}
+	if st, ok := ks[core.KindPredEval]; ok {
+		t.Errorf("remote E5 looked up predictor evaluations: %+v", st)
 	}
 }
 

@@ -110,6 +110,21 @@ func (t *Table) AddRowf(cells ...any) {
 	t.AddRow(row...)
 }
 
+// TableOf rebuilds a table from the cells Cells returned. Every row must
+// have one cell per header, as every row AddRow appends does.
+func TableOf(headers []string, rows [][]string) (*Table, error) {
+	for i, row := range rows {
+		if len(row) != len(headers) {
+			return nil, fmt.Errorf("stats: table row %d has %d cells for %d headers", i, len(row), len(headers))
+		}
+	}
+	return &Table{headers: headers, rows: rows}, nil
+}
+
+// Cells returns the table's headers and rows. They are the table's own
+// slices, so the caller must not modify them.
+func (t *Table) Cells() (headers []string, rows [][]string) { return t.headers, t.rows }
+
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# CLI exit-code smoke: build the command-line tools once and check the
-# exit codes a script relies on to tell a usage error from a failed run.
-# Every tool exits 2 when a flag or the environment is wrong, before any
-# work starts; 1 when its run failed; and experiments exits 3 when some
-# experiments failed and the others were still reported.
+# CLI smoke: build the command-line tools once and check the exit codes
+# a script relies on to tell a usage error from a failed run. Every tool
+# exits 2 when a flag or the environment is wrong, before any work
+# starts; 1 when its run failed; and experiments exits 3 when some
+# experiments failed and the others were still reported. Last, a warm
+# experiments rerun over a -cache-dir prints what the cold run printed
+# and reads its 21 experiment entries and nothing else.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -71,8 +73,34 @@ if ! grep -q '^=== E9: FAILED' "$WORK/out"; then
     failures=$((failures + 1))
 fi
 
+# A warm rerun is one lookup per experiment: over the tier a cold run
+# filled, experiments prints the same tables (the "(N.Ns)" wall stamps
+# aside), and its -json artifacts read 21 experiment disk hits, no build
+# of any kind and no lookup of any other kind.
+tier="$WORK/tier"
+stamps() { sed -E 's/ \([0-9.]+s\)$//' "$1"; }
+expect 0 experiments -n 20000 -j 1 -cache-dir "$tier"
+cp "$WORK/out" "$WORK/cold.out"
+expect 0 experiments -n 20000 -j 1 -cache-dir "$tier"
+if ! diff <(stamps "$WORK/cold.out") <(stamps "$WORK/out") >"$WORK/diff"; then
+    echo "cli_smoke: the warm experiments run printed other tables than the cold run:" >&2
+    cat "$WORK/diff" >&2
+    failures=$((failures + 1))
+fi
+expect 0 experiments -n 20000 -j 1 -cache-dir "$tier" -json
+# The -json "kinds" object, one line per field at a fixed indentation.
+kinds="$(sed -n '/^    "kinds": {/,/^    }/p' "$WORK/out")"
+if [ "$(echo "$kinds" | grep -Ec '^      "[a-z]+": \{')" != 1 ] ||
+    ! echo "$kinds" | grep -q '^      "experiment": {' ||
+    echo "$kinds" | grep -Eq '"misses": [1-9]' ||
+    ! echo "$kinds" | grep -q '"disk_hits": 21$'; then
+    echo "cli_smoke: the warm -json run read more than its 21 experiment entries:" >&2
+    echo "$kinds" >&2
+    failures=$((failures + 1))
+fi
+
 if [ "$failures" != 0 ]; then
     echo "cli_smoke: $failures check(s) failed" >&2
     exit 1
 fi
-echo "cli_smoke: OK (usage errors exit 2, a partial experiment run exits 3 and keeps E1)"
+echo "cli_smoke: OK (usage errors exit 2, a partial experiment run exits 3 and keeps E1, a warm rerun reads 21 experiment entries)"

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Daemon smoke: build deadd + deadload + deadprof, start the daemon with
-# a temporary persistent cache, run a load burst against it, run one E19
-# ineffectuality experiment through the experiment endpoint twice,
-# warm-start a second process from the daemon's cache over HTTP, SIGTERM
-# the daemon, and assert (1) E19 dispatches and returns a non-error
-# result, and its repeat returns the same bytes from the artifact store,
-# (2) a remote warm start that rebuilt nothing (facts-kind misses == 0,
-# remote hits recorded, no profile built), (3) a zero exit after graceful
+# Daemon smoke: build deadd + deadload + deadprof + experiments, start
+# the daemon with a temporary persistent cache, run a load burst against
+# it, run one E19 ineffectuality experiment through the experiment
+# endpoint twice, warm-start second processes from the daemon's cache
+# over HTTP, SIGTERM the daemon, and assert (1) E19 dispatches and
+# returns a non-error result, and its repeat returns the same bytes from
+# the artifact store, (2) remote warm starts that rebuilt nothing
+# (deadprof: facts-kind misses == 0, remote hits recorded, no profile
+# built; experiments -only e19: one experiment remote hit and no miss of
+# any kind), (3) a zero exit after graceful
 # drain, and (4) that the drain persisted exactly the one artifact whose
 # write-through an injected artifact.disk fault dropped: the daemon runs
 # with FAULTS=artifact.disk:transient:1:1, so its first disk write fails,
@@ -26,6 +28,7 @@ trap 'rm -rf "$WORK"' EXIT
 go build -o "$WORK/deadd" ./cmd/deadd
 go build -o "$WORK/deadload" ./cmd/deadload
 go build -o "$WORK/deadprof" ./cmd/deadprof
+go build -o "$WORK/experiments" ./cmd/experiments
 
 FAULTS=artifact.disk:transient:1:1 \
     "$WORK/deadd" -addr "$ADDR" -n "$BUDGET" -cache-dir "$WORK/cache" \
@@ -70,8 +73,8 @@ fi
 
 # A repeated experiment is served from the artifact store: the second E19
 # body equals the first byte for byte, and between the two requests the
-# store's "experiment" kind (resident only) reads one more hit and no
-# more misses. experiment_count reads one of its counters from a compact
+# store's "experiment" kind reads one more hit (from memory) and no more
+# misses. experiment_count reads one of its counters from a compact
 # /metricz body, skipping the run section's phase of the same name.
 experiment_count() {
     sed 's/.*"artifacts":{"kinds"://' | grep -o '"experiment":{[^}]*}' | grep -o "\"$1\":[0-9]*" | cut -d: -f2 || true
@@ -119,6 +122,19 @@ if sed -n '/"profile": {/,/}/p' "$WORK/deadprof.err" | grep -Eq '"misses": [1-9]
     exit 1
 fi
 
+# Remote experiments: the daemon holds E19 whole, so a second process
+# with the daemon as its remote tier fetches the experiment itself, one
+# remote hit, and builds or looks up nothing below it.
+"$WORK/experiments" -only e19 -n "$BUDGET" -remote-cache "http://$ADDR" -json \
+    >"$WORK/experiments.out" 2>"$WORK/experiments.err"
+kinds="$(sed -n '/^    "kinds": {/,/^    }/p' "$WORK/experiments.out")"
+if ! echo "$kinds" | sed -n '/"experiment": {/,/}/p' | grep -q '"remote_hits": 1$' ||
+    echo "$kinds" | grep -Eq '"misses": [1-9]'; then
+    echo "daemon_smoke: remote E19 did not arrive whole from the daemon:" >&2
+    cat "$WORK/experiments.out" "$WORK/experiments.err" >&2
+    exit 1
+fi
+
 # disk_writes sums the per-kind "disk_writes" fields of a metrics JSON
 # document (a kind with none omits the field).
 disk_writes() {
@@ -149,4 +165,4 @@ if [ "$after" != $((before + 1)) ]; then
     exit 1
 fi
 
-echo "daemon_smoke: OK (E19 via daemon, repeat served from the store, remote warm start, exit 0 after drain, drain persisted the dropped write-through)"
+echo "daemon_smoke: OK (E19 via daemon, repeat served from the store, remote warm starts of facts and of E19, exit 0 after drain, drain persisted the dropped write-through)"
