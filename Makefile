@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench-all check fuzz chaos soak smoke cancel-window cli-smoke
+.PHONY: build test vet race bench-all check fuzz chaos soak smoke cancel-window cli-smoke loc
 
 build:
 	$(GO) build ./...
@@ -92,3 +92,9 @@ cli-smoke:
 # -against <checkout>` makes paired end-to-end comparisons.
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# loc prints the repository's size measure: lines of committed non-test Go
+# outside benchmark/ (the benchmark is its own module and measures the
+# program rather than being part of it).
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:benchmark/' | xargs cat | wc -l

@@ -282,6 +282,9 @@ func BenchmarkGshare(b *testing.B) {
 	}
 }
 
+// BenchmarkPipeline measures one simulation on the path the workspace
+// runs: the trace's prediction column is built once, outside the timed
+// loop, and every run reads it (pipeline.RunWith).
 func BenchmarkPipeline(b *testing.B) {
 	prog, err := asm.Assemble("bench", benchProgramSrc)
 	if err != nil {
@@ -291,12 +294,17 @@ func BenchmarkPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	dir, err := bpred.NewDirByName(dip.DefaultDirName)
+	if err != nil {
+		b.Fatal(err)
+	}
+	preds := bpred.Predict(tr, dir, false)
 	cfg := pipeline.ContendedConfig()
 	cfg.Elim = true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.Run(tr, an, cfg); err != nil {
+		if _, err := pipeline.RunWith(tr, an, cfg, preds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -419,10 +427,8 @@ func BenchmarkWorkloadCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictorEvaluate measures trace-level predictor evaluation:
-// the default CFI spec (E5's design point) over one suite benchmark's 1M
-// profile, the dip.Evaluate walk behind every predeval artifact.
-func BenchmarkPredictorEvaluate(b *testing.B) {
+// gccProfile profiles one suite benchmark at the 1M CLI budget.
+func gccProfile(b *testing.B) *core.ProfileResult {
 	prof, err := workload.ByName("gcc")
 	if err != nil {
 		b.Fatal(err)
@@ -431,16 +437,48 @@ func BenchmarkPredictorEvaluate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return res
+}
+
+// BenchmarkPredictorEvaluate measures trace-level predictor evaluation:
+// the default CFI spec (E5's design point) over one suite benchmark's 1M
+// profile, the walk behind every predeval artifact. As in the workspace,
+// the profile's prediction column is built once, outside the timed loop,
+// and every evaluation reads it.
+func BenchmarkPredictorEvaluate(b *testing.B) {
+	res := gccProfile(b)
 	pred, err := dip.Spec{Flavor: dip.FlavorCFI, Config: dip.DefaultConfig()}.New()
 	if err != nil {
 		b.Fatal(err)
 	}
+	res.Predictions()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pred.Evaluate(res.Trace, res.Analysis); err != nil {
+		if _, err := pred.EvaluateWith(res.Trace, res.Analysis, res.Predictions); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.ReportMetric(float64(res.Trace.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
+}
+
+// predsSink keeps BenchmarkBranchPredictions' result live.
+var predsSink *bpred.Predictions
+
+// BenchmarkBranchPredictions measures one build of a prediction column,
+// the walk each profile makes once for all its simulations and
+// default-predictor evaluations: gshare-4k over one suite benchmark's 1M
+// profile.
+func BenchmarkBranchPredictions(b *testing.B) {
+	res := gccProfile(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dir, err := bpred.NewDirByName(dip.DefaultDirName)
+		if err != nil {
+			b.Fatal(err)
+		}
+		predsSink = bpred.Predict(res.Trace, dir, false)
 	}
 	b.ReportMetric(float64(res.Trace.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }

@@ -2,7 +2,7 @@
 // benchmark, comparing three designs at the same table geometry:
 //
 //   - the paper's control-flow-informed predictor (path signatures built
-//     from the branch predictor's lookahead);
+//     from the branch predictor's directions for the next branches);
 //   - a per-PC confidence counter with no future control flow;
 //   - the CFI predictor fed oracle (actual) future directions.
 //
@@ -41,25 +41,26 @@ func main() {
 		name, sum.Total, sum.Dead, 100*sum.DeadFraction())
 
 	cfi := dip.DefaultConfig()
-	counter := dip.DefaultConfig()
-	counter.PathLen = 0
-
 	rows := []struct {
 		label string
-		opt   dip.Options
+		spec  dip.Spec
 	}{
-		{"CFI (predicted future paths)", dip.Options{Config: cfi}},
-		{"counter (no control flow)   ", dip.Options{Config: counter}},
-		{"CFI (oracle future paths)   ", dip.Options{Config: cfi, UseActualPath: true}},
+		{"CFI (predicted future paths)", dip.Spec{Flavor: dip.FlavorCFI, Config: cfi}},
+		{"counter (no control flow)   ", dip.Spec{Flavor: dip.FlavorCounter, Config: cfi}},
+		{"CFI (oracle future paths)   ", dip.Spec{Flavor: dip.FlavorOracle, Config: cfi}},
 	}
 	for _, row := range rows {
-		r, err := dip.Evaluate(tr, an, row.opt)
+		pred, err := row.spec.New()
+		if err != nil {
+			log.Fatal(err)
+		}
+		r, err := pred.Evaluate(tr, an)
 		if err != nil {
 			fmt.Println("evaluate:", err)
 			return
 		}
 		fmt.Printf("%s  %.2f KB  coverage %5.1f%%  accuracy %5.1f%%  (%d false positives)\n",
-			row.label, row.opt.Config.StateKB(),
+			row.label, row.spec.Canonical().Config.StateKB(),
 			100*r.Coverage(), 100*r.Accuracy(), r.FalsePositives())
 	}
 

@@ -187,12 +187,7 @@ func (c profileCodec) Decode(payload []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ProfileResult{
-		Bench:     h.Bench,
-		Trace:     tr,
-		Analysis:  a,
-		Summary:   h.Summary,
-		Locality:  h.Locality,
-		PassStats: h.PassStats,
-	}, nil
+	res := newProfileResult(h.Bench, tr, a)
+	res.Summary, res.Locality, res.PassStats = h.Summary, h.Locality, h.PassStats
+	return res, nil
 }

@@ -7,9 +7,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
+	"repro/internal/bpred"
 	"repro/internal/compiler"
 	"repro/internal/deadness"
+	"repro/internal/dip"
 	"repro/internal/emu"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -28,6 +31,36 @@ type ProfileResult struct {
 	Summary   deadness.Summary
 	Locality  deadness.Locality
 	PassStats compiler.PassStats
+
+	preds *sharedPredictions
+}
+
+// sharedPredictions is a profile's prediction column, built on first use.
+type sharedPredictions struct {
+	once sync.Once
+	col  *bpred.Predictions
+}
+
+// newProfileResult bundles a profile; its prediction column is not built
+// yet.
+func newProfileResult(bench string, t *trace.Trace, a *deadness.Analysis) *ProfileResult {
+	return &ProfileResult{Bench: bench, Trace: t, Analysis: a, preds: &sharedPredictions{}}
+}
+
+// Predictions returns the trace's prediction column under
+// dip.DefaultDirName, which is also the gshare every machine
+// configuration fetches with. The first call builds it; every simulation
+// and default-predictor evaluation of the profile then reads that one
+// column, which lives as long as the profile and is never persisted.
+func (p *ProfileResult) Predictions() *bpred.Predictions {
+	p.preds.once.Do(func() {
+		dir, err := bpred.NewDirByName(dip.DefaultDirName)
+		if err != nil {
+			panic(err) // a registered name
+		}
+		p.preds.col = bpred.Predict(p.Trace, dir, false)
+	})
+	return p.preds.col
 }
 
 // Profile builds a benchmark (optionally overriding its compile options),
@@ -56,13 +89,9 @@ func profileWith(ctx context.Context, p workload.Profile, opts *compiler.Options
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling %s: %w", p.Name, err)
 	}
-	res := &ProfileResult{
-		Bench:     p.Name,
-		Trace:     tr,
-		Analysis:  a,
-		Summary:   a.Summarize(tr, prog),
-		PassStats: passStats,
-	}
+	res := newProfileResult(p.Name, tr, a)
+	res.Summary = a.Summarize(tr, prog)
+	res.PassStats = passStats
 	res.Locality = deadness.ComputeLocality(a.StaticProfile(tr), nil)
 	return res, nil
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/bpred"
 	"repro/internal/dip"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
@@ -164,5 +166,95 @@ func TestE9ElimPairConsistency(t *testing.T) {
 	}
 	if base.Committed != elim.Committed {
 		t.Errorf("committed differ: %d vs %d", base.Committed, elim.Committed)
+	}
+}
+
+// TestProfilePredictionsShared runs machine runs and predictor
+// evaluations of one profile concurrently, through the workspace, while
+// other goroutines ask the profile for its prediction column. Every
+// caller sees one column, and every result equals the private path's,
+// where pipeline.Run and Predictor.Evaluate predict the branches
+// themselves. Under -race it also checks that the column's first build
+// is safe to share.
+func TestProfilePredictionsShared(t *testing.T) {
+	const name = "gzip"
+	w := NewWorkspaceWorkers(20_000, 4)
+	p, err := w.ProfileOf(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elim := pipeline.ContendedConfig()
+	elim.Elim = true
+	cfgs := []pipeline.Config{pipeline.BaselineConfig(), elim, pipeline.ClusteredConfig()}
+	cfg := dip.DefaultConfig()
+	specs := []dip.Spec{
+		{Flavor: dip.FlavorCFI, Config: cfg},
+		{Flavor: dip.FlavorCounter, Config: cfg},
+		{Flavor: dip.FlavorOracle, Config: cfg},
+		{Flavor: dip.FlavorCFI, Config: cfg, Dir: "bimodal-4k"},
+	}
+	stats := make([]pipeline.Stats, len(cfgs))
+	results := make([]dip.Result, len(specs))
+	cols := make([]*bpred.Predictions, 4)
+	errs := make(chan error, len(cfgs)+len(specs))
+	var wg sync.WaitGroup
+	for i, c := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, err := w.RunMachine(name, c)
+			stats[i] = st
+			errs <- err
+		}()
+	}
+	for i, s := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := w.EvalPredictor(name, s)
+			results[i] = res
+			errs <- err
+		}()
+	}
+	for i := range cols {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cols[i] = p.Predictions()
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, col := range cols {
+		if col != p.Predictions() {
+			t.Errorf("caller %d got another column", i)
+		}
+	}
+	for i, c := range cfgs {
+		want, err := pipeline.Run(p.Trace, p.Analysis, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats[i] != want {
+			t.Errorf("%s: shared column gives %+v, private %+v", c.Label(), stats[i], want)
+		}
+	}
+	for i, s := range specs {
+		pred, err := s.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := pred.Evaluate(p.Trace, p.Analysis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[i] != want {
+			t.Errorf("%s: shared column gives %+v, private %+v", s.Label(), results[i], want)
+		}
 	}
 }

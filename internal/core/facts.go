@@ -11,20 +11,13 @@ import (
 	"repro/internal/workload"
 )
 
-// factsVersion is the format generation of ProfileFacts. The facts spec
-// carries it, so changing the value's fields re-keys every entry: the
-// strict JSON codec refuses unknown fields but decodes a missing one as
-// zero, and an older entry read under the same key would answer with
-// zero-filled facts. TestFactsVersionPinsLayout fails on any change to
-// the shape of ProfileFacts until this is bumped.
-const factsVersion = 1
-
 // factsSpec keys a facts artifact: the benchmark, the budget, the
-// compile options (nil means the workload's own), the window sizes E18
-// re-analyzes, and the format version. Only E18 names windows; every
-// other reader shares the window-less entry.
+// compile options (nil means the workload's own) and the window sizes E18
+// re-analyzes. Only E18 names windows; every other reader shares the
+// window-less entry. A change to what ProfileFacts holds changes what the
+// canary run of TestModelFingerprint persists, so the ModelFingerprint
+// every key carries moves with it.
 type factsSpec struct {
-	Version int
 	Bench   string
 	Budget  int
 	Opts    *compiler.Options `json:",omitempty"`
@@ -61,7 +54,7 @@ func (w *Workspace) Facts(ctx context.Context, name string, opts *compiler.Optio
 
 // facts is Facts with E18's window sizes, which are part of the key.
 func (w *Workspace) facts(ctx context.Context, name string, opts *compiler.Options, windows []int) (ProfileFacts, error) {
-	key := artifactKey(KindFacts, factsSpec{factsVersion, name, w.Budget, opts, windows})
+	key := artifactKey(KindFacts, factsSpec{name, w.Budget, opts, windows})
 	return artifact.GetCtx(w.artifacts(), ctx, key, func(bctx context.Context) (ProfileFacts, error) {
 		return w.buildFacts(bctx, name, opts, windows)
 	})

@@ -31,7 +31,7 @@ const (
 	// compiled with the workload's own options: (benchmark, budget).
 	KindProfile artifact.Kind = "profile"
 	// KindFacts is a profile's small summaries (ProfileFacts): benchmark,
-	// budget, compile options, E18's window sizes and a format version.
+	// budget, compile options and E18's window sizes.
 	KindFacts artifact.Kind = "facts"
 	// KindPredEval is one trace-level predictor evaluation: (benchmark,
 	// budget, canonical dip.Spec digest).
@@ -301,7 +301,7 @@ func (w *Workspace) buildPredEval(ctx context.Context, name string, spec dip.Spe
 		return dip.Result{}, err
 	}
 	sp := w.Metrics.Start("predict", name+" "+spec.Label())
-	res, err := pred.Evaluate(p.Trace, p.Analysis)
+	res, err := pred.EvaluateWith(p.Trace, p.Analysis, p.Predictions)
 	sp.End(int64(p.Trace.Len()))
 	if err != nil {
 		return dip.Result{}, err
@@ -342,7 +342,7 @@ func (w *Workspace) simulate(ctx context.Context, name string, cfg pipeline.Conf
 		return pipeline.Stats{}, err
 	}
 	sp := w.Metrics.Start(metrics.PhaseSimulate, fmt.Sprintf("%s %s", name, cfg.Label()))
-	st, err := pipeline.Run(res.Trace, res.Analysis, cfg)
+	st, err := pipeline.RunWith(res.Trace, res.Analysis, cfg, res.Predictions())
 	sp.End(int64(res.Trace.Len()))
 	if err != nil {
 		return pipeline.Stats{}, fmt.Errorf("core: simulating %s: %w", name, err)

@@ -4,9 +4,9 @@
 // small number of *dead-path signatures* — patterns of predicted directions
 // for the next few conditional branches — with a saturating confidence
 // counter per signature. An instance is predicted dead only when the
-// current future-control-flow signature (from the branch predictor's
-// lookahead, see bpred.Lookahead) matches a signature whose counter has
-// reached the confidence threshold.
+// current future-control-flow signature (the branch predictor's
+// directions for the next branches, see bpred.Predictions) matches a
+// signature whose counter has reached the confidence threshold.
 //
 // Keying on future control flow is what lets the predictor distinguish
 // useless from useful instances of the same static instruction: a value
@@ -54,8 +54,8 @@ type Config struct {
 // next branch usually decides whether a value's consumer executes, while
 // longer signatures fragment (a static instruction's dead path splits into
 // many rarely-repeating patterns) and are corrupted by any one branch
-// misprediction among the lookahead, costing coverage with no accuracy
-// gain.
+// misprediction among the predicted branches, costing coverage with no
+// accuracy gain.
 func DefaultConfig() Config {
 	return Config{
 		LogSets:     7,
@@ -263,7 +263,7 @@ func (p *Table) Predict(pc int, sig uint16) bool {
 }
 
 // Update trains the predictor with an instance's resolved outcome: the
-// instruction at pc, whose lookahead signature at prediction time was sig,
+// instruction at pc, whose path signature at prediction time was sig,
 // turned out dead or not.
 //
 // Entries are allocated lazily, on the first dead outcome for a PC, so

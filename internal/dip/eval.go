@@ -51,25 +51,10 @@ func (r Result) String() string {
 		r.FalsePositives(), float64(r.StateBits)/8192)
 }
 
-// Options configures an evaluation run.
-type Options struct {
-	Config Config
-	// Dir supplies branch directions for path signatures; nil selects the
-	// pipeline's default gshare predictor.
-	Dir bpred.DirPredictor
-	// UseActualPath replaces predicted future directions with actual
-	// outcomes — the oracle upper bound of control-flow information.
-	UseActualPath bool
-}
-
-// DefaultDir returns the direction predictor used when Options.Dir is nil:
-// a 4K-entry gshare with 10 bits of history.
-func DefaultDir() bpred.DirPredictor { return bpred.NewGshare(12, 10) }
-
 // nilPend terminates a pending-update list.
 const nilPend = int32(-1)
 
-// evalScratch carries Evaluate's working arrays between runs through a
+// evalScratch carries evaluate's working arrays between runs through a
 // pool: the engine evaluates dozens of predictor configurations over the
 // same budget, and recycling the arrays keeps each run's allocation cost
 // near zero instead of O(candidates).
@@ -84,28 +69,25 @@ type evalScratch struct {
 
 var evalPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
-// Evaluate runs the predictor over a linked, analyzed trace. An invalid
+// evaluate runs the table predictor cfg over a linked, analyzed trace,
+// reading path signatures from the trace's prediction column. An invalid
 // predictor geometry returns a *ConfigError.
 //
 // The walk models the hardware timeline: a prediction for instance i uses
-// the branch-predictor lookahead at i; the predictor trains only when the
-// instance's deadness *resolves* (its register is overwritten or read, its
-// stored bytes are overwritten or loaded — deadness.Analysis.Resolve), not
-// at prediction time. Predictions awaiting resolution live in intrusive
-// lists headed by resolve point (parallel flat arrays indexed by a next
-// pointer), not a map: the walk allocates a handful of slices total
-// instead of one map entry per in-flight prediction.
-func Evaluate(t *trace.Trace, a *deadness.Analysis, opt Options) (Result, error) {
-	dir := opt.Dir
-	if dir == nil {
-		dir = DefaultDir()
-	}
-	p, err := New(opt.Config)
+// the directions predicted for the branches after i; the predictor trains
+// only when the instance's deadness *resolves* (its register is
+// overwritten or read, its stored bytes are overwritten or loaded —
+// deadness.Analysis.Resolve), not at prediction time. Predictions
+// awaiting resolution live in intrusive lists headed by resolve point
+// (parallel flat arrays indexed by a next pointer), not a map: the walk
+// allocates a handful of slices total instead of one map entry per
+// in-flight prediction.
+func evaluate(t *trace.Trace, a *deadness.Analysis, cfg Config, preds *bpred.Predictions) (Result, error) {
+	p, err := New(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	look := bpred.NewLookahead(dir, t, max(opt.Config.PathLen, 1))
-	res := Result{Name: opt.Config.Name(), StateBits: opt.Config.StateBits()}
+	res := Result{Name: cfg.Name(), StateBits: cfg.StateBits()}
 
 	n := t.Len()
 	es := evalPool.Get().(*evalScratch)
@@ -126,7 +108,6 @@ func Evaluate(t *trace.Trace, a *deadness.Analysis, opt Options) (Result, error)
 	// flat arrays grow to the peak number of in-flight predictions (bounded
 	// by the longest resolve distance), not one slot per candidate.
 	freeHead := nilPend
-	useCFI := opt.Config.UseCFI()
 	for ci := 0; ci < t.NumChunks(); ci++ {
 		c := t.Chunk(ci)
 		base := ci << trace.ChunkBits
@@ -150,18 +131,10 @@ func Evaluate(t *trace.Trace, a *deadness.Analysis, opt Options) (Result, error)
 				}
 			}
 
-			look.EnsureThrough(seq)
 			if !a.Candidate[seq] {
 				continue
 			}
-			var sig uint16
-			if useCFI {
-				if opt.UseActualPath {
-					sig = look.ActualSigAfter(seq)
-				} else {
-					sig = look.SigAfter(seq)
-				}
-			}
+			sig := preds.SigAfter(seq, cfg.PathLen)
 			pc := c.PC[i]
 			dead := a.Kind[seq].Dead()
 			res.Candidates++
@@ -199,7 +172,7 @@ func Evaluate(t *trace.Trace, a *deadness.Analysis, opt Options) (Result, error)
 			}
 		}
 	}
-	res.BranchAccuracy = look.Accuracy()
+	res.BranchAccuracy = preds.Accuracy()
 	es.pendHead, es.pendPC, es.pendSig = pendHead, pendPC, pendSig
 	es.pendDead, es.pendNext, es.scratch = pendDead, pendNext, scratch
 	evalPool.Put(es)

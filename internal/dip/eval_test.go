@@ -30,7 +30,7 @@ skip:
     halt
 `
 
-func evalSrc(t *testing.T, src string, opt Options) Result {
+func evalSrc(t *testing.T, src string, spec Spec) Result {
 	t.Helper()
 	p, err := asm.Assemble("t", src)
 	if err != nil {
@@ -40,7 +40,11 @@ func evalSrc(t *testing.T, src string, opt Options) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(tr, a, opt)
+	pred, err := spec.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pred.Evaluate(tr, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +52,7 @@ func evalSrc(t *testing.T, src string, opt Options) Result {
 }
 
 func TestEvaluateCFIOnPathCorrelatedDeadness(t *testing.T) {
-	res := evalSrc(t, pathDeadSrc, Options{Config: DefaultConfig()})
+	res := evalSrc(t, pathDeadSrc, Spec{Flavor: FlavorCFI, Config: DefaultConfig()})
 	if res.Dead == 0 {
 		t.Fatal("no dead instances in workload")
 	}
@@ -64,11 +68,9 @@ func TestEvaluateCFIOnPathCorrelatedDeadness(t *testing.T) {
 }
 
 func TestCFIOutperformsCounterOnPathDeadness(t *testing.T) {
-	cfi := evalSrc(t, pathDeadSrc, Options{Config: DefaultConfig()})
+	cfi := evalSrc(t, pathDeadSrc, Spec{Flavor: FlavorCFI, Config: DefaultConfig()})
 
-	counter := DefaultConfig()
-	counter.PathLen = 0
-	noCfi := evalSrc(t, pathDeadSrc, Options{Config: counter})
+	noCfi := evalSrc(t, pathDeadSrc, Spec{Flavor: FlavorCounter, Config: DefaultConfig()})
 
 	// The counter predictor must either miss coverage (stays below
 	// threshold) or mispredict the useful instances (above threshold);
@@ -82,8 +84,8 @@ func TestCFIOutperformsCounterOnPathDeadness(t *testing.T) {
 }
 
 func TestActualPathIsUpperBound(t *testing.T) {
-	pred := evalSrc(t, pathDeadSrc, Options{Config: DefaultConfig()})
-	oracle := evalSrc(t, pathDeadSrc, Options{Config: DefaultConfig(), UseActualPath: true})
+	pred := evalSrc(t, pathDeadSrc, Spec{Flavor: FlavorCFI, Config: DefaultConfig()})
+	oracle := evalSrc(t, pathDeadSrc, Spec{Flavor: FlavorOracle, Config: DefaultConfig()})
 	if oracle.Coverage() < pred.Coverage()-0.02 {
 		t.Errorf("actual-path coverage %.3f unexpectedly below predicted-path %.3f",
 			oracle.Coverage(), pred.Coverage())
@@ -103,7 +105,7 @@ loop:
     addi r1, r1, -1
     bne  r1, r0, loop
     halt
-`, Options{Config: DefaultConfig()})
+`, Spec{Flavor: FlavorCFI, Config: DefaultConfig()})
 	if res.Dead != 0 {
 		t.Fatalf("expected no dead instances, got %d", res.Dead)
 	}
@@ -129,7 +131,7 @@ loop:
     bne  r1, r0, loop
     out  r1
     halt
-`, Options{Config: DefaultConfig()})
+`, Spec{Flavor: FlavorCFI, Config: DefaultConfig()})
 	if res.Dead != 50 {
 		t.Fatalf("dead = %d, want 50", res.Dead)
 	}
@@ -149,7 +151,7 @@ func TestEvaluateWithExplicitDirPredictor(t *testing.T) {
 	}
 	// A static not-taken predictor produces constant signatures, so CFI
 	// degenerates; evaluation must still run and report sane totals.
-	res, err := Evaluate(tr, a, Options{Config: DefaultConfig(), Dir: bpred.Static{}})
+	res, err := evaluate(tr, a, DefaultConfig(), bpred.Predict(tr, bpred.Static{}, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +160,59 @@ func TestEvaluateWithExplicitDirPredictor(t *testing.T) {
 	}
 	if res.TruePos > res.Predicted || res.TruePos > res.Dead {
 		t.Errorf("inconsistent tallies: %+v", res)
+	}
+}
+
+// TestEvaluateWithSharedColumn checks which flavors read a caller's
+// prediction column: the cfi and counter flavors under DefaultDirName
+// read it and agree with their private path, a column by another
+// predictor is refused, and the oracle and other predictors never ask.
+func TestEvaluateWithSharedColumn(t *testing.T) {
+	p, err := asm.Assemble("t", pathDeadSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, a, _, err := emu.CollectAnalyzed(p, 100000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gshare := bpred.Predict(tr, bpred.NewGshare(12, 10), false)
+	bimodal := bpred.Predict(tr, bpred.NewBimodal(12), false)
+	for _, tc := range []struct {
+		spec   Spec
+		shared *bpred.Predictions
+		reads  bool
+		fails  bool
+	}{
+		{Spec{Flavor: FlavorCFI, Config: DefaultConfig()}, gshare, true, false},
+		{Spec{Flavor: FlavorCounter, Config: DefaultConfig()}, gshare, true, false},
+		{Spec{Flavor: FlavorCFI, Config: DefaultConfig()}, bimodal, true, true},
+		{Spec{Flavor: FlavorOracle, Config: DefaultConfig()}, gshare, false, false},
+		{Spec{Flavor: FlavorCFI, Config: DefaultConfig(), Dir: "bimodal-4k"}, gshare, false, false},
+		{Spec{Flavor: FlavorSteer}, gshare, false, false},
+	} {
+		pred, err := tc.spec.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := false
+		got, err := pred.EvaluateWith(tr, a, func() *bpred.Predictions {
+			read = true
+			return tc.shared
+		})
+		if read != tc.reads {
+			t.Errorf("%s: read the shared column %t, want %t", tc.spec.Label(), read, tc.reads)
+		}
+		if tc.fails {
+			if err == nil {
+				t.Errorf("%s: a %s column was accepted", tc.spec.Label(), tc.shared.Dir)
+			}
+			continue
+		}
+		want, werr := pred.Evaluate(tr, a)
+		if err != nil || werr != nil || got != want {
+			t.Errorf("%s: shared %+v (%v), private %+v (%v)", tc.spec.Label(), got, err, want, werr)
+		}
 	}
 }
 
@@ -189,7 +244,7 @@ func TestEvaluateLeavesTraceIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := tr.Records()
-	if _, err := Evaluate(tr, a, Options{Config: DefaultConfig()}); err != nil {
+	if _, err := evaluate(tr, a, DefaultConfig(), bpred.Predict(tr, bpred.NewGshare(12, 10), false)); err != nil {
 		t.Fatal(err)
 	}
 	after := tr.Records()

@@ -13,17 +13,34 @@ import (
 )
 
 // Predictor is a trace-level dead-instruction predictor evaluation: one
-// flavor of the design space run over a linked, analyzed trace. All four
-// flavors the experiments compare — the paper's CFI predictor, the no-CFI
-// counter baseline, the oracle-path upper bound, and the profile-guided
-// static hint — implement it, so experiments request evaluations
-// declaratively through a Spec instead of special-casing each flavor.
+// flavor of the design space, run over a linked, analyzed trace. Every
+// flavor the experiments compare — the paper's CFI predictor, the no-CFI
+// counter baseline, the oracle-path upper bound, the profile-guided
+// static hint and the steering predictor — is a Spec that New turns into
+// a Predictor, so experiments request evaluations declaratively instead
+// of special-casing each flavor.
 //
 // Evaluations are deterministic pure functions of (trace, analysis,
 // spec): any internal state (the table, the direction predictor) is
 // constructed fresh per call.
-type Predictor interface {
-	Evaluate(t *trace.Trace, a *deadness.Analysis) (Result, error)
+type Predictor struct {
+	spec Spec // canonical and valid
+}
+
+// Evaluate runs the evaluation over a linked, analyzed trace, predicting
+// its branches itself where the flavor reads them.
+func (p Predictor) Evaluate(t *trace.Trace, a *deadness.Analysis) (Result, error) {
+	return p.EvaluateWith(t, a, nil)
+}
+
+// EvaluateWith is Evaluate for a caller that keeps the trace's
+// prediction column under DefaultDirName (bpred.Predict with that
+// predictor). shared returns it, and only the cfi and counter flavors
+// under DefaultDirName call it, so the caller can build the column on
+// first use; every other flavor, and every call with a nil shared,
+// predicts privately. A shared column by another predictor is an error.
+func (p Predictor) EvaluateWith(t *trace.Trace, a *deadness.Analysis, shared func() *bpred.Predictions) (Result, error) {
+	return flavors[p.spec.Flavor](p.spec, t, a, shared)
 }
 
 // Flavor names for Spec.Flavor.
@@ -73,14 +90,16 @@ type Spec struct {
 	HintThreshold float64
 }
 
-// flavors is the registry mapping Spec.Flavor to a constructor. The spec
-// passed in is already canonical.
-var flavors = map[string]func(Spec) (Predictor, error){
-	FlavorCFI:        newEvalPredictor,
-	FlavorCounter:    newEvalPredictor,
-	FlavorOracle:     newEvalPredictor,
-	FlavorStaticHint: func(s Spec) (Predictor, error) { return staticHint{s.TrainFrac, s.HintThreshold}, nil },
-	FlavorSteer:      newSteer,
+// flavors is the registry mapping Spec.Flavor to its evaluation. The
+// spec passed in is canonical and valid; shared is EvaluateWith's.
+var flavors = map[string]func(s Spec, t *trace.Trace, a *deadness.Analysis, shared func() *bpred.Predictions) (Result, error){
+	FlavorCFI:     evalTable,
+	FlavorCounter: evalTable,
+	FlavorOracle:  evalTable,
+	FlavorStaticHint: func(s Spec, t *trace.Trace, a *deadness.Analysis, _ func() *bpred.Predictions) (Result, error) {
+		return StaticHintResult(t, a, s.TrainFrac, s.HintThreshold), nil
+	},
+	FlavorSteer: evalSteer,
 }
 
 // Flavors lists the registered flavor names, sorted.
@@ -186,37 +205,26 @@ func (s Spec) Label() string {
 func (s Spec) New() (Predictor, error) {
 	s = s.Canonical()
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return Predictor{}, err
 	}
-	return flavors[s.Flavor](s)
+	return Predictor{s}, nil
 }
 
-// evalPredictor drives the table-based flavors (cfi, counter, oracle)
-// through Evaluate, constructing a fresh direction predictor per call so
-// evaluations stay independent and deterministic.
-type evalPredictor struct {
-	cfg        Config
-	dirName    string
-	actualPath bool
-}
-
-func newEvalPredictor(s Spec) (Predictor, error) {
-	return evalPredictor{cfg: s.Config, dirName: s.Dir, actualPath: s.Flavor == FlavorOracle}, nil
-}
-
-func (p evalPredictor) Evaluate(t *trace.Trace, a *deadness.Analysis) (Result, error) {
-	dir, err := bpred.NewDirByName(p.dirName)
+// evalTable runs the table flavors (cfi, counter, oracle). The oracle's
+// signatures are actual outcomes, so it always predicts privately, as
+// does a spec under another direction predictor.
+func evalTable(s Spec, t *trace.Trace, a *deadness.Analysis, shared func() *bpred.Predictions) (Result, error) {
+	dir, err := bpred.NewDirByName(s.Dir)
 	if err != nil {
 		return Result{}, err
 	}
-	return Evaluate(t, a, Options{Config: p.cfg, Dir: dir, UseActualPath: p.actualPath})
-}
-
-// staticHint adapts StaticHintResult to the Predictor interface.
-type staticHint struct {
-	trainFrac, threshold float64
-}
-
-func (p staticHint) Evaluate(t *trace.Trace, a *deadness.Analysis) (Result, error) {
-	return StaticHintResult(t, a, p.trainFrac, p.threshold), nil
+	actual := s.Flavor == FlavorOracle
+	if shared == nil || actual || s.Dir != DefaultDirName {
+		return evaluate(t, a, s.Config, bpred.Predict(t, dir, actual))
+	}
+	preds := shared()
+	if err := preds.Check(t, dir.Name()); err != nil {
+		return Result{}, fmt.Errorf("dip: %w", err)
+	}
+	return evaluate(t, a, s.Config, preds)
 }

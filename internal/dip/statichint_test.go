@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/bpred"
 	"repro/internal/emu"
 )
 
@@ -62,7 +63,7 @@ func TestStaticHintCappedByDeadnessRatio(t *testing.T) {
 		t.Errorf("no predictions should report accuracy 1, got %v", strict.Accuracy())
 	}
 	// The dynamic CFI predictor beats both horns of the dilemma.
-	dyn, err := Evaluate(tr, a, Options{Config: DefaultConfig()})
+	dyn, err := evaluate(tr, a, DefaultConfig(), bpred.Predict(tr, bpred.NewGshare(12, 10), false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/trace"
 )
 
-// steer is the FlavorSteer evaluator: a per-PC binary predictor over
+// evalSteer is the FlavorSteer evaluation: a per-PC binary predictor over
 // *ineffectuality* outcomes, reusing the bpred direction-predictor
 // machinery with "taken" meaning "this instance was ineffectual". It is
 // the trace-level model of the two-cluster pipeline's steering stage: an
@@ -18,14 +18,9 @@ import (
 // read — ineffectuality is observable the moment the instruction commits
 // (the store wrote the bytes it replaced; the result equalled an input),
 // so the predictor trains immediately, with no resolve-time pending list.
-type steer struct {
-	dirName string
-}
-
-func newSteer(s Spec) (Predictor, error) { return steer{dirName: s.Dir}, nil }
-
-func (p steer) Evaluate(t *trace.Trace, a *deadness.Analysis) (Result, error) {
-	dir, err := bpred.NewDirByName(p.dirName)
+// It reads no branch predictions.
+func evalSteer(s Spec, t *trace.Trace, a *deadness.Analysis, _ func() *bpred.Predictions) (Result, error) {
+	dir, err := bpred.NewDirByName(s.Dir)
 	if err != nil {
 		return Result{}, err
 	}

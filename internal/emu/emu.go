@@ -384,13 +384,14 @@ func CollectAnalyzed(p *program.Program, budget int) (*trace.Trace, *deadness.An
 // thousand instructions and ctx.Err() is returned with nil results. A run
 // that completes is bit-identical to an uncancellable one.
 //
-// The stream's fact arrays grow with the actual trace (roughly doubling
-// per growth step), not the budget hint — a budget-sized hint
-// over-allocated ~7 MB per short run.
+// The trace's first chunk and the stream's fact arrays are sized from the
+// budget, capped at collectCap, so a run that reaches its budget never
+// regrows the five fact columns; one that halts well short of it leaves
+// most of their capacity unused.
 func CollectAnalyzedCtx(ctx context.Context, p *program.Program, budget int, mc *metrics.Collector, name string) (*trace.Trace, *deadness.Analysis, *Machine, error) {
 	m := New(p)
 	t := trace.NewWithCapacity(min(budget, collectCap))
-	st := deadness.NewStream(0)
+	st := deadness.NewStream(min(budget, collectCap))
 	var aErr error
 	sent := 0
 	sp := mc.Start(metrics.PhaseEmulate, name)

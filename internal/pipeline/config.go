@@ -109,6 +109,11 @@ type Config struct {
 	SteerDir string `json:",omitempty"`
 }
 
+// gshare builds the front end's direction predictor.
+func (c Config) gshare() *bpred.Gshare {
+	return bpred.NewGshare(c.GshareLogEntries, c.GshareHistBits)
+}
+
 // Clustered reports whether the configuration runs the two-cluster
 // steered organization.
 func (c Config) Clustered() bool { return c.Clusters == 2 }

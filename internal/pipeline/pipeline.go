@@ -75,20 +75,20 @@ type pendingUpd struct {
 	dead bool
 }
 
-// Machine is one pipeline simulation. Create with New, drive with Run.
+// Machine is one pipeline simulation, built and driven by RunWith.
 type Machine struct {
 	cfg Config
 	tr  *trace.Trace
 	n   int // trace length
 	an  *deadness.Analysis
 
-	look *bpred.Lookahead
-	btb  *bpred.BTB
-	ras  *bpred.RAS
-	dc   *cache.Cache // L1 (statistics source)
-	mem  memSystem    // access path: the L1 alone or an L1+L2 hierarchy
-	l2   *cache.Cache
-	pred *dip.Table
+	preds *bpred.Predictions
+	btb   *bpred.BTB
+	ras   *bpred.RAS
+	dc    *cache.Cache // L1 (statistics source)
+	mem   memSystem    // access path: the L1 alone or an L1+L2 hierarchy
+	l2    *cache.Cache
+	pred  *dip.Table
 	// steer is the ineffectuality steering predictor of a two-cluster
 	// machine ("taken" = ineffectual); nil on single-cluster configs.
 	steer bpred.DirPredictor
@@ -146,14 +146,33 @@ type Machine struct {
 
 	now   int64
 	stats Stats
-	// simErr aborts the simulation: set by a pipeline stage that hits a
-	// broken invariant it cannot report through its own signature (the
-	// stages return nothing), checked once per cycle by Simulate.
-	simErr error
 }
 
-// New prepares a machine over a linked, analyzed trace.
-func New(t *trace.Trace, a *deadness.Analysis, cfg Config) (*Machine, error) {
+// Run simulates a linked, analyzed trace to completion and returns the
+// statistics. It predicts the trace's branches itself; RunWith reads a
+// prediction column the caller keeps.
+func Run(t *trace.Trace, a *deadness.Analysis, cfg Config) (Stats, error) {
+	if err := cfg.Validate(); err != nil {
+		return Stats{}, err
+	}
+	return RunWith(t, a, cfg, bpred.Predict(t, cfg.gshare(), false))
+}
+
+// RunWith is Run over the trace's prediction column, which must hold the
+// predicted directions of the machine's gshare (bpred.Predict with
+// cfg's geometry): fetch reads each branch's direction from it and rename
+// each path signature, so one column serves every machine of the same
+// front end.
+func RunWith(t *trace.Trace, a *deadness.Analysis, cfg Config, preds *bpred.Predictions) (Stats, error) {
+	m, err := newMachine(t, a, cfg, preds)
+	if err != nil {
+		return Stats{}, err
+	}
+	return m.simulate()
+}
+
+// newMachine prepares a machine over a linked, analyzed trace.
+func newMachine(t *trace.Trace, a *deadness.Analysis, cfg Config, preds *bpred.Predictions) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -163,6 +182,9 @@ func New(t *trace.Trace, a *deadness.Analysis, cfg Config) (*Machine, error) {
 	if len(a.Candidate) != t.Len() {
 		return nil, fmt.Errorf("pipeline: analysis covers %d records, trace has %d",
 			len(a.Candidate), t.Len())
+	}
+	if err := preds.Check(t, cfg.gshare().Name()); err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 	dc, err := cache.New(cfg.Cache)
 	if err != nil {
@@ -182,6 +204,7 @@ func New(t *trace.Trace, a *deadness.Analysis, cfg Config) (*Machine, error) {
 		tr:       t,
 		n:        t.Len(),
 		an:       a,
+		preds:    preds,
 		btb:      bpred.NewBTB(cfg.BTBLogEntries, 12),
 		ras:      bpred.NewRAS(cfg.RASDepth),
 		dc:       dc,
@@ -198,12 +221,6 @@ func New(t *trace.Trace, a *deadness.Analysis, cfg Config) (*Machine, error) {
 	if cfg.Elim {
 		m.elimStore = make([]bool, t.Len())
 	}
-	depth := 1
-	if cfg.Elim && cfg.DIP.PathLen > 0 {
-		depth = cfg.DIP.PathLen
-	}
-	m.look = bpred.NewLookahead(
-		bpred.NewGshare(cfg.GshareLogEntries, cfg.GshareHistBits), t, depth)
 	if cfg.Elim && !cfg.OracleElim {
 		var err error
 		if m.pred, err = dip.New(cfg.DIP); err != nil {
@@ -225,17 +242,8 @@ func New(t *trace.Trace, a *deadness.Analysis, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Run simulates to completion and returns the statistics.
-func Run(t *trace.Trace, a *deadness.Analysis, cfg Config) (Stats, error) {
-	m, err := New(t, a, cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	return m.Simulate()
-}
-
-// Simulate drives the machine until every trace record has committed.
-func (m *Machine) Simulate() (Stats, error) {
+// simulate drives the machine until every trace record has committed.
+func (m *Machine) simulate() (Stats, error) {
 	n := m.n
 	maxCycles := int64(200)*int64(n) + 10_000
 	for m.headSeq < n || m.count > 0 {
@@ -244,9 +252,6 @@ func (m *Machine) Simulate() (Stats, error) {
 		m.issue()
 		m.rename()
 		m.fetch()
-		if m.simErr != nil {
-			return m.stats, m.simErr
-		}
 		m.now++
 		if m.now > maxCycles {
 			return m.stats, fmt.Errorf("pipeline: no forward progress after %d cycles (head=%d)",
@@ -258,7 +263,7 @@ func (m *Machine) Simulate() (Stats, error) {
 	if m.l2 != nil {
 		m.stats.L2 = m.l2.Stats
 	}
-	m.stats.BranchMispredicts = int64(m.look.Mispredicts)
+	m.stats.BranchMispredicts = int64(m.preds.Mispredicts)
 	return m.stats, nil
 }
 
@@ -582,10 +587,7 @@ func (m *Machine) rename() {
 				m.stats.DeadPredictions++
 			}
 		case m.pred != nil && m.an.Candidate[seq]:
-			var sig uint16
-			if m.cfg.DIP.PathLen > 0 {
-				sig = m.look.SigAfter(seq)
-			}
+			sig := m.preds.SigAfter(seq, m.cfg.DIP.PathLen)
 			if m.pred.Predict(int(r.PC()), sig) {
 				elim = true
 				m.stats.DeadPredictions++
@@ -765,14 +767,7 @@ func (m *Machine) fetch() {
 
 		switch {
 		case r.Op().IsCondBranch():
-			pred, err := m.look.PredAt(seq)
-			if err != nil {
-				// Unreachable while the lookahead and the machine walk the
-				// same trace; surface a desync instead of mispredicting.
-				m.simErr = fmt.Errorf("pipeline: fetch at seq %d: %w", seq, err)
-				return
-			}
-			if pred != r.Taken() {
+			if m.preds.PredAt(seq) != r.Taken() {
 				m.redirect = seq
 				return
 			}

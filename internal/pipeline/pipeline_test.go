@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/bpred"
 	"repro/internal/deadness"
 	"repro/internal/emu"
 	"repro/internal/trace"
@@ -54,6 +55,33 @@ func TestBaselineCompletes(t *testing.T) {
 	}
 	if st.Eliminated != 0 || st.DeadPredictions != 0 {
 		t.Error("elimination active in baseline")
+	}
+}
+
+// TestRunWithReadsOnlyItsGshare runs a machine over prediction columns:
+// its own gshare's column gives Run's statistics, and any other column
+// (another predictor, actual outcomes, another trace) is refused.
+func TestRunWithReadsOnlyItsGshare(t *testing.T) {
+	tr, a := prep(t, loopSrc, 100000)
+	cfg := ContendedConfig()
+	cfg.Elim = true
+	want, err := Run(tr, a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := bpred.NewGshare(cfg.GshareLogEntries, cfg.GshareHistBits)
+	if got, err := RunWith(tr, a, cfg, bpred.Predict(tr, own, false)); err != nil || got != want {
+		t.Errorf("RunWith = %+v, %v; Run = %+v", got, err, want)
+	}
+	short, _ := prep(t, loopSrc, 100)
+	for name, preds := range map[string]*bpred.Predictions{
+		"bimodal":         bpred.Predict(tr, bpred.NewBimodal(12), false),
+		"actual outcomes": bpred.Predict(tr, bpred.NewGshare(cfg.GshareLogEntries, cfg.GshareHistBits), true),
+		"another trace":   bpred.Predict(short, bpred.NewGshare(cfg.GshareLogEntries, cfg.GshareHistBits), false),
+	} {
+		if _, err := RunWith(tr, a, cfg, preds); err == nil {
+			t.Errorf("%s: column accepted", name)
+		}
 	}
 }
 

@@ -65,12 +65,21 @@ func (c *Chart) String() string {
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(" ", w))
 	}
+	// cell scales v from [lo, hi] onto n cells. A span that is zero (equal
+	// values past float64's integer precision, where lo+1 == lo) or not
+	// finite (wider than the largest float64) puts every value in the
+	// first cell, and any other result is clamped to the grid.
+	cell := func(v, lo, hi float64, n int) int {
+		span := hi - lo
+		if span == 0 || math.IsInf(span, 0) || math.IsNaN(span) {
+			return 0
+		}
+		return min(max(int(math.Round((v-lo)/span*float64(n-1))), 0), n-1)
+	}
 	for si, s := range c.Series {
 		mark := chartMarkers[si%len(chartMarkers)]
 		for _, p := range s.Points {
-			col := int(math.Round((p.X - minX) / (maxX - minX) * float64(w-1)))
-			row := int(math.Round((p.Y - minY) / (maxY - minY) * float64(h-1)))
-			grid[h-1-row][col] = mark
+			grid[h-1-cell(p.Y, minY, maxY, h)][cell(p.X, minX, maxX, w)] = mark
 		}
 	}
 

@@ -62,6 +62,27 @@ func TestChartDegenerateRanges(t *testing.T) {
 	}
 }
 
+// TestChartDegenerateScales draws charts whose scale has no usable span:
+// values equal at a magnitude where x+1 == x, and values spanning more
+// than the largest float64. Each renders with its points in the first
+// column or row instead of indexing outside the grid.
+func TestChartDegenerateScales(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		points []Point
+	}{
+		{"equal x past 2^53", []Point{{1e17, 0}, {1e17, 1}}},
+		{"x span past MaxFloat64", []Point{{-1e308, 0}, {1e308, 1}}},
+		{"equal y past 2^53", []Point{{0, 1e17}, {1, 1e17}}},
+		{"y span past MaxFloat64", []Point{{0, -1e308}, {1, 1e308}}},
+	} {
+		c := &Chart{Width: 10, Height: 4, Series: []Series{{Points: tc.points}}}
+		if out := c.String(); !strings.Contains(out, "|*") {
+			t.Errorf("%s: no point in the first column:\n%s", tc.name, out)
+		}
+	}
+}
+
 func TestChartExtremesLandOnEdges(t *testing.T) {
 	c := &Chart{Width: 20, Height: 5, Series: []Series{{
 		Points: []Point{{0, 0}, {10, 10}},
