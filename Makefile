@@ -81,7 +81,9 @@ smoke:
 
 # cli-smoke builds the command-line tools and checks their exit codes:
 # 2 for a usage error in every tool, and 3 for an experiments run in
-# which one experiment fails and another still reports its results.
+# which one experiment fails and another still reports its results. It
+# then checks warm reruns over a -cache-dir: from the experiment entries,
+# and with those deleted, from the decoded profiles.
 cli-smoke:
 	./scripts/cli_smoke.sh
 

@@ -24,29 +24,21 @@ var shardLags = []int{1, 2, 3, 64}
 // analyzeSharded pushes recs into a fresh trace and feeds a one-chunk
 // stream each chunk once lag chunks are sealed and not yet fed, then feeds
 // the rest and finishes.
-func analyzeSharded(recs []trace.Record, lag int) (*trace.Trace, *deadness.Analysis, error) {
+func analyzeSharded(recs []trace.Record, lag int) (*trace.Trace, *deadness.Analysis) {
 	tr := &trace.Trace{}
 	st := deadness.NewStream(trace.ChunkSize)
 	sent := 0
-	feed := func() error {
-		err := st.Chunk(tr.Chunk(sent))
-		sent++
-		return err
-	}
 	for i := range recs {
 		tr.Push(&recs[i])
 		if tr.Len()>>trace.ChunkBits-sent >= lag {
-			if err := feed(); err != nil {
-				return nil, nil, err
-			}
+			st.Chunk(tr.Chunk(sent))
+			sent++
 		}
 	}
-	for sent < tr.NumChunks() {
-		if err := feed(); err != nil {
-			return nil, nil, err
-		}
+	for ; sent < tr.NumChunks(); sent++ {
+		st.Chunk(tr.Chunk(sent))
 	}
-	return tr, st.Finish(tr), nil
+	return tr, st.Finish(tr)
 }
 
 func TestShardedAnalysisMatchesSerial(t *testing.T) {
@@ -62,10 +54,7 @@ func TestShardedAnalysisMatchesSerial(t *testing.T) {
 			ref := refAnalyze(recs)
 
 			for _, lag := range shardLags {
-				tr, a, err := analyzeSharded(input, lag)
-				if err != nil {
-					t.Fatal(err)
-				}
+				tr, a := analyzeSharded(input, lag)
 				checkAgainstRef(t, "lag/"+itoa(lag), tr, a, recs, ref)
 			}
 		})
@@ -95,10 +84,7 @@ func TestShardedChunkBoundaryShapes(t *testing.T) {
 				refA := refAnalyze(ref)
 
 				for _, lag := range shardLags {
-					tr, a, err := analyzeSharded(recs, lag)
-					if err != nil {
-						t.Fatal(err)
-					}
+					tr, a := analyzeSharded(recs, lag)
 					checkAgainstRef(t, "lag/"+itoa(lag), tr, a, ref, refA)
 					checkResolveSentinel(t, a, n)
 				}

@@ -218,24 +218,43 @@ func checkAgainstRef(t *testing.T, tag string, tr *trace.Trace, a *deadness.Anal
 			t.Fatalf("%s: seq %d: record %+v, reference %+v", tag, seq, got[seq], linked[seq])
 		}
 	}
-	if !reflect.DeepEqual(a.Kind, ref.Kind) {
+	kind, cand, read, ineff := factColumns(a)
+	if !reflect.DeepEqual(kind, ref.Kind) {
 		t.Errorf("%s: Kind differs", tag)
 	}
-	if !reflect.DeepEqual(a.Candidate, ref.Candidate) {
+	if !reflect.DeepEqual(cand, ref.Candidate) {
 		t.Errorf("%s: Candidate differs", tag)
 	}
-	if !reflect.DeepEqual(a.EverRead, ref.EverRead) {
+	if !reflect.DeepEqual(read, ref.EverRead) {
 		t.Errorf("%s: EverRead differs", tag)
 	}
 	if !reflect.DeepEqual(a.Resolve, ref.Resolve) {
 		t.Errorf("%s: Resolve differs", tag)
 	}
-	if !reflect.DeepEqual(a.Ineff, ref.Ineff) {
+	if !reflect.DeepEqual(ineff, ref.Ineff) {
 		t.Errorf("%s: Ineff differs", tag)
+	}
+	// The reverse pass marks useful records in bit 7 and must clear every
+	// mark it sets.
+	for seq, f := range a.Facts {
+		if f&(1<<7) != 0 {
+			t.Fatalf("%s: seq %d: fact %#x keeps the usefulness mark", tag, seq, uint8(f))
+		}
 	}
 	if a.Candidates() != ref.Candidates {
 		t.Errorf("%s: Candidates() = %d, reference %d", tag, a.Candidates(), ref.Candidates)
 	}
+}
+
+// factColumns unpacks an analysis's Fact column into the reference's
+// four columns.
+func factColumns(a *deadness.Analysis) (kind []deadness.Kind, cand, read []bool, ineff []deadness.IneffKind) {
+	n := len(a.Facts)
+	kind, cand, read, ineff = make([]deadness.Kind, n), make([]bool, n), make([]bool, n), make([]deadness.IneffKind, n)
+	for i, f := range a.Facts {
+		kind[i], cand[i], read[i], ineff[i] = f.Kind(), f.Candidate(), f.EverRead(), f.Ineff()
+	}
+	return kind, cand, read, ineff
 }
 
 // collectRaw emulates a suite benchmark into both a columnar trace and a
@@ -347,9 +366,10 @@ func TestFusedPipelineStatsMatchStream(t *testing.T) {
 // synthRecords builds a deterministic synthetic trace of exactly n records
 // with register and memory producer chains that span chunk boundaries:
 // ALU writes, stores and loads over a small address pool (including
-// unaligned page-straddling accesses), and periodic branches. A positive
-// haltTail replaces the final record with HALT so both the truncated and
-// the cleanly-terminated reverse passes are exercised.
+// unaligned page-straddling accesses), and periodic branches. halted
+// replaces the final record with HALT so both the truncated and the
+// cleanly-terminated reverse passes are exercised. The records form a
+// committed path: each NextPC is the next record's PC.
 func synthRecords(n int, halted bool) []trace.Record {
 	recs := make([]trace.Record, n)
 	for i := range recs {
@@ -398,7 +418,8 @@ func synthRecords(n int, halted bool) []trace.Record {
 		recs[i].NextPC = int32((i + 1) % 61)
 	}
 	if halted && n > 0 {
-		recs[n-1] = trace.Record{PC: 60, Op: isa.HALT, NextPC: 60}
+		pc := int32((n - 1) % 61)
+		recs[n-1] = trace.Record{PC: pc, Op: isa.HALT, NextPC: pc}
 	}
 	return recs
 }
@@ -527,7 +548,8 @@ func checkResolveSentinel(t *testing.T, a *deadness.Analysis, n int) {
 // hints, stores with silent-store hints, loads, and branches. The hints
 // are adversarial inputs to classification, not required to be mutually
 // consistent with the values — classification must be a pure function of
-// the record either way.
+// the record either way. The PCs are random but form a committed path:
+// each NextPC is the next record's PC.
 func randIneffRecords(rng *rand.Rand, n int) []trace.Record {
 	recs := make([]trace.Record, n)
 	for i := range recs {
@@ -572,8 +594,10 @@ func randIneffRecords(rng *rand.Rand, n int) []trace.Record {
 			r.Op = isa.BNE
 			r.Taken = rng.Intn(2) == 0
 		}
-		r.NextPC = int32((i + 1) % 97)
 		recs[i] = r
+	}
+	for i := 0; i+1 < n; i++ {
+		recs[i].NextPC = recs[i+1].PC
 	}
 	return recs
 }

@@ -24,12 +24,14 @@ import (
 //
 // Layout: uvarint header length, JSON header, uvarint trace length,
 // SaveLinked trace, then Kind/Candidate/EverRead/Ineff as one byte per
-// record and Resolve as little-endian int32. Every section is validated
-// on decode (canonical strict JSON naming a suite benchmark, minimal
-// length prefixes, the trace loader's own checks, 0/1 booleans,
-// deadness.Restore's invariants); a payload that fails any of them is
-// treated as corrupt and rebuilt. So an accepted payload is exactly the
-// bytes Encode writes for the value it decodes to.
+// record and Resolve as little-endian int32. The four byte columns are
+// unpacked from, and packed straight back into, the analysis's one Fact
+// column. Every section is validated on decode (canonical strict JSON
+// naming a suite benchmark, minimal length prefixes, the trace loader's
+// own checks, each fact byte within its field, deadness.Restore's
+// invariants); a payload that fails any of them is treated as corrupt and
+// rebuilt. So an accepted payload is exactly the bytes Encode writes for
+// the value it decodes to.
 
 // profileCodecVersion is the format generation of the profile payload.
 // It gates every structural change to the layout (version 2 added the
@@ -80,8 +82,7 @@ func (c profileCodec) Encode(v any) ([]byte, error) {
 	}
 	n := res.Trace.Len()
 	a := res.Analysis
-	if a == nil || len(a.Kind) != n || len(a.Candidate) != n || len(a.EverRead) != n ||
-		len(a.Resolve) != n || len(a.Ineff) != n {
+	if a == nil || len(a.Facts) != n || len(a.Resolve) != n {
 		return nil, fmt.Errorf("core: profile codec: analysis does not match %d-record trace", n)
 	}
 	hdr, err := json.Marshal(profileHeader{
@@ -105,12 +106,19 @@ func (c profileCodec) Encode(v any) ([]byte, error) {
 		return nil, err
 	}
 	out = buf.Bytes()
-	out = append(out, lebytes.U8(a.Kind)...)
-	out = append(out, lebytes.Bool(a.Candidate)...)
-	out = append(out, lebytes.Bool(a.EverRead)...)
-	out = append(out, lebytes.U8(a.Ineff)...)
-	out = append(out, make([]byte, 4*n)...)
-	lebytes.PutI32s(out[len(out)-4*n:], a.Resolve)
+	off := len(out)
+	out = append(out, make([]byte, 8*n)...)
+	kind, cand, read, ineff := out[off:off+n], out[off+n:off+2*n], out[off+2*n:off+3*n], out[off+3*n:off+4*n]
+	for i, f := range a.Facts {
+		kind[i], ineff[i] = byte(f.Kind()), byte(f.Ineff())
+		if f.Candidate() {
+			cand[i] = 1
+		}
+		if f.EverRead() {
+			read[i] = 1
+		}
+	}
+	lebytes.PutI32s(out[off+4*n:], a.Resolve)
 	return out, nil
 }
 
@@ -167,23 +175,20 @@ func (c profileCodec) Decode(payload []byte) (any, error) {
 	if len(payload)-off != 4*n+4*n {
 		return nil, fmt.Errorf("core: profile decode: analysis section is %d bytes, want %d", len(payload)-off, 8*n)
 	}
-	kind := make([]deadness.Kind, n)
-	bools := [2][]bool{make([]bool, n), make([]bool, n)}
-	ineff := make([]deadness.IneffKind, n)
-	resolve := make([]int32, n)
-	copy(lebytes.U8(kind), payload[off:off+n])
-	off += n
-	for ci, col := range bools {
-		if i := lebytes.FirstNonBool(payload[off : off+n]); i >= 0 {
-			return nil, fmt.Errorf("core: profile decode: bool column %d: byte %d", ci, payload[off+i])
+	kind, cand, read, ineff := payload[off:off+n], payload[off+n:off+2*n], payload[off+2*n:off+3*n], payload[off+3*n:off+4*n]
+	facts := make([]deadness.Fact, n)
+	for i := range facts {
+		// A byte outside its field's values cannot pack; Restore checks
+		// the rest.
+		if kind[i] > byte(deadness.Transitive) || cand[i] > 1 || read[i] > 1 || ineff[i] > byte(deadness.TrivialOp) {
+			return nil, fmt.Errorf("core: profile decode: record %d: fact bytes %d/%d/%d/%d out of range",
+				i, kind[i], cand[i], read[i], ineff[i])
 		}
-		copy(lebytes.Bool(col), payload[off:off+n])
-		off += n
+		facts[i] = deadness.NewFact(deadness.Kind(kind[i]), cand[i] == 1, read[i] == 1, deadness.IneffKind(ineff[i]))
 	}
-	copy(lebytes.U8(ineff), payload[off:off+n])
-	off += n
-	lebytes.GetI32s(resolve, payload[off:])
-	a, err := deadness.Restore(n, kind, bools[0], bools[1], resolve, ineff)
+	resolve := make([]int32, n)
+	lebytes.GetI32s(resolve, payload[off+4*n:])
+	a, err := deadness.Restore(n, facts, resolve)
 	if err != nil {
 		return nil, err
 	}

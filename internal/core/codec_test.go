@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/deadness"
 	"repro/internal/dip"
 	"repro/internal/lebytes"
 	"repro/internal/pipeline"
@@ -71,6 +72,66 @@ func FuzzProfileDecode(f *testing.F) {
 			t.Fatalf("accepted %d-byte payload re-encodes to %d different bytes", len(payload), len(again))
 		}
 	})
+}
+
+// TestFactCombinationsRoundTrip builds every combination of Kind,
+// candidacy, ever-read and IneffKind. Each must read back from its Fact,
+// deadness.Restore must accept exactly those an analysis can produce (a
+// non-candidate is Live and effectual) and refuse values outside the
+// layout, and the profile codec must decode a profile whose records cycle
+// through the accepted ones to the same facts.
+func TestFactCombinationsRoundTrip(t *testing.T) {
+	var valid []deadness.Fact
+	for k := deadness.Live; k <= deadness.Transitive; k++ {
+		for _, cand := range []bool{false, true} {
+			for _, read := range []bool{false, true} {
+				for in := deadness.IneffNone; in <= deadness.TrivialOp; in++ {
+					f := deadness.NewFact(k, cand, read, in)
+					if f.Kind() != k || f.Candidate() != cand || f.EverRead() != read || f.Ineff() != in {
+						t.Fatalf("NewFact(%v, %v, %v, %v) = %#x reads back %v, %v, %v, %v",
+							k, cand, read, in, uint8(f), f.Kind(), f.Candidate(), f.EverRead(), f.Ineff())
+					}
+					want := cand || (k == deadness.Live && in == deadness.IneffNone)
+					if _, err := deadness.Restore(1, []deadness.Fact{f}, []int32{1}); (err == nil) != want {
+						t.Errorf("Restore of %#x: error %v, want accepted %v", uint8(f), err, want)
+					}
+					if want {
+						valid = append(valid, f)
+					}
+				}
+			}
+		}
+	}
+	if len(valid) != 20 {
+		t.Fatalf("%d valid combinations, want 20", len(valid))
+	}
+	cand := deadness.NewFact(deadness.Live, true, false, deadness.IneffNone)
+	for _, f := range []deadness.Fact{cand | 3, cand | 3<<4, cand | 1<<6, cand | 1<<7} {
+		if _, err := deadness.Restore(1, []deadness.Fact{f}, []int32{1}); err == nil {
+			t.Errorf("Restore accepted fact %#x", uint8(f))
+		}
+	}
+
+	const budget = 3_000
+	prof := smallProfile(t, budget)
+	facts := make([]deadness.Fact, prof.Trace.Len())
+	for i := range facts {
+		facts[i] = valid[i%len(valid)]
+	}
+	a, err := deadness.Restore(len(facts), facts, prof.Analysis.Resolve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := *prof
+	cp.Analysis = a
+	codec := profileCodec{budget}
+	got, err := codec.Decode(encode(t, codec, &cp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back := got.(*ProfileResult).Analysis; !reflect.DeepEqual(back.Facts, facts) || back.Candidates() != a.Candidates() {
+		t.Error("facts differ after a profile codec round trip")
+	}
 }
 
 // TestScalarCodecPaths runs the trace, profile and result codecs on the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,36 @@ import (
 // testBudget keeps core tests quick while still exercising warmed-up
 // predictors and pipelines.
 const testBudget = 120_000
+
+// TestProfileBytesPerRecord guards what a resident profile costs: the
+// live heap one 200k-instruction gcc profile adds, trace and analysis,
+// may be at most 38 bytes per record (36.3 measured on linux/amd64; 47.9
+// before NextPC and widths were derived and the facts packed). A column
+// added later shows up here. It reads the process heap, so it must not
+// run in parallel with other tests.
+func TestProfileBytesPerRecord(t *testing.T) {
+	const budget, limit = 200_000, 38.0
+	p, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := Profile(p, nil, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	n := res.Trace.Len()
+	runtime.KeepAlive(res)
+	perRecord := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
+	t.Logf("%d records, %.1f live bytes per record", n, perRecord)
+	if perRecord > limit {
+		t.Errorf("a profile holds %.1f live bytes per record, limit %.0f", perRecord, limit)
+	}
+}
 
 func TestProfileRunsABenchmark(t *testing.T) {
 	p, err := workload.ByName("gzip")

@@ -79,9 +79,7 @@ func TestWorkspaceWarmStartBitIdentical(t *testing.T) {
 		name       string
 		cold, warm any
 	}{
-		{"Kind", coldProf.Analysis.Kind, warmProf.Analysis.Kind},
-		{"Candidate", coldProf.Analysis.Candidate, warmProf.Analysis.Candidate},
-		{"EverRead", coldProf.Analysis.EverRead, warmProf.Analysis.EverRead},
+		{"Facts", coldProf.Analysis.Facts, warmProf.Analysis.Facts},
 		{"Resolve", coldProf.Analysis.Resolve, warmProf.Analysis.Resolve},
 	} {
 		if !reflect.DeepEqual(cmp.cold, cmp.warm) {

@@ -133,75 +133,98 @@ func classifyIneff(f isa.OpFlags, rd isa.Reg, h uint8) IneffKind {
 // so every recorded resolve sequence is at least 1.
 const unresolved int32 = 0
 
-// Analysis holds per-dynamic-instruction oracle results. Index every slice
-// by the dynamic sequence number.
+// Fact packs one record's classification into a byte: Kind in bits 0-1,
+// candidacy in bit 2, ever-read in bit 3 and IneffKind in bits 4-5. Bit 7
+// is the reverse pass's transient usefulness mark, clear in every
+// finished analysis, and bit 6 is unused.
+type Fact uint8
+
+const (
+	factKind      Fact = 3
+	factCandidate Fact = 1 << 2
+	factEverRead  Fact = 1 << 3
+	factIneffBits      = 4
+	factIneff     Fact = 3 << factIneffBits
+	factUseful    Fact = 1 << 7
+)
+
+// NewFact packs the four classifications of one record; k and ineff must
+// be one of their declared values.
+func NewFact(k Kind, candidate, everRead bool, ineff IneffKind) Fact {
+	f := Fact(k) | Fact(ineff)<<factIneffBits
+	if candidate {
+		f |= factCandidate
+	}
+	if everRead {
+		f |= factEverRead
+	}
+	return f
+}
+
+// Kind classifies the record's deadness.
+func (f Fact) Kind() Kind { return Kind(f & factKind) }
+
+// Candidate reports whether the record's deadness is defined at all:
+// register writers that are not control instructions, plus stores.
+func (f Fact) Candidate() bool { return f&factCandidate != 0 }
+
+// EverRead reports whether the record's result was read by at least one
+// later instruction (dead or alive).
+func (f Fact) EverRead() bool { return f&factEverRead != 0 }
+
+// Ineff classifies the record along the ineffectuality axis (silent
+// stores, trivial ops), orthogonal to Kind.
+func (f Fact) Ineff() IneffKind { return IneffKind(f & factIneff >> factIneffBits) }
+
+// Analysis holds per-dynamic-instruction oracle results in two columns,
+// 5 bytes per record. Index both by the dynamic sequence number.
 type Analysis struct {
-	// Kind classifies each record.
-	Kind []Kind
-	// Candidate marks records whose deadness is defined at all: register
-	// writers that are not control instructions, plus stores.
-	Candidate []bool
-	// EverRead marks records whose result was read by at least one later
-	// instruction (dead or alive).
-	EverRead []bool
+	// Facts holds each record's Kind, candidacy, ever-read mark and
+	// IneffKind (see Fact).
+	Facts []Fact
 	// Resolve is the sequence number at which hardware could know the
 	// outcome: the overwriting write (dead) or the first read (read).
 	// Records resolved only by the end of the trace get the trace length.
 	Resolve []int32
-	// Ineff classifies each record along the ineffectuality axis
-	// (silent stores, trivial ops), orthogonal to Kind.
-	Ineff []IneffKind
 
-	// candidates is the number of true entries in Candidate, counted once
-	// during classification.
+	// candidates is the number of candidate records, counted once during
+	// classification.
 	candidates int
 }
 
 // Candidates counts the records with defined deadness.
 func (a *Analysis) Candidates() int { return a.candidates }
 
-// Restore reconstructs a finished Analysis from its serialized fact
-// arrays (a persisted profile artifact) for a trace of n records. The
-// arrays are untrusted input, so the post-finish invariants are checked:
-// equal lengths, valid kinds, non-candidates classified Live, and every
+// Restore reconstructs a finished Analysis from its serialized columns (a
+// persisted profile artifact) for a trace of n records. The columns are
+// untrusted input, so the post-finish invariants are checked: equal
+// lengths, valid kinds and ineffectuality kinds, no bit outside the
+// layout, non-candidates classified Live and effectual, and every
 // resolve point in [1, n] (the sentinel never survives finish). The
 // candidate count is recomputed rather than trusted.
-func Restore(n int, kind []Kind, candidate, everRead []bool, resolve []int32, ineff []IneffKind) (*Analysis, error) {
-	if len(kind) != n || len(candidate) != n || len(everRead) != n || len(resolve) != n || len(ineff) != n {
-		return nil, fmt.Errorf("deadness: restore: array lengths %d/%d/%d/%d/%d, want %d",
-			len(kind), len(candidate), len(everRead), len(resolve), len(ineff), n)
+func Restore(n int, facts []Fact, resolve []int32) (*Analysis, error) {
+	if len(facts) != n || len(resolve) != n {
+		return nil, fmt.Errorf("deadness: restore: column lengths %d/%d, want %d", len(facts), len(resolve), n)
 	}
 	candidates := 0
-	for i := 0; i < n; i++ {
-		if kind[i] > Transitive {
-			return nil, fmt.Errorf("deadness: restore: record %d: invalid kind %d", i, uint8(kind[i]))
-		}
-		if ineff[i] > TrivialOp {
-			return nil, fmt.Errorf("deadness: restore: record %d: invalid ineff kind %d", i, uint8(ineff[i]))
-		}
-		if !candidate[i] && kind[i] != Live {
-			return nil, fmt.Errorf("deadness: restore: record %d: non-candidate classified %v", i, kind[i])
-		}
-		if !candidate[i] && ineff[i] != IneffNone {
+	for i, f := range facts {
+		switch {
+		case f.Kind() > Transitive || f.Ineff() > TrivialOp || f&^(factKind|factCandidate|factEverRead|factIneff) != 0:
+			return nil, fmt.Errorf("deadness: restore: record %d: invalid fact %#x", i, uint8(f))
+		case !f.Candidate() && f.Kind() != Live:
+			return nil, fmt.Errorf("deadness: restore: record %d: non-candidate classified %v", i, f.Kind())
+		case !f.Candidate() && f.Ineff() != IneffNone:
 			// Silent stores are stores and trivial ops are non-control
 			// register writers; both are candidates by construction.
-			return nil, fmt.Errorf("deadness: restore: record %d: non-candidate classified %v", i, ineff[i])
-		}
-		if resolve[i] < 1 || resolve[i] > int32(n) {
+			return nil, fmt.Errorf("deadness: restore: record %d: non-candidate classified %v", i, f.Ineff())
+		case resolve[i] < 1 || resolve[i] > int32(n):
 			return nil, fmt.Errorf("deadness: restore: record %d: resolve point %d out of range", i, resolve[i])
 		}
-		if candidate[i] {
+		if f.Candidate() {
 			candidates++
 		}
 	}
-	return &Analysis{
-		Kind:       kind,
-		Candidate:  candidate,
-		EverRead:   everRead,
-		Resolve:    resolve,
-		Ineff:      ineff,
-		candidates: candidates,
-	}, nil
+	return &Analysis{Facts: facts, Resolve: resolve, candidates: candidates}, nil
 }
 
 // truncated reports whether the trace was cut off by an instruction
@@ -225,16 +248,13 @@ type Stream struct {
 	n         int // records consumed so far
 }
 
-// NewStream starts a fused analysis pass. hint pre-sizes the fact arrays
-// (pass the emulation budget or trace length; 0 is fine).
+// NewStream starts a fused analysis pass. hint pre-sizes the two fact
+// columns (pass the emulation budget or trace length; 0 is fine).
 func NewStream(hint int) *Stream {
 	s := &Stream{
 		a: &Analysis{
-			Kind:      make([]Kind, 0, hint),
-			Candidate: make([]bool, 0, hint),
-			EverRead:  make([]bool, 0, hint),
-			Resolve:   make([]int32, 0, hint),
-			Ineff:     make([]IneffKind, 0, hint),
+			Facts:   make([]Fact, 0, hint),
+			Resolve: make([]int32, 0, hint),
 		},
 		memWriter: trace.NewWriterMap(),
 	}
@@ -248,58 +268,48 @@ func NewStream(hint int) *Stream {
 // arrive in trace order. The chunk's Src1/Src2 columns and load producer
 // tables are (re)written from the walk's last-writer state: this is the
 // program's only def-use linker.
-func (s *Stream) Chunk(c *trace.Chunk) error {
+func (s *Stream) Chunk(c *trace.Chunk) {
 	a := s.a
 	base := s.n
 	cn := c.Len()
 	end := base + cn
 	if cap(a.Resolve) < end {
-		// Grow every fact column together, at least doubling and by no
+		// Grow both fact columns together, at least doubling and by no
 		// less than four chunks: a streaming pass (final length unknown)
 		// then reallocates O(log n) times with little discarded churn.
 		// An exact NewStream hint never takes this branch.
 		newCap := max(end, 2*cap(a.Resolve), 4*trace.ChunkSize)
-		a.Kind = append(make([]Kind, 0, newCap), a.Kind...)
-		a.Candidate = append(make([]bool, 0, newCap), a.Candidate...)
-		a.EverRead = append(make([]bool, 0, newCap), a.EverRead...)
+		a.Facts = append(make([]Fact, 0, newCap), a.Facts...)
 		a.Resolve = append(make([]int32, 0, newCap), a.Resolve...)
-		a.Ineff = append(make([]IneffKind, 0, newCap), a.Ineff...)
 	}
-	a.Kind = a.Kind[:end]
-	a.Candidate = a.Candidate[:end]
-	a.EverRead = a.EverRead[:end]
+	a.Facts = a.Facts[:end]
 	a.Resolve = a.Resolve[:end]
-	a.Ineff = a.Ineff[:end]
-	// The zero value of every column is the initial state (Live,
-	// non-candidate, unread, unresolved), so bulk clears replace the
-	// old element-wise init loop.
-	clear(a.Kind[base:end])
-	clear(a.Candidate[base:end])
-	clear(a.EverRead[base:end])
+	// The zero value of both columns is the initial state (Live,
+	// non-candidate, unread, effectual, unresolved), so bulk clears
+	// initialize the chunk's records.
+	clear(a.Facts[base:end])
 	clear(a.Resolve[base:end])
-	clear(a.Ineff[base:end])
 
 	c.BeginLink()
 	// Slice every column to the chunk length once so the loop body indexes
-	// bounds-check-free, and hoist the fact arrays out of the Analysis —
+	// bounds-check-free, and hoist the fact columns out of the Analysis —
 	// with the read marking inlined this keeps the per-record path branch
 	// + load only (one Flags table hit replaces the predicate range chains).
 	op, rd, rs1, rs2 := c.Op[:cn], c.Rd[:cn], c.Rs1[:cn], c.Rs2[:cn]
 	memIdx := c.MemIdx[:cn]
 	src1, src2 := c.Src1[:cn], c.Src2[:cn]
 	hints := c.Ineff[:cn]
-	resolve, everRead, cand := a.Resolve, a.EverRead, a.Candidate
-	ineff := a.Ineff
+	resolve, facts := a.Resolve, a.Facts
 	for i := 0; i < cn; i++ {
 		seq := int32(base + i)
 		f := op[i].Flags()
 		if h := hints[i]; h != 0 {
-			ineff[seq] = classifyIneff(f, rd[i], h)
+			facts[seq] |= Fact(classifyIneff(f, rd[i], h)) << factIneffBits
 		}
 		s1, s2 := trace.NoProducer, trace.NoProducer
 		if f&isa.FlagReadsRs1 != 0 && rs1[i] != isa.RZero {
 			if s1 = s.regWriter[rs1[i]]; s1 != trace.NoProducer {
-				everRead[s1] = true
+				facts[s1] |= factEverRead
 				if resolve[s1] == unresolved {
 					resolve[s1] = seq
 				}
@@ -307,7 +317,7 @@ func (s *Stream) Chunk(c *trace.Chunk) error {
 		}
 		if f&isa.FlagReadsRs2 != 0 && rs2[i] != isa.RZero {
 			if s2 = s.regWriter[rs2[i]]; s2 != trace.NoProducer {
-				everRead[s2] = true
+				facts[s2] |= factEverRead
 				if resolve[s2] == unresolved {
 					resolve[s2] = seq
 				}
@@ -315,24 +325,18 @@ func (s *Stream) Chunk(c *trace.Chunk) error {
 		}
 		src1[i], src2[i] = s1, s2
 		if mi := memIdx[i]; mi >= 0 {
-			o := op[i]
-			w := c.Width[mi]
-			if w == 0 || w != o.MemWidthFast() {
-				return fmt.Errorf("deadness: seq %d: %v has width %d, want %d",
-					seq, o, w, o.MemWidth())
-			}
 			if f&isa.FlagLoad != 0 {
 				for _, p := range c.LinkLoadProducers(i, s.memWriter) {
 					if p != trace.NoProducer {
-						everRead[p] = true
+						facts[p] |= factEverRead
 						if resolve[p] == unresolved {
 							resolve[p] = seq
 						}
 					}
 				}
 			} else {
-				cand[seq] = true
-				s.prevBuf = s.memWriter.Overwrite(c.Addr[mi], int(w), seq, s.prevBuf[:0])
+				facts[seq] |= factCandidate
+				s.prevBuf = s.memWriter.Overwrite(c.Addr[mi], int(op[i].MemWidthFast()), seq, s.prevBuf[:0])
 				for _, prev := range s.prevBuf {
 					if resolve[prev] == unresolved {
 						resolve[prev] = seq // overwrite resolves the old store
@@ -342,7 +346,7 @@ func (s *Stream) Chunk(c *trace.Chunk) error {
 		}
 		if f&isa.FlagHasDest != 0 && rd[i] != isa.RZero {
 			if f&isa.FlagControl == 0 {
-				cand[seq] = true
+				facts[seq] |= factCandidate
 			}
 			if prev := s.regWriter[rd[i]]; prev != trace.NoProducer && resolve[prev] == unresolved {
 				resolve[prev] = seq // overwrite resolves the old value
@@ -351,7 +355,6 @@ func (s *Stream) Chunk(c *trace.Chunk) error {
 		}
 	}
 	s.n += cn
-	return nil
 }
 
 // Finish completes the pass over the fully collected trace (whose chunks
@@ -367,13 +370,13 @@ func (s *Stream) Finish(t *trace.Trace) *Analysis {
 // fused walk over the records: the def-use links and the deadness facts
 // (candidates, everRead, resolve points) share one last-writer state, so
 // one walk derives both. Linking is idempotent, so re-running it over a
-// linked trace rewrites the same producer columns.
+// linked trace rewrites the same producer columns. The error is always
+// nil: a trace holds no access width that could disagree with its opcode,
+// so every trace it can hold links.
 func LinkAndAnalyze(t *trace.Trace) (*Analysis, error) {
 	s := NewStream(t.Len())
 	for ci := 0; ci < t.NumChunks(); ci++ {
-		if err := s.Chunk(t.Chunk(ci)); err != nil {
-			return nil, err
-		}
+		s.Chunk(t.Chunk(ci))
 	}
 	return s.Finish(t), nil
 }
@@ -391,14 +394,13 @@ func (a *Analysis) finish(t *trace.Trace) *Analysis {
 	// it dead, so the oracle conservatively treats unresolved candidates
 	// as useful roots.
 	truncated := truncated(t)
-	useful := make([]bool, n)
-	resolve, cand := a.Resolve, a.Candidate
-	kind, everRead := a.Kind, a.EverRead
+	resolve, facts := a.Resolve, a.Facts
 	candidates := 0
 	// Classification fuses into the reverse pass: by the time the walk
 	// reaches seq, every record that could mark it useful (all are later
-	// in the trace) has been visited, so useful[seq] is final and the
-	// record can be classified, counted, and sentinel-fixed in place.
+	// in the trace) has been visited, so its factUseful bit is final and
+	// the record can be classified, counted, unmarked, and sentinel-fixed
+	// in place.
 	for ci := t.NumChunks() - 1; ci >= 0; ci-- {
 		c := t.Chunk(ci)
 		base := ci << trace.ChunkBits
@@ -406,43 +408,43 @@ func (a *Analysis) finish(t *trace.Trace) *Analysis {
 		op, src1, src2, memIdx := c.Op[:cn], c.Src1[:cn], c.Src2[:cn], c.MemIdx[:cn]
 		for i := cn - 1; i >= 0; i-- {
 			seq := base + i
-			isCand := cand[seq]
+			f := facts[seq]
+			isCand := f&factCandidate != 0
 			if isCand {
 				candidates++
 			}
-			u := useful[seq]
-			if !u && op[i].Flags()&isa.FlagRoot == 0 {
+			if f&factUseful == 0 && op[i].Flags()&isa.FlagRoot == 0 {
 				// Unresolved-candidate check only on the cold path: most
 				// records are neither useful yet nor roots.
 				if !truncated || !isCand || resolve[seq] != unresolved {
 					if resolve[seq] == unresolved {
 						resolve[seq] = int32(n)
 					}
+					k := Live
 					switch {
-					case !isCand: // u is known false here
-						kind[seq] = Live
-					case everRead[seq]:
-						kind[seq] = Transitive
+					case !isCand: // not useful either
+					case f&factEverRead != 0:
+						k = Transitive
 					default:
-						kind[seq] = FirstLevel
+						k = FirstLevel
 					}
+					facts[seq] = f&^factKind | Fact(k)
 					continue
 				}
 			}
 			if resolve[seq] == unresolved {
 				resolve[seq] = int32(n)
 			}
-			kind[seq] = Live
-			useful[seq] = true
+			facts[seq] = f &^ (factKind | factUseful) // Live
 			if p := src1[i]; p != trace.NoProducer {
-				useful[p] = true
+				facts[p] |= factUseful
 			}
 			if p := src2[i]; p != trace.NoProducer {
-				useful[p] = true
+				facts[p] |= factUseful
 			}
 			if memIdx[i] >= 0 {
 				for _, p := range c.MemProducers(i) {
-					useful[p] = true
+					facts[p] |= factUseful
 				}
 			}
 		}
@@ -515,7 +517,8 @@ func (a *Analysis) Summarize(t *trace.Trace, prog *program.Program) Summary {
 		base := ci << trace.ChunkBits
 		for i := 0; i < c.Len(); i++ {
 			seq := base + i
-			if !a.Candidate[seq] {
+			f := a.Facts[seq]
+			if !f.Candidate() {
 				continue
 			}
 			s.Candidates++
@@ -527,7 +530,7 @@ func (a *Analysis) Summarize(t *trace.Trace, prog *program.Program) Summary {
 				prov = prog.ProvenanceOf(int(c.PC[i]))
 			}
 			s.ByProv[prov].Dyn++
-			switch a.Ineff[seq] {
+			switch f.Ineff() {
 			case SilentStore:
 				s.SilentStores++
 				s.ByProv[prov].Silent++
@@ -535,13 +538,13 @@ func (a *Analysis) Summarize(t *trace.Trace, prog *program.Program) Summary {
 				s.TrivialOps++
 				s.ByProv[prov].Trivial++
 			}
-			if !a.Kind[seq].Dead() {
+			if !f.Kind().Dead() {
 				continue
 			}
 			s.Dead++
 			s.ByProv[prov].Dead++
 			switch {
-			case a.Kind[seq] == FirstLevel:
+			case f.Kind() == FirstLevel:
 				s.FirstLevel++
 			default:
 				s.Transitive++

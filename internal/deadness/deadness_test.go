@@ -29,7 +29,7 @@ func kindAtPC(t *testing.T, tr *trace.Trace, a *deadness.Analysis, pc int) deadn
 	t.Helper()
 	for seq := 0; seq < tr.Len(); seq++ {
 		if int(tr.PCAt(seq)) == pc {
-			return a.Kind[seq]
+			return a.Facts[seq].Kind()
 		}
 	}
 	t.Fatalf("pc %d not in trace", pc)
@@ -44,11 +44,11 @@ main:
     out  r1           # 2
     halt              # 3
 `)
-	if a.Kind[0] != deadness.FirstLevel {
-		t.Errorf("inst 0 kind = %v, want first-level", a.Kind[0])
+	if a.Facts[0].Kind() != deadness.FirstLevel {
+		t.Errorf("inst 0 kind = %v, want first-level", a.Facts[0].Kind())
 	}
-	if a.Kind[1] != deadness.Live {
-		t.Errorf("inst 1 kind = %v, want live", a.Kind[1])
+	if a.Facts[1].Kind() != deadness.Live {
+		t.Errorf("inst 1 kind = %v, want live", a.Facts[1].Kind())
 	}
 	if a.Resolve[0] != 1 {
 		t.Errorf("resolve of dead write = %d, want 1 (overwrite)", a.Resolve[0])
@@ -61,8 +61,8 @@ main:
     addi r1, r0, 1    # 0: never read, trace ends
     halt
 `)
-	if a.Kind[0] != deadness.FirstLevel {
-		t.Errorf("kind = %v, want first-level", a.Kind[0])
+	if a.Facts[0].Kind() != deadness.FirstLevel {
+		t.Errorf("kind = %v, want first-level", a.Facts[0].Kind())
 	}
 	if a.Resolve[0] != int32(tr.Len()) {
 		t.Errorf("resolve = %d, want trace length %d", a.Resolve[0], tr.Len())
@@ -78,14 +78,14 @@ main:
     out  r2
     halt
 `)
-	if a.Kind[0] != deadness.Transitive {
-		t.Errorf("inst 0 = %v, want transitive", a.Kind[0])
+	if a.Facts[0].Kind() != deadness.Transitive {
+		t.Errorf("inst 0 = %v, want transitive", a.Facts[0].Kind())
 	}
-	if a.Kind[1] != deadness.FirstLevel {
-		t.Errorf("inst 1 = %v, want first-level", a.Kind[1])
+	if a.Facts[1].Kind() != deadness.FirstLevel {
+		t.Errorf("inst 1 = %v, want first-level", a.Facts[1].Kind())
 	}
-	if !a.EverRead[0] || a.EverRead[1] {
-		t.Errorf("everRead = %v,%v; want true,false", a.EverRead[0], a.EverRead[1])
+	if !a.Facts[0].EverRead() || a.Facts[1].EverRead() {
+		t.Errorf("everRead = %v,%v; want true,false", a.Facts[0].EverRead(), a.Facts[1].EverRead())
 	}
 }
 
@@ -98,8 +98,8 @@ main:
     halt
 `)
 	for pc, want := range map[int]deadness.Kind{0: deadness.Transitive, 1: deadness.Transitive, 2: deadness.FirstLevel} {
-		if a.Kind[pc] != want {
-			t.Errorf("inst %d = %v, want %v", pc, a.Kind[pc], want)
+		if a.Facts[pc].Kind() != want {
+			t.Errorf("inst %d = %v, want %v", pc, a.Facts[pc].Kind(), want)
 		}
 	}
 }
@@ -113,8 +113,8 @@ main:
 done:
     halt
 `)
-	if a.Kind[0] != deadness.Live {
-		t.Errorf("branch operand producer = %v, want live", a.Kind[0])
+	if a.Facts[0].Kind() != deadness.Live {
+		t.Errorf("branch operand producer = %v, want live", a.Facts[0].Kind())
 	}
 }
 
@@ -125,8 +125,8 @@ main:
     out  r1
     halt
 `)
-	if a.Kind[0] != deadness.Live {
-		t.Errorf("out operand = %v, want live", a.Kind[0])
+	if a.Facts[0].Kind() != deadness.Live {
+		t.Errorf("out operand = %v, want live", a.Facts[0].Kind())
 	}
 }
 
@@ -145,14 +145,14 @@ main:
     halt
 `)
 	_ = p
-	if a.Kind[2] != deadness.FirstLevel {
-		t.Errorf("overwritten store = %v, want first-level", a.Kind[2])
+	if a.Facts[2].Kind() != deadness.FirstLevel {
+		t.Errorf("overwritten store = %v, want first-level", a.Facts[2].Kind())
 	}
-	if a.Kind[3] != deadness.Live {
-		t.Errorf("loaded store = %v, want live", a.Kind[3])
+	if a.Facts[3].Kind() != deadness.Live {
+		t.Errorf("loaded store = %v, want live", a.Facts[3].Kind())
 	}
-	if a.Kind[4] != deadness.Live {
-		t.Errorf("load feeding out = %v, want live", a.Kind[4])
+	if a.Facts[4].Kind() != deadness.Live {
+		t.Errorf("load feeding out = %v, want live", a.Facts[4].Kind())
 	}
 }
 
@@ -166,8 +166,8 @@ main:
     sd r1, 0(r1)      # 1: never loaded
     halt
 `)
-	if a.Kind[1] != deadness.FirstLevel {
-		t.Errorf("unloaded store = %v, want first-level", a.Kind[1])
+	if a.Facts[1].Kind() != deadness.FirstLevel {
+		t.Errorf("unloaded store = %v, want first-level", a.Facts[1].Kind())
 	}
 }
 
@@ -185,12 +185,12 @@ main:
     out r3
     halt
 `)
-	if a.Kind[2] != deadness.Live {
-		t.Errorf("partially overwritten store = %v, want live", a.Kind[2])
+	if a.Facts[2].Kind() != deadness.Live {
+		t.Errorf("partially overwritten store = %v, want live", a.Facts[2].Kind())
 	}
 	// Store 3's byte is never loaded.
-	if a.Kind[3] != deadness.FirstLevel {
-		t.Errorf("covering store = %v, want first-level", a.Kind[3])
+	if a.Facts[3].Kind() != deadness.FirstLevel {
+		t.Errorf("covering store = %v, want first-level", a.Facts[3].Kind())
 	}
 }
 
@@ -205,11 +205,11 @@ main:
     ld  r2, 0(r1)     # 2: result unread -> first-level
     halt
 `)
-	if a.Kind[1] != deadness.Transitive {
-		t.Errorf("store = %v, want transitive", a.Kind[1])
+	if a.Facts[1].Kind() != deadness.Transitive {
+		t.Errorf("store = %v, want transitive", a.Facts[1].Kind())
 	}
-	if a.Kind[2] != deadness.FirstLevel {
-		t.Errorf("dead load = %v, want first-level", a.Kind[2])
+	if a.Facts[2].Kind() != deadness.FirstLevel {
+		t.Errorf("dead load = %v, want first-level", a.Facts[2].Kind())
 	}
 }
 
@@ -224,10 +224,10 @@ f:
 `)
 	for seq := 0; seq < tr.Len(); seq++ {
 		op := tr.OpAt(seq)
-		if op.IsControl() && a.Kind[seq].Dead() {
+		if op.IsControl() && a.Facts[seq].Kind().Dead() {
 			t.Errorf("control inst %v at seq %d classified dead", op, seq)
 		}
-		if op.IsControl() && a.Candidate[seq] {
+		if op.IsControl() && a.Facts[seq].Candidate() {
 			t.Errorf("control inst %v at seq %d is a candidate", op, seq)
 		}
 	}
@@ -252,7 +252,7 @@ use:
 `)
 	deadShifts := 0
 	for seq := 0; seq < tr.Len(); seq++ {
-		if tr.PCAt(seq) == 1 && a.Kind[seq].Dead() {
+		if tr.PCAt(seq) == 1 && a.Facts[seq].Kind().Dead() {
 			deadShifts++
 		}
 	}

@@ -25,16 +25,17 @@ type DistanceStats struct {
 // analysis's candidates; deadOnly restricts it to oracle-dead instances.
 func (a *Analysis) ResolveDistances(deadOnly bool) DistanceStats {
 	const robSize = 128
-	n := len(a.Candidate)
+	n := len(a.Facts)
 	var dists []int
 	var st DistanceStats
 	within := 0
 	var sum float64
 	for seq := 0; seq < n; seq++ {
-		if !a.Candidate[seq] {
+		f := a.Facts[seq]
+		if !f.Candidate() {
 			continue
 		}
-		if deadOnly && !a.Kind[seq].Dead() {
+		if deadOnly && !f.Kind().Dead() {
 			continue
 		}
 		r := int(a.Resolve[seq])

@@ -27,7 +27,7 @@ main:
 		log.Fatal(err)
 	}
 	for seq := 0; seq < tr.Len(); seq++ {
-		fmt.Printf("%-16v %v\n", prog.Insts[tr.PCAt(seq)], an.Kind[seq])
+		fmt.Printf("%-16v %v\n", prog.Insts[tr.PCAt(seq)], an.Facts[seq].Kind())
 	}
 	// Output:
 	// addi r1, r0, 1   first-level

@@ -18,7 +18,7 @@ func ineffAtPC(t *testing.T, tr *trace.Trace, a *deadness.Analysis, pc, n int) d
 	for seq := 0; seq < tr.Len(); seq++ {
 		if int(tr.PCAt(seq)) == pc {
 			if n == 0 {
-				return a.Ineff[seq]
+				return a.Facts[seq].Ineff()
 			}
 			n--
 		}
@@ -190,13 +190,13 @@ loop:
 	for seq := 0; seq < fusedTr.Len(); seq++ {
 		switch pc := fusedTr.PCAt(seq); pc {
 		case 4:
-			if fused.Ineff[seq] != deadness.SilentStore {
-				t.Fatalf("seq %d (loop store): %v, want silent-store", seq, fused.Ineff[seq])
+			if fused.Facts[seq].Ineff() != deadness.SilentStore {
+				t.Fatalf("seq %d (loop store): %v, want silent-store", seq, fused.Facts[seq].Ineff())
 			}
 			silent++
 		case 5, 6, 7:
-			if fused.Ineff[seq] != deadness.TrivialOp {
-				t.Fatalf("seq %d (chain pc %d): %v, want trivial-op", seq, pc, fused.Ineff[seq])
+			if fused.Facts[seq].Ineff() != deadness.TrivialOp {
+				t.Fatalf("seq %d (chain pc %d): %v, want trivial-op", seq, pc, fused.Facts[seq].Ineff())
 			}
 			trivial++
 		}
@@ -209,11 +209,9 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stream.Ineff, fused.Ineff) {
-		t.Error("streamed Ineff column diverges from the after-collection pass")
-	}
-	if !reflect.DeepEqual(stream.Kind, fused.Kind) {
-		t.Error("streamed Kind column diverges from the after-collection pass")
+	// The Facts column holds Kind and Ineff, among the rest.
+	if !reflect.DeepEqual(stream.Facts, fused.Facts) {
+		t.Error("streamed Facts column diverges from the after-collection pass")
 	}
 }
 

@@ -31,7 +31,8 @@ func (a *Analysis) StaticProfile(t *trace.Trace) []StaticStat {
 		base := ci << trace.ChunkBits
 		for i := 0; i < c.Len(); i++ {
 			seq := base + i
-			if !a.Candidate[seq] {
+			f := a.Facts[seq]
+			if !f.Candidate() {
 				continue
 			}
 			pc := c.PC[i]
@@ -41,7 +42,7 @@ func (a *Analysis) StaticProfile(t *trace.Trace) []StaticStat {
 				byPC[pc] = st
 			}
 			st.Dyn++
-			if a.Kind[seq].Dead() {
+			if f.Kind().Dead() {
 				st.Dead++
 			}
 		}

@@ -131,12 +131,13 @@ func evaluate(t *trace.Trace, a *deadness.Analysis, cfg Config, preds *bpred.Pre
 				}
 			}
 
-			if !a.Candidate[seq] {
+			f := a.Facts[seq]
+			if !f.Candidate() {
 				continue
 			}
 			sig := preds.SigAfter(seq, cfg.PathLen)
 			pc := c.PC[i]
-			dead := a.Kind[seq].Dead()
+			dead := f.Kind().Dead()
 			res.Candidates++
 			if dead {
 				res.Dead++

@@ -31,7 +31,8 @@ func StaticHintResult(t *trace.Trace, a *deadness.Analysis, trainFrac, threshold
 	type ratio struct{ dead, dyn int }
 	profile := make(map[int32]*ratio)
 	for seq := 0; seq < split; seq++ {
-		if !a.Candidate[seq] {
+		f := a.Facts[seq]
+		if !f.Candidate() {
 			continue
 		}
 		pc := t.PCAt(seq)
@@ -41,7 +42,7 @@ func StaticHintResult(t *trace.Trace, a *deadness.Analysis, trainFrac, threshold
 			profile[pc] = r
 		}
 		r.dyn++
-		if a.Kind[seq].Dead() {
+		if f.Kind().Dead() {
 			r.dead++
 		}
 	}
@@ -54,11 +55,12 @@ func StaticHintResult(t *trace.Trace, a *deadness.Analysis, trainFrac, threshold
 
 	res := Result{Name: "static-hint"}
 	for seq := split; seq < n; seq++ {
-		if !a.Candidate[seq] {
+		f := a.Facts[seq]
+		if !f.Candidate() {
 			continue
 		}
 		res.Candidates++
-		dead := a.Kind[seq].Dead()
+		dead := f.Kind().Dead()
 		if dead {
 			res.Dead++
 		}

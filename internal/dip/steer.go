@@ -31,10 +31,11 @@ func evalSteer(s Spec, t *trace.Trace, a *deadness.Analysis, _ func() *bpred.Pre
 		base := ci << trace.ChunkBits
 		for i := 0; i < c.Len(); i++ {
 			seq := base + i
-			if !a.Candidate[seq] {
+			f := a.Facts[seq]
+			if !f.Candidate() {
 				continue
 			}
-			ineff := a.Ineff[seq].Ineffectual()
+			ineff := f.Ineff().Ineffectual()
 			pc := int(c.PC[i])
 			pred := dir.Predict(pc)
 			dir.Update(pc, ineff)

@@ -276,8 +276,14 @@ func (c Config) Validate() error {
 		return errors.New("pipeline: latencies must be >= 1")
 	case c.DeadRecoveryPenalty < 1:
 		return errors.New("pipeline: DeadRecoveryPenalty must be >= 1")
-	case c.GshareLogEntries < 1 || c.BTBLogEntries < 1 || c.RASDepth < 1:
-		return errors.New("pipeline: predictor geometry must be positive")
+	case c.GshareLogEntries < 1 || c.GshareLogEntries > 20 || c.BTBLogEntries < 1 || c.BTBLogEntries > 20:
+		// At most 2^20 entries a table, the bound dip.Config puts on LogSets.
+		return fmt.Errorf("pipeline: gshare and BTB log sizes %d and %d outside [1, 20]",
+			c.GshareLogEntries, c.BTBLogEntries)
+	case c.GshareHistBits < 0 || c.GshareHistBits > 32: // a 32-bit history register
+		return fmt.Errorf("pipeline: GshareHistBits %d outside [0, 32]", c.GshareHistBits)
+	case c.RASDepth < 1 || c.RASDepth > 1<<16:
+		return fmt.Errorf("pipeline: RASDepth %d outside [1, 65536]", c.RASDepth)
 	case c.Clusters < 0 || c.Clusters > 2:
 		return fmt.Errorf("pipeline: %d clusters unsupported (0/1 = single, 2 = steered)", c.Clusters)
 	case c.Clustered() && (c.NarrowIssueWidth < 1 || c.NarrowALUs < 1):

@@ -25,7 +25,7 @@ func TestOracleEliminationIsCleanAndFaster(t *testing.T) {
 	}
 	dead := int64(0)
 	for seq := 0; seq < tr.Len(); seq++ {
-		if a.Kind[seq].Dead() {
+		if a.Facts[seq].Kind().Dead() {
 			dead++
 		}
 	}

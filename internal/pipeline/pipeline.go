@@ -179,9 +179,9 @@ func newMachine(t *trace.Trace, a *deadness.Analysis, cfg Config, preds *bpred.P
 	if !t.Linked {
 		return nil, fmt.Errorf("pipeline: trace must be linked")
 	}
-	if len(a.Candidate) != t.Len() {
+	if len(a.Facts) != t.Len() {
 		return nil, fmt.Errorf("pipeline: analysis covers %d records, trace has %d",
-			len(a.Candidate), t.Len())
+			len(a.Facts), t.Len())
 	}
 	if err := preds.Check(t, cfg.gshare().Name()); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
@@ -320,10 +320,10 @@ func (m *Machine) commit() {
 		}
 		if m.steer != nil {
 			m.stats.ClusterCommitted[u.cluster]++
-			if m.an.Candidate[u.seq] {
+			if m.an.Facts[u.seq].Candidate() {
 				// The steering predictor trains at commit with the actual
 				// ineffectuality outcome, mirroring dip.FlavorSteer.
-				m.steer.Update(int(u.pc), m.an.Ineff[u.seq].Ineffectual())
+				m.steer.Update(int(u.pc), m.an.Facts[u.seq].Ineff().Ineffectual())
 			}
 		}
 		// Dead-predictor training events resolved by this instruction.
@@ -580,13 +580,13 @@ func (m *Machine) rename() {
 
 		elim := false
 		switch {
-		case m.cfg.Elim && m.cfg.OracleElim && m.an.Candidate[seq]:
+		case m.cfg.Elim && m.cfg.OracleElim && m.an.Facts[seq].Candidate():
 			// Limit study: perfect deadness knowledge, no training.
-			if m.an.Kind[seq].Dead() {
+			if m.an.Facts[seq].Kind().Dead() {
 				elim = true
 				m.stats.DeadPredictions++
 			}
-		case m.pred != nil && m.an.Candidate[seq]:
+		case m.pred != nil && m.an.Facts[seq].Candidate():
 			sig := m.preds.SigAfter(seq, m.cfg.DIP.PathLen)
 			if m.pred.Predict(int(r.PC()), sig) {
 				elim = true
@@ -620,10 +620,10 @@ func (m *Machine) rename() {
 			}
 			// Cluster steering happens last, past every stall-return above,
 			// so a rename retry cannot double-count a steering decision.
-			if m.steer != nil && m.an.Candidate[seq] && m.steer.Predict(int(r.PC())) {
+			if m.steer != nil && m.an.Facts[seq].Candidate() && m.steer.Predict(int(r.PC())) {
 				u.cluster = 1
 				m.stats.SteeredNarrow++
-				if !m.an.Ineff[seq].Ineffectual() {
+				if !m.an.Facts[seq].Ineff().Ineffectual() {
 					m.stats.SteerMispredicts++
 				}
 			}
@@ -706,7 +706,7 @@ func (m *Machine) checkPoison(r trace.Ref) bool {
 // resolution point (when the pipeline learns the outcome). Events append
 // to the arena and chain onto their resolve bucket in arrival order.
 func (m *Machine) schedule(seq int, pc int32, sig uint16) {
-	dead := m.an.Kind[seq].Dead()
+	dead := m.an.Facts[seq].Kind().Dead()
 	resolve := m.an.Resolve[seq]
 	if int(resolve) >= m.n {
 		// Resolves beyond the simulated window; train at own commit.

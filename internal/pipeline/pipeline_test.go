@@ -381,9 +381,46 @@ func TestUnlinkedTraceRejected(t *testing.T) {
 		t.Error("unlinked trace accepted")
 	}
 	tr.Linked = true
-	short := &deadness.Analysis{Candidate: make([]bool, 1)}
+	short := &deadness.Analysis{Facts: make([]deadness.Fact, 1)}
 	if _, err := Run(tr, short, BaselineConfig()); err == nil {
 		t.Error("mismatched analysis accepted")
+	}
+}
+
+// TestPredictorGeometryBounded requires Validate and Run to refuse
+// predictor geometry that would make the front end shift by a negative
+// amount or allocate an oversized table: both return an error before
+// anything is built.
+func TestPredictorGeometryBounded(t *testing.T) {
+	tr, a := prep(t, loopSrc, 1000)
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"negative history", func(c *Config) { c.GshareHistBits = -1 }},
+		{"history past the register", func(c *Config) { c.GshareHistBits = 33 }},
+		{"empty gshare", func(c *Config) { c.GshareLogEntries = 0 }},
+		{"oversized gshare", func(c *Config) { c.GshareLogEntries = 62 }},
+		{"gshare past the bound", func(c *Config) { c.GshareLogEntries = 21 }},
+		{"empty BTB", func(c *Config) { c.BTBLogEntries = 0 }},
+		{"oversized BTB", func(c *Config) { c.BTBLogEntries = 62 }},
+		{"empty RAS", func(c *Config) { c.RASDepth = 0 }},
+		{"oversized RAS", func(c *Config) { c.RASDepth = 1 << 40 }},
+	} {
+		cfg := BaselineConfig()
+		tc.set(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the config", tc.name)
+		}
+		if _, err := Run(tr, a, cfg); err == nil {
+			t.Errorf("%s: Run accepted the config", tc.name)
+		}
+	}
+	// The bounds themselves are valid.
+	cfg := BaselineConfig()
+	cfg.GshareHistBits, cfg.GshareLogEntries, cfg.BTBLogEntries, cfg.RASDepth = 32, 1, 1, 1
+	if _, err := Run(tr, a, cfg); err != nil {
+		t.Errorf("smallest tables and a full history: %v", err)
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 // allocation (the fuzzer's memory limit enforces the latter). Real
 // images of emulated suite-benchmark prefixes (one spanning two chunks)
 // and truncated and size-table-corrupted variants live in
-// testdata/fuzz/FuzzTraceLoadBytes.
+// testdata/fuzz/FuzzTraceLoadBytes; the seeds added here include images
+// whose NextPC column breaks the committed path.
 func FuzzTraceLoadBytes(f *testing.F) {
 	empty := &trace.Trace{}
 	link(f, empty)
@@ -43,6 +44,11 @@ func FuzzTraceLoadBytes(f *testing.F) {
 	wide := bytes.Clone(full)
 	wide[prodOff] = 9
 	f.Add(wide)
+	// NextPC columns that break the committed path, inside a chunk and
+	// at a chunk boundary.
+	inChunk, atBoundary := brokenPathImages(f)
+	f.Add(inChunk)
+	f.Add(atBoundary)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := trace.LoadBytes(data, 1<<16)

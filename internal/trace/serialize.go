@@ -27,7 +27,9 @@ import (
 // invariant that matters (a producer strictly precedes its consumer), so
 // a corrupt links section is rejected, never trusted. Ineffectuality hints
 // travel in their own column: they are value observations the trace
-// cannot re-derive.
+// cannot re-derive. The NextPC column is written in full though the trace
+// stores only each chunk's last value, and the loader rejects an image in
+// which a record's NextPC is not the next record's PC.
 const (
 	traceMagic = 0x64746363 // "dtcc"
 	// traceVersionLinked is the only readable version. Version 1 (row
@@ -78,9 +80,10 @@ func (c *Chunk) sectionSize() int {
 }
 
 // encodeSection fills b (sized by sectionSize) with the chunk's columnar
-// section. Access widths are not stored: the linker proved every memory
-// record's width equals its opcode's MemWidth, so the loader re-derives
-// them.
+// section, which cannot be empty. Access widths are not stored: every
+// memory record's width is its opcode's MemWidth, so the loader derives
+// them as the trace does. The NextPC column is derived the same way: the
+// next record's PC, then the chunk's last NextPC.
 func (c *Chunk) encodeSection(b []byte) {
 	cn := c.Len()
 	lebytes.PutI32s(b[:4*cn], c.PC)
@@ -89,7 +92,8 @@ func (c *Chunk) encodeSection(b []byte) {
 	copy(b[6*cn:7*cn], lebytes.U8(c.Rs1))
 	copy(b[7*cn:8*cn], lebytes.U8(c.Rs2))
 	copy(b[8*cn:9*cn], lebytes.Bool(c.Taken))
-	lebytes.PutI32s(b[9*cn:13*cn], c.NextPC)
+	copy(b[9*cn:13*cn-4], b[4:4*cn])
+	binary.LittleEndian.PutUint32(b[13*cn-4:], uint32(c.lastNext))
 	lebytes.PutI32s(b[13*cn:17*cn], c.Src1)
 	lebytes.PutI32s(b[17*cn:21*cn], c.Src2)
 	copy(b[21*cn:22*cn], c.Ineff)
@@ -104,9 +108,8 @@ func (c *Chunk) encodeSection(b []byte) {
 		}
 		b[off] = c.srcLen[mi]
 		off++
-		s := c.srcOff[mi]
-		for k := int32(0); k < int32(c.srcLen[mi]); k++ {
-			binary.LittleEndian.PutUint32(b[off:], uint32(c.memSrcs[s+k]))
+		for _, p := range c.MemProducers(i) {
+			binary.LittleEndian.PutUint32(b[off:], uint32(p))
 			off += 4
 		}
 	}
@@ -260,6 +263,14 @@ func loadColumnar(body []byte, n int) (*Trace, error) {
 	if off != len(body) {
 		return nil, fmt.Errorf("trace: trailing garbage after %d records", n)
 	}
+	// decodeSection checked the committed path inside each chunk; this
+	// checks it across each chunk boundary.
+	for k := 1; k < nc; k++ {
+		if prev, pc := t.chunks[k-1].lastNext, t.chunks[k].PC[0]; prev != pc {
+			return nil, fmt.Errorf("trace: record %d: next PC %d, but record %d has PC %d",
+				k<<ChunkBits-1, prev, k<<ChunkBits, pc)
+		}
+	}
 	t.n = n
 	return t, nil
 }
@@ -361,10 +372,11 @@ func validateRegs(rdb, rs1b, rs2b []byte, base, cn int) error {
 // decodeSection fills an empty chunk from one version-3 columnar section
 // whose first record is trace sequence number base, making each column at
 // its decoded length. Every field is validated: opcodes, registers, taken
-// flags, producer links strictly preceding their consumer, load producer
-// lists bounded by the access width and distinct, and the section
-// consumed exactly. The byte-sized columns are validated by
-// word-at-a-time scans and then copied whole.
+// flags, each NextPC but the last equal to the next record's PC,
+// producer links strictly preceding their consumer, load producer lists
+// bounded by the access width and distinct, and the section consumed
+// exactly. The byte-sized columns are validated by word-at-a-time scans
+// and then copied whole.
 func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 	// Section size was validated >= cn*hotColumnBytes by the caller.
 	pcb := b[:4*cn]
@@ -385,10 +397,9 @@ func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 	c.Rs1 = make([]isa.Reg, cn)
 	c.Rs2 = make([]isa.Reg, cn)
 	c.Taken = make([]bool, cn)
-	c.NextPC = make([]int32, cn)
 	c.Src1 = make([]int32, cn)
 	c.Src2 = make([]int32, cn)
-	c.MemIdx = make([]int32, cn)
+	c.MemIdx = make([]int16, cn)
 	c.Ineff = make([]uint8, cn)
 
 	memCnt := 0
@@ -398,7 +409,7 @@ func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 			return fmt.Errorf("trace: record %d: invalid opcode %d", base+i, opb[i])
 		}
 		if inf&opInfoMem != 0 {
-			c.MemIdx[i] = int32(memCnt)
+			c.MemIdx[i] = int16(memCnt)
 			memCnt++
 		} else {
 			c.MemIdx[i] = -1
@@ -422,7 +433,12 @@ func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 	copy(lebytes.U8(c.Rs2), rs2b)
 	copy(lebytes.Bool(c.Taken), takenb) // bytes proved 0/1 above
 	lebytes.GetI32s(c.PC, pcb)
-	lebytes.GetI32s(c.NextPC, nextb)
+	for i, pc := range c.PC[1:] {
+		if next := int32(binary.LittleEndian.Uint32(nextb[4*i:])); next != pc {
+			return fmt.Errorf("trace: record %d: next PC %d, but record %d has PC %d", base+i, next, base+i+1, pc)
+		}
+	}
+	c.lastNext = int32(binary.LittleEndian.Uint32(nextb[4*cn-4:]))
 	lebytes.GetI32s(c.Src1, src1b)
 	lebytes.GetI32s(c.Src2, src2b)
 	copy(c.Ineff, ineffb)
@@ -443,14 +459,11 @@ func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 	addrb := rest[:8*memCnt]
 	prod := rest[8*memCnt:]
 	c.Addr = make([]uint64, memCnt)
-	c.Width = make([]uint8, memCnt)
-	c.srcOff = make([]int32, memCnt)
+	c.srcOff = make([]uint16, memCnt)
 	c.srcLen = make([]uint8, memCnt)
 	lebytes.GetU64s(c.Addr, addrb)
-	// One pass over the memory records fills the side tables and decodes
-	// each load's producer list. Widths are not stored: SaveLinked requires
-	// a linked trace, and the linker proved every memory record's width
-	// equals its opcode's MemWidth.
+	// One pass over the memory records decodes each load's producer list,
+	// bounded by the opcode's access width.
 	mi := 0
 	for i := 0; i < cn; i++ {
 		if c.MemIdx[i] < 0 {
@@ -458,7 +471,6 @@ func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 		}
 		inf := opInfo[opb[i]]
 		width := inf >> 4
-		c.Width[mi] = width
 		if inf&opInfoLoad != 0 {
 			if len(prod) < 1 {
 				return fmt.Errorf("trace: record %d: producer count: unexpected EOF", base+i)
@@ -486,7 +498,7 @@ func (c *Chunk) decodeSection(b []byte, base, cn int) error {
 				c.memSrcs = append(c.memSrcs, p)
 			}
 			prod = prod[4*cnt:]
-			c.srcOff[mi] = int32(start)
+			c.srcOff[mi] = uint16(start)
 			c.srcLen[mi] = uint8(cnt)
 		}
 		mi++

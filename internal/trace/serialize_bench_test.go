@@ -10,23 +10,24 @@ import (
 
 // benchTrace synthesizes a linked n-record trace with the op mix that
 // matters to the serializer: register writers, stores, loads (producer
-// lists), and branches.
+// lists), and branches. The records form a committed path (each NextPC
+// the next record's PC), which the loader checks.
 func benchTrace(b *testing.B, n int) *trace.Trace {
 	b.Helper()
 	recs := make([]trace.Record, n)
 	for i := range recs {
-		pc := int32(i % 1024)
+		pc, next := int32(i%1024), int32((i+1)%1024)
 		switch i % 5 {
 		case 0, 1:
-			recs[i] = trace.Record{PC: pc, Op: isa.ADDI, Rd: isa.Reg(1 + i%8), Rs1: isa.Reg(i % 4), NextPC: pc + 1}
+			recs[i] = trace.Record{PC: pc, Op: isa.ADDI, Rd: isa.Reg(1 + i%8), Rs1: isa.Reg(i % 4), NextPC: next}
 		case 2:
 			recs[i] = trace.Record{PC: pc, Op: isa.SD, Rs1: isa.Reg(1 + i%8), Rs2: isa.Reg(1 + (i+1)%8),
-				Addr: uint64(i % 4096 * 8), Width: 8, NextPC: pc + 1}
+				Addr: uint64(i % 4096 * 8), Width: 8, NextPC: next}
 		case 3:
 			recs[i] = trace.Record{PC: pc, Op: isa.LD, Rd: isa.Reg(1 + i%8), Rs1: isa.Reg(i % 4),
-				Addr: uint64(i % 4096 * 8), Width: 8, NextPC: pc + 1}
+				Addr: uint64(i % 4096 * 8), Width: 8, NextPC: next}
 		case 4:
-			recs[i] = trace.Record{PC: pc, Op: isa.BNE, Rs1: isa.Reg(1 + i%8), Taken: i%3 == 0, NextPC: pc + 1}
+			recs[i] = trace.Record{PC: pc, Op: isa.BNE, Rs1: isa.Reg(1 + i%8), Taken: i%3 == 0, NextPC: next}
 		}
 	}
 	t := trace.FromRecords(recs)

@@ -14,17 +14,65 @@ import (
 	"repro/internal/workload"
 )
 
-// sampleTrace returns a small unlinked trace. Records 0 and 1 carry
-// ineffectuality hints so every round-trip test proves the hint column
-// survives the wire format.
+// sampleTrace returns a small unlinked trace of a committed path. Records
+// 0 and 1 carry ineffectuality hints so every round-trip test proves the
+// hint column survives the wire format.
 func sampleTrace() *trace.Trace {
 	return trace.FromRecords([]trace.Record{
 		{PC: 0, Op: isa.ADDI, Rd: 1, NextPC: 1, Ineff: trace.HintResultEqRs1},
 		{PC: 1, Op: isa.SD, Rs1: 1, Rs2: 1, Addr: 0x1234, Width: 8, NextPC: 2, Ineff: trace.HintSilentStore},
 		{PC: 2, Op: isa.LD, Rd: 2, Rs1: 1, Addr: 0x1234, Width: 8, NextPC: 3},
-		{PC: 3, Op: isa.BNE, Rs1: 2, Rs2: 0, Taken: true, NextPC: 0},
+		{PC: 3, Op: isa.BNE, Rs1: 2, Rs2: 0, Taken: true, NextPC: 4},
 		{PC: 4, Op: isa.HALT, NextPC: 4},
 	})
+}
+
+// brokenPathImages returns two images whose NextPC column breaks the
+// committed path, which the loader must reject: in one, record 1 of the
+// sample names a next PC other than record 2's; in the other, the last
+// record of a two-chunk trace's first chunk names a next PC other than
+// the second chunk's first PC.
+func brokenPathImages(t testing.TB) (inChunk, atBoundary []byte) {
+	t.Helper()
+	// The sample's NextPC column starts 9 bytes per record into its one
+	// section, after the header (12) and the size table (4).
+	inChunk = linkedImage(t)
+	binary.LittleEndian.PutUint32(inChunk[12+4+9*5+4:], 1)
+
+	const cs = trace.ChunkSize
+	recs := make([]trace.Record, cs+1)
+	for i := range recs {
+		recs[i] = trace.Record{PC: int32(i % 50), Op: isa.ADDI, Rd: 1, NextPC: int32((i + 1) % 50)}
+	}
+	tr := trace.FromRecords(recs)
+	link(t, tr)
+	var buf bytes.Buffer
+	if err := tr.SaveLinked(&buf); err != nil {
+		t.Fatal(err)
+	}
+	atBoundary = buf.Bytes()
+	binary.LittleEndian.PutUint32(atBoundary[12+2*4+9*cs+4*(cs-1):], 7)
+	return inChunk, atBoundary
+}
+
+// TestLoadRejectsBrokenPath requires the loader to reject a NextPC that is
+// not the next record's PC, inside a chunk and across a chunk boundary,
+// and to load both images once the column is repaired.
+func TestLoadRejectsBrokenPath(t *testing.T) {
+	inChunk, atBoundary := brokenPathImages(t)
+	for name, b := range map[string][]byte{"in chunk": inChunk, "at boundary": atBoundary} {
+		if _, err := trace.LoadBytes(b, 0); err == nil || !strings.Contains(err.Error(), "next PC") {
+			t.Errorf("%s: error %v, want a next-PC mismatch", name, err)
+		}
+	}
+	binary.LittleEndian.PutUint32(inChunk[12+4+9*5+4:], 2)
+	const cs = trace.ChunkSize
+	binary.LittleEndian.PutUint32(atBoundary[12+2*4+9*cs+4*(cs-1):], cs%50)
+	for name, b := range map[string][]byte{"in chunk": inChunk, "at boundary": atBoundary} {
+		if _, err := trace.LoadBytes(b, 0); err != nil {
+			t.Errorf("%s: repaired image rejected: %v", name, err)
+		}
+	}
 }
 
 // linkedImage returns the linked sample trace's serialized image.

@@ -6,16 +6,19 @@
 // for the oracle and the timing model (internal/pipeline).
 //
 // Storage is chunked and columnar (structure-of-arrays): the hot fields
-// that every trace walk touches (PC, Op, registers, control-flow outcome,
+// that every trace walk touches (PC, Op, registers, the branch outcome,
 // and the register producer links) live in dense per-chunk parallel
-// arrays, while memory-access data (address, width) and load producer
-// links live in side tables indexed only by the records that need them.
-// A multi-million-record trace therefore costs ~25-30 bytes per record in
-// steady state instead of the ~80 of an array-of-structs layout, and
-// sequential scans (the fused oracle, predictor evaluation, the pipeline)
-// stream through cache-friendly columns. Chunk storage belongs to the
-// garbage collector: a trace nobody references is reclaimed like any other
-// value.
+// arrays, while memory addresses and load producer links live in side
+// tables indexed only by the records that need them. Nothing the trace
+// can derive is stored: a record's NextPC is the next record's PC (a
+// chunk keeps only its last record's), an access width is its opcode's,
+// and the side-table indices are chunk-local 16-bit values. A record
+// costs 20 bytes and a memory record 11 more; with the producer lists and
+// spare capacity the suite's 1M traces hold 28.7 bytes per record against
+// the ~80 of an array-of-structs layout, and sequential scans (the fused
+// oracle, predictor evaluation, the pipeline) stream through
+// cache-friendly columns. Chunk storage belongs to the garbage collector:
+// a trace nobody references is reclaimed like any other value.
 package trace
 
 import "repro/internal/isa"
@@ -46,13 +49,22 @@ const (
 const MaxMemProducers = 8
 
 // Chunk geometry. ChunkSize records per chunk keeps one chunk's hot
-// columns around 200 KiB — large enough that chunk bookkeeping is noise,
+// columns around 160 KiB — large enough that chunk bookkeeping is noise,
 // small enough that a producer/consumer pair streaming one chunk apart
 // (see emu.CollectAnalyzed) stays cache-warm.
 const (
 	ChunkBits = 13
 	ChunkSize = 1 << ChunkBits
 	chunkMask = ChunkSize - 1
+)
+
+// The side-table indices are chunk-local, so these compile only while
+// they fit: MemIdx holds one of at most ChunkSize memory slots in an
+// int16, and srcOff one of at most MaxMemProducers*ChunkSize producer
+// entries in a uint16.
+const (
+	_ = uint(1<<15 - ChunkSize)
+	_ = uint(1<<16 - MaxMemProducers*ChunkSize)
 )
 
 // Record is one committed dynamic instruction, materialized. The columnar
@@ -65,11 +77,13 @@ type Record struct {
 	Rs1 isa.Reg
 	Rs2 isa.Reg
 
-	// Control-flow outcome.
+	// Control-flow outcome. A trace returns the next record's PC as NextPC
+	// for every record but its chunk's last.
 	Taken  bool  // conditional branches only
 	NextPC int32 // PC of the next committed instruction
 
-	// Memory access (loads and stores only).
+	// Memory access (loads and stores only); a trace returns the opcode's
+	// width.
 	Addr  uint64
 	Width uint8
 
@@ -117,38 +131,50 @@ func (r *Record) MemProducers() []int32 {
 // ChunkBits + i of the trace. Consumers may read columns freely and the
 // linker writes Src1/Src2 through them, but only the trace may append.
 type Chunk struct {
-	// Hot columns, one entry per record.
-	PC     []int32
-	Op     []isa.Op
-	Rd     []isa.Reg
-	Rs1    []isa.Reg
-	Rs2    []isa.Reg
-	Taken  []bool
-	NextPC []int32
-	Src1   []int32
-	Src2   []int32
+	// Hot columns, one entry per record: 20 bytes.
+	PC    []int32
+	Op    []isa.Op
+	Rd    []isa.Reg
+	Rs1   []isa.Reg
+	Rs2   []isa.Reg
+	Taken []bool
+	Src1  []int32
+	Src2  []int32
 	// MemIdx[i] is record i's slot in the memory side tables, or -1 when
 	// the record is not a memory access.
-	MemIdx []int32
+	MemIdx []int16
 	// Ineff holds the emulator's per-record ineffectuality hint bits
 	// (HintSilentStore & co.). Derived facts live in deadness.Analysis;
 	// this column is the raw observation stream.
 	Ineff []uint8
 
-	// Memory side tables, indexed by MemIdx slot.
-	Addr  []uint64
-	Width []uint8
+	// lastNext is the NextPC of the chunk's last record; every other
+	// record's NextPC is the PC of the record after it.
+	lastNext int32
+
+	// Memory side tables, indexed by MemIdx slot: 11 bytes per memory
+	// record with the producer spans below.
+	Addr []uint64
 
 	// Load producer links: slot mi of a linked load covers
 	// memSrcs[srcOff[mi] : srcOff[mi]+srcLen[mi]]. Store slots keep
 	// srcLen 0. The flat array is rebuilt by each link pass.
-	srcOff  []int32
+	srcOff  []uint16
 	srcLen  []uint8
 	memSrcs []int32
 }
 
 // Len returns the number of records in the chunk.
 func (c *Chunk) Len() int { return len(c.PC) }
+
+// nextPC returns the PC of the instruction committed after the record at
+// local index i.
+func (c *Chunk) nextPC(i int) int32 {
+	if i+1 < len(c.PC) {
+		return c.PC[i+1]
+	}
+	return c.lastNext
+}
 
 // MemProducers returns the producer stores of the load at local index i
 // (empty for non-loads and unlinked records).
@@ -157,8 +183,8 @@ func (c *Chunk) MemProducers(i int) []int32 {
 	if mi < 0 || c.srcLen[mi] == 0 {
 		return nil
 	}
-	off := c.srcOff[mi]
-	return c.memSrcs[off : off+int32(c.srcLen[mi])]
+	off := int(c.srcOff[mi])
+	return c.memSrcs[off : off+int(c.srcLen[mi])]
 }
 
 // BeginLink resets the chunk's load-producer storage ahead of a link pass
@@ -175,16 +201,17 @@ func (c *Chunk) BeginLink() {
 func (c *Chunk) LinkLoadProducers(i int, w *WriterMap) []int32 {
 	mi := c.MemIdx[i]
 	start := len(c.memSrcs)
-	c.memSrcs = w.AppendLoadProducers(c.Addr[mi], int(c.Width[mi]), c.memSrcs)
-	c.srcOff[mi] = int32(start)
+	c.memSrcs = w.AppendLoadProducers(c.Addr[mi], int(c.Op[i].MemWidthFast()), c.memSrcs)
+	c.srcOff[mi] = uint16(start)
 	c.srcLen[mi] = uint8(len(c.memSrcs) - start)
 	return c.memSrcs[start:]
 }
 
 // push appends one record's fields to the columns. Non-memory records
-// canonicalize Addr/Width to zero (they have no side-table slot), and
-// MemSrcs are never taken from the input: producer links are derived
-// state, recomputed by the linker.
+// canonicalize Addr to zero (they have no side-table slot). The record's
+// Width, its NextPC unless it is the chunk's last, and its MemSrcs are
+// never taken from the input: the first two are derived from the opcode
+// and the next record, and producer links are recomputed by the linker.
 func (c *Chunk) push(r *Record) {
 	c.PC = append(c.PC, r.PC)
 	c.Op = append(c.Op, r.Op)
@@ -192,15 +219,14 @@ func (c *Chunk) push(r *Record) {
 	c.Rs1 = append(c.Rs1, r.Rs1)
 	c.Rs2 = append(c.Rs2, r.Rs2)
 	c.Taken = append(c.Taken, r.Taken)
-	c.NextPC = append(c.NextPC, r.NextPC)
 	c.Src1 = append(c.Src1, r.Src1)
 	c.Src2 = append(c.Src2, r.Src2)
 	c.Ineff = append(c.Ineff, r.Ineff)
-	mi := int32(-1)
+	c.lastNext = r.NextPC
+	mi := int16(-1)
 	if r.Op.IsMem() {
-		mi = int32(len(c.Addr))
+		mi = int16(len(c.Addr))
 		c.Addr = append(c.Addr, r.Addr)
-		c.Width = append(c.Width, r.Width)
 		c.srcOff = append(c.srcOff, 0)
 		c.srcLen = append(c.srcLen, 0)
 	}
@@ -215,13 +241,12 @@ func (c *Chunk) reset() {
 	c.Rs1 = c.Rs1[:0]
 	c.Rs2 = c.Rs2[:0]
 	c.Taken = c.Taken[:0]
-	c.NextPC = c.NextPC[:0]
 	c.Src1 = c.Src1[:0]
 	c.Src2 = c.Src2[:0]
 	c.Ineff = c.Ineff[:0]
+	c.lastNext = 0
 	c.MemIdx = c.MemIdx[:0]
 	c.Addr = c.Addr[:0]
-	c.Width = c.Width[:0]
 	c.srcOff = c.srcOff[:0]
 	c.srcLen = c.srcLen[:0]
 	c.memSrcs = c.memSrcs[:0]
@@ -265,14 +290,12 @@ func (t *Trace) addChunk(capacity int) *Chunk {
 		Rs1:    make([]isa.Reg, 0, capacity),
 		Rs2:    make([]isa.Reg, 0, capacity),
 		Taken:  make([]bool, 0, capacity),
-		NextPC: make([]int32, 0, capacity),
 		Src1:   make([]int32, 0, capacity),
 		Src2:   make([]int32, 0, capacity),
 		Ineff:  make([]uint8, 0, capacity),
-		MemIdx: make([]int32, 0, capacity),
+		MemIdx: make([]int16, 0, capacity),
 		Addr:   make([]uint64, 0, memCap),
-		Width:  make([]uint8, 0, memCap),
-		srcOff: make([]int32, 0, memCap),
+		srcOff: make([]uint16, 0, memCap),
 		srcLen: make([]uint8, 0, memCap),
 	}
 	t.chunks = append(t.chunks, c)
@@ -331,20 +354,20 @@ func (t *Trace) append(r *Record) {
 }
 
 // At materializes record seq, including its producer links when the trace
-// is linked.
+// is linked. NextPC is the next record's PC (the pushed value for a
+// chunk's last record) and Width the opcode's.
 func (t *Trace) At(seq int) Record {
 	c := t.chunks[seq>>ChunkBits]
 	i := seq & chunkMask
 	r := Record{
 		PC: c.PC[i], Op: c.Op[i], Rd: c.Rd[i], Rs1: c.Rs1[i], Rs2: c.Rs2[i],
-		Taken: c.Taken[i], NextPC: c.NextPC[i],
+		Taken: c.Taken[i], NextPC: c.nextPC(i),
 		Src1: c.Src1[i], Src2: c.Src2[i],
 		Ineff: c.Ineff[i],
 	}
 	if mi := c.MemIdx[i]; mi >= 0 {
-		r.Addr, r.Width = c.Addr[mi], c.Width[mi]
-		off := c.srcOff[mi]
-		r.NumMemSrcs = uint8(copy(r.MemSrcs[:], c.memSrcs[off:off+int32(c.srcLen[mi])]))
+		r.Addr, r.Width = c.Addr[mi], c.Op[i].MemWidthFast()
+		r.NumMemSrcs = uint8(copy(r.MemSrcs[:], c.MemProducers(i)))
 	}
 	return r
 }
@@ -377,7 +400,7 @@ func (r Ref) Rd() isa.Reg   { return r.c.Rd[r.i] }
 func (r Ref) Rs1() isa.Reg  { return r.c.Rs1[r.i] }
 func (r Ref) Rs2() isa.Reg  { return r.c.Rs2[r.i] }
 func (r Ref) Taken() bool   { return r.c.Taken[r.i] }
-func (r Ref) NextPC() int32 { return r.c.NextPC[r.i] }
+func (r Ref) NextPC() int32 { return r.c.nextPC(int(r.i)) }
 func (r Ref) Src1() int32   { return r.c.Src1[r.i] }
 func (r Ref) Src2() int32   { return r.c.Src2[r.i] }
 
@@ -390,12 +413,7 @@ func (r Ref) Addr() uint64 {
 }
 
 // Width returns the access width of a load or store (0 otherwise).
-func (r Ref) Width() uint8 {
-	if mi := r.c.MemIdx[r.i]; mi >= 0 {
-		return r.c.Width[mi]
-	}
-	return 0
-}
+func (r Ref) Width() uint8 { return r.c.Op[r.i].MemWidthFast() }
 
 // MemProducers returns the producer stores of a linked load (empty
 // otherwise).
@@ -456,16 +474,15 @@ func (t *Trace) AppendRange(src *Trace, start, end int) {
 		c.Rs1 = append(c.Rs1, sc.Rs1[si:si+run]...)
 		c.Rs2 = append(c.Rs2, sc.Rs2[si:si+run]...)
 		c.Taken = append(c.Taken, sc.Taken[si:si+run]...)
-		c.NextPC = append(c.NextPC, sc.NextPC[si:si+run]...)
 		c.Ineff = append(c.Ineff, sc.Ineff[si:si+run]...)
+		c.lastNext = sc.nextPC(si + run - 1)
 		for k := 0; k < run; k++ {
 			c.Src1 = append(c.Src1, 0)
 			c.Src2 = append(c.Src2, 0)
-			mi := int32(-1)
+			mi := int16(-1)
 			if smi := sc.MemIdx[si+k]; smi >= 0 {
-				mi = int32(len(c.Addr))
+				mi = int16(len(c.Addr))
 				c.Addr = append(c.Addr, sc.Addr[smi])
-				c.Width = append(c.Width, sc.Width[smi])
 				c.srcOff = append(c.srcOff, 0)
 				c.srcLen = append(c.srcLen, 0)
 			}
@@ -483,22 +500,21 @@ func (t *Trace) Clone() *Trace {
 	for ci := 0; ci < t.NumChunks(); ci++ {
 		c := t.chunks[ci]
 		nc := &Chunk{
-			PC:      append([]int32(nil), c.PC...),
-			Op:      append([]isa.Op(nil), c.Op...),
-			Rd:      append([]isa.Reg(nil), c.Rd...),
-			Rs1:     append([]isa.Reg(nil), c.Rs1...),
-			Rs2:     append([]isa.Reg(nil), c.Rs2...),
-			Taken:   append([]bool(nil), c.Taken...),
-			NextPC:  append([]int32(nil), c.NextPC...),
-			Src1:    append([]int32(nil), c.Src1...),
-			Src2:    append([]int32(nil), c.Src2...),
-			Ineff:   append([]uint8(nil), c.Ineff...),
-			MemIdx:  append([]int32(nil), c.MemIdx...),
-			Addr:    append([]uint64(nil), c.Addr...),
-			Width:   append([]uint8(nil), c.Width...),
-			srcOff:  append([]int32(nil), c.srcOff...),
-			srcLen:  append([]uint8(nil), c.srcLen...),
-			memSrcs: append([]int32(nil), c.memSrcs...),
+			PC:       append([]int32(nil), c.PC...),
+			Op:       append([]isa.Op(nil), c.Op...),
+			Rd:       append([]isa.Reg(nil), c.Rd...),
+			Rs1:      append([]isa.Reg(nil), c.Rs1...),
+			Rs2:      append([]isa.Reg(nil), c.Rs2...),
+			Taken:    append([]bool(nil), c.Taken...),
+			Src1:     append([]int32(nil), c.Src1...),
+			Src2:     append([]int32(nil), c.Src2...),
+			Ineff:    append([]uint8(nil), c.Ineff...),
+			lastNext: c.lastNext,
+			MemIdx:   append([]int16(nil), c.MemIdx...),
+			Addr:     append([]uint64(nil), c.Addr...),
+			srcOff:   append([]uint16(nil), c.srcOff...),
+			srcLen:   append([]uint8(nil), c.srcLen...),
+			memSrcs:  append([]int32(nil), c.memSrcs...),
 		}
 		out.chunks = append(out.chunks, nc)
 	}

@@ -80,13 +80,75 @@ func TestLinkMemoryProducers(t *testing.T) {
 	}
 }
 
-func TestLinkRejectsBadWidth(t *testing.T) {
+// TestPushedRecordReadsOpcodeWidth pins that a trace stores no access
+// width: whatever width a record is pushed with, it reads back with its
+// opcode's width (0 for a non-memory record), and the linker uses that
+// width, so the 8-byte load below reads both 4-byte stores.
+func TestPushedRecordReadsOpcodeWidth(t *testing.T) {
 	tr := trace.FromRecords([]trace.Record{
-		{PC: 0, Op: isa.LD, Rd: 1, Width: 4},
+		{PC: 0, Op: isa.SW, Rs1: 1, Rs2: 2, Addr: 0x100, Width: 8},
+		{PC: 1, Op: isa.SW, Rs1: 1, Rs2: 2, Addr: 0x104, Width: 1},
+		{PC: 2, Op: isa.LD, Rd: 3, Rs1: 1, Addr: 0x100, Width: 4},
+		{PC: 3, Op: isa.ADDI, Rd: 4, Rs1: 3, Width: 2},
 	})
-	if _, err := deadness.LinkAndAnalyze(tr); err == nil {
-		t.Error("bad width accepted")
+	link(t, tr)
+	for seq, want := range []uint8{4, 4, 8, 0} {
+		if got := tr.At(seq).Width; got != want {
+			t.Errorf("At(%d).Width = %d, want %d", seq, got, want)
+		}
+		if got := tr.Ref(seq).Width(); got != want {
+			t.Errorf("Ref(%d).Width() = %d, want %d", seq, got, want)
+		}
 	}
+	if ld := tr.At(2); ld.NumMemSrcs != 2 || ld.MemSrcs[0] != 0 || ld.MemSrcs[1] != 1 {
+		t.Errorf("load producers = %v, want [0 1]", ld.MemProducers())
+	}
+}
+
+// TestNextPCIsTheNextRecordsPC pins that a trace stores only each chunk's
+// last NextPC: every other record reads back the next record's PC, across
+// a chunk boundary too, and AppendRange and Clone carry the last one.
+func TestNextPCIsTheNextRecordsPC(t *testing.T) {
+	const n = trace.ChunkSize + 3
+	recs := make([]trace.Record, n)
+	for i := range recs {
+		recs[i] = trace.Record{PC: int32(i * 7 % 101), Op: isa.ADDI, Rd: 1}
+	}
+	for i := 0; i+1 < n; i++ {
+		recs[i].NextPC = recs[i+1].PC
+	}
+	recs[n-1].NextPC = 99
+	tr := trace.FromRecords(recs)
+	for _, c := range []struct {
+		name string
+		tr   *trace.Trace
+		off  int
+	}{{"pushed", tr, 0}, {"clone", tr.Clone(), 0}, {"range", sub(tr, trace.ChunkSize-2, n), trace.ChunkSize - 2}} {
+		for seq := 0; seq < c.tr.Len(); seq++ {
+			src := c.off + seq
+			want := int32(99)
+			if src+1 < n {
+				want = recs[src+1].PC
+			}
+			if got := c.tr.At(seq).NextPC; got != want {
+				t.Fatalf("%s: At(%d).NextPC = %d, want %d", c.name, seq, got, want)
+			}
+			if got := c.tr.Ref(seq).NextPC(); got != want {
+				t.Fatalf("%s: Ref(%d).NextPC() = %d, want %d", c.name, seq, got, want)
+			}
+		}
+	}
+	// A window that ends inside a chunk ends at the next record's PC.
+	if got, want := sub(tr, 3, 9).At(5).NextPC, recs[9].PC; got != want {
+		t.Errorf("window's last NextPC = %d, want %d", got, want)
+	}
+}
+
+// sub returns records [start, end) of tr as a new trace.
+func sub(tr *trace.Trace, start, end int) *trace.Trace {
+	out := &trace.Trace{}
+	out.AppendRange(tr, start, end)
+	return out
 }
 
 func TestLinkIdempotent(t *testing.T) {

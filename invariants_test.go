@@ -41,22 +41,22 @@ func TestOracleInvariantsOnRandomPrograms(t *testing.T) {
 		recs := tr.Records()
 		for seq := range recs {
 			r := &recs[seq]
-			kind := a.Kind[seq]
+			kind := a.Facts[seq].Kind()
 
 			// Only candidates may be dead.
-			if !a.Candidate[seq] && kind.Dead() {
+			if !a.Facts[seq].Candidate() && kind.Dead() {
 				t.Fatalf("seed %d seq %d: non-candidate %v classified %v",
 					seed, seq, r.Op, kind)
 			}
 			// Control flow and outputs are never candidates.
-			if (r.Op.IsControl() || r.Op == isa.OUT || r.Op == isa.HALT) && a.Candidate[seq] {
+			if (r.Op.IsControl() || r.Op == isa.OUT || r.Op == isa.HALT) && a.Facts[seq].Candidate() {
 				t.Fatalf("seed %d seq %d: %v is a candidate", seed, seq, r.Op)
 			}
 			// First-level dead values were never read; transitive ones were.
-			if kind == deadness.FirstLevel && a.EverRead[seq] {
+			if kind == deadness.FirstLevel && a.Facts[seq].EverRead() {
 				t.Fatalf("seed %d seq %d: first-level dead but read", seed, seq)
 			}
-			if kind == deadness.Transitive && !a.EverRead[seq] {
+			if kind == deadness.Transitive && !a.Facts[seq].EverRead() {
 				t.Fatalf("seed %d seq %d: transitive dead but never read", seed, seq)
 			}
 			// Resolve points are causal.
@@ -73,11 +73,11 @@ func TestOracleInvariantsOnRandomPrograms(t *testing.T) {
 				if p == trace.NoProducer {
 					return
 				}
-				if a.Candidate[p] && a.Kind[p].Dead() {
+				if a.Facts[p].Candidate() && a.Facts[p].Kind().Dead() {
 					t.Fatalf("seed %d: live seq %d reads dead producer %d", seed, seq, p)
 				}
 			}
-			if !a.Candidate[seq] || !a.Kind[seq].Dead() {
+			if !a.Facts[seq].Candidate() || !a.Facts[seq].Kind().Dead() {
 				// seq is live (or not a candidate): its producers feed a
 				// useful root eventually only if seq itself is useful.
 				// Direct check: live instructions never read dead values.

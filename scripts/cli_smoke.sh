@@ -3,9 +3,12 @@
 # a script relies on to tell a usage error from a failed run. Every tool
 # exits 2 when a flag or the environment is wrong, before any work
 # starts; 1 when its run failed; and experiments exits 3 when some
-# experiments failed and the others were still reported. Last, a warm
+# experiments failed and the others were still reported. Then a warm
 # experiments rerun over a -cache-dir prints what the cold run printed
-# and reads its 21 experiment entries and nothing else.
+# and reads its 21 experiment entries and nothing else. Last, with the
+# experiment, machine and predeval entries deleted, a rerun still prints
+# those tables and reads its 11 profiles from disk, so the profile decoder
+# runs on real binaries.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -99,8 +102,32 @@ if [ "$(echo "$kinds" | grep -Ec '^      "[a-z]+": \{')" != 1 ] ||
     failures=$((failures + 1))
 fi
 
+# A profile warm start: with the experiment, machine and predeval entries
+# deleted, a rerun rebuilds every table from the profile (and facts)
+# entries the cold run wrote. It prints the cold run's tables, and its
+# -json artifacts read 11 profile disk hits and no profile miss. Each run
+# writes the deleted entries back, so each starts from a fresh deletion.
+lower() { rm -rf "$tier/experiment" "$tier/machine" "$tier/predeval"; }
+lower
+expect 0 experiments -n 20000 -j 1 -cache-dir "$tier"
+if ! diff <(stamps "$WORK/cold.out") <(stamps "$WORK/out") >"$WORK/diff"; then
+    echo "cli_smoke: the run from decoded profiles printed other tables than the cold run:" >&2
+    cat "$WORK/diff" >&2
+    failures=$((failures + 1))
+fi
+lower
+expect 0 experiments -n 20000 -j 1 -cache-dir "$tier" -json
+profile="$(sed -n '/^      "profile": {/,/^      }/p' "$WORK/out")"
+if [ -z "$profile" ] ||
+    echo "$profile" | grep -Eq '"misses": [1-9]' ||
+    ! echo "$profile" | grep -Eq '"disk_hits": 11,?$'; then
+    echo "cli_smoke: the run from decoded profiles did not read its 11 profiles from disk:" >&2
+    echo "$profile" >&2
+    failures=$((failures + 1))
+fi
+
 if [ "$failures" != 0 ]; then
     echo "cli_smoke: $failures check(s) failed" >&2
     exit 1
 fi
-echo "cli_smoke: OK (usage errors exit 2, a partial experiment run exits 3 and keeps E1, a warm rerun reads 21 experiment entries)"
+echo "cli_smoke: OK (usage errors exit 2, a partial experiment run exits 3 and keeps E1, a warm rerun reads 21 experiment entries, a rerun without them decodes 11 profiles)"
